@@ -11,7 +11,8 @@ Subcommands:
 Exit codes are a stable contract:
 
   0  success
-  2  unreadable input: parse or sort errors, bad flags, malformed data
+  2  unreadable input: parse or sort errors, bad flags, malformed data,
+     out-of-range values
   3  the input is outside the supported fragment
   4  a comparison failed (symbolic value not contained in an oracle bracket)
   5  a box or point budget was exceeded
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import re
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from fractions import Fraction
@@ -169,8 +171,11 @@ def _parse_linear_product(text):
         if not sep:
             raise ParseError("linear product terms look like center:"
                              "multiplicity, got %r" % piece)
-        centers.append(Fraction(c))
-        mults.append(int(m))
+        try:
+            centers.append(Fraction(c))
+            mults.append(int(m))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("bad linear product term %r" % piece) from None
     if not centers:
         raise ParseError("empty linear product")
     return centers, mults
@@ -681,8 +686,24 @@ def _config_from(args):
     )
 
 
+def _attach_negative_values(argv):
+    """argparse reads a value starting with "-" as an option, so a
+    linear product with a negative first center ("-3:2") is attached to
+    its flag ("--linear-product=-3:2")."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--linear-product" and \
+                re.match(r"-[\d./]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         cfg = _config_from(args)
         return _COMMANDS[cfg.command](cfg)

@@ -9,6 +9,10 @@ class DpcalcError(Exception):
     pass
 
 
+class InvalidArgument(DpcalcError, ValueError):
+    """A well-formed value outside the range an operation accepts."""
+
+
 # local field arithmetic
 
 class InvalidPrime(DpcalcError):

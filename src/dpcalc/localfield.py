@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DivisionByZero, InvalidPrime, NoSimpleRoot,
-                     PrecisionExhausted)
+from .errors import (DivisionByZero, InvalidArgument, InvalidPrime,
+                     NoSimpleRoot, PrecisionExhausted)
 
 
 class _Infinity:
@@ -89,7 +89,7 @@ class LocalFieldSpec:
         if not is_prime(self.prime):
             raise InvalidPrime("not a prime: %r" % (self.prime,))
         if not isinstance(self.precision, int) or self.precision < 1:
-            raise ValueError("precision must be a positive integer")
+            raise InvalidArgument("precision must be a positive integer")
 
     def uniformizer(self):
         if self.kind is FieldKind.CHAR_ZERO:

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import (BadPrime, DuplicateCenter, InvalidPrime, OverlapDetected,
-                     ParseError, UnboundParameter, UnsupportedFeature,
-                     UnsupportedZeroCell)
+from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
+                     OverlapDetected, ParseError, UnboundParameter,
+                     UnsupportedFeature, UnsupportedZeroCell)
 from .formula import (And, Exists, Formula, Not, RfAdd, RfConst, RfEq, RfMul,
                       RfNe, RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul,
                       VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe,
@@ -886,11 +886,11 @@ def integrate_linear_product(centers, multiplicities, exponent=1):
     mults = [int(m) for m in multiplicities]
     e = int(exponent)
     if len(mults) != len(centers):
-        raise ValueError("need one multiplicity per center")
+        raise InvalidArgument("need one multiplicity per center")
     if any(m < 1 for m in mults):
-        raise ValueError("multiplicities must be >= 1")
+        raise InvalidArgument("multiplicities must be >= 1")
     if e < 1:
-        raise ValueError("the exponent must be >= 1")
+        raise InvalidArgument("the exponent must be >= 1")
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             if centers[i] == centers[j]:
@@ -996,7 +996,7 @@ def specialize(value, q, assignment=None):
                                            % r.name)
                 point[r.name] = zz_env[r.name]
             if not t.domain.contains(point, env=zz_env):
-                raise ValueError(
+                raise InvalidArgument(
                     "assignment %s leaves the residual domain %s"
                     % (point, ", ".join(_render_range(r)
                                         for r in t.domain.ranges)))
@@ -1057,7 +1057,7 @@ def bind_parameters(value, assignment):
     for t in value.terms:
         dom = _bind_domain(t.domain, env)
         if dom is None:
-            raise ValueError(
+            raise InvalidArgument(
                 "assignment %s leaves the residual domain %s"
                 % (env, ", ".join(_render_range(r) for r in t.domain.ranges)))
         terms.append((t.rf_class, dom, t.coeff.substitute(env)))

@@ -8,6 +8,17 @@ digits are added, so a subtree can be classified the moment its root box
 decides; the result is identical to flat enumeration of all p^(N*m) boxes,
 which is what the box budget meters.
 
+Domain membership is decided by `interpret` on `from_digits` boxes.  The
+integrand |f|^e is compiled once per walk: subterms without a box
+variable are folded through `eval_vf_term`, and the rest runs over plain
+integers, (valuation, unit mod p^k) in Q_p and (valuation, digit tuple)
+in F_p((t)), copying the precision rules of `localfield`'s add, mul and
+neg digit for digit.  `LFElem` arithmetic stays the reference semantics;
+the tests hold the compiled evaluator to it on random terms and boxes.
+A box at depth d with integrand valuation v contributes p^-(d*m + e*v),
+so the walk counts boxes per exponent and forms each endpoint as one
+Fraction at the end.
+
 Nothing here is symbolic.  The point is an independent check on the
 symbolic engine, plus the classical consistency checks (Weil point-count
 stabilization, Jacobian scaling).
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +40,8 @@ from .errors import (BadPrime, BudgetExceeded, UnboundVariable,
 from .formula import (Exists, Formula, Node, Sort, Truth3, VfAdd, VfConst,
                       VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar,
                       eval_vf_term, free_vars, interpret, parse)
-from .localfield import INF, FieldKind, from_digits
+from .localfield import INF, FieldKind, LFElem, embed_rational, from_digits
+from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg
 
 DEFAULT_BOX_BUDGET = 10 ** 8
 _BUDGET_ENV = "DPCALC_BOX_BUDGET"
@@ -58,6 +71,11 @@ class VolumeInterval:
     interpreter could not settle, i.e. exactly upper - lower.  Box counters
     are nominal full-depth counts (a subtree classified early counts all
     the boxes it covers).
+
+    Both endpoints are exact sums of powers p^-(d*m + e*v) over the boxes
+    that count, with v the integrand's valuation bound on each box (from
+    the compiled integrand, which agrees with `LFElem` arithmetic); they
+    are accumulated as integer counts per exponent and reduced once.
     """
 
     lower: Fraction
@@ -140,15 +158,286 @@ def _as_formula(phi):
     return Formula(phi)
 
 
-def _value_power(p, e, v):
-    """p^(-e*v) as an exact Fraction; v = INF means the value 0."""
-    if v is INF:
-        return Fraction(0)
-    return Fraction(p) ** (-e * v)
+# ---------------------------------------------------------------------------
+# the integrand, compiled once per walk
+#
+# A value that depends on the box is a tuple of plain integers standing for
+# one truncated LFElem: (val, unit mod p^k, k) in Q_p, (val, digit tuple, k)
+# in F_p((t)), and (val, 0, None) when only ord >= val is known.  Each
+# operation follows localfield's add/mul/neg precision rules digit for
+# digit, so the valuation bounds agree with eval_vf_term on every box.
+
+
+class _ExactConstant:
+    """An exact nonzero constant as the forms localfield truncates it to,
+    its unit digits expanded through LFElem.digits once per length."""
+
+    __slots__ = ("val", "_elem", "_pack", "_forms")
+
+    def __init__(self, elem, pack):
+        self.val = elem.ord()
+        self._elem = elem
+        self._pack = pack
+        self._forms = {}
+
+    def form(self, k):
+        """The constant to k unit digits."""
+        got = self._forms.get(k)
+        if got is None:
+            got = self._forms[k] = (self.val, self._pack(self._elem.digits(k)),
+                                    k)
+        return got
+
+    def upto(self, bound):
+        """The constant known below absolute precision `bound`."""
+        if self.val >= bound:
+            return (bound, 0, None)
+        return self.form(bound - self.val)
+
+
+class _FieldOps:
+    """What Q_p and F_p((t)) forms share."""
+
+    def __init__(self, p, precision):
+        self.p = p
+        self.precision = precision
+
+    def form(self, elem):
+        if not elem.known:
+            return (elem.val, 0, None)
+        return (elem.val, self.pack(elem.known), len(elem.known))
+
+
+class _QpOps(_FieldOps):
+    """Q_p forms (val, u, k): the element is p^val * (u + O(p^k))."""
+
+    def pack(self, digits):
+        return sum(d * self.p ** i for i, d in enumerate(digits))
+
+    def child(self, form, level, d):
+        """The form of from_digits(spec, 0, digits + (d,)) for a box at
+        `level` whose digits have the given form."""
+        val, u, k = form
+        if k is None:
+            return (level + 1, 0, None) if d == 0 else (level, d, 1)
+        return (val, u + d * self.p ** k, k + 1)
+
+    def add(self, a, b):
+        va, ua, ka = a
+        vb, ub, kb = b
+        bound = min(va + (ka or 0), vb + (kb or 0))
+        low = min(va, vb)
+        if bound <= low:
+            return (bound, 0, None)
+        p = self.p
+        s = (ua * p ** (va - low) + ub * p ** (vb - low)) % p ** (bound - low)
+        # the digits of s on [low, bound): strip leading zeros, truncate
+        if not s:
+            return (bound, 0, None)
+        v = 0
+        while s % p == 0:
+            s //= p
+            v += 1
+        k = min(bound - low - v, self.precision)
+        return (low + v, s % p ** k, k)
+
+    def neg(self, a):
+        va, ua, ka = a
+        if ka is None:
+            return a
+        return (va, -ua % self.p ** ka, ka)
+
+    def mul(self, a, b):
+        va, ua, ka = a
+        vb, ub, kb = b
+        if ka is None or kb is None:
+            return (va + vb, 0, None)
+        k = min(ka, kb, self.precision)
+        return (va + vb, ua * ub % self.p ** k, k)
+
+
+class _FptOps(_FieldOps):
+    """F_p((t)) forms (val, digits, k): t^val * (digits + O(t^k)), with
+    k == len(digits)."""
+
+    pack = staticmethod(tuple)
+
+    def child(self, form, level, d):
+        val, ds, k = form
+        if k is None:
+            return (level + 1, 0, None) if d == 0 else (level, (d,), 1)
+        return (val, ds + (d,), k + 1)
+
+    def add(self, a, b):
+        va, da, ka = a
+        vb, db, kb = b
+        bound = min(va + (ka or 0), vb + (kb or 0))
+        low = min(va, vb)
+        if bound <= low:
+            return (bound, 0, None)
+        p = self.p
+        out = [0] * (bound - low)
+        for offset, digits in ((va - low, da), (vb - low, db)):
+            if digits:
+                for i in range(min(len(digits), len(out) - offset)):
+                    out[offset + i] = (out[offset + i] + digits[i]) % p
+        for v, d in enumerate(out):
+            if d:
+                kept = tuple(out[v:v + self.precision])
+                return (low + v, kept, len(kept))
+        return (bound, 0, None)
+
+    def neg(self, a):
+        va, da, ka = a
+        if ka is None:
+            return a
+        p = self.p
+        return (va, tuple(-d % p for d in da), ka)
+
+    def mul(self, a, b):
+        va, da, ka = a
+        vb, db, kb = b
+        if ka is None or kb is None:
+            return (va + vb, 0, None)
+        k = min(ka, kb, self.precision)
+        out = [0] * k
+        for i in range(k):
+            x = da[i]
+            if x:
+                for j in range(k - i):
+                    out[i + j] += x * db[j]
+        p = self.p
+        return (va + vb, tuple(d % p for d in out), k)
+
+
+def _field_ops(spec):
+    kind = _QpOps if spec.kind is FieldKind.CHAR_ZERO else _FptOps
+    return kind(spec.prime, spec.precision)
+
+
+class _CompiledIntegrand:
+    """A field term compiled over the walk's box variables.
+
+    Subterms without a box variable are folded once through eval_vf_term,
+    the reference semantics, and so raise exactly its errors; what depends
+    on the box runs over integer forms.  `ord_bounds(forms)` takes one
+    form per box variable and equals eval_vf_term(...).ord_bounds() on the
+    corresponding from_digits box; `evaluate(forms)` gives the value
+    itself, a form or a box-independent LFElem.
+    """
+
+    def __init__(self, term, spec, names, assignment):
+        self.spec = spec
+        self.ops = _field_ops(spec)
+        self.index = {name: i for i, name in enumerate(names)}
+        # eval_vf_term converts every assigned value, used or not, so a
+        # value with no image in this field raises here as it would there
+        self.env = {name: embed_rational(Fraction(v), spec)
+                    if isinstance(v, (int, Fraction)) else v
+                    for name, v in assignment.items()}
+        root = self._compile(term)
+        self.evaluate = root if callable(root) else lambda forms: root
+
+    def ord_bounds(self, forms):
+        value = self.evaluate(forms)
+        if isinstance(value, LFElem):
+            return value.ord_bounds()
+        val, _, k = value
+        return (val, val) if k is not None else (val, INF)
+
+    def _compile(self, node):
+        """An LFElem when the value does not depend on the box, else a
+        function from the box forms to a form."""
+        if not any(name in self.index for name in free_vars(node)):
+            return eval_vf_term(node, self.spec, self.env)
+        if isinstance(node, VfVar):
+            return operator.itemgetter(self.index[node.name])
+        if isinstance(node, (VfAdd, VfSub)):
+            left = self._compile(node.left)
+            right = self._compile(node.right)
+            if isinstance(node, VfSub):
+                right = self._neg(right)
+            return self._binary(left, right, lf_add, self.ops.add)
+        if isinstance(node, VfMul):
+            return self._binary(self._compile(node.left),
+                                self._compile(node.right), lf_mul,
+                                self.ops.mul)
+        if isinstance(node, VfNeg):
+            return self._neg(self._compile(node.operand))
+        if isinstance(node, VfPow):
+            return self._pow(self._compile(node.base), node.exponent)
+        raise AssertionError(node)
+
+    def _neg(self, x):
+        if isinstance(x, LFElem):
+            return lf_neg(x)
+        op = self.ops.neg
+        return lambda forms: op(x(forms))
+
+    def _pow(self, base, n):
+        acc = embed_rational(1, self.spec)
+        if isinstance(base, LFElem):
+            for _ in range(n):
+                acc = lf_mul(acc, base)
+            return acc
+        if n == 0:
+            return acc
+        # 1 * b is b itself, so the product starts from the base
+        op = self.ops.mul
+
+        def power(forms):
+            b = base(forms)
+            out = b
+            for _ in range(n - 1):
+                out = op(out, b)
+            return out
+        return power
+
+    def _binary(self, left, right, lf_op, op):
+        left_const = isinstance(left, LFElem)
+        right_const = isinstance(right, LFElem)
+        if left_const and right_const:
+            return lf_op(left, right)
+        if not (left_const or right_const):
+            return lambda forms: op(left(forms), right(forms))
+        c, f = (left, right) if left_const else (right, left)
+        if c.spec != self.spec:
+            # a constant from another field: let the reference operation
+            # raise its own error, with the box side stood in by a zero
+            probe = self.spec.zero()
+            lf_op(left if left_const else probe,
+                  right if right_const else probe)
+        if c.is_exact_zero():
+            return self.spec.zero() if lf_op is lf_mul else f
+        if not c.exact:
+            form = self.ops.form(c)
+        elif lf_op is lf_mul:
+            # a product keeps at most `precision` digits of either factor
+            form = _ExactConstant(c, self.ops.pack).form(self.spec.precision)
+        else:
+            # a sum is known up to the box side's absolute precision
+            k = _ExactConstant(c, self.ops.pack)
+
+            def add_exact(forms):
+                a = f(forms)
+                return op(a, k.upto(a[0] + (a[2] or 0)))
+            return add_exact
+        return lambda forms: op(f(forms), form)
+
+
+def _mass(p, counts):
+    """sum(count * p^-x) over {x: count}, as one exact Fraction."""
+    top = max(max(counts, default=0), 0)
+    return Fraction(sum(c * p ** (top - x) for x, c in counts.items()),
+                    p ** top)
 
 
 class _BoxWalk:
-    """Depth-first refinement of the residue-box tree for one bracket."""
+    """Depth-first refinement of the residue-box tree for one bracket.
+
+    Each box contributes p^-(level*m + e*v) for an integrand valuation v,
+    so the walk counts boxes per exponent and builds both endpoints once
+    at the end."""
 
     def __init__(self, phi, spec, integrand, assignment, vf_witness_depth):
         self.phi = phi
@@ -161,8 +450,10 @@ class _BoxWalk:
         self.names = [n for n, s in phi.free
                       if s is Sort.VF and n not in assignment]
         self.m = len(self.names)
-        self.lower = Fraction(0)
-        self.upper = Fraction(0)
+        self.ops = _field_ops(spec)
+        self.compiled = None
+        self.lower_counts = {}
+        self.upper_counts = {}
         self.boxes_true = 0
         self.boxes_undecided = 0
 
@@ -170,22 +461,32 @@ class _BoxWalk:
         return self.p ** (self.depth * self.m)
 
     def run(self):
-        self.walk(tuple(() for _ in self.names), 0)
-        return VolumeInterval(self.lower, self.upper, self.depth,
-                              self.upper - self.lower, self.nominal_boxes(),
-                              self.boxes_true, self.boxes_undecided)
+        self.walk(tuple(() for _ in self.names),
+                  tuple((0, 0, None) for _ in self.names), 0)
+        lower = _mass(self.p, self.lower_counts)
+        upper = _mass(self.p, self.upper_counts)
+        return VolumeInterval(lower, upper, self.depth, upper - lower,
+                              self.nominal_boxes(), self.boxes_true,
+                              self.boxes_undecided)
 
-    def integrand_bounds(self, env):
-        """(lower, upper) on the integrand's value over the box; equal
-        when decided."""
+    def integrand_bounds(self, forms):
+        """(lower, upper) bounds on the integrand's valuation over the
+        box; equal when decided, INF for the value 0.  The integrand is
+        compiled on first use, so a walk that never evaluates it never
+        raises its errors, just as with per-box evaluation."""
         if self.integrand.is_one:
-            return Fraction(1), Fraction(1)
-        value = eval_vf_term(self.integrand.f, self.spec, env)
-        vlo, vhi = value.ord_bounds()
-        return (_value_power(self.p, self.integrand.e, vhi),
-                _value_power(self.p, self.integrand.e, vlo))
+            return 0, 0
+        if self.compiled is None:
+            self.compiled = _CompiledIntegrand(
+                self.integrand.f, self.spec, self.names, self.assignment)
+        return self.compiled.ord_bounds(forms)
 
-    def walk(self, prefixes, level):
+    def credit(self, counts, level, v):
+        if v is not INF:
+            x = level * self.m + self.integrand.e * v
+            counts[x] = counts.get(x, 0) + 1
+
+    def walk(self, prefixes, forms, level):
         env = dict(self.assignment)
         for name, digs in zip(self.names, prefixes):
             env[name] = from_digits(self.spec, 0, digs)
@@ -194,26 +495,28 @@ class _BoxWalk:
         if membership is Truth3.FALSE:
             return
         weight = self.p ** ((self.depth - level) * self.m)
-        measure = Fraction(1, self.p ** (level * self.m))
         if membership is Truth3.TRUE:
-            flo, fhi = self.integrand_bounds(env)
-            if flo == fhi:
-                self.lower += measure * flo
-                self.upper += measure * flo
+            vlo, vhi = self.integrand_bounds(forms)
+            if vlo == vhi:
+                self.credit(self.lower_counts, level, vlo)
+                self.credit(self.upper_counts, level, vlo)
                 self.boxes_true += weight
                 return
             if level == self.depth:
                 self.boxes_undecided += weight
-                self.upper += measure * fhi
+                self.credit(self.upper_counts, level, vlo)
                 return
         elif level == self.depth:
-            _, fhi = self.integrand_bounds(env)
+            vlo, _ = self.integrand_bounds(forms)
             self.boxes_undecided += weight
-            self.upper += measure * fhi
+            self.credit(self.upper_counts, level, vlo)
             return
+        children = [[self.ops.child(form, level, d) for d in range(self.p)]
+                    for form in forms]
         for combo in itertools.product(range(self.p), repeat=self.m):
             self.walk(tuple(digs + (d,)
                             for digs, d in zip(prefixes, combo)),
+                      tuple(row[d] for row, d in zip(children, combo)),
                       level + 1)
 
 

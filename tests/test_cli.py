@@ -256,6 +256,34 @@ def test_oracle_integrand_directives(run_cli, fx):
     assert value.numerator * hb <= ha * value.denominator
 
 
+# --- out-of-range input exits 2 with one line ---
+
+@pytest.mark.parametrize("argv", [
+    ("integrate", "cube.cells.json", "--param", "k=-1", "--param",
+     "acx:cube"),
+    ("oracle", "ball.dp", "--prime", "5", "--precision", "0"),
+    ("compare", "linear_m3.dp", "--primes", "5", "--precision", "0"),
+    ("integrate", "--linear-product", "0:1", "--exponent", "0"),
+    ("integrate", "--linear-product", "1/0:1"),
+], ids=["k-outside-domain", "oracle-precision-0", "compare-precision-0",
+        "exponent-0", "zero-denominator"])
+def test_out_of_range_input_exits_2(run_cli, fx, argv):
+    argv = [fx(a) if a.endswith((".dp", ".json")) else a for a in argv]
+    rc, out, err = run_cli(*argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dpcalc: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_integrate_negative_first_center(run_cli):
+    rc, out, err = run_cli("integrate", "--linear-product", "-3:2")
+    assert (rc, err) == (0, "")
+    assert out_json(out) == \
+        out_json(run_cli("integrate", "--linear-product=-3:2")[1])
+    assert out_json(out)["input"]["linear_product"] == "-3:2"
+
+
 # --- output redirection ---
 
 def test_output_flag_writes_file(run_cli, fx, tmp_path):

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import dpcalc.localfield as lf
 from dpcalc.errors import BudgetExceeded, UnboundVariable, UnsupportedFeature
-from dpcalc.oracle import (IntegrandSpec, fraction_str, integrate,
-                           jacobian_check, serre_oesterle_count, volume)
+from dpcalc.formula import (VfAdd, VfConst, VfMul, VfNeg, VfPow, VfSub,
+                            VfUnif, VfVar, eval_vf_term)
+from dpcalc.oracle import (IntegrandSpec, _CompiledIntegrand, fraction_str,
+                           integrate, jacobian_check, parse_vf_polynomial,
+                           serre_oesterle_count, volume)
 from dpcalc.symring import SymA
 
 Q5 = lf.qp(5, 6)
@@ -221,3 +224,142 @@ def test_volume_additivity_property(c1, c2, q):
     both = volume("ord(x) == %d || ord(x) == %d" % (c1, c2), spec)
     assert both.lower == v1.lower + v2.lower
     assert both.upper == v1.upper + v2.upper
+
+
+# --- the compiled integrand against the reference arithmetic ---
+
+_BOX_NAMES = ["x", "y"]
+
+_leaves = st.one_of(
+    st.sampled_from([VfVar("x"), VfVar("y"), VfVar("a"), VfVar("a"),
+                     VfUnif()]),
+    st.builds(VfConst, st.builds(F, st.integers(-12, 12),
+                                 st.sampled_from([1, 1, 2, 3, 4, 5, 25]))))
+
+_terms = st.recursive(_leaves, lambda kids: st.one_of(
+    st.builds(VfAdd, kids, kids), st.builds(VfSub, kids, kids),
+    st.builds(VfMul, kids, kids), st.builds(VfNeg, kids),
+    st.builds(VfPow, kids, st.integers(0, 3))), max_leaves=8)
+
+
+def _monomial(spec, c, k, d=0):
+    """The exact element c * pi^k + d; the CLI binds monomials the same
+    way."""
+    return eval_vf_term(VfAdd(VfMul(VfConst(F(c)), VfPow(VfUnif(), k)),
+                              VfConst(F(d))), spec, {})
+
+
+def _check_compiled(term, spec, a, prefixes):
+    """The compiled integrand agrees with eval_vf_term on one box: the
+    same error class, or the same value digit for digit and the same ord
+    bounds.  Box forms are built a digit at a time, as the walk does."""
+    boxes = {name: lf.from_digits(spec, 0, tuple(digs))
+             for name, digs in zip(_BOX_NAMES, prefixes)}
+    try:
+        reference = eval_vf_term(term, spec, {"a": a, **boxes})
+    except Exception as e:  # the error class is part of the contract
+        with pytest.raises(Exception) as raised:
+            _CompiledIntegrand(term, spec, _BOX_NAMES, {"a": a})
+        assert raised.type is type(e)
+        return
+    integrand = _CompiledIntegrand(term, spec, _BOX_NAMES, {"a": a})
+    forms = []
+    for name, digs in zip(_BOX_NAMES, prefixes):
+        form = (0, 0, None)
+        for level, d in enumerate(digs):
+            form = integrand.ops.child(form, level, d)
+        assert form == integrand.ops.form(boxes[name])
+        forms.append(form)
+    forms = tuple(forms)
+    value = integrand.evaluate(forms)
+    if reference.exact:
+        assert value == reference
+    else:
+        assert value == integrand.ops.form(reference)
+    assert integrand.ord_bounds(forms) == reference.ord_bounds()
+
+
+@settings(max_examples=600, deadline=None)
+@given(term=_terms, make=st.sampled_from([lf.qp, lf.fpt]),
+       p=st.sampled_from([2, 3, 5]), precision=st.integers(1, 4),
+       bind=st.sampled_from(["exact", "fraction"]), c=st.integers(-6, 6),
+       k=st.integers(0, 3), d=st.integers(-3, 3), data=st.data())
+def test_compiled_integrand_matches_reference(term, make, p, precision, bind,
+                                              c, k, d, data):
+    spec = make(p, precision)
+    a = _monomial(spec, c, k, d) if bind == "exact" else F(c, p ** k)
+    # leading zero digits are drawn often: they move the box's valuation
+    digit = st.one_of(st.just(0), st.integers(0, p - 1))
+    prefixes = [data.draw(st.lists(digit, max_size=precision))
+                for _ in _BOX_NAMES]
+    _check_compiled(term, spec, a, prefixes)
+
+
+@pytest.mark.parametrize("term,spec,a,x,y", [
+    # a constant of several digits added to a box
+    ("x + a", lf.fpt(5, 4), (1, 1, 1), (1, 2, 3, 4), ()),
+    # a sum whose window runs past the precision is truncated
+    ("x*x + 1", lf.fpt(3, 4), (0, 0, 1), (0, 1, 2, 1), ()),
+    (VfSub(VfAdd(VfVar("x"), VfConst(F(1, 25))), VfConst(F(1, 25))),
+     lf.qp(5, 3), (0, 0, 1), (1, 2, 3), ()),
+    # cancellation leaves only a valuation bound
+    ("(x - y)^2", lf.qp(3, 4), (0, 0, 1), (1, 2), (1, 2, 0, 1)),
+    ("x*y - y*x + a", lf.fpt(2, 3), (1, 2, 0), (1, 1), (0, 1, 1)),
+    # exact zero absorbs a box; z^0 is the exact one
+    ("x*0 + y", lf.qp(5, 3), (0, 0, 1), (2,), (0, 3)),
+    ("x^0*a - a", lf.fpt(2, 3), (1, 1, 1), (1,), ()),
+    # indeterminate boxes
+    ("x*y + a", lf.qp(7, 3), (1, 1, 0), (0, 0), (0,)),
+    # a constant with no residue image in F_p((t))
+    (VfAdd(VfVar("x"), VfConst(F(1, 3))), lf.fpt(3, 2), (0, 0, 1), (1,), ()),
+], ids=["multidigit-constant", "fpt-truncation", "qp-truncation",
+        "cancellation", "fpt-cancellation", "zero-absorbs", "power-zero",
+        "indeterminate", "no-residue-image"])
+def test_compiled_integrand_edge_cases(term, spec, a, x, y):
+    if isinstance(term, str):
+        term = parse_vf_polynomial(term)
+    _check_compiled(term, spec, _monomial(spec, *a), [x, y])
+
+
+# exact brackets recorded from the LFElem-per-box walk that preceded the
+# compiled integrand; (lower, upper, boxes_total, boxes_true,
+# boxes_undecided), the same in both characteristics
+_PINNED = {
+    ("linear_triple", 5): ("24414062/48828125", "122070313/244140625",
+                           15625, 15622, 3),
+    ("linear_triple", 7): ("1235829214/1977326743",
+                           "8650804501/13841287201", 117649, 117646, 3),
+    ("linear_m3", 5): ("382081056252504/476837158203125",
+                       "47760132031563001/59604644775390625",
+                       15625, 15624, 1),
+    ("linear_m3", 7): ("478953078451416036/558545864083284007",
+                       "164280905908835700349/191581231380566414401",
+                       117649, 117648, 1),
+    ("cube", 5): ("24454752604/30517578125", "122273763021/152587890625",
+                  78125, 78124, 1),
+    ("cube", 7): ("4070574266308/4747561509943",
+                  "28494019864159/33232930569601", 823543, 823540, 3),
+}
+
+_PINNED_CASES = {
+    # fixture: (domain, integrand, precision, binds x = acx * pi^(3k))
+    "linear_triple": ("vf z; ord(z) >= 0", "z * (z - 1) * (z - 3)", 6,
+                      False),
+    "linear_m3": ("vf z; ord(z) >= 0", "z^3", 6, False),
+    "cube": ("vf x, y; ord(y) >= 0", "y^3 - x", 7, True),   # acx=1, k=1
+}
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+@pytest.mark.parametrize("name,p", sorted(_PINNED))
+def test_pinned_brackets(name, p, make):
+    domain, f, precision, bind = _PINNED_CASES[name]
+    spec = make(p, precision)
+    assignment = {"x": _monomial(spec, 1, 3)} if bind else {}
+    iv = integrate(IntegrandSpec.abs_power(f), domain, spec,
+                   assignment=assignment)
+    lower, upper, total, true, undecided = _PINNED[name, p]
+    assert (iv.lower, iv.upper) == (F(lower), F(upper))
+    assert iv.undecided_mass == F(upper) - F(lower)
+    assert (iv.boxes_total, iv.boxes_true, iv.boxes_undecided) == \
+        (total, true, undecided)
