@@ -16,7 +16,7 @@ Exit codes are a stable contract:
   3  the input is outside the supported fragment
   4  a comparison failed (symbolic value not contained in an oracle bracket)
   5  a box or point budget was exceeded
-  1  unexpected internal failure
+  1  unexpected internal failure (--debug shows its traceback)
 
 All numeric output is exact: integers, "numerator/denominator" strings, or
 ring elements rendered in normal form.  Nothing is ever printed as a float.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import re
 import sys
@@ -49,7 +50,7 @@ from .motivic import (bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
                       specialize)
 from .motivic import appendix2_symbolic, appendix2_volume
-from .oracle import IntegrandSpec, fraction_str
+from .oracle import IntegrandSpec, _resolve_budget, fraction_str
 from .oracle import integrate as oracle_integrate
 from .symring import SymA
 
@@ -126,7 +127,10 @@ def _parse_primes(text):
         piece = piece.strip()
         if not piece:
             continue
-        p = int(piece)
+        try:
+            p = int(piece)
+        except ValueError:
+            raise ParseError("prime %r is not an integer" % piece) from None
         if not is_prime(p):
             raise InvalidPrime("%d is not a prime" % p)
         out.append(p)
@@ -530,6 +534,7 @@ def _nonsquares(q):
 
 def cmd_appendix2(cfg):
     symbolic = appendix2_symbolic()
+    budget = _resolve_budget(cfg.budget)
     rows = []
     failing = []
     for q in cfg.primes:
@@ -537,7 +542,7 @@ def cmd_appendix2(cfg):
         for eta in _nonsquares(q):
             for variant in ("b2_minus_d2", "d2_minus_b2"):
                 vol = appendix2_volume("per_eta", q, eta=eta,
-                                       variant=variant, budget=cfg.budget)
+                                       variant=variant, budget=budget)
                 count = vol * q ** 3
                 ok = count == expected
                 rows.append({"q": q, "eta": eta, "variant": variant,
@@ -585,11 +590,15 @@ def cmd_oracle(cfg):
 # wiring
 
 
-def _add_output(p):
+def _add_common(p):
     p.add_argument("-o", "--output", metavar="PATH",
                    help="write the JSON report here instead of stdout")
+    p.add_argument("--debug", action="store_true",
+                   help="let an internal error raise with its traceback "
+                        "instead of exiting 1")
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="dpcalc",
@@ -601,7 +610,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--emit", choices=("json", "pretty"), default="json",
                    help="full AST as JSON, or just the normalized text")
-    _add_output(p)
+    _add_common(p)
 
     p = sub.add_parser("integrate", help="evaluate a symbolic integral")
     p.add_argument("path", nargs="?",
@@ -614,7 +623,7 @@ def build_parser():
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=INT|NAME:CLASS",
                    help="bind a parameter; repeatable or comma-joined")
-    _add_output(p)
+    _add_common(p)
 
     p = sub.add_parser("compare",
                        help="check the symbolic value against the oracle")
@@ -627,7 +636,7 @@ def build_parser():
                    help="also run the equal-characteristic oracle")
     p.add_argument("--budget", type=int,
                    help="box budget override (or DPCALC_BOX_BUDGET)")
-    _add_output(p)
+    _add_common(p)
 
     p = sub.add_parser("appendix2",
                        help="split-torus volume count checks")
@@ -635,7 +644,7 @@ def build_parser():
                    help="comma-separated primes (default 5,7)")
     p.add_argument("--budget", type=int,
                    help="point budget override (or DPCALC_BOX_BUDGET)")
-    _add_output(p)
+    _add_common(p)
 
     p = sub.add_parser("oracle", help="run the numeric oracle on a fixture")
     p.add_argument("path", help=".dp fixture")
@@ -645,7 +654,7 @@ def build_parser():
                    help="mixed characteristic (qp) or equal (fpt)")
     p.add_argument("--budget", type=int,
                    help="box budget override (or DPCALC_BOX_BUDGET)")
-    _add_output(p)
+    _add_common(p)
 
     return ap
 
@@ -722,6 +731,12 @@ def main(argv=None):
     except OSError as e:
         _say(str(e))
         return 2
+    except Exception as e:
+        if args.debug:
+            raise
+        _say("internal error: %s: %s"
+             % (type(e).__name__, str(e).replace("\n", " ")))
+        return 1
 
 
 if __name__ == "__main__":

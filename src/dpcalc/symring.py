@@ -2,11 +2,15 @@
 together with inverted factors (1 - L^-i), rational scalars admitted.
 
 Every value is kept in a canonical shape: a Laurent numerator over a
-denominator multiset {(i, m_i)} of (1 - L^-i) factors.  Canonicalization
-reduces the underlying rational function over Q, refactors the reduced
-denominator into cyclotomics, and re-covers it by the smallest multiset of
-(1 - L^-i) factors (largest index first).  Two values are equal iff their
-canonical forms coincide, which makes equality decidable and hashable.
+denominator multiset {(i, m_i)} of (1 - L^-i) factors.  Up to a power of
+L the denominator is prod (L^i - 1)^m_i = prod_d Phi_d^e_d, where e_d sums
+m_i over the i that d divides.  Canonicalization divides each cyclotomic
+Phi_d out of the primitive integer numerator as often as it divides, up to
+e_d, re-covers the cyclotomics left over by the smallest multiset of
+(1 - L^-i) factors (largest index first), and multiplies the numerator by
+the cyclotomics the cover adds.  Every division is by a monic integer
+polynomial, so it runs in integer arithmetic.  Two values are equal iff
+their canonical forms coincide, which makes equality decidable and hashable.
 """
 
 from __future__ import annotations
@@ -40,31 +44,22 @@ def _zmul(a, b):
     return _ztrim(out)
 
 
-def _zdiv_maybe(a, b):
-    """Exact division a/b over Q; returns (quotient_ints, True) or (None, False)."""
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while _ztrim(list(a)) and len(a) >= len(b):
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bc in enumerate(b):
-            a[i + d] -= c * bc
-        while a and a[-1] == 0:
-            a.pop()
-    if _ztrim(list(a)):
-        return None, False
-    out = []
-    for c in q:
-        if c.denominator != 1:
-            return None, False
-        out.append(int(c))
-    return _ztrim(out), True
+def _zdiv_monic(a, b):
+    """Quotient a/b for a monic integer b, or None when b does not divide a.
 
-
-def _zdiv_exact(a, b):
-    q, ok = _zdiv_maybe(a, b)
-    assert ok, "inexact polynomial division"
+    Monic divisors keep every step in the integers."""
+    n = len(b) - 1
+    low = [(j, c) for j, c in enumerate(b[:n]) if c]
+    r = list(a)
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + n]
+        if c:
+            q[k] = c
+            for j, bc in low:
+                r[k + j] -= c * bc
+    if any(r[:n]):
+        return None
     return q
 
 
@@ -78,29 +73,6 @@ def _zprimitive(a):
     if a[-1] < 0:
         g = -g
     return g, [c // g for c in a]
-
-
-def _zgcd(a, b):
-    """Primitive gcd with positive leading coefficient."""
-    a = [Fraction(c) for c in _ztrim(list(a))]
-    b = [Fraction(c) for c in _ztrim(list(b))]
-    while b:
-        r = list(a)
-        while _ztrim(list(r)) and len(r) >= len(b):
-            c = r[-1] / b[-1]
-            d = len(r) - len(b)
-            for i, bc in enumerate(b):
-                r[i + d] -= c * bc
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _ztrim(r)
-    if not a:
-        return []
-    l = 1
-    for c in a:
-        l = math.lcm(l, c.denominator)
-    ints = [int(c * l) for c in a]
-    return _zprimitive(ints)[1]
 
 
 def _divisors(n):
@@ -125,24 +97,16 @@ def cyclotomic(d):
     num[0] = -1  # x^d - 1
     for e in sorted(_divisors(d)):
         if e < d:
-            num = _zdiv_exact(num, cyclotomic(e))
+            num = _zdiv_monic(num, cyclotomic(e))
     _cyclotomic_cache[d] = num
     return num
 
 
-def _expand_den(den):
-    """Expanded integer polynomial prod (x^i - 1)^m for a multiset dict."""
-    out = [1]
-    for i, m in den.items():
-        base = [0] * i + [1]
-        base[0] = -1
-        for _ in range(m):
-            out = _zmul(out, base)
-    return out
-
-
 class SymA:
-    """One canonical ring value: Laurent numerator / prod (1 - L^-i)^m."""
+    """One canonical ring value: Laurent numerator / prod (1 - L^-i)^m.
+
+    `num` maps degrees to int or Fraction coefficients, `den` maps
+    indices i > 0 to multiplicities."""
 
     __slots__ = ("_num", "_den")
 
@@ -370,62 +334,58 @@ def _lift(num, den, target):
 
 
 def _canonicalize(num, den):
-    num = {d: Fraction(c) for d, c in num.items() if c != 0}
+    num = {d: c for d, c in num.items() if c}
     den = {i: m for i, m in den.items() if m > 0}
     for i in den:
         if i <= 0:
             raise ValueError("denominator index must be positive")
     if not num:
         return (), ()
-    mn = min(num)
-    dense = [num.get(d, F0) for d in range(mn, max(num) + 1)]
-    l = 1
-    g = 0
-    for c in dense:
-        l = math.lcm(l, c.denominator)
-        g = math.gcd(g, abs(c.numerator))
-    content = Fraction(g, l)
-    if dense[-1] < 0:
-        content = -content
-    prim = [int(c / content) for c in dense]
+    # content g/l, signed so that the primitive part has a positive leading
+    # coefficient
+    mn, mx = min(num), max(num)
+    l = math.lcm(*(c.denominator for c in num.values()))
+    g = math.gcd(*(c.numerator for c in num.values()))
+    if num[mx] < 0:
+        g = -g
+    prim = [0] * (mx - mn + 1)
+    for d, c in num.items():
+        prim[d - mn] = c.numerator * (l // c.denominator) // g
     if not den:
-        return _to_form(content, mn, prim, {})
-    W = sum(i * m for i, m in den.items())
-    E = _expand_den(den)
-    G = _zgcd(prim, E)
-    if len(G) > 1:
-        R = _zdiv_exact(E, G)
-        prim = _zdiv_exact(prim, G)
-    else:
-        R = E
-    R_saved = list(R)
-    mult = {}
-    cand = set()
-    for i in den:
-        cand |= _divisors(i)
-    for d in sorted(cand, reverse=True):
+        return _to_form(g, l, mn, prim, {})
+    # prod (L^i - 1)^m_i is prod_d Phi_d^e_d, e_d the sum of m_i over d | i:
+    # cancel each Phi_d from the numerator as often as it divides, up to e_d
+    left = {}
+    for d in sorted(set().union(*map(_divisors, den)), reverse=True):
+        e = sum(m for i, m in den.items() if i % d == 0)
         phi = cyclotomic(d)
-        while len(R) >= len(phi):
-            q, ok = _zdiv_maybe(R, phi)
-            if not ok:
+        while e:
+            q = _zdiv_monic(prim, phi)
+            if q is None:
                 break
-            R = q
-            mult[d] = mult.get(d, 0) + 1
-    assert R == [1], "reduced denominator is not a product of cyclotomics"
+            prim = q
+            e -= 1
+        if e:
+            left[d] = e
+    # cover what is left by (L^i - 1) factors, largest i first (left is in
+    # descending order), and put the cyclotomics the cover adds on top
     newden = {}
-    for d in sorted(mult, reverse=True):
-        need = mult[d] - sum(m for i, m in newden.items() if i % d == 0)
+    for d, r in left.items():
+        need = r - sum(m for i, m in newden.items() if i % d == 0)
         if need > 0:
             newden[d] = need
-    W2 = sum(i * m for i, m in newden.items())
-    S = _zdiv_exact(_expand_den(newden), R_saved)
-    prim = _zmul(prim, S)
-    return _to_form(content, mn + W - W2, prim, newden)
+    for d in set().union(*map(_divisors, newden)):
+        extra = sum(m for i, m in newden.items() if i % d == 0)
+        for _ in range(extra - left.get(d, 0)):
+            prim = _zmul(prim, cyclotomic(d))
+    shift = sum(i * m for i, m in den.items()) - \
+        sum(i * m for i, m in newden.items())
+    return _to_form(g, l, mn + shift, prim, newden)
 
 
-def _to_form(content, shift, prim, den):
-    num = tuple(sorted((shift + j, content * c)
-                       for j, c in enumerate(prim) if c != 0))
+def _to_form(g, l, shift, prim, den):
+    num = tuple((shift + j, Fraction(g * c, l))
+                for j, c in enumerate(prim) if c)
     return num, tuple(sorted(den.items()))
 
 
@@ -457,8 +417,8 @@ def _unit_factorization(d):
         for i in range(deg, 0, -1):
             base = [0] * i + [1]
             base[0] = -1
-            q, ok = _zdiv_maybe(prim, base)
-            if ok:
+            q = _zdiv_monic(prim, base)
+            if q is not None:
                 prim = q
                 # (L^i - 1) = L^i (1 - L^-i)
                 factors[i] = factors.get(i, 0) + 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dpcalc import cli
 from dpcalc.symring import SymA
 
 
@@ -210,6 +211,14 @@ def test_appendix2_rejects_composite(run_cli):
     assert rc == 2
 
 
+def test_appendix2_honours_budget_env(run_cli, monkeypatch):
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "10")
+    rc, out, err = run_cli("appendix2", "--primes", "5")
+    assert rc == 5
+    assert out == ""
+    assert "budget" in err
+
+
 # --- oracle ---
 
 def test_oracle_ball(run_cli, fx):
@@ -265,8 +274,9 @@ def test_oracle_integrand_directives(run_cli, fx):
     ("compare", "linear_m3.dp", "--primes", "5", "--precision", "0"),
     ("integrate", "--linear-product", "0:1", "--exponent", "0"),
     ("integrate", "--linear-product", "1/0:1"),
+    ("compare", "ball.dp", "--primes", "x"),
 ], ids=["k-outside-domain", "oracle-precision-0", "compare-precision-0",
-        "exponent-0", "zero-denominator"])
+        "exponent-0", "zero-denominator", "non-integer-prime"])
 def test_out_of_range_input_exits_2(run_cli, fx, argv):
     argv = [fx(a) if a.endswith((".dp", ".json")) else a for a in argv]
     rc, out, err = run_cli(*argv)
@@ -292,3 +302,31 @@ def test_output_flag_writes_file(run_cli, fx, tmp_path):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["pretty"] == "vf x; 2 <= ord(x)"
+
+
+def test_repeated_main_calls_share_no_state(run_cli, fx, tmp_path):
+    target = tmp_path / "bound.json"
+    rc, out, _ = run_cli("integrate", fx("cube.cells.json"),
+                         "--param", "k=1", "--output", str(target))
+    assert (rc, out) == (0, "")
+    assert json.loads(target.read_text())["assigned"] == {"k": 1}
+    target.unlink()
+    rc, out, _ = run_cli("integrate", fx("cube.cells.json"))
+    assert rc == 0
+    assert out_json(out)["assigned"] == {}
+    assert not target.exists()
+
+
+# --- internal faults exit 1 with one line ---
+
+def test_internal_error_exits_1(run_cli, fx, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("broken\nparser")
+    monkeypatch.setitem(cli._COMMANDS, "parse", broken)
+    rc, out, err = run_cli("parse", fx("ball.dp"))
+    assert rc == 1
+    assert out == ""
+    assert err == "dpcalc: internal error: RuntimeError: broken parser\n"
+    with pytest.raises(RuntimeError):
+        run_cli("parse", fx("ball.dp"), "--debug")
+

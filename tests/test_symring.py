@@ -3,9 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dpcalc import realroots
+import symring_reference as reference
+from dpcalc import realroots, symring
 from dpcalc.errors import NotInvertibleInA
 from dpcalc.symring import ONE, ZERO, L, SymA
 
@@ -203,3 +204,69 @@ def test_additive_inverse(a):
     assert (a - a).is_zero()
     assert a + ZERO == a
     assert a * ONE == a
+
+
+# --- differential tests against the reference canonicalisation ---
+
+def _times_one_minus_l_inv(num, i):
+    out = dict(num)
+    for d, c in num.items():
+        out[d - i] = out.get(d - i, F(0)) - c
+    return out
+
+
+@st.composite
+def raw_forms(draw):
+    """An uncanonical (numerator, denominator) pair with rational content,
+    indices up to 12 and multiplicities up to 4, whose numerator carries
+    (1 - L^-i) factors that often share cyclotomics with the denominator."""
+    den = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 4),
+                               max_size=3))
+    num = draw(st.dictionaries(
+        st.integers(-6, 6),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        max_size=5))
+    shared = sorted({d for i in den for d in range(1, i + 1) if i % d == 0})
+    indices = st.integers(1, 12)
+    if shared:
+        indices = st.sampled_from(shared) | indices
+    for i in draw(st.lists(indices, max_size=4)):
+        num = _times_one_minus_l_inv(num, i)
+    return num, den
+
+
+@settings(max_examples=300, deadline=None)
+@given(form=raw_forms())
+def test_canonical_form_matches_reference(form):
+    num, den = form
+    elem = SymA(num, den)
+    assert (elem._num, elem._den) == \
+        reference._canonicalize(dict(num), dict(den))
+
+
+_unit_shapes = st.tuples(
+    st.integers(-5, 5),
+    st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1, -1])),
+             max_size=4),
+    st.sampled_from([ONE, -ONE, SymA.from_int(2), SymA.from_fraction(F(1, 2)),
+                     L + 1, L ** 2 + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=_unit_shapes)
+def test_unit_division_matches_reference(shape):
+    k, factors, extra = shape
+    d = SymA.l_power(k) * extra
+    for i, sign in factors:
+        d = d * (SymA.one_minus_l_inv(i) if sign > 0 else SymA.geom(i))
+    try:
+        want = reference._unit_factorization(d)
+    except NotInvertibleInA:
+        with pytest.raises(NotInvertibleInA):
+            symring._unit_factorization(d)
+        with pytest.raises(NotInvertibleInA):
+            ONE.div_by_unit(d)
+    else:
+        assert symring._unit_factorization(d) == want
+        assert ONE.div_by_unit(d) * d == ONE
+
