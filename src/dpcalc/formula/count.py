@@ -1,20 +1,47 @@
-"""Exact point counting over prime residue fields by exhaustive enumeration.
+"""Exact point counting over prime residue fields.
 
-Formulas are compiled to one Python generator expression (variables mangled
-to v0, v1, ...) so the loop nest runs at interpreter speed; arithmetic stays
-in Z and reduces mod q at each comparison.
+A formula is compiled once, per (formula, free names), into the source of
+one Python function of q that runs a planned loop nest at interpreter
+speed:
+
+* The top-level conjunction is split into conjuncts.  Variables are looped
+  over in greedy order: the conjunct with the fewest variables not yet
+  bound binds them next.  Each conjunct is tested in the outermost loop
+  where all its variables are bound, so a false test there skips every
+  loop inside it.  A free variable that no conjunct mentions gets no loop;
+  it multiplies the count by q.
+* The innermost variable x is eliminated when an equation conjunct tested
+  there has syntactic degree exactly 1 in x.  For f = lhs - rhs, f0 = f(0)
+  and k = f(1) - f0 mod q, f(x) = f0 + k*x in F_q: when k != 0 the one root
+  x0 = -f0/k mod q is tested against the other innermost conjuncts, and
+  when k = 0 x runs over F_q only if f0 = 0.  This is exact because q is
+  checked to be prime.
+* Inside a quantifier tested outside the innermost loop, subterms that do
+  not involve the quantified variables are computed once, before the
+  quantifier's own loop.
+
+Arithmetic stays in Z and reduces mod q at each comparison; integer
+constants are reduced mod q when the function runs, so one compiled
+function serves every q.  The compiled functions are kept in a bounded LRU
+memo, which holds code and never a count.  The budget stays nominal: it
+bounds q^(free + quantified), the size of the plain enumeration, whatever
+the plan saves.
 """
 
 from __future__ import annotations
 
+import functools
+
 from ..errors import InvalidPrime, TooLarge, UnsupportedFeature
 from ..localfield import is_prime
 from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
-                    RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, free_vars,
-                    walk)
+                    RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
+                    conjuncts, free_vars, walk)
 from .parse import parse
 
 DEFAULT_BUDGET = 10 ** 8
+# distinct formulas whose compiled counters are kept
+MEMO_SIZE = 256
 
 
 def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
@@ -46,65 +73,186 @@ def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
                 raise UnsupportedFeature(
                     "only residue-sort quantifiers are countable")
             nquant += 1
-    names = sorted(free)
+    names = tuple(sorted(free))
     depth = len(names) + nquant
     if q ** depth > budget:
         raise TooLarge("q^%d = %d evaluations exceed the budget of %d"
                        % (depth, q ** depth, budget))
-    mangled = {name: "v%d" % i for i, name in enumerate(names)}
-    counter = [len(names)]
-    body = _translate(expr, q, mangled, counter)
-    if names:
-        loops = " ".join("for %s in range(q)" % mangled[n] for n in names)
-        src = "sum(1 %s if %s)" % (loops, body)
-    else:
-        src = "(1 if %s else 0)" % body
+    return _compile(expr, names)(q)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _compile(expr, names):
+    """The counting function of expr, a function of q."""
     scope = {"__builtins__": {}, "range": range, "pow": pow, "any": any,
-             "sum": sum, "q": q}
-    return eval(compile(src, "<count_rf_points>", "eval"), scope)
+             "sum": sum}
+    exec(compile(_Plan(expr, names).source(), "<count_rf_points>", "exec"),
+         scope)
+    return scope["count"]
 
 
-def _translate(n, q, mangled, counter):
+def _degree(n, x):
+    """Syntactic degree of the residue term n in the variable x, or None
+    when n is not a polynomial in x."""
     if isinstance(n, RfVar):
-        return mangled[n.name]
+        return int(n.name == x)
     if isinstance(n, RfConst):
-        return "%d" % (n.value % q)
-    if isinstance(n, RfAdd):
-        return "(%s + %s)" % (_translate(n.left, q, mangled, counter),
-                              _translate(n.right, q, mangled, counter))
-    if isinstance(n, RfSub):
-        return "(%s - %s)" % (_translate(n.left, q, mangled, counter),
-                              _translate(n.right, q, mangled, counter))
-    if isinstance(n, RfMul):
-        return "(%s * %s)" % (_translate(n.left, q, mangled, counter),
-                              _translate(n.right, q, mangled, counter))
+        return 0
     if isinstance(n, RfNeg):
-        return "(-%s)" % _translate(n.operand, q, mangled, counter)
+        return _degree(n.operand, x)
     if isinstance(n, RfPow):
-        return "pow(%s, %d, q)" % (_translate(n.base, q, mangled, counter),
-                                   n.exponent)
-    if isinstance(n, RfEq):
-        return "((%s - (%s)) %% q == 0)" % (
-            _translate(n.left, q, mangled, counter),
-            _translate(n.right, q, mangled, counter))
-    if isinstance(n, RfNe):
-        return "((%s - (%s)) %% q != 0)" % (
-            _translate(n.left, q, mangled, counter),
-            _translate(n.right, q, mangled, counter))
-    if isinstance(n, And):
-        return "(%s and %s)" % (_translate(n.left, q, mangled, counter),
-                                _translate(n.right, q, mangled, counter))
-    if isinstance(n, Or):
-        return "(%s or %s)" % (_translate(n.left, q, mangled, counter),
-                               _translate(n.right, q, mangled, counter))
-    if isinstance(n, Not):
-        return "(not %s)" % _translate(n.operand, q, mangled, counter)
-    if isinstance(n, Exists):
-        name = "v%d" % counter[0]
-        counter[0] += 1
-        mangled = {**mangled, n.var: name}
-        return "any(%s for %s in range(q))" % (
-            _translate(n.body, q, mangled, counter), name)
-    raise UnsupportedFeature(
-        "%s terms cannot appear in residue point counts"
-        % type(n).__name__)
+        d = _degree(n.base, x)
+        if d is None or (d and n.exponent < 0):
+            return None
+        return d * n.exponent
+    if isinstance(n, (RfAdd, RfSub, RfMul)):
+        a, b = _degree(n.left, x), _degree(n.right, x)
+        if a is None or b is None:
+            return None
+        return a + b if isinstance(n, RfMul) else max(a, b)
+    return None
+
+
+def _linear_in(n, x):
+    if not isinstance(n, RfEq):
+        return False
+    a, b = _degree(n.left, x), _degree(n.right, x)
+    return a is not None and b is not None and max(a, b) == 1
+
+
+class _Plan:
+    """The loop nest counting expr over the free variables names."""
+
+    def __init__(self, expr, names):
+        self.env = {name: "v%d" % i for i, name in enumerate(names)}
+        self.fresh = len(names)
+        self.consts = {}
+        self.hoisted = []
+        parts = conjuncts(expr)
+        uses = [set(free_vars(c)) for c in parts]
+        self.order = []
+        bound = set()
+        while True:
+            open_ = [(len(u - bound), i) for i, u in enumerate(uses)
+                     if u - bound]
+            if not open_:
+                break
+            group = uses[min(open_)[1]] - bound
+            # every conjunct completed by this group is tested at its last
+            # variable: make that one a variable some equation is linear in
+            done = [c for c, u in zip(parts, uses) if u - bound == group]
+            group = sorted(group)
+            for x in group:
+                if any(_linear_in(c, x) for c in done):
+                    group.remove(x)
+                    group.append(x)
+                    break
+            self.order.extend(group)
+            bound.update(group)
+        self.unused = len(names) - len(self.order)
+        position = {x: i for i, x in enumerate(self.order, 1)}
+        self.tests = [[] for _ in range(len(self.order) + 1)]
+        for c, u in zip(parts, uses):
+            self.tests[max((position[x] for x in u), default=0)].append(c)
+
+    def source(self):
+        body = []
+        depth = 1
+        if self.tests[0]:
+            depth = self.guard(body, depth, self.tests[0])
+        for level, x in enumerate(self.order[:-1], 1):
+            body.append((depth, "for %s in range(q):" % self.env[x]))
+            depth += 1
+            if self.tests[level]:
+                depth = self.guard(body, depth, self.tests[level])
+        if self.order:
+            body += [(depth + d, s) for d, s in self.innermost(self.order[-1])]
+        else:
+            body.append((depth, "n += 1"))
+        lines = ["def count(q):", "    n = 0"]
+        lines += ["    %s = %d %% q" % (name, v)
+                  for v, name in self.consts.items()]
+        lines += ["    " * d + s for d, s in body]
+        lines.append("    return n * q ** %d" % self.unused)
+        return "\n".join(lines) + "\n"
+
+    def guard(self, body, depth, tests):
+        """Append the test of the conjuncts in tests, after assigning the
+        subterms it hoists; returns the indentation inside the test."""
+        self.hoisted = []
+        cond = self.condition(tests, frozenset())
+        body += [(depth, s) for s in self.hoisted]
+        body.append((depth, "if %s:" % cond))
+        return depth + 1
+
+    def condition(self, tests, inner=None):
+        return " and ".join(self.translate(c, self.env, inner) for c in tests)
+
+    def innermost(self, x):
+        """(indent, statement) lines counting the innermost variable x."""
+        tests = self.tests[-1]
+        name = self.env[x]
+        eq = next((c for c in tests if _linear_in(c, x)), None)
+        if eq is None:
+            return [(0, "n += sum(1 for %s in range(q) if %s)"
+                     % (name, self.condition(tests)))]
+        f = RfSub(eq.left, eq.right)
+        f0 = self.translate(f, {**self.env, x: "0"}, None)
+        f1 = self.translate(f, {**self.env, x: "1"}, None)
+        out = [(0, "f0 = " + f0), (0, "k = (%s - f0) %% q" % f1),
+               (0, "if k:")]
+        rest = [c for c in tests if c is not eq]
+        if not rest:
+            return out + [(1, "n += 1"), (0, "elif f0 % q == 0:"),
+                          (1, "n += q")]
+        cond = self.condition(rest)
+        return out + [(1, "%s = -f0 * pow(k, -1, q) %% q" % name),
+                      (1, "n += %s" % cond),
+                      (0, "elif f0 % q == 0:"),
+                      (1, "n += sum(1 for %s in range(q) if %s)"
+                       % (name, cond))]
+
+    def translate(self, n, env, inner):
+        """Python source for n.  inner holds the quantified names in
+        scope, or is None where nothing may be hoisted; a compound term
+        under a quantifier that involves none of them is hoisted."""
+        if isinstance(n, RfVar):
+            return env[n.name]
+        if isinstance(n, RfConst):
+            if n.value in (0, 1):
+                return "%d" % n.value
+            return self.consts.setdefault(n.value, "c%d" % len(self.consts))
+        if inner and isinstance(n, (RfAdd, RfSub, RfMul, RfNeg, RfPow)) \
+                and not inner & free_vars(n).keys():
+            name = "h%d" % self.fresh
+            self.fresh += 1
+            self.hoisted.append(
+                "%s = %s" % (name, self.translate(n, env, None)))
+            return name
+        if isinstance(n, Exists):
+            name = "v%d" % self.fresh
+            self.fresh += 1
+            body = self.translate(
+                n.body, {**env, n.var: name},
+                None if inner is None else inner | {n.var})
+            return "any(%s for %s in range(q))" % (body, name)
+        if isinstance(n, RfPow):
+            base = self.translate(n.base, env, inner)
+            if n.exponent == 2 and isinstance(n.base, RfVar):
+                return "(%s * %s)" % (base, base)
+            return "pow(%s, %d, q)" % (base, n.exponent)
+        template = _TEMPLATES.get(type(n))
+        if template is None:
+            raise UnsupportedFeature(
+                "%s terms cannot appear in residue point counts"
+                % type(n).__name__)
+        return template % tuple(self.translate(c, env, inner)
+                                for c in children(n))
+
+
+_TEMPLATES = {
+    RfAdd: "(%s + %s)", RfSub: "(%s - %s)", RfMul: "(%s * %s)",
+    RfNeg: "(-%s)", RfEq: "((%s - (%s)) %% q == 0)",
+    RfNe: "((%s - (%s)) %% q != 0)", And: "(%s and %s)",
+    Or: "(%s or %s)", Not: "(not %s)",
+}

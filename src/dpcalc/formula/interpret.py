@@ -21,7 +21,7 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
-                    free_vars)
+                    conjuncts, free_vars)
 
 
 class Truth3(Enum):
@@ -335,15 +335,6 @@ class _Evaluator:
         return _F
 
 
-def _flatten_and(n, out):
-    if isinstance(n, And):
-        _flatten_and(n.left, out)
-        _flatten_and(n.right, out)
-    else:
-        out.append(n)
-    return out
-
-
 def _syntactic_zz_bounds(body, var):
     """(lower, upper) integer bounds that top-level conjuncts force on a
     quantified ZZ variable; None for an unbounded side."""
@@ -357,7 +348,7 @@ def _syntactic_zz_bounds(body, var):
         nonlocal hi
         hi = v if hi is None else min(hi, v)
 
-    for atom in _flatten_and(body, []):
+    for atom in conjuncts(body):
         pairs = []
         if isinstance(atom, (ZzLe, ZzLt, ZzEq)):
             pairs = [(atom.left, atom.right)]

@@ -305,6 +305,13 @@ class Formula:
         return "Formula(%r, free=%r)" % (self.expr, self.free)
 
 
+def conjuncts(node):
+    """The operands of a nest of And nodes, left to right."""
+    if isinstance(node, And):
+        return conjuncts(node.left) + conjuncts(node.right)
+    return [node]
+
+
 def _prime_factors(n):
     n = abs(int(n))
     out = []

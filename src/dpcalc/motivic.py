@@ -37,6 +37,7 @@ from .formula import (And, Exists, Formula, Not, RfAdd, RfConst, RfEq, RfMul,
                       VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe,
                       ZzLt, bad_primes, free_vars, parse, pretty_print, walk)
 from .formula.count import count_rf_points
+from .formula.nodes import _prime_factors, conjuncts
 from .localfield import is_prime
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
                          parse_affine)
@@ -47,27 +48,6 @@ EMPTY_DOMAIN = PresDomain(())
 
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
-
-
-def _prime_factors(n):
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _flatten_and(expr):
-    if isinstance(expr, And):
-        return _flatten_and(expr.left) + _flatten_and(expr.right)
-    return [expr]
 
 
 def _fold_and(parts):
@@ -292,7 +272,7 @@ def _build_cell(raw, index, param_names, zz_params):
     psi = parse_psi(psi_text)
 
     basis_text = raw.get("basis")
-    conjuncts = []
+    basis_atoms = []
     zvars = []
     if basis_text:
         basis = parse(basis_text, default_sort=Sort.RF)
@@ -303,9 +283,9 @@ def _build_cell(raw, index, param_names, zz_params):
                     "value-group variables only" % cell_id)
             if sort is Sort.ZZ and name not in param_names:
                 zvars.append(name)
-        conjuncts = _flatten_and(basis.expr)
+        basis_atoms = conjuncts(basis.expr)
 
-    z_domain, leftover = _extract_ranges(conjuncts, zvars, param_names)
+    z_domain, leftover = _extract_ranges(basis_atoms, zvars, param_names)
     own_params = [n for n in zz_params
                   if any(n in free_vars(c) for c in leftover)]
     param_domain, leftover = _extract_ranges(leftover, own_params, set())
@@ -335,7 +315,7 @@ def _build_cell(raw, index, param_names, zz_params):
         term = _parse_rf_term(xi_text.strip())
         if isinstance(term, RfVar):
             atom = RfNe(term, RfConst(0))
-            if atom not in conjuncts:
+            if atom not in basis_atoms:
                 leftover = leftover + [atom]
 
     for c in leftover:
@@ -578,7 +558,7 @@ def _split_components(phi):
     """Conjuncts of phi grouped into connected components by shared free
     variables; parts that share nothing can be sized independently."""
     groups = []
-    for c in _flatten_and(phi.expr):
+    for c in conjuncts(phi.expr):
         vs = set(free_vars(c))
         if not vs:
             groups.append([vs, [c]])
@@ -610,7 +590,7 @@ def _class_size(phi, reserved):
         return None
     excluded = {n: set() for n in names}
     notes = []
-    for conj in _flatten_and(phi.expr):
+    for conj in conjuncts(phi.expr):
         if not isinstance(conj, RfNe):
             return None
         left = _linear_residue_parts(conj.left)
@@ -701,8 +681,8 @@ def _provably_disjoint(i1, i2):
 def _complementary(f1, f2):
     if f1 is None or f2 is None:
         return False
-    a = set(_flatten_and(f1.expr))
-    b = set(_flatten_and(f2.expr))
+    a = set(conjuncts(f1.expr))
+    b = set(conjuncts(f2.expr))
     for x in a:
         if Not(x) in b:
             return True

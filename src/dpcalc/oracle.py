@@ -536,11 +536,19 @@ def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
                 + ", ".join(sorted(loose)))
     walk = _BoxWalk(phi, spec, integrand, assignment, vf_witness_depth)
     limit = _resolve_budget(budget)
-    if walk.nominal_boxes() > limit:
+    if _power_exceeds(walk.p, walk.depth * walk.m, limit):
         raise BudgetExceeded(
-            "%d^(%d*%d) = %d residue boxes exceed the budget of %d"
-            % (walk.p, walk.depth, walk.m, walk.nominal_boxes(), limit))
+            "%d^(%d*%d) residue boxes exceed the budget of %d"
+            % (walk.p, walk.depth, walk.m, limit))
     return walk
+
+
+def _power_exceeds(base, exponent, limit):
+    """Whether base**exponent > limit, for base >= 2 and exponent >= 0,
+    decided without building a power much larger than limit."""
+    if (base.bit_length() - 1) * exponent >= limit.bit_length():
+        return True
+    return base ** exponent > limit
 
 
 def volume(phi, spec, *, assignment=None, budget=None,
@@ -638,12 +646,12 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     if not index:
         raise UnsupportedFeature("system has no variables")
     p = spec.prime
+    limit = _resolve_budget(budget)
+    if _power_exceeds(p, N * len(index), limit):
+        raise BudgetExceeded("%d^(%d*%d) grid points exceed the budget of %d"
+                             % (p, N, len(index), limit))
     modulus = p ** N
     total = modulus ** len(index)
-    limit = _resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(
-            "%d grid points exceed the budget of %d" % (total, limit))
     if modulus > 3_000_000_000:
         raise UnsupportedFeature("modulus too large for the int64 grid")
     sources = [compile(_np_source(t, index, modulus, p), "<poly>", "eval")

@@ -1,6 +1,9 @@
 """Command-line behaviour: payload shapes and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -244,6 +247,21 @@ def test_oracle_budget_exit(run_cli, fx):
                          "--precision", "9")
     assert rc == 5
     assert "budget" in err
+
+
+def test_oracle_budget_exit_does_not_build_the_box_count(fx):
+    # 5^99999999 has ~70 million digits; deciding the budget must not
+    # compute it, so the process exits 5 at once (run apart, with a timeout)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpcalc.cli", "oracle", fx("ball.dp"),
+         "--prime", "5", "--precision", "99999999"],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    assert proc.stderr == ("dpcalc: 5^(99999999*1) residue boxes exceed the "
+                           "budget of 100000000\n")
 
 
 def test_oracle_integrand_directives(run_cli, fx):

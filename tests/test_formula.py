@@ -1,13 +1,17 @@
 """Three-sorted formulas: parsing, printing, truth evaluation, counting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import count_reference
 from dpcalc import localfield as lf
 from dpcalc.errors import (InvalidPrime, ParseError, SortError, TooLarge,
                            UnboundVariable, UnsupportedFeature)
-from dpcalc.formula import (Sort, Truth3, bad_primes, count_rf_points,
+from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst,
+                            RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar,
+                            Sort, Truth3, bad_primes, count_rf_points,
                             interpret, parse, pretty_print)
+from dpcalc.motivic import appendix2_volume
 
 T, FL, U = Truth3.TRUE, Truth3.FALSE, Truth3.UNDECIDED
 
@@ -210,6 +214,132 @@ def test_exists_agrees_with_count():
         cnt = count_rf_points("u^3 == 1 && u != 1", q)
         truth = interpret(phi, lf.qp(q, 6), {})
         assert (truth is T) == (cnt >= 1)
+
+
+def test_count_eliminates_linear_variables():
+    # the coefficient of x vanishes mod 7, so y alone must solve it
+    assert count_rf_points("7*x + y == 1", 7) == 7
+    assert count_rf_points("7*x + y == 1 && x != 2", 7) == 6
+    # x = (1 - y)/2 is tested against the other conjunct
+    assert count_rf_points("2*x + y == 1 && x^3 == y + 2", 11) == 2
+    assert count_rf_points("2*x + y == 1 && x^3 != y + 2", 11) == 9
+    assert count_rf_points("x - x == 1", 5) == 0
+
+
+def test_count_unused_free_variables_multiply_by_q():
+    assert count_rf_points("rf u, w; u^3 == 1", 7) == 3 * 7
+    assert count_rf_points("rf w; 0 == 0", 5) == 5
+
+
+# per-eta counts q(q-1)(q+1)/2 and their sum over the (q-1)/2 non-squares,
+# recorded from the flat enumeration
+APPENDIX2_COUNTS = {5: (60, 120), 7: (168, 504), 11: (660, 3300),
+                    13: (1092, 6552)}
+
+
+@pytest.mark.parametrize("variant", ["b2_minus_d2", "d2_minus_b2"])
+@pytest.mark.parametrize("q", sorted(APPENDIX2_COUNTS))
+def test_appendix2_counts_are_pinned(q, variant):
+    per_eta, summed = APPENDIX2_COUNTS[q]
+    for eta in range(1, q):
+        if pow(eta, (q - 1) // 2, q) == q - 1:
+            assert appendix2_volume("per_eta", q, eta, variant) * q ** 3 \
+                == per_eta
+    assert appendix2_volume("summed_over_nonsquares", q,
+                            variant=variant) * q ** 3 == summed
+
+
+@pytest.mark.parametrize("text, q, budget", [
+    ("u == 0", 10, 10 ** 8),
+    ("u == 0", 1, 10 ** 8),
+    ("u == 0 && v == 0", 5, 24),
+    ("u == 0 && exists s:rf. s == u", 5, 24),
+    ("vf x; ac(x) == 1", 5, 10 ** 8),
+    ("rf u; u == 0 && ac(t) == u", 5, 10 ** 8),
+    ("rf u; u == 0 && 1 <= 2", 5, 10 ** 8),
+    ("rf u; u == 0 && exists n:zz. n == 0", 5, 10 ** 8),
+    ("rf u; u == 0 && exists n:zz. n == 0", 5, 1),
+])
+def test_count_errors_match_the_reference(text, q, budget):
+    with pytest.raises(Exception) as want:
+        count_reference.count_rf_points(text, q, budget)
+    with pytest.raises(Exception) as got:
+        count_rf_points(text, q, budget)
+    assert got.type is want.type
+
+
+_VARS = ("x", "y", "z")
+
+
+@st.composite
+def rf_terms(draw, q, scope, depth):
+    if depth == 0 or draw(st.booleans()):
+        if draw(st.booleans()):
+            return RfVar(draw(st.sampled_from(scope)))
+        return RfConst(draw(st.one_of(
+            st.integers(-12, 12), st.integers(-3, 3).map(lambda k: k * q))))
+    kind = draw(st.sampled_from(["add", "sub", "mul", "neg", "pow"]))
+    a = draw(rf_terms(q, scope, depth - 1))
+    if kind == "neg":
+        return RfNeg(a)
+    if kind == "pow":
+        return RfPow(a, draw(st.integers(0, 4)))
+    b = draw(rf_terms(q, scope, depth - 1))
+    return {"add": RfAdd, "sub": RfSub, "mul": RfMul}[kind](a, b)
+
+
+@st.composite
+def rf_formulas(draw, q, scope, depth):
+    if depth == 0 or draw(st.booleans()):
+        kind = draw(st.sampled_from(["eq", "ne", "linear"]))
+        if kind == "linear":
+            # c*x + rest == rhs, with c often a multiple of q
+            c = draw(st.sampled_from([1, -1, 2, q, -q, 2 * q + 1]))
+            lhs = RfAdd(RfMul(RfConst(c), RfVar(draw(st.sampled_from(scope)))),
+                        draw(rf_terms(q, scope, 1)))
+            return RfEq(lhs, draw(rf_terms(q, scope, 1)))
+        cls = RfEq if kind == "eq" else RfNe
+        return cls(draw(rf_terms(q, scope, 2)), draw(rf_terms(q, scope, 2)))
+    kind = draw(st.sampled_from(["and", "or", "not", "exists"]))
+    if kind == "not":
+        return Not(draw(rf_formulas(q, scope, depth - 1)))
+    if kind == "exists":
+        var = "e%d" % depth  # depth-indexed so nested quantifiers never shadow
+        return Exists(var, Sort.RF,
+                      draw(rf_formulas(q, scope + (var,), depth - 1)))
+    a = draw(rf_formulas(q, scope, depth - 1))
+    b = draw(rf_formulas(q, scope, depth - 1))
+    return (And if kind == "and" else Or)(a, b)
+
+
+@st.composite
+def countable_formulas(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    conjuncts = draw(st.lists(rf_formulas(q, _VARS, 2), min_size=1,
+                              max_size=3))
+    expr = conjuncts[0]
+    for c in conjuncts[1:]:
+        expr = And(expr, c)
+    free = Formula(expr).free
+    if draw(st.booleans()):
+        free += (("w", Sort.RF),)  # declared, used by no conjunct
+    return Formula(expr, free), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=countable_formulas())
+def test_count_matches_the_flat_enumeration(case):
+    """The planned counter returns the reference's integer, or raises the
+    same error, on random residue formulas."""
+    phi, q = case
+    budget = 20000
+    try:
+        want = count_reference.count_rf_points(phi, q, budget)
+    except TooLarge:
+        with pytest.raises(TooLarge):
+            count_rf_points(phi, q, budget)
+        return
+    assert count_rf_points(phi, q, budget) == want
 
 
 # --- excluded primes ---
