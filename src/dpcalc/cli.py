@@ -40,8 +40,9 @@ import sys
 from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
 from fractions import Fraction
 
+from .budget import ENV as BUDGET_ENV
 from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
-                     ParseError, SortError, TooLarge, UnsupportedFeature,
+                     ParseError, SortError, UnsupportedFeature,
                      UnsupportedZeroCell)
 from .formula import (Formula, Sort, VfConst, VfMul, VfPow, VfUnif,
                       bad_primes, eval_vf_term, parse, pretty_print)
@@ -50,7 +51,7 @@ from .motivic import (bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
                       specialize)
 from .motivic import appendix2_symbolic, appendix2_volume
-from .oracle import IntegrandSpec, _resolve_budget, fraction_str
+from .oracle import IntegrandSpec, fraction_str
 from .oracle import integrate as oracle_integrate
 from .symring import SymA
 
@@ -534,7 +535,6 @@ def _nonsquares(q):
 
 def cmd_appendix2(cfg):
     symbolic = appendix2_symbolic()
-    budget = _resolve_budget(cfg.budget)
     rows = []
     failing = []
     for q in cfg.primes:
@@ -542,7 +542,7 @@ def cmd_appendix2(cfg):
         for eta in _nonsquares(q):
             for variant in ("b2_minus_d2", "d2_minus_b2"):
                 vol = appendix2_volume("per_eta", q, eta=eta,
-                                       variant=variant, budget=budget)
+                                       variant=variant, budget=cfg.budget)
                 count = vol * q ** 3
                 ok = count == expected
                 rows.append({"q": q, "eta": eta, "variant": variant,
@@ -635,7 +635,7 @@ def build_parser():
     p.add_argument("--both-characteristics", action="store_true",
                    help="also run the equal-characteristic oracle")
     p.add_argument("--budget", type=int,
-                   help="box budget override (or DPCALC_BOX_BUDGET)")
+                   help="box budget override (or %s)" % BUDGET_ENV)
     _add_common(p)
 
     p = sub.add_parser("appendix2",
@@ -643,7 +643,7 @@ def build_parser():
     p.add_argument("--primes", default="5,7",
                    help="comma-separated primes (default 5,7)")
     p.add_argument("--budget", type=int,
-                   help="point budget override (or DPCALC_BOX_BUDGET)")
+                   help="point budget override (or %s)" % BUDGET_ENV)
     _add_common(p)
 
     p = sub.add_parser("oracle", help="run the numeric oracle on a fixture")
@@ -653,7 +653,7 @@ def build_parser():
     p.add_argument("--field", choices=("qp", "fpt"), default="qp",
                    help="mixed characteristic (qp) or equal (fpt)")
     p.add_argument("--budget", type=int,
-                   help="box budget override (or DPCALC_BOX_BUDGET)")
+                   help="box budget override (or %s)" % BUDGET_ENV)
     _add_common(p)
 
     return ap
@@ -722,7 +722,7 @@ def main(argv=None):
     except (UnsupportedFeature, UnsupportedZeroCell, NotSummable) as e:
         _say("outside the supported fragment: %s" % e)
         return 3
-    except (BudgetExceeded, TooLarge) as e:
+    except BudgetExceeded as e:
         _say(str(e))
         return 5
     except DpcalcError as e:

@@ -70,11 +70,7 @@ class UnboundVariable(DpcalcError):
     pass
 
 
-class TooLarge(DpcalcError):
-    pass
-
-
-# oracle
+# enumeration budget
 
 class BudgetExceeded(DpcalcError):
     pass

@@ -23,34 +23,36 @@ speed:
 Arithmetic stays in Z and reduces mod q at each comparison; integer
 constants are reduced mod q when the function runs, so one compiled
 function serves every q.  The compiled functions are kept in a bounded LRU
-memo, which holds code and never a count.  The budget stays nominal: it
-bounds q^(free + quantified), the size of the plain enumeration, whatever
-the plan saves.
+memo, which holds code and never a count.  The budget is the one
+enumeration budget of `dpcalc.budget`, shared with the oracle, and stays
+nominal: it bounds q^(free + quantified), the size of the plain
+enumeration, whatever the plan saves.
 """
 
 from __future__ import annotations
 
 import functools
 
-from ..errors import InvalidPrime, TooLarge, UnsupportedFeature
+from ..budget import check as check_budget
+from ..errors import InvalidPrime, UnsupportedFeature
 from ..localfield import is_prime
 from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                     RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
                     conjuncts, free_vars, walk)
 from .parse import parse
 
-DEFAULT_BUDGET = 10 ** 8
 # distinct formulas whose compiled counters are kept
 MEMO_SIZE = 256
 
 
-def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
+def count_rf_points(phi, q, budget=None):
     """Number of solutions of phi in F_q^n, n = number of free variables.
 
     phi may be source text (parsed with residue-sort defaulting), a Formula,
     or a bare expression node.  Only residue-sort formulas are countable;
-    q must be a rational prime.  Raises TooLarge when q^(free + quantified)
-    exceeds the budget.
+    q must be a rational prime.  Raises BudgetExceeded when
+    q^(free + quantified) exceeds `budget`, or when it is None the limit
+    `dpcalc.budget.resolve` reads from the environment or its default.
     """
     if isinstance(phi, str):
         phi = parse(phi, default_sort=Sort.RF)
@@ -75,9 +77,7 @@ def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
             nquant += 1
     names = tuple(sorted(free))
     depth = len(names) + nquant
-    if q ** depth > budget:
-        raise TooLarge("q^%d = %d evaluations exceed the budget of %d"
-                       % (depth, q ** depth, budget))
+    check_budget(q, depth, budget, "q^%d evaluations" % depth)
     return _compile(expr, names)(q)
 
 

@@ -270,6 +270,29 @@ def free_vars(node, bound=frozenset()):
     return out
 
 
+def substitute(node, mapping):
+    """node with every free variable whose name is a key of mapping
+    replaced by the mapped node; an exists hides its own variable from
+    the mapping.  A name has one sort throughout a formula, so matching by
+    name alone is exact.  Subtrees with nothing replaced are kept as they
+    are."""
+    cls = type(node)
+    if cls in _VAR_SORT:
+        return mapping.get(node.name, node)
+    if cls is Exists and node.var in mapping:
+        mapping = {n: v for n, v in mapping.items() if n != node.var}
+    changed = False
+    kwargs = {}
+    for f in fields(node):
+        v = getattr(node, f.name)
+        if isinstance(v, Node):
+            w = substitute(v, mapping)
+            changed = changed or w is not v
+            v = w
+        kwargs[f.name] = v
+    return cls(**kwargs) if changed else node
+
+
 class Formula:
     """A parsed formula: expression tree plus its free variables.
 

@@ -32,12 +32,12 @@ from math import gcd
 from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
                      OverlapDetected, ParseError, UnboundParameter,
                      UnsupportedFeature, UnsupportedZeroCell)
-from .formula import (And, Exists, Formula, Not, RfAdd, RfConst, RfEq, RfMul,
-                      RfNe, RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul,
-                      VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe,
-                      ZzLt, bad_primes, free_vars, parse, pretty_print, walk)
+from .formula import (And, Formula, Not, RfAdd, RfConst, RfEq, RfMul, RfNe,
+                      RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul, VfNeg,
+                      VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe, ZzLt,
+                      bad_primes, free_vars, parse, pretty_print, walk)
 from .formula.count import count_rf_points
-from .formula.nodes import _prime_factors, conjuncts
+from .formula.nodes import _prime_factors, conjuncts, substitute
 from .localfield import is_prime
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
                          parse_affine)
@@ -921,27 +921,6 @@ def integrate_linear_product(centers, multiplicities, exponent=1):
 # specialization
 
 
-def _bind_rf(node, env, q):
-    """Replace assigned residue variables by constants, recursively."""
-    if isinstance(node, RfVar) and node.name in env:
-        return RfConst(env[node.name] % q)
-    if isinstance(node, Exists) and node.var in env:
-        inner = dict(env)
-        del inner[node.var]
-        return Exists(node.var, node.sort, _bind_rf(node.body, inner, q))
-    kwargs = {}
-    changed = False
-    for field in node.__dataclass_fields__:
-        v = getattr(node, field)
-        if hasattr(v, "__dataclass_fields__"):
-            w = _bind_rf(v, env, q)
-            changed = changed or w is not v
-            kwargs[field] = w
-        else:
-            kwargs[field] = v
-    return type(node)(**kwargs) if changed else node
-
-
 def specialize(value, q, assignment=None):
     """Evaluate a constructible function (or a whole IntegrationResult) at
     residue characteristic q under a parameter assignment.
@@ -963,7 +942,8 @@ def specialize(value, q, assignment=None):
     if missing:
         raise UnboundParameter("no value for parameter(s) %s"
                                % sorted(missing))
-    rf_env = {n: int(assignment[n]) for n, s in fn.params if s is Sort.RF}
+    rf_consts = {n: RfConst(int(assignment[n]) % int(q))
+                 for n, s in fn.params if s is Sort.RF}
     zz_env = {n: int(assignment[n]) for n, s in fn.params if s is Sort.ZZ}
 
     total = Fraction(0)
@@ -982,7 +962,7 @@ def specialize(value, q, assignment=None):
                                         for r in t.domain.ranges)))
         count = 1
         if t.rf_class is not None:
-            inst = Formula(_bind_rf(t.rf_class.expr, rf_env, int(q)))
+            inst = Formula(substitute(t.rf_class.expr, rf_consts))
             count = count_rf_points(inst, int(q))
         total += count * t.coeff.nu(q, zz_env)
     return total
@@ -1116,8 +1096,9 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
                               if n not in rf_env])
                 primes = _case_witnesses(residue, modulus, bad,
                                          degree + 1 + validate)
-                counts = [count_rf_points(
-                    Formula(_bind_rf(t.rf_class.expr, rf_env, q)), q)
+                counts = [count_rf_points(Formula(substitute(
+                    t.rf_class.expr,
+                    {n: RfConst(v % q) for n, v in rf_env.items()})), q)
                     for q in primes]
                 fit = _interp_poly(list(zip(primes, counts))[:degree + 1])
                 for q, c in zip(primes, counts):
@@ -1214,8 +1195,5 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
     else:
         raise ValueError("unknown eta_mode %r" % (eta_mode,))
 
-    if budget is None:
-        count = count_rf_points(text, q)
-    else:
-        count = count_rf_points(text, q, budget=budget)
+    count = count_rf_points(text, q, budget=budget)
     return Fraction(count, q ** 3)

@@ -26,32 +26,19 @@ stabilization, Jacobian scaling).
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (BadPrime, BudgetExceeded, UnboundVariable,
-                     UnsupportedFeature)
-from .formula import (Exists, Formula, Node, Sort, Truth3, VfAdd, VfConst,
-                      VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar,
-                      eval_vf_term, free_vars, interpret, parse)
+from .budget import check as check_budget
+from .errors import BadPrime, UnboundVariable, UnsupportedFeature
+from .formula import (Formula, Node, Sort, Truth3, VfAdd, VfConst, VfMul,
+                      VfNeg, VfPow, VfSub, VfUnif, VfVar, eval_vf_term,
+                      free_vars, interpret, parse)
+from .formula.nodes import substitute
 from .localfield import INF, FieldKind, LFElem, embed_rational, from_digits
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg
-
-DEFAULT_BOX_BUDGET = 10 ** 8
-_BUDGET_ENV = "DPCALC_BOX_BUDGET"
-
-
-def _resolve_budget(budget):
-    if budget is not None:
-        return int(budget)
-    configured = os.environ.get(_BUDGET_ENV)
-    if configured:
-        return int(configured)
-    return DEFAULT_BOX_BUDGET
 
 
 def fraction_str(x):
@@ -535,20 +522,9 @@ def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
                 "integrand mentions variables outside the domain: "
                 + ", ".join(sorted(loose)))
     walk = _BoxWalk(phi, spec, integrand, assignment, vf_witness_depth)
-    limit = _resolve_budget(budget)
-    if _power_exceeds(walk.p, walk.depth * walk.m, limit):
-        raise BudgetExceeded(
-            "%d^(%d*%d) residue boxes exceed the budget of %d"
-            % (walk.p, walk.depth, walk.m, limit))
+    check_budget(walk.p, walk.depth * walk.m, budget,
+                 "%d^(%d*%d) residue boxes" % (walk.p, walk.depth, walk.m))
     return walk
-
-
-def _power_exceeds(base, exponent, limit):
-    """Whether base**exponent > limit, for base >= 2 and exponent >= 0,
-    decided without building a power much larger than limit."""
-    if (base.bit_length() - 1) * exponent >= limit.bit_length():
-        return True
-    return base ** exponent > limit
 
 
 def volume(phi, spec, *, assignment=None, budget=None,
@@ -646,10 +622,8 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     if not index:
         raise UnsupportedFeature("system has no variables")
     p = spec.prime
-    limit = _resolve_budget(budget)
-    if _power_exceeds(p, N * len(index), limit):
-        raise BudgetExceeded("%d^(%d*%d) grid points exceed the budget of %d"
-                             % (p, N, len(index), limit))
+    check_budget(p, N * len(index), budget,
+                 "%d^(%d*%d) grid points" % (p, N, len(index)))
     modulus = p ** N
     total = modulus ** len(index)
     if modulus > 3_000_000_000:
@@ -673,30 +647,6 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     return Fraction(count, p ** (N * d))
 
 
-def _scale_vf_vars(node, names, factor):
-    """Replace each free occurrence of the named field variables v by
-    factor*v."""
-    if isinstance(node, VfVar) and node.name in names:
-        return VfMul(VfConst(factor), node)
-    if isinstance(node, Exists):
-        inner = names - {node.var}
-        return Exists(node.var, node.sort,
-                      _scale_vf_vars(node.body, inner, factor))
-    if not dataclasses.is_dataclass(node):
-        return node
-    changed = False
-    kwargs = {}
-    for field in dataclasses.fields(node):
-        v = getattr(node, field.name)
-        if isinstance(v, Node):
-            nv = _scale_vf_vars(v, names, factor)
-            changed = changed or nv is not v
-            kwargs[field.name] = nv
-        else:
-            kwargs[field.name] = v
-    return type(node)(**kwargs) if changed else node
-
-
 def jacobian_check(a, phi, spec, *, assignment=None, budget=None):
     """(volume of phi, volume of phi with each field variable x read as
     x/a), i.e. of the original set and the set scaled by a.
@@ -711,6 +661,7 @@ def jacobian_check(a, phi, spec, *, assignment=None, budget=None):
     assignment = dict(assignment or {})
     names = {n for n, s in phi.free
              if s is Sort.VF and n not in assignment}
-    scaled = Formula(_scale_vf_vars(phi.expr, names, 1 / a), phi.free)
+    scaled = Formula(substitute(phi.expr, {
+        n: VfMul(VfConst(1 / a), VfVar(n)) for n in names}), phi.free)
     return (volume(phi, spec, assignment=assignment, budget=budget),
             volume(scaled, spec, assignment=assignment, budget=budget))

@@ -15,8 +15,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NotSummable, OverlapDetected, ParseError,
-                     UnboundParameter, UnsupportedFeature)
+from .errors import (NotSummable, ParseError, UnboundParameter,
+                     UnsupportedFeature)
 from .symring import SymA
 
 
@@ -529,61 +529,6 @@ def sum(domain, term):
             nxt.extend(_sum_over(t, rng))
         terms = nxt
     return SymSum(tuple(terms))
-
-
-def sum_piecewise(pieces):
-    """Sum of sum(domain, term) over pieces, checking r = 1 disjointness."""
-    pieces = list(pieces)
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            di, dj = pieces[i][0], pieces[j][0]
-            if len(di.ranges) == 1 and len(dj.ranges) == 1:
-                if _overlaps(di.ranges[0], dj.ranges[0]):
-                    raise OverlapDetected(
-                        "pieces %d and %d share a point" % (i, j))
-    acc = SymSum()
-    for domain, term in pieces:
-        acc = acc + sum(domain, term)
-    return acc
-
-
-def _overlaps(r1, r2):
-    """True when two one-variable ranges provably share a point.
-
-    Fully decides the numeric-bound case; with symbolic bounds overlap is
-    never claimed (the caller's disjointness assertion is trusted there).
-    """
-    def num(b):
-        return b.const if b is not None and b.is_constant() else None
-
-    if (r1.lower is not None and num(r1.lower) is None) or \
-       (r1.upper is not None and num(r1.upper) is None) or \
-       (r2.lower is not None and num(r2.lower) is None) or \
-       (r2.upper is not None and num(r2.upper) is None):
-        return False
-    g = math.gcd(r1.modulus, r2.modulus)
-    if (r1.residue - r2.residue) % g != 0:
-        return False
-    m = math.lcm(r1.modulus, r2.modulus)
-    x = None
-    for cand in range(r1.residue, r1.residue + m, r1.modulus):
-        if cand % r2.modulus == r2.residue:
-            x = cand
-            break
-    assert x is not None
-    lows = [num(b) for b in (r1.lower, r2.lower) if b is not None]
-    ups = [num(b) for b in (r1.upper, r2.upper) if b is not None]
-    lo = max(lows) if lows else None
-    up = min(ups) if ups else None
-    if lo is None and up is None:
-        return True
-    if lo is None:
-        # the congruence class is unbounded below, so points <= up exist
-        return True
-    x0 = x
-    if lo > x0:
-        x0 += ((lo - x0 + m - 1) // m) * m
-    return up is None or x0 <= up
 
 
 def _ray_tail(q, a, v_start, step, count=None):

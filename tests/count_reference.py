@@ -8,7 +8,7 @@ so the planned counter must return exactly what this module returns.
 
 from __future__ import annotations
 
-from dpcalc.errors import InvalidPrime, TooLarge, UnsupportedFeature
+from dpcalc.errors import BudgetExceeded, InvalidPrime, UnsupportedFeature
 from dpcalc.formula.nodes import (And, Exists, Formula, Not, Or, RfAdd,
                                   RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow,
                                   RfSub, RfVar, Sort, free_vars, walk)
@@ -23,8 +23,8 @@ def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
 
     phi may be source text (parsed with residue-sort defaulting), a Formula,
     or a bare expression node.  Only residue-sort formulas are countable;
-    q must be a rational prime.  Raises TooLarge when q^(free + quantified)
-    exceeds the budget.
+    q must be a rational prime.  Raises BudgetExceeded when
+    q^(free + quantified) exceeds the budget.
     """
     if isinstance(phi, str):
         phi = parse(phi, default_sort=Sort.RF)
@@ -50,8 +50,9 @@ def count_rf_points(phi, q, budget=DEFAULT_BUDGET):
     names = sorted(free)
     depth = len(names) + nquant
     if q ** depth > budget:
-        raise TooLarge("q^%d = %d evaluations exceed the budget of %d"
-                       % (depth, q ** depth, budget))
+        raise BudgetExceeded(
+            "q^%d = %d evaluations exceed the budget of %d"
+            % (depth, q ** depth, budget))
     mangled = {name: "v%d" % i for i, name in enumerate(names)}
     counter = [len(names)]
     body = _translate(expr, q, mangled, counter)

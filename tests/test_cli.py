@@ -90,6 +90,17 @@ def test_integrate_congruence_cases(run_cli, fx):
     assert cases["q = 2 (mod 3)"] == SymA.parse("(1 - L^-1)/(1 - L^-2)")
 
 
+def test_integrate_congruence_cases_honour_budget_env(run_cli, fx,
+                                                     monkeypatch):
+    # the witness-prime point counts run under the one enumeration budget
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "10")
+    rc, out, err = run_cli("integrate", fx("cube.cells.json"),
+                           "--param", "acx:cube", "--param", "k=1")
+    assert rc == 5
+    assert out == ""
+    assert err == "dpcalc: q^1 evaluations exceed the budget of 10\n"
+
+
 def test_integrate_rejects_numeric_residue_parameter(run_cli, fx):
     rc, _, err = run_cli("integrate", fx("cube.cells.json"),
                          "--param", "acx=1")
@@ -220,6 +231,19 @@ def test_appendix2_honours_budget_env(run_cli, monkeypatch):
     assert rc == 5
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("argv", [("oracle", "ball.dp", "--prime", "5"),
+                                  ("appendix2", "--primes", "5")])
+@pytest.mark.parametrize("value", ["abc", "1e9", " "])
+def test_malformed_budget_env_exits_2(run_cli, fx, monkeypatch, argv, value):
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", value)
+    rc, out, err = run_cli(*(fx(a) if a.endswith(".dp") else a
+                             for a in argv))
+    assert rc == 2
+    assert out == ""
+    assert err == ("dpcalc: DPCALC_BOX_BUDGET must be an integer, got %r\n"
+                   % value)
 
 
 # --- oracle ---

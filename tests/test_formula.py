@@ -1,16 +1,20 @@
 """Three-sorted formulas: parsing, printing, truth evaluation, counting."""
 
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import count_reference
 from dpcalc import localfield as lf
-from dpcalc.errors import (InvalidPrime, ParseError, SortError, TooLarge,
-                           UnboundVariable, UnsupportedFeature)
-from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst,
-                            RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar,
-                            Sort, Truth3, bad_primes, count_rf_points,
-                            interpret, parse, pretty_print)
+from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
+                           SortError, UnboundVariable, UnsupportedFeature)
+from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
+                            RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
+                            RfVar, Sort, Truth3, VfConst, VfMul, VfVar,
+                            bad_primes, count_rf_points, interpret, parse,
+                            pretty_print)
+from dpcalc.formula.nodes import substitute
 from dpcalc.motivic import appendix2_volume
 
 T, FL, U = Truth3.TRUE, Truth3.FALSE, Truth3.UNDECIDED
@@ -46,6 +50,20 @@ def test_parse_errors(text):
 def test_sort_clash():
     with pytest.raises(SortError):
         parse("vf x; ac(x) == 1 && x != 0")
+
+
+def test_substitute_replaces_free_variables_and_respects_shadowing():
+    scaled = VfMul(VfConst(F(1, 2)), VfVar("x"))
+    shadowed = Exists("u", Sort.RF, RfEq(RfVar("u"), RfConst(1)))
+    expr = And(RfEq(RfAc(VfVar("x")), RfVar("u")),
+               And(shadowed, Exists("s", Sort.RF,
+                                    RfEq(RfVar("s"), RfVar("u")))))
+    got = substitute(expr, {"x": scaled, "u": RfConst(3)})
+    assert got == And(RfEq(RfAc(scaled), RfConst(3)),
+                      And(shadowed, Exists("s", Sort.RF,
+                                           RfEq(RfVar("s"), RfConst(3)))))
+    assert got.right.left is shadowed
+    assert substitute(expr, {"y": RfConst(0)}) is expr
 
 
 # --- printing ---
@@ -204,8 +222,16 @@ def test_count_rejects_nonprime():
 
 
 def test_count_budget():
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetExceeded):
         count_rf_points("u == 0 && v == 0 && w == 0 && x == 0", 1009)
+
+
+def test_count_budget_environment_variable(monkeypatch):
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "24")
+    with pytest.raises(BudgetExceeded, match="q\\^2 evaluations exceed "
+                                             "the budget of 24"):
+        count_rf_points("u == 0 && v == 0", 5)
+    assert count_rf_points("u == 0 && v == 0", 5, budget=25) == 1
 
 
 def test_exists_agrees_with_count():
@@ -335,8 +361,8 @@ def test_count_matches_the_flat_enumeration(case):
     budget = 20000
     try:
         want = count_reference.count_rf_points(phi, q, budget)
-    except TooLarge:
-        with pytest.raises(TooLarge):
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
             count_rf_points(phi, q, budget)
         return
     assert count_rf_points(phi, q, budget) == want

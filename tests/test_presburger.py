@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcalc import presburger as P
-from dpcalc.errors import NotSummable, OverlapDetected
+from dpcalc.errors import NotSummable
 from dpcalc.presburger import (AffineForm, PresDomain, PresTerm, SymSum,
                                VarRange, parse_affine)
 from dpcalc.symring import ONE, SymA
@@ -147,22 +147,15 @@ def test_congruence_class_split():
 # --- piecewise sums ---
 
 def test_piecewise_partition():
-    pieces = [(PresDomain.single("i", lower=0, upper=4), TERM),
-              (PresDomain.single("i", lower=5), TERM)]
-    assert P.sum_piecewise(pieces).as_syma() == SymA.geom(1)
-    assert P.sum_piecewise([]).is_zero()
-
-
-def test_piecewise_overlap_detected():
-    with pytest.raises(OverlapDetected):
-        P.sum_piecewise([(RAY, TERM),
-                         (PresDomain.single("j", lower=3), TERM)])
+    head = PresDomain.single("i", lower=0, upper=4)
+    tail = PresDomain.single("i", lower=5)
+    assert (P.sum(head, TERM) + P.sum(tail, TERM)).as_syma() == SymA.geom(1)
 
 
 def test_piecewise_congruence_disjoint():
-    pieces = [(PresDomain.single("i", lower=0, modulus=2, residue=0), TERM),
-              (PresDomain.single("i", lower=0, modulus=2, residue=1), TERM)]
-    assert P.sum_piecewise(pieces).as_syma() == SymA.geom(1)
+    even = PresDomain.single("i", lower=0, modulus=2, residue=0)
+    odd = PresDomain.single("i", lower=0, modulus=2, residue=1)
+    assert (P.sum(even, TERM) + P.sum(odd, TERM)).as_syma() == SymA.geom(1)
 
 
 # --- truncated numeric evaluation ---
