@@ -441,13 +441,15 @@ class _BoxWalk:
         self.upper_counts = {}
         self.boxes_true = 0
         self.boxes_undecided = 0
+        self.nodes_visited = 0
 
     def nominal_boxes(self):
         return self.p ** (self.depth * self.m)
 
     def run(self):
         self.walk(tuple(() for _ in self.names),
-                  tuple((0, 0, None) for _ in self.names), 0)
+                  tuple((0, 0, None) for _ in self.names), 0,
+                  Truth3.UNDECIDED)
         lower = _mass(self.p, self.lower_counts)
         upper = _mass(self.p, self.upper_counts)
         return VolumeInterval(lower, upper, self.depth, upper - lower,
@@ -471,14 +473,18 @@ class _BoxWalk:
             x = level * self.m + self.integrand.e * v
             counts[x] = counts.get(x, 0) + 1
 
-    def walk(self, prefixes, forms, level):
-        env = dict(self.assignment)
-        for name, digs in zip(self.names, prefixes):
-            env[name] = from_digits(self.spec, 0, digs)
-        membership = interpret(self.phi, self.spec, env,
-                               self.vf_witness_depth)
-        if membership is Truth3.FALSE:
-            return
+    def walk(self, prefixes, forms, level, membership):
+        """Classify the box with these digit prefixes; `membership` is
+        its parent's, TRUE being inherited as is."""
+        self.nodes_visited += 1
+        if membership is not Truth3.TRUE:
+            env = dict(self.assignment)
+            for name, digs in zip(self.names, prefixes):
+                env[name] = from_digits(self.spec, 0, digs)
+            membership = interpret(self.phi, self.spec, env,
+                                   self.vf_witness_depth)
+            if membership is Truth3.FALSE:
+                return
         weight = self.p ** ((self.depth - level) * self.m)
         if membership is Truth3.TRUE:
             vlo, vhi = self.integrand_bounds(forms)
@@ -502,7 +508,7 @@ class _BoxWalk:
             self.walk(tuple(digs + (d,)
                             for digs, d in zip(prefixes, combo)),
                       tuple(row[d] for row, d in zip(children, combo)),
-                      level + 1)
+                      level + 1, membership)
 
 
 def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
