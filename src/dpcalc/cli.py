@@ -481,7 +481,7 @@ def _compare_cells(cfg):
                 return {"prime": p,
                         "case": {k: v for k, v in sorted(params.items())},
                         "skipped": reason}, True
-            sym = specialize(result, p, params)
+            sym = specialize(result, p, params, budget=cfg.budget)
             row = {"prime": p,
                    "case": {k: v for k, v in sorted(params.items())},
                    "symbolic": fraction_str(sym)}

@@ -77,7 +77,8 @@ def count_rf_points(phi, q, budget=None):
             nquant += 1
     names = tuple(sorted(free))
     depth = len(names) + nquant
-    check_budget(q, depth, budget, "q^%d evaluations" % depth)
+    check_budget(q, depth, budget,
+                 "q^%d evaluations at q = %d" % (depth, q))
     return _compile(expr, names)(q)
 
 

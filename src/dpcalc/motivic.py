@@ -22,6 +22,7 @@ cells or cell-data files.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -921,13 +922,14 @@ def integrate_linear_product(centers, multiplicities, exponent=1):
 # specialization
 
 
-def specialize(value, q, assignment=None):
+def specialize(value, q, assignment=None, budget=None):
     """Evaluate a constructible function (or a whole IntegrationResult) at
     residue characteristic q under a parameter assignment.
 
     Residue-sort parameters take integer representatives; value-group
     parameters take integers.  Classes become point counts over F_q and
-    ring coefficients evaluate at L = q."""
+    ring coefficients evaluate at L = q.  The point counts are held to
+    `budget` (see `dpcalc.budget`)."""
     if isinstance(value, IntegrationResult):
         if int(q) in value.bad_primes:
             raise BadPrime("%d is excluded: %s"
@@ -963,7 +965,7 @@ def specialize(value, q, assignment=None):
         count = 1
         if t.rf_class is not None:
             inst = Formula(substitute(t.rf_class.expr, rf_consts))
-            count = count_rf_points(inst, int(q))
+            count = count_rf_points(inst, int(q), budget=budget)
         total += count * t.coeff.nu(q, zz_env)
     return total
 
@@ -1163,6 +1165,13 @@ def appendix2_symbolic():
     return appendix2_steps()["total"]
 
 
+@functools.lru_cache(maxsize=64)
+def _appendix2_formula(text):
+    """The parsed appendix-2 formula for one text.  A Formula is not
+    frozen, so the cached object goes to count_rf_points only."""
+    return parse(text, default_sort=Sort.RF)
+
+
 def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
                      budget=None):
     """The same volume numerically, by counting over F_q at level zero.
@@ -1195,5 +1204,5 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
     else:
         raise ValueError("unknown eta_mode %r" % (eta_mode,))
 
-    count = count_rf_points(text, q, budget=budget)
+    count = count_rf_points(_appendix2_formula(text), q, budget=budget)
     return Fraction(count, q ** 3)

@@ -8,16 +8,29 @@ digits are added, so a subtree can be classified the moment its root box
 decides; the result is identical to flat enumeration of all p^(N*m) boxes,
 which is what the box budget meters.
 
-Domain membership is decided by `interpret` on `from_digits` boxes.  The
-integrand |f|^e is compiled once per walk: subterms without a box
-variable are folded through `eval_vf_term`, and the rest runs over plain
-integers, (valuation, unit mod p^k) in Q_p and (valuation, digit tuple)
-in F_p((t)), copying the precision rules of `localfield`'s add, mul and
-neg digit for digit.  `LFElem` arithmetic stays the reference semantics;
-the tests hold the compiled evaluator to it on random terms and boxes.
-A box at depth d with integrand valuation v contributes p^-(d*m + e*v),
-so the walk counts boxes per exponent and forms each endpoint as one
-Fraction at the end.
+Domain membership is decided by `interpret` on `from_digits` boxes, but
+only until it is TRUE: the children of a TRUE box inherit it without a
+call, and a FALSE box is pruned.  `interpret` stays the reference for
+every box it is asked about.  The integrand |f|^e is compiled once per
+walk: subterms without a box variable are folded through `eval_vf_term`,
+and the rest runs over plain integers, (valuation, unit mod p^k) in Q_p
+and (valuation, digit tuple) in F_p((t)), copying the precision rules of
+`localfield`'s add, mul and neg digit for digit.  `LFElem` arithmetic
+stays the reference semantics; the tests hold the compiled evaluator to
+it on random terms and boxes.  A box at depth d with integrand valuation
+v contributes p^-(d*m + e*v), so the walk counts boxes per exponent and
+forms each endpoint as one Fraction at the end.
+
+A TRUE box at level l >= 1 on which f is still undecided, with ord f >= l,
+is settled by Hensel's lemma when f is a polynomial over the valuation
+ring (every folded constant exact and integral) and some formal partial
+derivative of f is a unit on the whole box: then f/ϖ^l carries the box's
+normalised measure onto the Haar measure of O, in Q_p and in F_p((t))
+alike (Igusa, An Introduction to the Theory of Local Zeta Functions, 2000).
+Such a box contributes exactly p^-(l*m + e*l) * (1 - p^-1)/(1 - p^-(1+e))
+to both endpoints; the walk counts these boxes per exponent in a table of
+their own.  The derivatives are compiled, like f, once per walk and only
+when a box needs them.
 
 Nothing here is symbolic.  The point is an independent check on the
 symbolic engine, plus the classical consistency checks (Weil point-count
@@ -55,7 +68,9 @@ class VolumeInterval:
     undecided_mass is the total contribution bound of the boxes the
     interpreter could not settle, i.e. exactly upper - lower.  Box counters
     are nominal full-depth counts (a subtree classified early counts all
-    the boxes it covers).
+    the boxes it covers).  boxes_true includes boxes_hensel, the boxes
+    settled by Hensel's lemma.  nodes_visited is the work actually done:
+    the number of boxes the walk classified, at every level.
 
     Both endpoints are exact sums of powers p^-(d*m + e*v) over the boxes
     that count, with v the integrand's valuation bound on each box (from
@@ -70,6 +85,8 @@ class VolumeInterval:
     boxes_total: int
     boxes_true: int
     boxes_undecided: int
+    boxes_hensel: int
+    nodes_visited: int
 
     def __post_init__(self):
         assert 0 <= self.lower <= self.upper
@@ -89,7 +106,8 @@ class VolumeInterval:
         return VolumeInterval(self.lower * c, self.upper * c,
                               self.precision_used, self.undecided_mass * c,
                               self.boxes_total, self.boxes_true,
-                              self.boxes_undecided)
+                              self.boxes_undecided, self.boxes_hensel,
+                              self.nodes_visited)
 
     def to_json_dict(self):
         return {
@@ -320,6 +338,9 @@ class _CompiledIntegrand:
         self.env = {name: embed_rational(Fraction(v), spec)
                     if isinstance(v, (int, Fraction)) else v
                     for name, v in assignment.items()}
+        # whether every folded subterm is exact and integral, so that the
+        # term is a polynomial over the valuation ring in the box variables
+        self.integral = True
         root = self._compile(term)
         self.evaluate = root if callable(root) else lambda forms: root
 
@@ -334,7 +355,10 @@ class _CompiledIntegrand:
         """An LFElem when the value does not depend on the box, else a
         function from the box forms to a form."""
         if not any(name in self.index for name in free_vars(node)):
-            return eval_vf_term(node, self.spec, self.env)
+            value = eval_vf_term(node, self.spec, self.env)
+            self.integral = self.integral and value.exact \
+                and value.ord() >= 0
+            return value
         if isinstance(node, VfVar):
             return operator.itemgetter(self.index[node.name])
         if isinstance(node, (VfAdd, VfSub)):
@@ -410,6 +434,40 @@ class _CompiledIntegrand:
         return lambda forms: op(f(forms), form)
 
 
+def _derivative(node, name):
+    """The formal partial derivative of a field term in the variable
+    `name`, or None when it is identically zero."""
+    def d(n):
+        return _derivative(n, name)
+
+    def plus(a, b):
+        return b if a is None else a if b is None else VfAdd(a, b)
+
+    def times(a, b):
+        return None if a is None or b is None else VfMul(a, b)
+
+    if isinstance(node, VfVar):
+        return VfConst(Fraction(1)) if node.name == name else None
+    if isinstance(node, (VfConst, VfUnif)):
+        return None
+    if isinstance(node, VfAdd):
+        return plus(d(node.left), d(node.right))
+    if isinstance(node, VfSub):
+        return plus(d(node.left), times(VfConst(Fraction(-1)), d(node.right)))
+    if isinstance(node, VfNeg):
+        return times(VfConst(Fraction(-1)), d(node.operand))
+    if isinstance(node, VfMul):
+        return plus(times(d(node.left), node.right),
+                    times(node.left, d(node.right)))
+    if isinstance(node, VfPow):
+        if node.exponent == 0:
+            return None
+        return times(VfMul(VfConst(Fraction(node.exponent)),
+                           VfPow(node.base, node.exponent - 1)),
+                     d(node.base))
+    raise AssertionError(node)
+
+
 def _mass(p, counts):
     """sum(count * p^-x) over {x: count}, as one exact Fraction."""
     top = max(max(counts, default=0), 0)
@@ -437,10 +495,13 @@ class _BoxWalk:
         self.m = len(self.names)
         self.ops = _field_ops(spec)
         self.compiled = None
+        self.derivatives = None
         self.lower_counts = {}
         self.upper_counts = {}
+        self.hensel_counts = {}
         self.boxes_true = 0
         self.boxes_undecided = 0
+        self.boxes_hensel = 0
         self.nodes_visited = 0
 
     def nominal_boxes(self):
@@ -450,11 +511,17 @@ class _BoxWalk:
         self.walk(tuple(() for _ in self.names),
                   tuple((0, 0, None) for _ in self.names), 0,
                   Truth3.UNDECIDED)
-        lower = _mass(self.p, self.lower_counts)
-        upper = _mass(self.p, self.upper_counts)
+        p, e = self.p, self.integrand.e
+        # a Hensel box's own p^-(level*m + e*level) times the integral of
+        # |z|^e over O, (1 - p^-1)/(1 - p^-(1+e))
+        settled = _mass(p, self.hensel_counts) * Fraction(
+            p ** (e + 1) - p ** e, p ** (e + 1) - 1)
+        lower = _mass(p, self.lower_counts) + settled
+        upper = _mass(p, self.upper_counts) + settled
         return VolumeInterval(lower, upper, self.depth, upper - lower,
                               self.nominal_boxes(), self.boxes_true,
-                              self.boxes_undecided)
+                              self.boxes_undecided, self.boxes_hensel,
+                              self.nodes_visited)
 
     def integrand_bounds(self, forms):
         """(lower, upper) bounds on the integrand's valuation over the
@@ -467,6 +534,20 @@ class _BoxWalk:
             self.compiled = _CompiledIntegrand(
                 self.integrand.f, self.spec, self.names, self.assignment)
         return self.compiled.ord_bounds(forms)
+
+    def smooth(self, forms):
+        """Whether the integrand f is integral and some partial derivative
+        of it is a unit on the whole box.  The derivatives are compiled on
+        first use, and only when f is integral."""
+        if self.derivatives is None:
+            self.derivatives = []
+            if self.compiled.integral:
+                for name in self.names:
+                    term = _derivative(self.integrand.f, name)
+                    if term is not None:
+                        self.derivatives.append(_CompiledIntegrand(
+                            term, self.spec, self.names, self.assignment))
+        return any(d.ord_bounds(forms) == (0, 0) for d in self.derivatives)
 
     def credit(self, counts, level, v):
         if v is not INF:
@@ -492,6 +573,13 @@ class _BoxWalk:
                 self.credit(self.lower_counts, level, vlo)
                 self.credit(self.upper_counts, level, vlo)
                 self.boxes_true += weight
+                return
+            if 1 <= level <= vlo and self.smooth(forms):
+                # Hensel: f/pi^level carries the box's normalised measure
+                # onto the Haar measure of O
+                self.credit(self.hensel_counts, level, level)
+                self.boxes_true += weight
+                self.boxes_hensel += weight
                 return
             if level == self.depth:
                 self.boxes_undecided += weight

@@ -237,15 +237,25 @@ class SymA:
         return self * Fraction(r)
 
     def div_by_unit(self, d):
-        """Divide by d, which must be (up to sign) a product of a power of L,
-        factors (1 - L^-i), and their inverses.  Raises NotInvertibleInA
-        otherwise."""
+        """Divide by d, which must be a unit of A: up to sign a power of L
+        times cyclotomic polynomials Phi_k(L) to integer powers, which
+        covers the factors (1 - L^-i) and their inverses.  Raises
+        NotInvertibleInA otherwise."""
         if isinstance(d, int):
             d = SymA.from_int(d)
-        sign, shift, factors = _unit_factorization(d)
-        # 1/d = sign * L^-shift * prod_{d's den} (1 - L^-i)^m / prod factors
-        inv_num = _lift({-shift: Fraction(sign)}, {}, dict(d._den))
-        return self * SymA(inv_num, factors)
+        sign, shift, exponents = _unit_factorization(d)
+        # 1/Phi_k = L^-k * ((L^k - 1)/Phi_k) / (1 - L^-k), so
+        # 1/d = sign * L^-shift * prod_{d's den} (1 - L^-i)^m
+        #       * prod_k (L^-k (L^k - 1)/Phi_k)^e_k / prod_k (1 - L^-k)^e_k
+        top = [1]
+        for k, e in exponents.items():
+            shift += k * e
+            rest = _zdiv_monic([-1] + [0] * (k - 1) + [1], cyclotomic(k))
+            for _ in range(e):
+                top = _zmul(top, rest)
+        inv_num = _lift({j - shift: Fraction(sign * c)
+                         for j, c in enumerate(top) if c}, {}, dict(d._den))
+        return self * SymA(inv_num, exponents)
 
     def nu(self, q):
         """Exact specialization L -> q (q rational, q > 1 for the order)."""
@@ -389,8 +399,21 @@ def _to_form(g, l, shift, prim, den):
     return num, tuple(sorted(den.items()))
 
 
+def _totient(n):
+    out = n
+    k = 2
+    while k * k <= n:
+        if n % k == 0:
+            out -= out // k
+            while n % k == 0:
+                n //= k
+        k += 1
+    return out - out // n if n > 1 else out
+
+
 def _unit_factorization(d):
-    """Factor the numerator of d as sign * L^shift * prod (1 - L^-i)^r_i.
+    """Factor the numerator of d as sign * L^shift * prod_k Phi_k(L)^e_k;
+    returns (sign, shift, {k: e_k}).
 
     Raises NotInvertibleInA when the numerator has any other irreducible
     factor or a non-unit integer content.
@@ -406,30 +429,26 @@ def _unit_factorization(d):
     content, prim = _zprimitive(ints)
     if abs(content) != 1:
         raise NotInvertibleInA("content %d is not a unit" % content)
-    sign = content
-    factors = {}
-    shift = mn
-    while prim != [1]:
+    exponents = {}
+    k = 0
+    while len(prim) > 1:
+        k += 1
         deg = len(prim) - 1
-        if deg == 0:
-            raise NotInvertibleInA("constant %d is not a unit" % prim[0])
-        hit = False
-        for i in range(deg, 0, -1):
-            base = [0] * i + [1]
-            base[0] = -1
-            q = _zdiv_monic(prim, base)
-            if q is not None:
-                prim = q
-                # (L^i - 1) = L^i (1 - L^-i)
-                factors[i] = factors.get(i, 0) + 1
-                shift += i
-                hit = True
-                break
-        if not hit:
+        # totient(k) >= sqrt(k/2), so no Phi_k of degree <= deg is left
+        if k > 2 * deg * deg:
             raise NotInvertibleInA(
-                "%s is not a signed product of L-powers and (1 - L^-i)"
-                % d.render())
-    return sign, shift, factors
+                "%s is not a signed product of L-powers and cyclotomic "
+                "factors" % d.render())
+        if _totient(k) > deg:
+            continue
+        while True:
+            q = _zdiv_monic(prim, cyclotomic(k))
+            if q is None:
+                break
+            prim = q
+            exponents[k] = exponents.get(k, 0) + 1
+    # prim is primitive with a positive leading coefficient, so it is [1]
+    return content, mn, exponents
 
 
 def _fmt_fraction(c):

@@ -1,0 +1,107 @@
+"""The oracle's residue-box walk as it was before it inherited TRUE
+membership and settled smooth boxes by Hensel's lemma: `interpret` on
+every box, full descent wherever the integrand stays undecided.  Kept,
+unchanged apart from `run` returning the bare endpoints, as the
+reference the current walk is tested against."""
+
+import itertools
+
+from dpcalc.formula import Sort, Truth3, interpret
+from dpcalc.localfield import INF, from_digits
+from dpcalc.oracle import (IntegrandSpec, _as_formula, _CompiledIntegrand,
+                           _field_ops, _mass)
+
+
+class _BoxWalk:
+    """Depth-first refinement of the residue-box tree for one bracket.
+
+    Each box contributes p^-(level*m + e*v) for an integrand valuation v,
+    so the walk counts boxes per exponent and builds both endpoints once
+    at the end."""
+
+    def __init__(self, phi, spec, integrand, assignment, vf_witness_depth):
+        self.phi = phi
+        self.spec = spec
+        self.integrand = integrand
+        self.assignment = assignment
+        self.vf_witness_depth = vf_witness_depth
+        self.p = spec.prime
+        self.depth = spec.precision
+        self.names = [n for n, s in phi.free
+                      if s is Sort.VF and n not in assignment]
+        self.m = len(self.names)
+        self.ops = _field_ops(spec)
+        self.compiled = None
+        self.lower_counts = {}
+        self.upper_counts = {}
+        self.boxes_true = 0
+        self.boxes_undecided = 0
+
+    def nominal_boxes(self):
+        return self.p ** (self.depth * self.m)
+
+    def run(self):
+        self.walk(tuple(() for _ in self.names),
+                  tuple((0, 0, None) for _ in self.names), 0)
+        return (_mass(self.p, self.lower_counts),
+                _mass(self.p, self.upper_counts))
+
+    def integrand_bounds(self, forms):
+        """(lower, upper) bounds on the integrand's valuation over the
+        box; equal when decided, INF for the value 0.  The integrand is
+        compiled on first use, so a walk that never evaluates it never
+        raises its errors, just as with per-box evaluation."""
+        if self.integrand.is_one:
+            return 0, 0
+        if self.compiled is None:
+            self.compiled = _CompiledIntegrand(
+                self.integrand.f, self.spec, self.names, self.assignment)
+        return self.compiled.ord_bounds(forms)
+
+    def credit(self, counts, level, v):
+        if v is not INF:
+            x = level * self.m + self.integrand.e * v
+            counts[x] = counts.get(x, 0) + 1
+
+    def walk(self, prefixes, forms, level):
+        env = dict(self.assignment)
+        for name, digs in zip(self.names, prefixes):
+            env[name] = from_digits(self.spec, 0, digs)
+        membership = interpret(self.phi, self.spec, env,
+                               self.vf_witness_depth)
+        if membership is Truth3.FALSE:
+            return
+        weight = self.p ** ((self.depth - level) * self.m)
+        if membership is Truth3.TRUE:
+            vlo, vhi = self.integrand_bounds(forms)
+            if vlo == vhi:
+                self.credit(self.lower_counts, level, vlo)
+                self.credit(self.upper_counts, level, vlo)
+                self.boxes_true += weight
+                return
+            if level == self.depth:
+                self.boxes_undecided += weight
+                self.credit(self.upper_counts, level, vlo)
+                return
+        elif level == self.depth:
+            vlo, _ = self.integrand_bounds(forms)
+            self.boxes_undecided += weight
+            self.credit(self.upper_counts, level, vlo)
+            return
+        children = [[self.ops.child(form, level, d) for d in range(self.p)]
+                    for form in forms]
+        for combo in itertools.product(range(self.p), repeat=self.m):
+            self.walk(tuple(digs + (d,)
+                            for digs, d in zip(prefixes, combo)),
+                      tuple(row[d] for row, d in zip(children, combo)),
+                      level + 1)
+
+
+
+def integrate(integrand, phi, spec, *, assignment=None,
+              vf_witness_depth=None):
+    """(lower, upper) of the reference bracket; no budget."""
+    phi = _as_formula(phi)
+    walk = _BoxWalk(phi, spec, integrand or IntegrandSpec.one(),
+                    dict(assignment or {}), vf_witness_depth)
+    return walk.run()

@@ -98,7 +98,8 @@ def test_integrate_congruence_cases_honour_budget_env(run_cli, fx,
                            "--param", "acx:cube", "--param", "k=1")
     assert rc == 5
     assert out == ""
-    assert err == "dpcalc: q^1 evaluations exceed the budget of 10\n"
+    assert err == \
+        "dpcalc: q^1 evaluations at q = 13 exceed the budget of 10\n"
 
 
 def test_integrate_rejects_numeric_residue_parameter(run_cli, fx):
@@ -178,6 +179,19 @@ def test_compare_cells_both_characteristics(run_cli, fx):
     for row in checked:
         assert row["qp_contained"] is True
         assert row["fpt_contained"] is True
+
+
+def test_compare_budget_reaches_the_point_counts(run_cli, fx, monkeypatch):
+    # one command line holds one limit: --budget also bounds the residue
+    # point counts that specialize runs for cell data
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "1")
+    rc, out, err = run_cli("compare", fx("cube.cells.json"), "--primes", "5",
+                           "--budget", str(10 ** 18))
+    assert (rc, err) == (0, "")
+    assert out_json(out)["ok"] is True
+    rc, out, err = run_cli("compare", fx("cube.cells.json"), "--primes", "5")
+    assert rc == 5
+    assert err == "dpcalc: q^1 evaluations at q = 5 exceed the budget of 1\n"
 
 
 def test_compare_punctured_ball(run_cli, fx):

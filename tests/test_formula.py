@@ -228,8 +228,8 @@ def test_count_budget():
 
 def test_count_budget_environment_variable(monkeypatch):
     monkeypatch.setenv("DPCALC_BOX_BUDGET", "24")
-    with pytest.raises(BudgetExceeded, match="q\\^2 evaluations exceed "
-                                             "the budget of 24"):
+    with pytest.raises(BudgetExceeded, match="q\\^2 evaluations at q = 5 "
+                                             "exceed the budget of 24"):
         count_rf_points("u == 0 && v == 0", 5)
     assert count_rf_points("u == 0 && v == 0", 5, budget=25) == 1
 

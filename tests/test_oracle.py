@@ -1,6 +1,7 @@
 """The point-counting oracle: exact interval brackets for volumes and
 integrals over the valuation ring."""
 
+import itertools
 import os
 from fractions import Fraction as F
 
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpcalc.localfield as lf
+import dpcalc.oracle as oracle_module
+import oracle_reference as reference
 from dpcalc.errors import BudgetExceeded, UnboundVariable, UnsupportedFeature
-from dpcalc.formula import (VfAdd, VfConst, VfMul, VfNeg, VfPow, VfSub,
-                            VfUnif, VfVar, eval_vf_term)
+from dpcalc.formula import (Truth3, VfAdd, VfConst, VfMul, VfNeg, VfPow,
+                            VfSub, VfUnif, VfVar, eval_vf_term, interpret,
+                            parse)
 from dpcalc.oracle import (IntegrandSpec, _CompiledIntegrand, fraction_str,
                            integrate, jacobian_check, parse_vf_polynomial,
                            serre_oesterle_count, volume)
@@ -323,12 +327,13 @@ def test_compiled_integrand_edge_cases(term, spec, a, x, y):
 
 # exact brackets recorded from the LFElem-per-box walk that preceded the
 # compiled integrand; (lower, upper, boxes_total, boxes_true,
-# boxes_undecided), the same in both characteristics
+# boxes_undecided), the same in both characteristics.  The simple roots
+# of linear_triple are settled by Hensel's lemma at level 1, which makes
+# its value exact; the bracket recorded before that stays as an outer
+# bound in _OUTER.
 _PINNED = {
-    ("linear_triple", 5): ("24414062/48828125", "122070313/244140625",
-                           15625, 15622, 3),
-    ("linear_triple", 7): ("1235829214/1977326743",
-                           "8650804501/13841287201", 117649, 117646, 3),
+    ("linear_triple", 5): ("1/2", "1/2", 15625, 15625, 0),
+    ("linear_triple", 7): ("5/8", "5/8", 117649, 117649, 0),
     ("linear_m3", 5): ("382081056252504/476837158203125",
                        "47760132031563001/59604644775390625",
                        15625, 15624, 1),
@@ -340,6 +345,21 @@ _PINNED = {
     ("cube", 7): ("4070574266308/4747561509943",
                   "28494019864159/33232930569601", 823543, 823540, 3),
 }
+
+_OUTER = {
+    ("linear_triple", 5): ("24414062/48828125", "122070313/244140625"),
+    ("linear_triple", 7): ("1235829214/1977326743",
+                           "8650804501/13841287201"),
+}
+
+
+def _linear_triple_value(p):
+    """The integral of |z(z - 1)(z - 3)| over Z_p for p >= 5: p - 3
+    residue classes where the product is a unit, and three simple roots,
+    where |z - r| alone varies: each of those classes gives
+    p^-1 * p^-1 * (1 - p^-1)/(1 - p^-2) = 1/(p(p + 1))."""
+    return F(p - 3, p) + 3 * F(1, p * (p + 1))
+
 
 _PINNED_CASES = {
     # fixture: (domain, integrand, precision, binds x = acx * pi^(3k))
@@ -363,3 +383,160 @@ def test_pinned_brackets(name, p, make):
     assert iv.undecided_mass == F(upper) - F(lower)
     assert (iv.boxes_total, iv.boxes_true, iv.boxes_undecided) == \
         (total, true, undecided)
+    if (name, p) in _OUTER:
+        outer_lower, outer_upper = _OUTER[name, p]
+        assert F(outer_lower) <= iv.lower == iv.upper <= F(outer_upper)
+        assert iv.lower == _linear_triple_value(p)
+        # the three root classes at level 1, each of p^(precision - 1)
+        assert iv.boxes_hensel == 3 * p ** (precision - 1)
+    else:
+        assert iv.boxes_hensel == 0
+
+
+# --- the walk against the reference walk ---
+
+def _poly_text(names, data):
+    """A random polynomial over the valuation ring, as a product of one
+    to three factors, each a sum of monomials of degree <= 2 with
+    coefficients c or c*t."""
+    exponents = [e for e in itertools.product(range(3), repeat=len(names))
+                 if sum(e) <= 2]
+    monomial = st.tuples(st.integers(-3, 3), st.booleans(),
+                         st.sampled_from(exponents))
+    factors = []
+    for terms in data.draw(st.lists(st.lists(monomial, min_size=1,
+                                             max_size=3),
+                                    min_size=1, max_size=3)):
+        parts = []
+        for c, times_t, exps in terms:
+            parts.append("*".join(["(%d)" % c] + (["t"] if times_t else [])
+                                  + ["%s^%d" % (n, e)
+                                     for n, e in zip(names, exps) if e]))
+        factors.append("(%s)" % " + ".join(parts))
+    return " * ".join(factors)
+
+
+_DOMAINS = {
+    1: ["ord(x) >= 0", "ord(x) >= 1", "ord(x) == 0", "ac(x) == 1",
+        "ord(x - 1) >= 1 || ord(x) >= 2"],
+    2: ["ord(x) >= 0 && ord(y) >= 0", "ord(x) >= 1", "ord(x - y) >= 1",
+        "ac(y) == 1 || ord(x) >= 1", "ord(x*y) == 0"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([1, 2]), make=st.sampled_from([lf.qp, lf.fpt]),
+       p=st.sampled_from([2, 3, 5, 7]), e=st.integers(1, 2),
+       data=st.data())
+def test_walk_refines_reference_walk(m, make, p, e, data):
+    """Inherited membership and Hensel settlement only narrow the
+    reference bracket: each interval lies inside it at the same
+    precision, equals it where it is exact, and equals it outright when
+    no box was settled by Hensel."""
+    names = ["x", "y"][:m]
+    # keep the nominal box count of the reference walk in the thousands
+    top = max(n for n in range(1, 6) if p ** (n * m) <= 3000)
+    spec = make(p, data.draw(st.integers(1, top)))
+    f = _poly_text(names, data)
+    domain = "vf %s; %s" % (", ".join(names),
+                            data.draw(st.sampled_from(_DOMAINS[m])))
+    integrand = IntegrandSpec.abs_power(f, e)
+    iv = integrate(integrand, domain, spec)
+    lower, upper = reference.integrate(integrand, domain, spec)
+    assert lower <= iv.lower <= iv.upper <= upper
+    if lower == upper or iv.boxes_hensel == 0:
+        assert (iv.lower, iv.upper) == (lower, upper)
+
+
+def test_settled_boxes_skip_the_interpreter(monkeypatch):
+    """Children of a TRUE box inherit it; the unit integrand |z - 1| is
+    closed by Hensel at level 1 on the class of its root."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return interpret(*args, **kwargs)
+    monkeypatch.setattr(oracle_module, "interpret", counted)
+    iv = integrate(IntegrandSpec.abs_power("z - 1"), "vf z; ord(z) >= 0",
+                   Q5)
+    assert len(calls) == 1
+    assert iv.lower == iv.upper == F(5, 6)
+    assert iv.nodes_visited == 1 + 5
+    assert iv.boxes_hensel == 5 ** 5
+    assert iv.boxes_true == 5 ** 6
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_hensel_needs_an_integral_unit_derivative(make):
+    # z^p - z vanishes mod p everywhere, though its derivative is a unit:
+    # nothing is settled at level 0, so the value keeps its full depth
+    spec = make(3, 4)
+    iv = integrate(IntegrandSpec.abs_power("z^3 - z"), "vf z; ord(z) >= 0",
+                   spec)
+    want = reference.integrate(IntegrandSpec.abs_power("z^3 - z"),
+                               "vf z; ord(z) >= 0", spec)
+    assert want[0] <= iv.lower <= iv.upper <= want[1]
+
+
+def test_hensel_needs_an_integral_polynomial():
+    # 3z + (3/4)z^2 has a unit derivative and ord >= level on boxes that
+    # Hensel's lemma would close wrongly: the Taylor terms past the linear
+    # one are not integral
+    f = IntegrandSpec.abs_power(VfAdd(
+        parse_vf_polynomial("3*z"),
+        VfMul(VfConst(F(3, 4)), parse_vf_polynomial("z^2"))))
+    spec = lf.qp(2, 4)
+    iv = integrate(f, "vf z; ord(z) >= 0", spec)
+    assert iv.boxes_hensel == 0
+    assert (iv.lower, iv.upper) == \
+        reference.integrate(f, "vf z; ord(z) >= 0", spec)
+
+
+# --- three-valued truth refines monotonically ---
+
+def _atom_text(names, data):
+    term = _poly_text(names, data)
+    kind = data.draw(st.sampled_from(["ord>=", "ord==", "ac", "zero"]))
+    if kind == "ord>=":
+        return "ord(%s) >= %d" % (term, data.draw(st.integers(0, 3)))
+    if kind == "ord==":
+        return "ord(%s) == %d" % (term, data.draw(st.integers(0, 3)))
+    if kind == "ac":
+        return "ac(%s) == %d" % (term, data.draw(st.integers(0, 4)))
+    return "%s == 0" % term
+
+
+def _formula_text(names, data, depth=2):
+    if depth == 0 or data.draw(st.booleans()):
+        return _atom_text(names, data)
+    op = data.draw(st.sampled_from(["&&", "||", "!"]))
+    if op == "!":
+        return "!(%s)" % _formula_text(names, data, depth - 1)
+    return "(%s) %s (%s)" % (_formula_text(names, data, depth - 1), op,
+                             _formula_text(names, data, depth - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.sampled_from([1, 2]), make=st.sampled_from([lf.qp, lf.fpt]),
+       p=st.sampled_from([2, 3, 5]), precision=st.integers(1, 4),
+       data=st.data())
+def test_interpret_is_monotone_on_child_boxes(m, make, p, precision, data):
+    """A box that interpret decides decides the same way on every child
+    box, which is what lets the walk hand TRUE down without asking."""
+    names = ["x", "y"][:m]
+    spec = make(p, precision)
+    phi = parse("vf %s; %s" % (", ".join(names), _formula_text(names, data)))
+    digit = st.integers(0, p - 1)
+    level = data.draw(st.integers(0, precision - 1))
+    prefixes = [tuple(data.draw(st.lists(digit, min_size=level,
+                                         max_size=level)))
+                for _ in names]
+
+    def truth(digits):
+        return interpret(phi, spec, {
+            n: lf.from_digits(spec, 0, d) for n, d in zip(names, digits)})
+    parent = truth(prefixes)
+    if parent is Truth3.UNDECIDED:
+        return
+    for combo in itertools.product(range(p), repeat=m):
+        assert truth([d + (c,) for d, c in zip(prefixes, combo)]) is parent

@@ -82,10 +82,21 @@ def test_div_by_unit_with_denominator_divisor():
     assert r == SymA.one_minus_l_inv(4).div_by_unit(SymA.one_minus_l_inv(1))
 
 
-@pytest.mark.parametrize("bad", [SymA.from_int(2), L + 1])
+@pytest.mark.parametrize("bad", [SymA.from_int(2), L + 2])
 def test_div_by_unit_rejects_nonunits(bad):
     with pytest.raises(NotInvertibleInA):
         ONE.div_by_unit(bad)
+
+
+def test_div_by_unit_accepts_cyclotomic_units():
+    # L + 1 = Phi_2 = L (1 - L^-2)/(1 - L^-1) is a unit of A
+    inverse = SymA.parse("(L^-1 - L^-2)/(1 - L^-2)")
+    assert ONE.div_by_unit(L + 1) == inverse
+    assert SymA.parse("1/(L + 1)") == inverse
+    assert inverse * (L + 1) == ONE
+    # and so is 1 + L^-1, which div_by_unit itself prints
+    u = SymA.one_minus_l_inv(2).div_by_unit(SymA.one_minus_l_inv(1))
+    assert u.div_by_unit(u) == ONE
 
 
 # --- arithmetic identities ---
@@ -252,21 +263,41 @@ _unit_shapes = st.tuples(
                      L + 1, L ** 2 + 1]))
 
 
+def _as_cyclotomic(factorization):
+    """The reference's sign * L^shift * prod (1 - L^-i)^r_i as
+    sign * L^shift' * prod Phi_k^e_k, since (1 - L^-i) is L^-i times the
+    product of Phi_k over k | i."""
+    sign, shift, factors = factorization
+    exponents = {}
+    for i, r in factors.items():
+        shift -= i * r
+        for k in range(1, i + 1):
+            if i % k == 0:
+                exponents[k] = exponents.get(k, 0) + r
+    return sign, shift, exponents
+
+
 @settings(max_examples=200, deadline=None)
 @given(shape=_unit_shapes)
 def test_unit_division_matches_reference(shape):
+    """Every shape is a unit except those with content 2 or 1/2.  The
+    reference factors only products of (L^i - 1), so it also rejects
+    cyclotomic units such as L + 1 and 1 + L^-1; where it accepts, the
+    factorizations agree."""
     k, factors, extra = shape
     d = SymA.l_power(k) * extra
     for i, sign in factors:
         d = d * (SymA.one_minus_l_inv(i) if sign > 0 else SymA.geom(i))
+    if extra in (SymA.from_int(2), SymA.from_fraction(F(1, 2))):
+        for factor in (reference._unit_factorization,
+                       symring._unit_factorization, ONE.div_by_unit):
+            with pytest.raises(NotInvertibleInA):
+                factor(d)
+        return
+    assert ONE.div_by_unit(d) * d == ONE
     try:
         want = reference._unit_factorization(d)
     except NotInvertibleInA:
-        with pytest.raises(NotInvertibleInA):
-            symring._unit_factorization(d)
-        with pytest.raises(NotInvertibleInA):
-            ONE.div_by_unit(d)
-    else:
-        assert symring._unit_factorization(d) == want
-        assert ONE.div_by_unit(d) * d == ONE
+        return
+    assert symring._unit_factorization(d) == _as_cyclotomic(want)
 
