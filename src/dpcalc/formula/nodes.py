@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 
 class Sort(Enum):
@@ -235,10 +236,17 @@ class Exists(Node):
 _VAR_SORT = {VfVar: Sort.VF, RfVar: Sort.RF, ZzVar: Sort.ZZ}
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls):
+    """The dataclass field names of a node class, in declaration order;
+    read once per class rather than through `fields` on every call."""
+    return tuple(f.name for f in fields(cls))
+
+
 def children(node):
     out = []
-    for f in fields(node):
-        v = getattr(node, f.name)
+    for name in _field_names(type(node)):
+        v = getattr(node, name)
         if isinstance(v, Node):
             out.append(v)
     return out
@@ -283,13 +291,13 @@ def substitute(node, mapping):
         mapping = {n: v for n, v in mapping.items() if n != node.var}
     changed = False
     kwargs = {}
-    for f in fields(node):
-        v = getattr(node, f.name)
+    for name in _field_names(cls):
+        v = getattr(node, name)
         if isinstance(v, Node):
             w = substitute(v, mapping)
             changed = changed or w is not v
             v = w
-        kwargs[f.name] = v
+        kwargs[name] = v
     return cls(**kwargs) if changed else node
 
 
@@ -306,12 +314,6 @@ class Formula:
             free = free_vars(expr).items()
         self.free = tuple(free)
         self._bad = []
-
-    def sort_of(self, name):
-        for n, s in self.free:
-            if n == name:
-                return s
-        raise KeyError(name)
 
     def note_bad_prime(self, prime, reason):
         self._bad.append((int(prime), str(reason)))

@@ -625,10 +625,6 @@ def inv(a):
     return LFElem._approx(spec, -a.val, ds)
 
 
-def ord_(a):
-    return a.ord()
-
-
 def ac(a):
     return a.ac()
 

@@ -21,16 +21,20 @@ it on random terms and boxes.  A box at depth d with integrand valuation
 v contributes p^-(d*m + e*v), so the walk counts boxes per exponent and
 forms each endpoint as one Fraction at the end.
 
-A TRUE box at level l >= 1 on which f is still undecided, with ord f >= l,
-is settled by Hensel's lemma when f is a polynomial over the valuation
-ring (every folded constant exact and integral) and some formal partial
-derivative of f is a unit on the whole box: then f/ϖ^l carries the box's
+A TRUE box at level l >= 1 on which f is still undecided is settled by
+Hensel's lemma when f is a polynomial over the valuation ring (every
+folded constant exact and integral), some formal partial derivative
+∂f/∂x_j has one valuation d < l on the whole box, and ord f >= l + d
+there.  Along each x_j-fibre, f(x0 + ϖ^l h) - f(x0) is then
+ϖ^(l+d) * (unit * h_j + ϖ * (...)), since every Taylor term past the
+linear one has valuation >= 2l > l + d; so f/ϖ^(l+d) carries the box's
 normalised measure onto the Haar measure of O, in Q_p and in F_p((t))
-alike (Igusa, An Introduction to the Theory of Local Zeta Functions, 2000).
-Such a box contributes exactly p^-(l*m + e*l) * (1 - p^-1)/(1 - p^-(1+e))
-to both endpoints; the walk counts these boxes per exponent in a table of
-their own.  The derivatives are compiled, like f, once per walk and only
-when a box needs them.
+alike (Igusa, An Introduction to the Theory of Local Zeta Functions,
+2000, §2-3).  Such a box contributes exactly
+p^-(l*m + e*(l+d)) * (1 - p^-1)/(1 - p^-(1+e)) to both endpoints, with
+d the least valuation that qualifies; the walk counts these boxes per
+exponent in a table of their own.  The derivatives are compiled, like f,
+once per walk and only when a box needs them.
 
 Nothing here is symbolic.  The point is an independent check on the
 symbolic engine, plus the classical consistency checks (Weil point-count
@@ -49,7 +53,7 @@ from .errors import BadPrime, UnboundVariable, UnsupportedFeature
 from .formula import (Formula, Node, Sort, Truth3, VfAdd, VfConst, VfMul,
                       VfNeg, VfPow, VfSub, VfUnif, VfVar, eval_vf_term,
                       free_vars, interpret, parse)
-from .formula.nodes import substitute
+from .formula.nodes import children, substitute
 from .localfield import INF, FieldKind, LFElem, embed_rational, from_digits
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg
 
@@ -69,8 +73,11 @@ class VolumeInterval:
     interpreter could not settle, i.e. exactly upper - lower.  Box counters
     are nominal full-depth counts (a subtree classified early counts all
     the boxes it covers).  boxes_true includes boxes_hensel, the boxes
-    settled by Hensel's lemma.  nodes_visited is the work actually done:
-    the number of boxes the walk classified, at every level.
+    settled by Hensel's lemma: boxes at level l >= 1 where f is integral,
+    some partial derivative has one valuation d < l and ord f >= l + d,
+    each contributing its measure times p^-(e*(l+d)) times the integral
+    of |z|^e over O.  nodes_visited is the work actually done: the number
+    of boxes the walk classified, at every level.
 
     Both endpoints are exact sums of powers p^-(d*m + e*v) over the boxes
     that count, with v the integrand's valuation bound on each box (from
@@ -341,6 +348,8 @@ class _CompiledIntegrand:
         # whether every folded subterm is exact and integral, so that the
         # term is a polynomial over the valuation ring in the box variables
         self.integral = True
+        self.boxed = set()
+        self._mark(term)
         root = self._compile(term)
         self.evaluate = root if callable(root) else lambda forms: root
 
@@ -351,10 +360,23 @@ class _CompiledIntegrand:
         val, _, k = value
         return (val, val) if k is not None else (val, INF)
 
+    def _mark(self, node):
+        """Add to self.boxed the id of every subterm of node that mentions
+        a box variable, in one bottom-up pass; whether node does."""
+        if isinstance(node, VfVar):
+            hit = node.name in self.index
+        else:
+            hit = False
+            for child in children(node):
+                hit = self._mark(child) or hit
+        if hit:
+            self.boxed.add(id(node))
+        return hit
+
     def _compile(self, node):
         """An LFElem when the value does not depend on the box, else a
         function from the box forms to a form."""
-        if not any(name in self.index for name in free_vars(node)):
+        if id(node) not in self.boxed:
             value = eval_vf_term(node, self.spec, self.env)
             self.integral = self.integral and value.exact \
                 and value.ord() >= 0
@@ -512,8 +534,8 @@ class _BoxWalk:
                   tuple((0, 0, None) for _ in self.names), 0,
                   Truth3.UNDECIDED)
         p, e = self.p, self.integrand.e
-        # a Hensel box's own p^-(level*m + e*level) times the integral of
-        # |z|^e over O, (1 - p^-1)/(1 - p^-(1+e))
+        # a Hensel box's own p^-(level*m + e*(level + delta)) times the
+        # integral of |z|^e over O, (1 - p^-1)/(1 - p^-(1+e))
         settled = _mass(p, self.hensel_counts) * Fraction(
             p ** (e + 1) - p ** e, p ** (e + 1) - 1)
         lower = _mass(p, self.lower_counts) + settled
@@ -535,10 +557,14 @@ class _BoxWalk:
                 self.integrand.f, self.spec, self.names, self.assignment)
         return self.compiled.ord_bounds(forms)
 
-    def smooth(self, forms):
-        """Whether the integrand f is integral and some partial derivative
-        of it is a unit on the whole box.  The derivatives are compiled on
-        first use, and only when f is integral."""
+    def hensel_delta(self, forms, level, vlo):
+        """The least delta < level such that some partial derivative of
+        the integral integrand f has valuation exactly delta on the whole
+        box at this level, with ord f >= level + delta there; None when
+        there is none.  The derivatives are compiled on first use, and
+        only when f is integral."""
+        if not 1 <= level <= vlo:  # ord f >= level + delta >= level
+            return None
         if self.derivatives is None:
             self.derivatives = []
             if self.compiled.integral:
@@ -547,7 +573,10 @@ class _BoxWalk:
                     if term is not None:
                         self.derivatives.append(_CompiledIntegrand(
                             term, self.spec, self.names, self.assignment))
-        return any(d.ord_bounds(forms) == (0, 0) for d in self.derivatives)
+        bounds = (d.ord_bounds(forms) for d in self.derivatives)
+        return min((lo for lo, hi in bounds
+                    if lo == hi and lo < level and level + lo <= vlo),
+                   default=None)
 
     def credit(self, counts, level, v):
         if v is not INF:
@@ -574,10 +603,11 @@ class _BoxWalk:
                 self.credit(self.upper_counts, level, vlo)
                 self.boxes_true += weight
                 return
-            if 1 <= level <= vlo and self.smooth(forms):
-                # Hensel: f/pi^level carries the box's normalised measure
-                # onto the Haar measure of O
-                self.credit(self.hensel_counts, level, level)
+            delta = self.hensel_delta(forms, level, vlo)
+            if delta is not None:
+                # Hensel: f/pi^(level + delta) carries the box's
+                # normalised measure onto the Haar measure of O
+                self.credit(self.hensel_counts, level, level + delta)
                 self.boxes_true += weight
                 self.boxes_hensel += weight
                 return

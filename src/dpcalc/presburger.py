@@ -41,9 +41,6 @@ class AffineForm:
     def constant(cls, c):
         return cls((), int(c))
 
-    def as_dict(self):
-        return dict(self.coeffs)
-
     def coeff(self, name):
         return dict(self.coeffs).get(name, 0)
 

@@ -4,9 +4,10 @@ integrals over the valuation ring."""
 import itertools
 import os
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
@@ -328,9 +329,9 @@ def test_compiled_integrand_edge_cases(term, spec, a, x, y):
 # exact brackets recorded from the LFElem-per-box walk that preceded the
 # compiled integrand; (lower, upper, boxes_total, boxes_true,
 # boxes_undecided), the same in both characteristics.  The simple roots
-# of linear_triple are settled by Hensel's lemma at level 1, which makes
-# its value exact; the bracket recorded before that stays as an outer
-# bound in _OUTER.
+# of linear_triple and of the cube are settled by Hensel's lemma, which
+# makes their values exact; the brackets recorded before that stay as
+# outer bounds in _OUTER.
 _PINNED = {
     ("linear_triple", 5): ("1/2", "1/2", 15625, 15625, 0),
     ("linear_triple", 7): ("5/8", "5/8", 117649, 117649, 0),
@@ -340,16 +341,17 @@ _PINNED = {
     ("linear_m3", 7): ("478953078451416036/558545864083284007",
                        "164280905908835700349/191581231380566414401",
                        117649, 117648, 1),
-    ("cube", 5): ("24454752604/30517578125", "122273763021/152587890625",
-                  78125, 78124, 1),
-    ("cube", 7): ("4070574266308/4747561509943",
-                  "28494019864159/33232930569601", 823543, 823540, 3),
+    ("cube", 5): ("601/750", "601/750", 78125, 78125, 0),
+    ("cube", 7): ("16469/19208", "16469/19208", 823543, 823543, 0),
 }
 
 _OUTER = {
     ("linear_triple", 5): ("24414062/48828125", "122070313/244140625"),
     ("linear_triple", 7): ("1235829214/1977326743",
                            "8650804501/13841287201"),
+    ("cube", 5): ("24454752604/30517578125", "122273763021/152587890625"),
+    ("cube", 7): ("4070574266308/4747561509943",
+                  "28494019864159/33232930569601"),
 }
 
 
@@ -359,6 +361,31 @@ def _linear_triple_value(p):
     where |z - r| alone varies: each of those classes gives
     p^-1 * p^-1 * (1 - p^-1)/(1 - p^-2) = 1/(p(p + 1))."""
     return F(p - 3, p) + 3 * F(1, p * (p + 1))
+
+
+def _cube_roots_of_one(p):
+    return sum(1 for u in range(1, p) if pow(u, 3, p) == 1)
+
+
+def _cube_value(p):
+    """The integral of |y^3 - pi^3| over O for p != 3: 1 - p^-1 from the
+    units and p^-2 * p^-3 from ord y >= 2.  On ord y = 1, y = pi*u with
+    |y^3 - pi^3| = p^-3 |u^3 - 1|, a unit except on the classes of the r
+    cube roots of 1 mod p, simple roots that each give 1/(p(p + 1)) as in
+    _linear_triple_value."""
+    r = _cube_roots_of_one(p)
+    return (F(p - 1, p) + F(1, p ** 5)
+            + F(1, p ** 4) * (F(p - 1 - r, p) + r * F(1, p * (p + 1))))
+
+
+# the closed form of each exact pin, and the number of Hensel boxes with
+# the level they settle at
+_EXACT = {
+    # the three roots, at level 1 where z - r has valuation 1
+    "linear_triple": (_linear_triple_value, lambda p: 3, 1),
+    # the roots y = zeta*pi, where 3y^2 has valuation 2: at level 3
+    "cube": (_cube_value, _cube_roots_of_one, 3),
+}
 
 
 _PINNED_CASES = {
@@ -386,9 +413,10 @@ def test_pinned_brackets(name, p, make):
     if (name, p) in _OUTER:
         outer_lower, outer_upper = _OUTER[name, p]
         assert F(outer_lower) <= iv.lower == iv.upper <= F(outer_upper)
-        assert iv.lower == _linear_triple_value(p)
-        # the three root classes at level 1, each of p^(precision - 1)
-        assert iv.boxes_hensel == 3 * p ** (precision - 1)
+        value, roots, level = _EXACT[name]
+        assert iv.lower == value(p)
+        # one box per root class, each of p^(precision - level)
+        assert iv.boxes_hensel == roots(p) * p ** (precision - level)
     else:
         assert iv.boxes_hensel == 0
 
@@ -448,6 +476,78 @@ def test_walk_refines_reference_walk(m, make, p, e, data):
         assert (iv.lower, iv.upper) == (lower, upper)
 
 
+def _cluster_text(names, data):
+    """(x - a*t^i)(x - b*t^j)(1 + t*g) with g a `_poly_text` polynomial:
+    two roots in tO whose difference has valuation >= 1, so that the
+    x-derivative has that valuation at each root, times a unit."""
+    pair = data.draw(st.lists(st.tuples(st.integers(-3, 3),
+                                        st.integers(1, 2)),
+                              min_size=2, max_size=2))
+    return "%s * (1 + t*%s)" % (
+        " * ".join("(%s - (%d)*t^%d)" % (names[0], c, i) for c, i in pair),
+        _poly_text(names, data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([1, 2]), make=st.sampled_from([lf.qp, lf.fpt]),
+       e=st.integers(1, 2), data=st.data())
+def test_deep_hensel_boxes_match_a_deeper_reference(m, make, e, data):
+    """Boxes settled where the derivative has valuation delta >= 1: the
+    bracket lies inside the reference walk's at the same precision, and
+    when exact, inside the reference walk's at precision + 2 as well,
+    which a wrong closed form would leave."""
+    names = ["x", "y"][:m]
+    # keep the nominal box count of the deeper reference walk small
+    p = data.draw(st.sampled_from([q for q in (2, 3, 5, 7)
+                                   if q ** (4 * m) <= 20000]))
+    top = max(n for n in range(2, 6) if p ** ((n + 2) * m) <= 20000)
+    precision = data.draw(st.integers(2, top))
+    integrand = IntegrandSpec.abs_power(_cluster_text(names, data), e)
+    domain = "vf %s; %s" % (", ".join(names),
+                            data.draw(st.sampled_from(_DOMAINS[m])))
+    deltas = []
+    settle = oracle_module._BoxWalk.hensel_delta
+
+    def spy(walk, forms, level, vlo):
+        deltas.append(settle(walk, forms, level, vlo))
+        return deltas[-1]
+    with mock.patch.object(oracle_module._BoxWalk, "hensel_delta", spy):
+        iv = integrate(integrand, domain, make(p, precision))
+    assume(any(deltas))  # a delta of 0, or None, is falsy
+    lower, upper = reference.integrate(integrand, domain,
+                                       make(p, precision))
+    assert lower <= iv.lower <= iv.upper <= upper
+    lower, upper = reference.integrate(integrand, domain,
+                                       make(p, precision + 2))
+    if iv.lower == iv.upper:
+        assert lower <= iv.lower <= upper
+    else:
+        assert iv.lower <= upper and lower <= iv.upper
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+@pytest.mark.parametrize("p", [2, 5, 7, 13])
+def test_hensel_settles_past_the_derivative_valuation(p, make):
+    """At the roots y = zeta*pi of y^3 - pi^3 the derivative 3y^2 has
+    valuation 2: a box settles at level 3, never at level 2, where the
+    quadratic Taylor term is as large as the linear one."""
+    iv = integrate(IntegrandSpec.abs_power("y^3 - t^3"), "vf y; ord(y) >= 0",
+                   make(p, 7))
+    assert iv.boxes_hensel == _cube_roots_of_one(p) * p ** (7 - 3)
+    assert iv.lower == iv.upper == _cube_value(p)
+
+
+def test_hensel_needs_ord_f_past_the_derivative_valuation():
+    # on x = 2y, (x + 1)^2 + 3 = 4(y^2 + y + 1) has ord 2, which the
+    # truncated square knows only from level 3; at level 2 the derivative
+    # 2(x + 1) has valuation 1 but ord f >= 2 alone falls short of
+    # level + 1, so that box is no Hensel box: 1/2 from odd x, 1/8 here
+    iv = integrate(IntegrandSpec.abs_power("(x + 1)^2 + 3"),
+                   "vf x; ord(x) >= 0", lf.qp(2, 4))
+    assert iv.boxes_hensel == 0
+    assert iv.lower == iv.upper == F(5, 8)
+
+
 def test_settled_boxes_skip_the_interpreter(monkeypatch):
     """Children of a TRUE box inherit it; the unit integrand |z - 1| is
     closed by Hensel at level 1 on the class of its root."""
@@ -496,6 +596,9 @@ def test_hensel_needs_an_integral_polynomial():
 
 def _atom_text(names, data):
     term = _poly_text(names, data)
+    if not any("%s^" % n in term for n in names):
+        # a constant alone does not say which sort a comparison is over
+        term = "%s + %s" % (term, data.draw(st.sampled_from(names)))
     kind = data.draw(st.sampled_from(["ord>=", "ord==", "ac", "zero"]))
     if kind == "ord>=":
         return "ord(%s) >= %d" % (term, data.draw(st.integers(0, 3)))
