@@ -348,6 +348,8 @@ class _CompiledIntegrand:
         # whether every folded subterm is exact and integral, so that the
         # term is a polynomial over the valuation ring in the box variables
         self.integral = True
+        # ids of the subterms that mention a box variable; `term` keeps
+        # them alive while it is compiled
         self.boxed = set()
         self._mark(term)
         root = self._compile(term)
