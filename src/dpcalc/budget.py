@@ -1,10 +1,10 @@
 """The one budget on exhaustive enumerations.
 
-Oracle residue boxes, grid points and F_q point counts are all checked
-against the same limit: an explicit `budget` argument when given, else
-the integer in the environment variable named by ENV, else DEFAULT.  The
-nominal size of an enumeration is a power base^exponent; it is compared
-with the limit without building a power much larger than the limit.
+Oracle residue boxes and F_q point counts are both checked against the
+same limit: an explicit `budget` argument when given, else the integer in
+the environment variable named by ENV, else DEFAULT.  The nominal size
+of an enumeration is a power base^exponent; it is compared with the limit
+without building a power much larger than the limit.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from .localfield import fpt, is_prime, qp
 from .motivic import (bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
                       specialize)
-from .motivic import appendix2_symbolic, appendix2_volume
+from .motivic import appendix2_symbolic, appendix2_volume, nonsquares
 from .oracle import IntegrandSpec, fraction_str
 from .oracle import integrate as oracle_integrate
 from .symring import SymA
@@ -118,8 +118,15 @@ def _read_dp(path):
 def _load_cells_path(path):
     try:
         return load_cells(path)
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed cell data in %s: %s" % (path, e))
+
+
+def _integer(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError("%s %r is not an integer" % (what, text)) from None
 
 
 def _parse_primes(text):
@@ -128,10 +135,7 @@ def _parse_primes(text):
         piece = piece.strip()
         if not piece:
             continue
-        try:
-            p = int(piece)
-        except ValueError:
-            raise ParseError("prime %r is not an integer" % piece) from None
+        p = _integer(piece, "prime")
         if not is_prime(p):
             raise InvalidPrime("%d is not a prime" % p)
         out.append(p)
@@ -151,11 +155,7 @@ def _parse_param_list(pieces):
                 continue
             if "=" in piece:
                 name, _, value = piece.partition("=")
-                try:
-                    numeric[name.strip()] = int(value)
-                except ValueError:
-                    raise ParseError("parameter value %r is not an integer"
-                                     % value)
+                numeric[name.strip()] = _integer(value, "parameter value")
             elif ":" in piece:
                 name, _, token = piece.partition(":")
                 tokens[name.strip()] = token.strip()
@@ -229,7 +229,7 @@ def _eval_monomial(text, env):
     values, so the result is always a single monomial (coeff, exponent)."""
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as e:
+    except (AttributeError, SyntaxError, ValueError) as e:
         raise ParseError("bad arithmetic in %r: %s" % (text, e))
 
     def ev(node):
@@ -281,8 +281,9 @@ def _vf_value(spec, coeff, exp):
 
 def _integrand_from(directives):
     if "integrand" in directives:
-        return IntegrandSpec.abs_power(directives["integrand"],
-                                       int(directives.get("exponent", "1")))
+        return IntegrandSpec.abs_power(
+            directives["integrand"],
+            _integer(directives.get("exponent", "1"), "exponent"))
     return IntegrandSpec.one()
 
 
@@ -412,7 +413,8 @@ def _compare_formula(cfg):
     if "linear-product" in directives:
         centers, mults = _parse_linear_product(directives["linear-product"])
         result = integrate_linear_product(
-            centers, mults, int(directives.get("exponent", "1")))
+            centers, mults,
+            _integer(directives.get("exponent", "1"), "exponent"))
         value = result.as_syma()
         skipped = result.bad_primes
     elif "expect" in directives:
@@ -449,23 +451,26 @@ def _compare_cells(cfg):
         raise UnsupportedFeature(
             "%s has no oracle block, so there is nothing to compare against"
             % cfg.path)
-    phi = parse(block["domain"])
-    spec_f = block.get("integrand") or {}
-    if spec_f:
-        integrand = IntegrandSpec.abs_power(spec_f["f"],
-                                            int(spec_f.get("e", 1)))
-    else:
-        integrand = IntegrandSpec.one()
-    cases = block.get("cases") or [{}]
+    try:
+        phi = parse(block["domain"])
+        spec_f = block.get("integrand") or {}
+        if spec_f:
+            integrand = IntegrandSpec.abs_power(spec_f["f"],
+                                                int(spec_f.get("e", 1)))
+        else:
+            integrand = IntegrandSpec.one()
+        cases = [({k: int(v) for k, v in (case.get("params") or {}).items()},
+                  int(case.get("precision", cfg.precision)),
+                  dict(case.get("vf") or {}))
+                 for case in block.get("cases") or [{}]]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ParseError("malformed oracle block in %s: %s"
+                         % (cfg.path, e)) from None
 
     rf_params = {n for n, s in data.parameters if s is Sort.RF}
     all_rows = []
     all_failing = []
-    for case in cases:
-        params = {k: int(v) for k, v in (case.get("params") or {}).items()}
-        precision = int(case.get("precision", cfg.precision))
-        binds = case.get("vf") or {}
-
+    for params, precision, binds in cases:
         def degenerate_at(p):
             """Residue-class parameters name unit residues; a value that
             vanishes mod p does not define one there."""
@@ -529,17 +534,13 @@ def cmd_compare(cfg):
 # appendix2
 
 
-def _nonsquares(q):
-    return [n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1]
-
-
 def cmd_appendix2(cfg):
     symbolic = appendix2_symbolic()
     rows = []
     failing = []
     for q in cfg.primes:
         expected = q * (q - 1) * (q + 1) // 2
-        for eta in _nonsquares(q):
+        for eta in nonsquares(q):
             for variant in ("b2_minus_d2", "d2_minus_b2"):
                 vol = appendix2_volume("per_eta", q, eta=eta,
                                        variant=variant, budget=cfg.budget)

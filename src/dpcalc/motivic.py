@@ -1123,11 +1123,10 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
 # the split-torus volume worked end to end
 
 
-def _smallest_nonsquare(q):
-    for n in range(2, q):
-        if pow(n, (q - 1) // 2, q) == q - 1:
-            return n
-    raise InvalidPrime("no non-square residue mod %r" % (q,))
+def nonsquares(q):
+    """The non-squares mod an odd prime q, smallest first and lazily, so
+    a q over the point-count budget stops at its first count."""
+    return (n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
 
 
 def appendix2_steps():
@@ -1193,7 +1192,7 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
 
     if eta_mode == "per_eta":
         if eta is None:
-            eta = _smallest_nonsquare(q)
+            eta = next(nonsquares(q))
         eta = int(eta) % q
         if eta == 0 or pow(eta, (q - 1) // 2, q) != q - 1:
             raise ValueError("%d is not a non-square mod %d" % (eta, q))

@@ -138,6 +138,20 @@ def test_criterion_04_split_torus_counts():
     assert time.monotonic() - start < 60
 
 
+def test_criterion_04_twist_locus_in_the_local_field(fx):
+    """The valued-field locus of appendix 2, with its unit determinant
+    read mod ϖ as ord(a*d - b*c - 1) >= 1: 5^4 * vol solutions mod 5 over
+    a 3-dimensional set, so 5 * vol is q(q-1)(q+1)/2 / q^3 at q = 5."""
+    with open(fx("appendix2_vf.dp")) as fh:
+        text = fh.read()
+    assert "a*d - b*c == 1" in text
+    text = text.replace("a*d - b*c == 1", "ord(a*d - b*c - 1) >= 1")
+    for spec in (lf.qp(5, 1), lf.fpt(5, 1)):
+        v = volume(text, spec, assignment={"eta": 2})
+        assert v.lower == v.upper
+        assert 5 * v.lower == F(12, 25)
+
+
 # --- 5. stabilized solution counts -------------------------------------------
 
 def test_criterion_05_stabilized_counts():

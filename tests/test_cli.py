@@ -1,11 +1,16 @@
 """Command-line behaviour: payload shapes and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpcalc import cli
 from dpcalc.symring import SymA
@@ -342,6 +347,47 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("name, old, new, argv", [
+    ("cube.cells.json", '"e": 1', '"e": 0', ["compare"]),
+    ("cube.cells.json", '"e": 1', '"e": "x"', ["compare"]),
+    ("cube.cells.json", '"domain": "vf x, y; ord(y) >= 0"', '"domain": 7',
+     ["compare"]),
+    ("cube.cells.json", '"cases": [', '"cases": [7, ', ["compare"]),
+    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}', '"vf": {"x": 5}',
+     ["compare"]),
+    ("cube.cells.json", '"bad_primes": {\n    "3": "the cube map degenerates'
+     ' on units in characteristic 3"\n  }', '"bad_primes": [3]',
+     ["integrate"]),
+    ("linear_m1.dp", "#! integrand", "#! exponent: x\n#! integrand",
+     ["compare"]),
+    ("linear_m1.dp", "#! integrand", "#! exponent: 0\n#! integrand",
+     ["oracle", "--prime", "5"]),
+], ids=["integrand-exponent-0", "integrand-exponent-x", "domain-not-text",
+        "case-not-object", "bind-not-text", "bad-primes-not-object",
+        "exponent-directive-x", "exponent-directive-0"])
+def test_malformed_input_files_exit_2(run_cli, fx, tmp_path, name, old, new,
+                                      argv):
+    with open(fx(name)) as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1))
+    rc, out, err = run_cli(argv[0], path, *argv[1:])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("dpcalc: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_appendix2_huge_prime_stops_at_the_budget(run_cli):
+    start = time.monotonic()
+    rc, out, err = run_cli("appendix2", "--primes", "99999999977",
+                           "--budget", "10000")
+    assert rc == 5
+    assert "exceed the budget of 10000" in err
+    assert time.monotonic() - start < 5
+
+
 def test_integrate_negative_first_center(run_cli):
     rc, out, err = run_cli("integrate", "--linear-product", "-3:2")
     assert (rc, err) == (0, "")
@@ -386,3 +432,104 @@ def test_internal_error_exits_1(run_cli, fx, monkeypatch):
     with pytest.raises(RuntimeError):
         run_cli("parse", fx("ball.dp"), "--debug")
 
+
+
+# --- fuzzing: every input ends in a result or one documented message ---
+
+_FIXTURE_NAMES = sorted(os.listdir(os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures")))
+_PRIMES = st.sampled_from(["2", "3", "5", "2,3", "7,11", "5,5", "4", "0",
+                           "-3", "x", "", "3,,5", "99999999977"])
+_PRECISION = st.integers(-1, 4).map(str)
+_BUDGET = ["--budget", "10000"]
+_PARAMS = st.lists(st.sampled_from(["k=1", "k=0", "k=-1", "k=x", "acx:cube",
+                                    "acx:0", "acx=1", "=1", "k:1", "",
+                                    "k=1,acx:cube", "n=2"]), max_size=2)
+_LINEAR = st.one_of(
+    st.sampled_from(["0:1", "-3:2", "1/2:1,3:2", "1/0:1", "x:1", "0:0",
+                     "0:-1", "", "1:1:1", ",", "0:1,0:1"]),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=1,
+             max_size=3).map(lambda cs: ",".join("%d:%d" % c for c in cs)))
+
+
+def _argv_for(draw, path):
+    """A command line over `path`, chosen by the file's kind."""
+    if path.endswith(".json"):
+        command = draw(st.sampled_from(["parse", "integrate", "compare"]))
+    else:
+        command = draw(st.sampled_from(["parse", "compare", "oracle"]))
+    if command == "parse":
+        return ["parse", path, "--emit", draw(st.sampled_from(
+            ["json", "pretty", "xml"]))]
+    if command == "integrate":
+        argv = ["integrate", path]
+        for param in draw(_PARAMS):
+            argv += ["--param", param]
+        return argv
+    if command == "compare":
+        argv = ["compare", path, "--primes", draw(_PRIMES), "--precision",
+                draw(_PRECISION)] + _BUDGET
+        if draw(st.booleans()):
+            argv.append("--both-characteristics")
+        return argv
+    return ["oracle", path, "--prime", draw(st.sampled_from(
+        ["2", "3", "5", "4", "-5", "x"])), "--precision", draw(_PRECISION),
+            "--field", draw(st.sampled_from(["qp", "fpt"]))] + _BUDGET
+
+
+@st.composite
+def _command_lines(draw, scratch):
+    kind = draw(st.sampled_from(["fixture", "mutated", "linear",
+                                 "appendix2", "junk"]))
+    if kind == "linear":
+        return ["integrate", "--linear-product", draw(_LINEAR),
+                "--exponent", str(draw(st.integers(-1, 3)))]
+    if kind == "appendix2":
+        return ["appendix2", "--primes", draw(_PRIMES)] + _BUDGET
+    if kind == "junk":
+        return draw(st.lists(st.sampled_from(
+            ["parse", "compare", "oracle", "--primes", "--prime", "5",
+             "--budget", "-1", "--param", "k=1", "ball.dp",
+             "--linear-product", "0:1", "--emit"]), max_size=5)) \
+            + _BUDGET
+    name = draw(st.sampled_from(_FIXTURE_NAMES))
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures",
+                        name)
+    if kind == "mutated":
+        with open(path) as fh:
+            text = fh.read()
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(list("0123456789 ()+-*^=<>!&|;:,.#\n"
+                                         "abkxz{}[]\"\\")))
+        path = str(scratch / name)
+        with open(path, "w") as fh:
+            fh.write(text[:at] + char + text[at + 1:])
+    return _argv_for(draw, path)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:  # argparse's own usage errors
+            rc = e.code
+    return rc, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_command_lines_end_in_one_message(fuzz_dir, data):
+    argv = data.draw(_command_lines(fuzz_dir))
+    rc, err = _run_in_process(argv)
+    assert rc in (0, 2, 3, 4, 5), (rc, err)
+    assert "Traceback" not in err
+    if rc:
+        assert err.endswith("\n")
+        # argparse prefixes its message with the subcommand
+        assert re.match(r"dpcalc( \w+)?: \S", err.splitlines()[-1]), err

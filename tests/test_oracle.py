@@ -3,6 +3,7 @@ integrals over the valuation ring."""
 
 import itertools
 import os
+import sys
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
 import oracle_reference as reference
-from dpcalc.errors import BudgetExceeded, UnboundVariable, UnsupportedFeature
+from dpcalc.errors import (BadPrime, BudgetExceeded, UnboundVariable,
+                           UnsupportedFeature)
 from dpcalc.formula import (Truth3, VfAdd, VfConst, VfMul, VfNeg, VfPow,
                             VfSub, VfUnif, VfVar, eval_vf_term, interpret,
                             parse)
@@ -149,6 +151,106 @@ def test_nodal_curve_does_not_stabilize():
 
 def test_polynomial_system():
     assert serre_oesterle_count(["x - y", "x*x - 1"], 0, lf.qp(5, 3), 2) == 2
+
+
+@pytest.mark.parametrize("system, d", [("x*x + y*y - 1", 1), ("x*y", 1),
+                                       (["x - y", "x*x - 1"], 0)])
+def test_counts_agree_across_characteristics(system, d):
+    for N in (1, 2, 3):
+        assert serre_oesterle_count(system, d, lf.fpt(5, 3), N) \
+            == serre_oesterle_count(system, d, lf.qp(5, 3), N)
+
+
+def test_counter_runs_without_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert serre_oesterle_count("x*x + y*y - 1", 1, lf.qp(5, 3), 2) == F(4, 5)
+
+
+def test_counter_errors():
+    q5 = lf.qp(5, 3)
+    with pytest.raises(BudgetExceeded, match="residue boxes"):
+        serre_oesterle_count("x*y", 1, q5, 2, budget=10)
+    with pytest.raises(BadPrime):
+        serre_oesterle_count(VfMul(VfConst(F(1, 5)), VfVar("x")), 0, q5, 1)
+    with pytest.raises(ValueError):
+        serre_oesterle_count([], 0, q5, 1)
+    with pytest.raises(UnsupportedFeature):
+        serre_oesterle_count("1 + 1", 0, q5, 1)
+
+
+def _brute_count(system, names, p, N, char_p):
+    """#x in (O/ϖ^N)^m on which every polynomial of the system vanishes,
+    O/ϖ^N being Z/p^N, or F_p[t]/t^N in characteristic p; a polynomial
+    is a list of (coefficient, exponent per name)."""
+    if char_p:
+        ring = list(itertools.product(range(p), repeat=N))
+        zero = (0,) * N
+
+        def const(c):
+            return (c.numerator * pow(c.denominator, -1, p) % p,) + zero[1:]
+
+        def add(a, b):
+            return tuple((x + y) % p for x, y in zip(a, b))
+
+        def mul(a, b):
+            return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % p
+                         for k in range(N))
+    else:
+        M = p ** N
+        ring = range(M)
+        zero = 0
+
+        def const(c):
+            return c.numerator * pow(c.denominator, -1, M) % M
+
+        def add(a, b):
+            return (a + b) % M
+
+        def mul(a, b):
+            return a * b % M
+    count = 0
+    for x in itertools.product(ring, repeat=len(names)):
+        for poly in system:
+            acc = zero
+            for c, exps in poly:
+                term = const(c)
+                for xi, e in zip(x, exps):
+                    for _ in range(e):
+                        term = mul(term, xi)
+                acc = add(acc, term)
+            if acc != zero:
+                break
+        else:
+            count += 1
+    return count
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5]), N=st.integers(1, 2),
+       m=st.integers(1, 2), d=st.integers(0, 2), char_p=st.booleans())
+def test_counter_matches_brute_force(data, p, N, m, d, char_p):
+    """The counter equals a flat count over (O/ϖ^N)^m for random
+    polynomials with coefficients integral at p."""
+    names = ["x", "y"][:m]
+    denominators = [b for b in (1, 2, 3, 7) if b % p]
+    coefficient = st.builds(F, st.integers(-6, 6),
+                            st.sampled_from(denominators))
+    monomial = st.tuples(coefficient,
+                         st.tuples(*[st.integers(0, 3)] * m))
+    system = data.draw(st.lists(st.lists(monomial, min_size=1, max_size=3),
+                                min_size=1, max_size=2))
+    terms = []
+    for poly in system:
+        term = None
+        for c, exps in poly:
+            mono = VfConst(c)
+            for name, e in zip(names, exps):
+                mono = VfMul(mono, VfPow(VfVar(name), e))
+            term = mono if term is None else VfAdd(term, mono)
+        terms.append(term)
+    spec = (lf.fpt if char_p else lf.qp)(p, N)
+    assert serre_oesterle_count(terms, d, spec, N) \
+        == F(_brute_count(system, names, p, N, char_p), p ** (N * d))
 
 
 # --- change of variables ---
