@@ -53,6 +53,7 @@ from .motivic import (bind_parameters, integrate_cell_data,
 from .motivic import appendix2_symbolic, appendix2_volume, nonsquares
 from .oracle import IntegrandSpec, fraction_str
 from .oracle import integrate as oracle_integrate
+from .oracle import volume as oracle_volume
 from .symring import SymA
 
 
@@ -534,6 +535,40 @@ def cmd_compare(cfg):
 # appendix2
 
 
+# the valued-field locus of fixtures/appendix2_vf.dp with its unit
+# determinant read mod the uniformizer: q * vol = #points mod q / q^3
+APPENDIX2_VF_LOCUS = """vf a, b, c, d; rf eta;
+ord(a*d - b*c - 1) >= 1
+&& ord(a) >= 0 && ord(b) >= 0 && ord(c) >= 0 && ord(d) >= 0
+&& (exists s:rf.
+      (ord(b) == 0 && ord(d) == 0 && ac(b)^2 - ac(d)^2 * eta == s^2)
+   || (ord(b) == 0 && ord(d) >= 1 && ac(b)^2 == s^2)
+   || (ord(b) >= 1 && ord(d) == 0 && 0 - ac(d)^2 * eta == s^2)
+   || (ord(b) >= 1 && ord(d) >= 1 && 0 == s^2))"""
+
+
+def _appendix2_vf_rows(primes, budget):
+    """The locus volume at N = 1 in both characteristics, one row per
+    prime and field, for the smallest nonsquare eta; a prime with no
+    nonsquare, 2, has no row, as it has no per-eta count."""
+    locus = parse(APPENDIX2_VF_LOCUS)
+    rows = []
+    for q in primes:
+        eta = next(nonsquares(q), None)
+        if eta is None:
+            continue
+        expected = Fraction((q - 1) * (q + 1), 2 * q * q)
+        for field, make in (("qp", qp), ("fpt", fpt)):
+            iv = oracle_volume(locus, make(q, 1), assignment={"eta": eta},
+                               budget=budget)
+            rows.append({"q": q, "field": field, "N": 1, "eta": eta,
+                         "value": fraction_str(q * iv.lower),
+                         "expected": fraction_str(expected),
+                         "ok": iv.lower == iv.upper
+                         and q * iv.lower == expected})
+    return rows
+
+
 def cmd_appendix2(cfg):
     symbolic = appendix2_symbolic()
     rows = []
@@ -550,16 +585,20 @@ def cmd_appendix2(cfg):
                              "count": int(count), "expected": expected,
                              "ok": ok})
                 if not ok:
-                    failing.append((q, eta, variant))
+                    failing.append("q=%d eta=%d (%s)" % (q, eta, variant))
+    vf_rows = _appendix2_vf_rows(cfg.primes, cfg.budget)
+    failing += ["q=%d (%s locus)" % (r["q"], r["field"])
+                for r in vf_rows if not r["ok"]]
     _emit(cfg, {
         "symbolic": symbolic.render(),
         "count_formula": "q*(q-1)*(q+1)/2",
         "rows": rows,
+        "vf_formula": "(q-1)*(q+1)/(2*q^2)",
+        "vf_rows": vf_rows,
         "ok": not failing,
     })
     if failing:
-        _say("count mismatch at %s"
-             % ", ".join("q=%d eta=%d (%s)" % f for f in failing))
+        _say("count mismatch at %s" % ", ".join(failing))
         return 4
     return 0
 

@@ -126,6 +126,52 @@ def _zi_scale(k, A):
     return (_ext_scale(k, A[1]), _ext_scale(k, A[0]))
 
 
+# value-group atoms over intervals (lower, upper) with +-inf ends; the
+# oracle's compiled box classifier calls these too
+
+def zz_le(A, B):
+    if _ext_le(A[1], B[0]):
+        return _T
+    if _ext_lt(B[1], A[0]):
+        return _F
+    return _U
+
+
+def zz_lt(A, B):
+    if _ext_lt(A[1], B[0]):
+        return _T
+    if _ext_le(B[1], A[0]):
+        return _F
+    return _U
+
+
+def zz_eq(A, B):
+    if A == B and A[0] == A[1]:
+        return _T
+    if _ext_lt(A[1], B[0]) or _ext_lt(B[1], A[0]):
+        return _F
+    return _U
+
+
+def zz_cong(A, B, modulus):
+    D = _zi_add(A, _zi_neg(B))
+    if D == _PINF_POINT or D == _NINF_POINT:
+        # no finite difference exists, so the congruence fails
+        return _F
+    lo, hi = D
+    if lo is NINF or hi is INF:
+        return _U
+    hits = [v % modulus == 0 for v in range(lo, hi + 1)]
+    if all(hits):
+        return _T
+    if not any(hits):
+        return _F
+    return _U
+
+
+_ZZ_ATOMS = {ZzLe: zz_le, ZzLt: zz_lt, ZzEq: zz_eq}
+
+
 class _Evaluator:
     def __init__(self, spec, vf_witness_depth=None):
         self.spec = spec
@@ -240,45 +286,12 @@ class _Evaluator:
             if isinstance(n, RfEq):
                 return _T if same else _F
             return _F if same else _T
-        if isinstance(n, ZzLe):
-            A = self.zz(n.left, env)
-            B = self.zz(n.right, env)
-            if _ext_le(A[1], B[0]):
-                return _T
-            if _ext_lt(B[1], A[0]):
-                return _F
-            return _U
-        if isinstance(n, ZzLt):
-            A = self.zz(n.left, env)
-            B = self.zz(n.right, env)
-            if _ext_lt(A[1], B[0]):
-                return _T
-            if _ext_le(B[1], A[0]):
-                return _F
-            return _U
-        if isinstance(n, ZzEq):
-            A = self.zz(n.left, env)
-            B = self.zz(n.right, env)
-            if A == B and A[0] == A[1]:
-                return _T
-            if _ext_lt(A[1], B[0]) or _ext_lt(B[1], A[0]):
-                return _F
-            return _U
         if isinstance(n, ZzCong):
-            D = _zi_add(self.zz(n.left, env),
-                        _zi_neg(self.zz(n.right, env)))
-            if D == _PINF_POINT or D == _NINF_POINT:
-                # no finite difference exists, so the congruence fails
-                return _F
-            lo, hi = D
-            if lo is NINF or hi is INF:
-                return _U
-            hits = [v % n.modulus == 0 for v in range(lo, hi + 1)]
-            if all(hits):
-                return _T
-            if not any(hits):
-                return _F
-            return _U
+            return zz_cong(self.zz(n.left, env), self.zz(n.right, env),
+                           n.modulus)
+        if isinstance(n, (ZzLe, ZzLt, ZzEq)):
+            return _ZZ_ATOMS[type(n)](self.zz(n.left, env),
+                                      self.zz(n.right, env))
         raise AssertionError(n)
 
     # connectives and quantifiers
@@ -374,18 +387,11 @@ def _syntactic_zz_bounds(body, var):
     return lo, hi
 
 
-def interpret(phi, spec, assignment, vf_witness_depth=None):
-    """Evaluate a formula at an assignment of its free variables.
-
-    VF values may be LFElem (matching spec), int, or Fraction; RF values are
-    integers mod p; ZZ values are integers or the infinity constant.
-    Returns Truth3; finite precision surfaces as UNDECIDED, never as a
-    wrong answer.
-    """
-    expr = phi.expr if isinstance(phi, Formula) else phi
-    free = dict(phi.free) if isinstance(phi, Formula) else free_vars(expr)
+def bind_assignment(free, spec, assignment):
+    """The values `interpret` evaluates with: for each (name, sort) in
+    free, an LFElem of spec, a residue mod p, or an integer or INF."""
     env = {}
-    for name, sort in free.items():
+    for name, sort in free:
         if name not in assignment:
             raise UnboundVariable("no value for %r" % name)
         v = assignment[name]
@@ -401,6 +407,20 @@ def interpret(phi, spec, assignment, vf_witness_depth=None):
             env[name] = int(v) % spec.prime
         else:
             env[name] = v if v is INF else int(v)
+    return env
+
+
+def interpret(phi, spec, assignment, vf_witness_depth=None):
+    """Evaluate a formula at an assignment of its free variables.
+
+    VF values may be LFElem (matching spec), int, or Fraction; RF values are
+    integers mod p; ZZ values are integers or the infinity constant.
+    Returns Truth3; finite precision surfaces as UNDECIDED, never as a
+    wrong answer.
+    """
+    expr = phi.expr if isinstance(phi, Formula) else phi
+    free = dict(phi.free) if isinstance(phi, Formula) else free_vars(expr)
+    env = bind_assignment(free.items(), spec, assignment)
     return _Evaluator(spec, vf_witness_depth).truth(expr, env)
 
 

@@ -59,18 +59,46 @@ class _Infinity:
 INF = _Infinity()
 
 
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Whether the integer n is a rational prime, by trial division by
+    the bases and then a deterministic Miller-Rabin test.  An n at or
+    above 3.3e24 that no base divides raises InvalidArgument: the bases
+    no longer decide there."""
     if not isinstance(n, int) or n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if b * b > n:
+            # no prime up to the square root of n divides it
+            return True
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        # a composite this small has a prime factor up to 41
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= _MR_LIMIT:
+        raise InvalidArgument(
+            "primality of %d is not decided (it must be below %d)"
+            % (n, _MR_LIMIT))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -205,10 +233,12 @@ class Fpt:
             while den[0] == 0:
                 den.pop(0)
                 shift -= 1
-            g = _poly_gcd(num, den, p)
-            if len(g) > 1:
-                num = _poly_divmod(num, g, p)[0]
-                den = _poly_divmod(den, g, p)[0]
+            # a constant denominator has no factor in common with num
+            if len(den) > 1:
+                g = _poly_gcd(num, den, p)
+                if len(g) > 1:
+                    num = _poly_divmod(num, g, p)[0]
+                    den = _poly_divmod(den, g, p)[0]
             c = pow(den[0], -1, p)
             num = _poly_scale(num, c, p)
             den = _poly_scale(den, c, p)

@@ -1,25 +1,31 @@
 """Numeric ground truth by exhaustive residue-box enumeration.
 
 Volumes and integrals over the valuation ring come back as exact rational
-intervals: a box mod ϖ^N that the three-valued interpreter decides True
+intervals: a box mod ϖ^N that three-valued interpretation decides True
 contributes its measure to both endpoints, a box it cannot decide widens
 only the upper endpoint.  Three-valued truth refines monotonically as
 digits are added, so a subtree can be classified the moment its root box
 decides; the result is identical to flat enumeration of all p^(N*m) boxes,
 which is what the box budget meters.
 
-Domain membership is decided by `interpret` on `from_digits` boxes, but
-only until it is TRUE: the children of a TRUE box inherit it without a
-call, and a FALSE box is pruned.  `interpret` stays the reference for
-every box it is asked about.  The integrand |f|^e is compiled once per
-walk: subterms without a box variable are folded through `eval_vf_term`,
-and the rest runs over plain integers, (valuation, unit mod p^k) in Q_p
-and (valuation, digit tuple) in F_p((t)), copying the precision rules of
-`localfield`'s add, mul and neg digit for digit.  `LFElem` arithmetic
-stays the reference semantics; the tests hold the compiled evaluator to
-it on random terms and boxes.  A box at depth d with integrand valuation
-v contributes p^-(d*m + e*v), so the walk counts boxes per exponent and
-forms each endpoint as one Fraction at the end.
+Each walk runs one classifier that `boxcode.compile_walk` generates from
+its structure (the domain, the integrand f and the partial derivatives
+of f, the box variables and the kind of field) and keeps in a memo of
+code.  On a box given as integer forms, (valuation, unit mod p^k) in Q_p
+and (valuation, digit tuple) in F_p((t)), it returns the three-valued
+membership, the valuation bounds of f and the least Hensel valuation,
+computing each shared subterm once.  It decides everything `interpret`
+decides on the corresponding `from_digits` box; a field- or
+value-group-quantified subformula alone is put to `interpret` on each
+box.  Subterms without a box variable are folded once per walk through
+`eval_vf_term`, so they raise its errors: those of the domain before the
+first box, those of the integrand at the first box that needs it.
+`interpret`, `eval_vf_term` and `LFElem` arithmetic stay the reference
+semantics, and the tests hold the classifier to them on random formulas,
+terms and boxes.  The children of a TRUE box inherit it, and a FALSE box
+is pruned.  A box at depth d with integrand valuation v contributes
+p^-(d*m + e*v), so the walk counts boxes per exponent and forms each
+endpoint as one Fraction at the end.
 
 A TRUE box at level l >= 1 on which f is still undecided is settled by
 Hensel's lemma when f is a polynomial over the valuation ring (every
@@ -33,8 +39,8 @@ alike (Igusa, An Introduction to the Theory of Local Zeta Functions,
 2000, §2-3).  Such a box contributes exactly
 p^-(l*m + e*(l+d)) * (1 - p^-1)/(1 - p^-(1+e)) to both endpoints, with
 d the least valuation that qualifies; the walk counts these boxes per
-exponent in a table of their own.  The derivatives are compiled, like f,
-once per walk and only when a box needs them.
+exponent in a table of their own.  The classifier computes the
+derivatives only on a TRUE box that is still undecided.
 
 Nothing here is symbolic.  The point is an independent check on the
 symbolic engine, plus the classical consistency checks: Jacobian scaling,
@@ -45,18 +51,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .budget import check as check_budget
-from .errors import (BadPrime, InvalidArgument, UnboundVariable,
-                     UnsupportedFeature)
-from .formula import (And, Formula, Node, Sort, Truth3, VfAdd, VfConst,
-                      VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzConst,
-                      ZzLe, ZzOrd, eval_vf_term, free_vars, interpret, parse)
-from .formula.nodes import children, substitute
-from .localfield import INF, FieldKind, LFElem, embed_rational, from_digits
+from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
+                     UnboundVariable, UnsupportedFeature)
+from .formula import (And, Formula, Node, Sort, Truth3, VfConst, VfMul,
+                      VfVar, ZzConst, ZzLe, ZzOrd, eval_vf_term, free_vars,
+                      interpret, parse)
+from .formula.interpret import _PINF_POINT, bind_assignment
+from .formula.nodes import _field_names, substitute
+from .localfield import INF, LFElem, embed_rational, from_digits
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg
 
 
@@ -71,8 +77,8 @@ def fraction_str(x):
 class VolumeInterval:
     """Exact rational bracket [lower, upper] around a measure or integral.
 
-    undecided_mass is the total contribution bound of the boxes the
-    interpreter could not settle, i.e. exactly upper - lower.  Box counters
+    undecided_mass is the total contribution bound of the boxes the walk
+    could not settle, i.e. exactly upper - lower.  Box counters
     are nominal full-depth counts (a subtree classified early counts all
     the boxes it covers).  boxes_true includes boxes_hensel, the boxes
     settled by Hensel's lemma: boxes at level l >= 1 where f is integral,
@@ -83,7 +89,7 @@ class VolumeInterval:
 
     Both endpoints are exact sums of powers p^-(d*m + e*v) over the boxes
     that count, with v the integrand's valuation bound on each box (from
-    the compiled integrand, which agrees with `LFElem` arithmetic); they
+    the compiled classifier, which agrees with `LFElem` arithmetic); they
     are accumulated as integer counts per exponent and reduced once.
     """
 
@@ -171,327 +177,31 @@ def _as_formula(phi):
 
 
 # ---------------------------------------------------------------------------
-# the integrand, compiled once per walk
-#
-# A value that depends on the box is a tuple of plain integers standing for
-# one truncated LFElem: (val, unit mod p^k, k) in Q_p, (val, digit tuple, k)
-# in F_p((t)), and (val, 0, None) when only ord >= val is known.  Each
-# operation follows localfield's add/mul/neg precision rules digit for
-# digit, so the valuation bounds agree with eval_vf_term on every box.
+# the walk
 
 
-class _ExactConstant:
-    """An exact nonzero constant as the forms localfield truncates it to,
-    its unit digits expanded through LFElem.digits once per length."""
-
-    __slots__ = ("val", "_elem", "_pack", "_forms")
-
-    def __init__(self, elem, pack):
-        self.val = elem.ord()
-        self._elem = elem
-        self._pack = pack
-        self._forms = {}
-
-    def form(self, k):
-        """The constant to k unit digits."""
-        got = self._forms.get(k)
-        if got is None:
-            got = self._forms[k] = (self.val, self._pack(self._elem.digits(k)),
-                                    k)
-        return got
-
-    def upto(self, bound):
-        """The constant known below absolute precision `bound`."""
-        if self.val >= bound:
-            return (bound, 0, None)
-        return self.form(bound - self.val)
+def _zeroed(node, targets):
+    """node with every subterm in `targets` replaced by the exact 0."""
+    if node in targets:
+        return VfConst(Fraction(0))
+    fields = {}
+    for name in _field_names(type(node)):
+        v = getattr(node, name)
+        fields[name] = _zeroed(v, targets) if isinstance(v, Node) else v
+    return type(node)(**fields)
 
 
-class _FieldOps:
-    """What Q_p and F_p((t)) forms share."""
-
-    def __init__(self, p, precision):
-        self.p = p
-        self.precision = precision
-
-    def form(self, elem):
-        if not elem.known:
-            return (elem.val, 0, None)
-        return (elem.val, self.pack(elem.known), len(elem.known))
+def _integral(term, spec, names):
+    """Whether every subterm of term without a variable in `names` folds
+    to an exact integral constant, so that term is a polynomial over the
+    valuation ring in them."""
+    from .boxcode import closed_parts
+    values = [eval_vf_term(part, spec, {})
+              for part in closed_parts(term, frozenset(names))]
+    return all(v.exact and v.ord() >= 0 for v in values)
 
 
-class _QpOps(_FieldOps):
-    """Q_p forms (val, u, k): the element is p^val * (u + O(p^k))."""
-
-    def pack(self, digits):
-        return sum(d * self.p ** i for i, d in enumerate(digits))
-
-    def child(self, form, level, d):
-        """The form of from_digits(spec, 0, digits + (d,)) for a box at
-        `level` whose digits have the given form."""
-        val, u, k = form
-        if k is None:
-            return (level + 1, 0, None) if d == 0 else (level, d, 1)
-        return (val, u + d * self.p ** k, k + 1)
-
-    def add(self, a, b):
-        va, ua, ka = a
-        vb, ub, kb = b
-        bound = min(va + (ka or 0), vb + (kb or 0))
-        low = min(va, vb)
-        if bound <= low:
-            return (bound, 0, None)
-        p = self.p
-        s = (ua * p ** (va - low) + ub * p ** (vb - low)) % p ** (bound - low)
-        # the digits of s on [low, bound): strip leading zeros, truncate
-        if not s:
-            return (bound, 0, None)
-        v = 0
-        while s % p == 0:
-            s //= p
-            v += 1
-        k = min(bound - low - v, self.precision)
-        return (low + v, s % p ** k, k)
-
-    def neg(self, a):
-        va, ua, ka = a
-        if ka is None:
-            return a
-        return (va, -ua % self.p ** ka, ka)
-
-    def mul(self, a, b):
-        va, ua, ka = a
-        vb, ub, kb = b
-        if ka is None or kb is None:
-            return (va + vb, 0, None)
-        k = min(ka, kb, self.precision)
-        return (va + vb, ua * ub % self.p ** k, k)
-
-
-class _FptOps(_FieldOps):
-    """F_p((t)) forms (val, digits, k): t^val * (digits + O(t^k)), with
-    k == len(digits)."""
-
-    pack = staticmethod(tuple)
-
-    def child(self, form, level, d):
-        val, ds, k = form
-        if k is None:
-            return (level + 1, 0, None) if d == 0 else (level, (d,), 1)
-        return (val, ds + (d,), k + 1)
-
-    def add(self, a, b):
-        va, da, ka = a
-        vb, db, kb = b
-        bound = min(va + (ka or 0), vb + (kb or 0))
-        low = min(va, vb)
-        if bound <= low:
-            return (bound, 0, None)
-        p = self.p
-        out = [0] * (bound - low)
-        for offset, digits in ((va - low, da), (vb - low, db)):
-            if digits:
-                for i in range(min(len(digits), len(out) - offset)):
-                    out[offset + i] = (out[offset + i] + digits[i]) % p
-        for v, d in enumerate(out):
-            if d:
-                kept = tuple(out[v:v + self.precision])
-                return (low + v, kept, len(kept))
-        return (bound, 0, None)
-
-    def neg(self, a):
-        va, da, ka = a
-        if ka is None:
-            return a
-        p = self.p
-        return (va, tuple(-d % p for d in da), ka)
-
-    def mul(self, a, b):
-        va, da, ka = a
-        vb, db, kb = b
-        if ka is None or kb is None:
-            return (va + vb, 0, None)
-        k = min(ka, kb, self.precision)
-        out = [0] * k
-        for i in range(k):
-            x = da[i]
-            if x:
-                for j in range(k - i):
-                    out[i + j] += x * db[j]
-        p = self.p
-        return (va + vb, tuple(d % p for d in out), k)
-
-
-def _field_ops(spec):
-    kind = _QpOps if spec.kind is FieldKind.CHAR_ZERO else _FptOps
-    return kind(spec.prime, spec.precision)
-
-
-class _CompiledIntegrand:
-    """A field term compiled over the walk's box variables.
-
-    Subterms without a box variable are folded once through eval_vf_term,
-    the reference semantics, and so raise exactly its errors; what depends
-    on the box runs over integer forms.  `ord_bounds(forms)` takes one
-    form per box variable and equals eval_vf_term(...).ord_bounds() on the
-    corresponding from_digits box; `evaluate(forms)` gives the value
-    itself, a form or a box-independent LFElem.
-    """
-
-    def __init__(self, term, spec, names, assignment):
-        self.spec = spec
-        self.ops = _field_ops(spec)
-        self.index = {name: i for i, name in enumerate(names)}
-        # eval_vf_term converts every assigned value, used or not, so a
-        # value with no image in this field raises here as it would there
-        self.env = {name: embed_rational(Fraction(v), spec)
-                    if isinstance(v, (int, Fraction)) else v
-                    for name, v in assignment.items()}
-        # whether every folded subterm is exact and integral, so that the
-        # term is a polynomial over the valuation ring in the box variables
-        self.integral = True
-        # ids of the subterms that mention a box variable; `term` keeps
-        # them alive while it is compiled
-        self.boxed = set()
-        self._mark(term)
-        root = self._compile(term)
-        self.evaluate = root if callable(root) else lambda forms: root
-
-    def ord_bounds(self, forms):
-        value = self.evaluate(forms)
-        if isinstance(value, LFElem):
-            return value.ord_bounds()
-        val, _, k = value
-        return (val, val) if k is not None else (val, INF)
-
-    def _mark(self, node):
-        """Add to self.boxed the id of every subterm of node that mentions
-        a box variable, in one bottom-up pass; whether node does."""
-        if isinstance(node, VfVar):
-            hit = node.name in self.index
-        else:
-            hit = False
-            for child in children(node):
-                hit = self._mark(child) or hit
-        if hit:
-            self.boxed.add(id(node))
-        return hit
-
-    def _compile(self, node):
-        """An LFElem when the value does not depend on the box, else a
-        function from the box forms to a form."""
-        if id(node) not in self.boxed:
-            value = eval_vf_term(node, self.spec, self.env)
-            self.integral = self.integral and value.exact \
-                and value.ord() >= 0
-            return value
-        if isinstance(node, VfVar):
-            return operator.itemgetter(self.index[node.name])
-        if isinstance(node, (VfAdd, VfSub)):
-            left = self._compile(node.left)
-            right = self._compile(node.right)
-            if isinstance(node, VfSub):
-                right = self._neg(right)
-            return self._binary(left, right, lf_add, self.ops.add)
-        if isinstance(node, VfMul):
-            return self._binary(self._compile(node.left),
-                                self._compile(node.right), lf_mul,
-                                self.ops.mul)
-        if isinstance(node, VfNeg):
-            return self._neg(self._compile(node.operand))
-        if isinstance(node, VfPow):
-            return self._pow(self._compile(node.base), node.exponent)
-        raise AssertionError(node)
-
-    def _neg(self, x):
-        if isinstance(x, LFElem):
-            return lf_neg(x)
-        op = self.ops.neg
-        return lambda forms: op(x(forms))
-
-    def _pow(self, base, n):
-        acc = embed_rational(1, self.spec)
-        if isinstance(base, LFElem):
-            for _ in range(n):
-                acc = lf_mul(acc, base)
-            return acc
-        if n == 0:
-            return acc
-        # 1 * b is b itself, so the product starts from the base
-        op = self.ops.mul
-
-        def power(forms):
-            b = base(forms)
-            out = b
-            for _ in range(n - 1):
-                out = op(out, b)
-            return out
-        return power
-
-    def _binary(self, left, right, lf_op, op):
-        left_const = isinstance(left, LFElem)
-        right_const = isinstance(right, LFElem)
-        if left_const and right_const:
-            return lf_op(left, right)
-        if not (left_const or right_const):
-            return lambda forms: op(left(forms), right(forms))
-        c, f = (left, right) if left_const else (right, left)
-        if c.spec != self.spec:
-            # a constant from another field: let the reference operation
-            # raise its own error, with the box side stood in by a zero
-            probe = self.spec.zero()
-            lf_op(left if left_const else probe,
-                  right if right_const else probe)
-        if c.is_exact_zero():
-            return self.spec.zero() if lf_op is lf_mul else f
-        if not c.exact:
-            form = self.ops.form(c)
-        elif lf_op is lf_mul:
-            # a product keeps at most `precision` digits of either factor
-            form = _ExactConstant(c, self.ops.pack).form(self.spec.precision)
-        else:
-            # a sum is known up to the box side's absolute precision
-            k = _ExactConstant(c, self.ops.pack)
-
-            def add_exact(forms):
-                a = f(forms)
-                return op(a, k.upto(a[0] + (a[2] or 0)))
-            return add_exact
-        return lambda forms: op(f(forms), form)
-
-
-def _derivative(node, name):
-    """The formal partial derivative of a field term in the variable
-    `name`, or None when it is identically zero."""
-    def d(n):
-        return _derivative(n, name)
-
-    def plus(a, b):
-        return b if a is None else a if b is None else VfAdd(a, b)
-
-    def times(a, b):
-        return None if a is None or b is None else VfMul(a, b)
-
-    if isinstance(node, VfVar):
-        return VfConst(Fraction(1)) if node.name == name else None
-    if isinstance(node, (VfConst, VfUnif)):
-        return None
-    if isinstance(node, VfAdd):
-        return plus(d(node.left), d(node.right))
-    if isinstance(node, VfSub):
-        return plus(d(node.left), times(VfConst(Fraction(-1)), d(node.right)))
-    if isinstance(node, VfNeg):
-        return times(VfConst(Fraction(-1)), d(node.operand))
-    if isinstance(node, VfMul):
-        return plus(times(d(node.left), node.right),
-                    times(node.left, d(node.right)))
-    if isinstance(node, VfPow):
-        if node.exponent == 0:
-            return None
-        return times(VfMul(VfConst(Fraction(node.exponent)),
-                           VfPow(node.base, node.exponent - 1)),
-                     d(node.base))
-    raise AssertionError(node)
+_LF_OPS = {"add": lf_add, "mul": lf_mul, "addk": lf_add, "mulform": lf_mul}
 
 
 def _mass(p, counts):
@@ -516,15 +226,9 @@ class _BoxWalk:
         self.vf_witness_depth = vf_witness_depth
         self.p = spec.prime
         self.depth = spec.precision
-        self.names = [n for n, s in phi.free
-                      if s is Sort.VF and n not in assignment]
+        self.names = tuple(n for n, s in phi.free
+                           if s is Sort.VF and n not in assignment)
         self.m = len(self.names)
-        self.ops = _field_ops(spec)
-        self.compiled = None
-        self.derivatives = None
-        self.lower_counts = {}
-        self.upper_counts = {}
-        self.hensel_counts = {}
         self.boxes_true = 0
         self.boxes_undecided = 0
         self.boxes_hensel = 0
@@ -534,103 +238,196 @@ class _BoxWalk:
         return self.p ** (self.depth * self.m)
 
     def run(self):
-        self.walk(tuple(() for _ in self.names),
-                  tuple((0, 0, None) for _ in self.names), 0,
-                  Truth3.UNDECIDED)
-        p, e = self.p, self.integrand.e
+        classify = self.classifier()
+        p, m, depth, e = self.p, self.m, self.depth, self.integrand.e
+        child = self.ops.child
+        digits = range(p)
+        weights = [p ** ((depth - level) * m) for level in range(depth + 1)]
+        # boxes per exponent: decided, only bounded above, and settled
+        # by Hensel's lemma
+        exact, open_, hensel = {}, {}, {}
+        TRUE, FALSE = Truth3.TRUE, Truth3.FALSE
+        nodes = true = undecided = settled = 0
+
+        def credit(counts, level, v):
+            if v is not INF:
+                x = level * m + e * v
+                counts[x] = counts.get(x, 0) + 1
+
+        def walk(forms, level, membership):
+            nonlocal nodes, true, undecided, settled
+            nodes += 1
+            membership, vlo, vhi, delta = classify(forms, level, membership)
+            if membership is FALSE:
+                return
+            if membership is TRUE:
+                if vlo == vhi:
+                    credit(exact, level, vlo)
+                    true += weights[level]
+                    return
+                if delta is not None:
+                    # Hensel: f/pi^(level + delta) carries the box's
+                    # normalised measure onto the Haar measure of O
+                    credit(hensel, level, level + delta)
+                    true += weights[level]
+                    settled += weights[level]
+                    return
+            if level == depth:
+                undecided += weights[level]
+                credit(open_, level, vlo)
+                return
+            rows = [[child(form, level, d) for d in digits] for form in forms]
+            for combo in itertools.product(*rows):
+                walk(combo, level + 1, membership)
+
+        walk(tuple((0, 0, None) for _ in self.names), 0, Truth3.UNDECIDED)
+        self.nodes_visited = nodes
+        self.boxes_true, self.boxes_undecided = true, undecided
+        self.boxes_hensel = settled
         # a Hensel box's own p^-(level*m + e*(level + delta)) times the
         # integral of |z|^e over O, (1 - p^-1)/(1 - p^-(1+e))
-        settled = _mass(p, self.hensel_counts) * Fraction(
-            p ** (e + 1) - p ** e, p ** (e + 1) - 1)
-        lower = _mass(p, self.lower_counts) + settled
-        upper = _mass(p, self.upper_counts) + settled
+        closed = _mass(p, hensel) * Fraction(p ** (e + 1) - p ** e,
+                                              p ** (e + 1) - 1)
+        lower = _mass(p, exact) + closed
+        upper = lower + _mass(p, open_)
         return VolumeInterval(lower, upper, self.depth, upper - lower,
                               self.nominal_boxes(), self.boxes_true,
                               self.boxes_undecided, self.boxes_hensel,
                               self.nodes_visited)
 
-    def integrand_bounds(self, forms):
-        """(lower, upper) bounds on the integrand's valuation over the
-        box; equal when decided, INF for the value 0.  The integrand is
-        compiled on first use, so a walk that never evaluates it never
-        raises its errors, just as with per-box evaluation."""
-        if self.integrand.is_one:
-            return 0, 0
-        if self.compiled is None:
-            self.compiled = _CompiledIntegrand(
-                self.integrand.f, self.spec, self.names, self.assignment)
-        return self.compiled.ord_bounds(forms)
+    def classifier(self):
+        """The compiled classifier of this walk with its sites folded.
 
-    def hensel_delta(self, forms, level, vlo):
-        """The least delta < level such that some partial derivative of
-        the integral integrand f has valuation exactly delta on the whole
-        box at this level, with ord f >= level + delta there; None when
-        there is none.  The derivatives are compiled on first use, and
-        only when f is integral."""
-        if not 1 <= level <= vlo:  # ord f >= level + delta >= level
-            return None
-        if self.derivatives is None:
-            self.derivatives = []
-            if self.compiled.integral:
-                for name in self.names:
-                    term = _derivative(self.integrand.f, name)
-                    if term is not None:
-                        self.derivatives.append(_CompiledIntegrand(
-                            term, self.spec, self.names, self.assignment))
-        bounds = (d.ord_bounds(forms) for d in self.derivatives)
-        return min((lo for lo, hi in bounds
-                    if lo == hi and lo < level and level + lo <= vlo),
-                   default=None)
+        A product with a constant that folds to the exact 0 is the exact
+        0, as in `localfield.mul`; such products are replaced by 0 and the
+        walk recompiled.  The membership sites raise their errors here,
+        where `interpret` would raise them on the first box; errors of the
+        integrand's are kept and raised by the first box that needs it."""
+        # the walk compiler is imported by the first walk, not with dpcalc
+        from .boxcode import _field_ops, compile_walk
+        self.ops = _field_ops(self.spec)
+        expr, f, derivs = self.phi.expr, self.integrand.f, None
+        integral = None
+        while True:
+            plan = compile_walk(expr, f, self.names, self.spec.kind, derivs)
+            values, zeros, f_err, folded_integral = self._fold(plan.sites)
+            if integral is None:
+                # the integrand's own constants, before any is replaced
+                integral = folded_integral
+            if not zeros:
+                break
+            expr = _zeroed(expr, zeros.get("m", ()))
+            if f is not None:
+                f = _zeroed(f, zeros.get("f", ()))
+                derivs = tuple(None if d is None
+                               else _zeroed(d, zeros.get("d", ()))
+                               for d in plan.derivatives)
+        spec, ops, names = self.spec, self.ops, self.names
 
-    def credit(self, counts, level, v):
-        if v is not INF:
-            x = level * self.m + self.integrand.e * v
-            counts[x] = counts.get(x, 0) + 1
-
-    def walk(self, prefixes, forms, level, membership):
-        """Classify the box with these digit prefixes; `membership` is
-        its parent's, TRUE being inherited as is."""
-        self.nodes_visited += 1
-        if membership is not Truth3.TRUE:
+        def quant(i, forms, loops):
+            """`interpret` on a quantified subformula at this box."""
             env = dict(self.assignment)
-            for name, digs in zip(self.names, prefixes):
-                env[name] = from_digits(self.spec, 0, digs)
-            membership = interpret(self.phi, self.spec, env,
-                                   self.vf_witness_depth)
-            if membership is Truth3.FALSE:
-                return
-        weight = self.p ** ((self.depth - level) * self.m)
-        if membership is Truth3.TRUE:
-            vlo, vhi = self.integrand_bounds(forms)
-            if vlo == vhi:
-                self.credit(self.lower_counts, level, vlo)
-                self.credit(self.upper_counts, level, vlo)
-                self.boxes_true += weight
-                return
-            delta = self.hensel_delta(forms, level, vlo)
-            if delta is not None:
-                # Hensel: f/pi^(level + delta) carries the box's
-                # normalised measure onto the Haar measure of O
-                self.credit(self.hensel_counts, level, level + delta)
-                self.boxes_true += weight
-                self.boxes_hensel += weight
-                return
-            if level == self.depth:
-                self.boxes_undecided += weight
-                self.credit(self.upper_counts, level, vlo)
-                return
-        elif level == self.depth:
-            vlo, _ = self.integrand_bounds(forms)
-            self.boxes_undecided += weight
-            self.credit(self.upper_counts, level, vlo)
-            return
-        children = [[self.ops.child(form, level, d) for d in range(self.p)]
-                    for form in forms]
-        for combo in itertools.product(range(self.p), repeat=self.m):
-            self.walk(tuple(digs + (d,)
-                            for digs, d in zip(prefixes, combo)),
-                      tuple(row[d] for row, d in zip(children, combo)),
-                      level + 1, membership)
+            for name, form in zip(names, forms):
+                env[name] = from_digits(spec, form[0], ops.unit_digits(form))
+            env.update(loops)
+            return interpret(plan.quantified[i], spec, env,
+                             self.vf_witness_depth)
+
+        return plan.make(values, ops, self.p, self.depth, integral, f_err,
+                         quant)
+
+    def _fold(self, sites):
+        """(the value of each site, {section: products with a constant that
+        is the exact 0}, the integrand's error or None, whether every
+        folded constant of the integrand is exact and integral)."""
+        values, zeros = [], {}
+        member = sum(1 for site in sites if site[0] == "m")
+        env = bind_assignment(
+            [(n, s) for n, s in self.phi.free if n not in self.names],
+            self.spec, self.assignment)
+        vf_env = {n: v for n, v in env.items() if isinstance(v, LFElem)}
+        for site in sites[:member]:
+            values.append(self._site(site, values, env, vf_env, zeros))
+        f_err, integral = None, True
+        if not self.integrand.is_one:
+            spec = self.spec
+            try:
+                # eval_vf_term converts every assigned value, used or not,
+                # so a value with no image in this field raises as it would
+                # there
+                vf_env = {n: embed_rational(Fraction(v), spec)
+                          if isinstance(v, (int, Fraction)) else v
+                          for n, v in self.assignment.items()}
+                for site in sites[member:]:
+                    if site[0] == "d" and not integral:
+                        break
+                    value = self._site(site, values, env, vf_env, zeros)
+                    if site[:2] == ("f", "eval"):
+                        integral = integral and value.exact \
+                            and value.ord() >= 0
+                    values.append(value)
+            except Exception as error:  # whatever the reference raises
+                f_err = error
+        values += [None] * (len(sites) - len(values))
+        return values, zeros, f_err, integral
+
+    def _site(self, site, values, env, vf_env, zeros):
+        """Fold one site by the reference semantics."""
+        spec = self.spec
+        op, args = site[1], site[2:]
+        if op == "eval":
+            return eval_vf_term(args[0], spec, vf_env)
+        if op == "one":
+            return embed_rational(1, spec)
+        if op in ("add", "mul"):
+            return _LF_OPS[op](values[args[0]], values[args[1]])
+        if op == "neg":
+            return lf_neg(values[args[0]])
+        if op == "pow":
+            acc = embed_rational(1, spec)
+            for _ in range(args[1]):
+                acc = lf_mul(acc, values[args[0]])
+            return acc
+        if op in ("addk", "mulform"):
+            c = values[args[0]]
+            if c.spec != spec:
+                # a constant from another field: the reference operation
+                # raises its own error, the box side stood in by a zero
+                _LF_OPS[op](c, spec.zero())
+            if op == "addk":
+                return self.ops.summand(c)
+            if c.is_exact_zero():
+                zeros.setdefault(site[0], set()).add(args[1])
+                return None
+            return self.ops.factor(c)
+        if op == "ord":
+            return values[args[0]].ord_bounds()
+        if op == "ac":
+            try:
+                return values[args[0]].ac() % self.p
+            except PrecisionExhausted:
+                return None
+        if op == "eq":
+            w = values[args[0]]
+            if w.is_exact_zero():
+                return Truth3.TRUE
+            if w.exact or not w.is_indeterminate():
+                return Truth3.FALSE
+            return Truth3.UNDECIDED
+        if op == "rf":
+            return env[args[0]] % self.p
+        if op == "rfc":
+            return args[0] % self.p
+        if op == "zz":
+            v = env[args[0]]
+            return _PINF_POINT if v is INF else (int(v), int(v))
+        if op == "vfq":
+            if self.vf_witness_depth is None:
+                raise UnsupportedFeature(
+                    "valued-field quantifiers are only searchable in oracle "
+                    "mode (pass a witness depth)")
+            return None
+        raise AssertionError(site)
 
 
 def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
@@ -701,7 +498,7 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     if not names:
         raise UnsupportedFeature("system has no variables")
     spec = replace(spec, precision=N)
-    if not all(_CompiledIntegrand(t, spec, names, {}).integral for t in terms):
+    if not all(_integral(t, spec, names) for t in terms):
         raise BadPrime("a coefficient is not integral at %d" % spec.prime)
     phi = Formula(functools.reduce(And, [ZzLe(ZzConst(N), ZzOrd(t))
                                          for t in terms]),

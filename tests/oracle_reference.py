@@ -1,15 +1,17 @@
 """The oracle's residue-box walk as it was before it inherited TRUE
-membership and settled smooth boxes by Hensel's lemma: `interpret` on
-every box, full descent wherever the integrand stays undecided.  Kept,
-unchanged apart from `run` returning the bare endpoints, as the
-reference the current walk is tested against."""
+membership, settled smooth boxes by Hensel's lemma and compiled its
+membership: `interpret` on every box, full descent wherever the
+integrand stays undecided.  The integrand's valuation bounds come from
+the walk's compiled classifier, which the tests hold to `eval_vf_term`.
+Kept, with `run` returning the bare endpoints, as the reference the
+current walk is tested against."""
 
 import itertools
 
+from dpcalc.boxcode import _field_ops
 from dpcalc.formula import Sort, Truth3, interpret
 from dpcalc.localfield import INF, from_digits
-from dpcalc.oracle import (IntegrandSpec, _as_formula, _CompiledIntegrand,
-                           _field_ops, _mass)
+from dpcalc.oracle import IntegrandSpec, _as_formula, _BoxWalk as _Walk, _mass
 
 
 class _BoxWalk:
@@ -48,15 +50,17 @@ class _BoxWalk:
 
     def integrand_bounds(self, forms):
         """(lower, upper) bounds on the integrand's valuation over the
-        box; equal when decided, INF for the value 0.  The integrand is
-        compiled on first use, so a walk that never evaluates it never
-        raises its errors, just as with per-box evaluation."""
+        box; equal when decided, INF for the value 0.  The classifier is
+        built on first use, so a walk that never evaluates the integrand
+        never raises its errors."""
         if self.integrand.is_one:
             return 0, 0
         if self.compiled is None:
-            self.compiled = _CompiledIntegrand(
-                self.integrand.f, self.spec, self.names, self.assignment)
-        return self.compiled.ord_bounds(forms)
+            self.compiled = _Walk(self.phi, self.spec, self.integrand,
+                                  self.assignment,
+                                  self.vf_witness_depth).classifier()
+        # a TRUE box at level 0 asks for neither membership nor Hensel
+        return self.compiled(forms, 0, Truth3.TRUE)[1:3]
 
     def credit(self, counts, level, v):
         if v is not INF:
@@ -95,7 +99,6 @@ class _BoxWalk:
                             for digs, d in zip(prefixes, combo)),
                       tuple(row[d] for row, d in zip(children, combo)),
                       level + 1)
-
 
 
 def integrate(integrand, phi, spec, *, assignment=None,

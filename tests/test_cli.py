@@ -8,11 +8,14 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpcalc import cli
+from dpcalc.boxcode import compile_walk
+from dpcalc.formula import parse
 from dpcalc.symring import SymA
 
 
@@ -239,6 +242,43 @@ def test_appendix2_counts(run_cli):
     assert by_q[(7, 3, "d2_minus_b2")] == 168
 
 
+def test_appendix2_vf_rows(run_cli):
+    """The valued-field locus at N = 1, in both characteristics: q * vol
+    is q(q-1)(q+1)/2 points mod q over q^3."""
+    rc, out, _ = run_cli("appendix2")
+    payload = out_json(out)
+    assert [(r["q"], r["field"], r["eta"], r["value"], r["ok"])
+            for r in payload["vf_rows"]] == [
+        (5, "qp", 2, "12/25", True), (5, "fpt", 2, "12/25", True),
+        (7, "qp", 3, "24/49", True), (7, "fpt", 3, "24/49", True)]
+    assert all(r["expected"] == r["value"] and r["N"] == 1
+               for r in payload["vf_rows"])
+
+
+def test_appendix2_vf_locus_is_the_fixture(fx):
+    with open(fx("appendix2_vf.dp")) as fh:
+        text = fh.read()
+    want = parse(text.replace("a*d - b*c == 1", "ord(a*d - b*c - 1) >= 1"))
+    assert parse(cli.APPENDIX2_VF_LOCUS) == want
+
+
+def test_appendix2_vf_mismatch_exits_4(run_cli, monkeypatch):
+    real = cli.oracle_volume
+
+    def off_by_one_box(*args, **kwargs):
+        iv = real(*args, **kwargs)
+        return iv.scaled(F(626, 625))
+    monkeypatch.setattr(cli, "oracle_volume", off_by_one_box)
+    rc, out, err = run_cli("appendix2", "--primes", "5")
+    assert rc == 4
+    payload = out_json(out)
+    assert payload["ok"] is False
+    assert all(r["ok"] for r in payload["rows"])
+    assert not any(r["ok"] for r in payload["vf_rows"])
+    assert err == ("dpcalc: count mismatch at q=5 (qp locus), "
+                   "q=5 (fpt locus)\n")
+
+
 def test_appendix2_rejects_composite(run_cli):
     rc, _, _ = run_cli("appendix2", "--primes", "4")
     assert rc == 2
@@ -386,6 +426,33 @@ def test_appendix2_huge_prime_stops_at_the_budget(run_cli):
     assert rc == 5
     assert "exceed the budget of 10000" in err
     assert time.monotonic() - start < 5
+
+
+def test_compare_compiles_each_walk_structure_once(run_cli, fx):
+    """The classifier memo is keyed by structure, never by the prime or
+    a bound constant: three oracle cases at eleven primes in two fields
+    compile one classifier per field."""
+    compile_walk.cache_clear()
+    rc, _, _ = run_cli("compare", fx("cube.cells.json"), "--primes",
+                       "2,3,5,7,11,13,17,19,23,29,31",
+                       "--both-characteristics", "--budget", 10 ** 18)
+    assert rc == 0
+    info = compile_walk.cache_info()
+    assert (info.misses, info.hits) == (2, 56)
+
+
+def test_twenty_digit_prime_stops_at_the_budget(fx):
+    # primality is decided by Miller-Rabin, not trial division, so a
+    # 20-digit prime reaches the budget check at once
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpcalc.cli", "compare", fx("ball.dp"),
+         "--primes", str(2 ** 64 - 59)],
+        capture_output=True, text=True, env=env, timeout=5)
+    assert proc.returncode == 5
+    assert proc.stderr.startswith("dpcalc: ")
+    assert "exceed the budget" in proc.stderr
 
 
 def test_integrate_negative_first_center(run_cli):

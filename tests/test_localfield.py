@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcalc import localfield as lf
-from dpcalc.errors import (DivisionByZero, InvalidPrime, NoSimpleRoot,
-                           PrecisionExhausted)
+from dpcalc.errors import (DivisionByZero, InvalidArgument, InvalidPrime,
+                           NoSimpleRoot, PrecisionExhausted)
 from dpcalc.localfield import (INF, Fpt, embed_rational, from_digits,
                                hensel_lift, inv, is_prime)
 
@@ -20,6 +20,32 @@ def test_is_prime():
     assert not is_prime(-7)
     assert not is_prime(9)
     assert is_prime(1009)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(-3, 10 ** 5))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # 19*199*271 is a Carmichael number and 53*157 a strong pseudoprime
+    # to base 2, neither with a factor among the Miller-Rabin bases; the
+    # last is a strong pseudoprime to every prime base up to 31
+    for n in (19 * 199 * 271, 53 * 157, 151 * 751 * 28351,
+              149491 * 747451 * 34233211):
+        assert pow(2, n - 1, n) == 1
+        assert not is_prime(n)
+    assert is_prime(2 ** 64 - 59) and is_prime(2 ** 61 - 1)
+
+
+def test_is_prime_refuses_what_its_bases_do_not_decide():
+    with pytest.raises(InvalidArgument):
+        is_prime(2 ** 89 - 1)
+    # a base still divides this one, which decides it
+    assert not is_prime(2 ** 90)
 
 
 def test_spec_validation():

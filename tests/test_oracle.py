@@ -13,13 +13,18 @@ from hypothesis import assume, given, settings, strategies as st
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
 import oracle_reference as reference
+from dpcalc.boxcode import _field_ops
 from dpcalc.errors import (BadPrime, BudgetExceeded, UnboundVariable,
                            UnsupportedFeature)
-from dpcalc.formula import (Truth3, VfAdd, VfConst, VfMul, VfNeg, VfPow,
-                            VfSub, VfUnif, VfVar, eval_vf_term, interpret,
-                            parse)
-from dpcalc.oracle import (IntegrandSpec, _CompiledIntegrand, fraction_str,
-                           integrate, jacobian_check, parse_vf_polynomial,
+from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
+                            RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
+                            RfVar, Sort, Truth3, VfAdd, VfConst, VfEq, VfMul,
+                            VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzAdd,
+                            ZzCong, ZzConst, ZzEq, ZzInf, ZzLe, ZzLt, ZzNeg,
+                            ZzOrd, ZzScale, ZzSub, ZzVar, eval_vf_term,
+                            interpret, parse)
+from dpcalc.oracle import (IntegrandSpec, fraction_str, integrate,
+                           jacobian_check, parse_vf_polynomial,
                            serre_oesterle_count, volume)
 from dpcalc.symring import SymA
 
@@ -333,7 +338,7 @@ def test_volume_additivity_property(c1, c2, q):
     assert both.upper == v1.upper + v2.upper
 
 
-# --- the compiled integrand against the reference arithmetic ---
+# --- the compiled classifier against the reference semantics ---
 
 _BOX_NAMES = ["x", "y"]
 
@@ -356,45 +361,73 @@ def _monomial(spec, c, k, d=0):
                               VfConst(F(d))), spec, {})
 
 
+def _box(spec, prefixes):
+    """The from_digits boxes and their forms, built a digit at a time as
+    the walk builds them."""
+    ops = _field_ops(spec)
+    boxes, forms = {}, []
+    for name, digs in zip(_BOX_NAMES, prefixes):
+        boxes[name] = lf.from_digits(spec, 0, tuple(digs))
+        form = (0, 0, None)
+        for level, d in enumerate(digs):
+            form = ops.child(form, level, d)
+        assert form == ops.form(boxes[name])
+        forms.append(form)
+    return boxes, tuple(forms)
+
+
+_FREE = [("x", Sort.VF), ("y", Sort.VF), ("a", Sort.VF), ("r", Sort.RF),
+         ("s", Sort.RF), ("n", Sort.ZZ)]
+
+
+def _classifier(expr, f, spec, assignment, free=_FREE):
+    """The walk's compiled classifier for domain expr over the boxes x, y
+    and integrand f (None for 1), field witnesses at depth 1."""
+    phi = Formula(expr, free)
+    integrand = IntegrandSpec.one() if f is None else IntegrandSpec(f, 1)
+    return oracle_module._BoxWalk(phi, spec, integrand, assignment,
+                                  1).classifier()
+
+
 def _check_compiled(term, spec, a, prefixes):
-    """The compiled integrand agrees with eval_vf_term on one box: the
-    same error class, or the same value digit for digit and the same ord
-    bounds.  Box forms are built a digit at a time, as the walk does."""
-    boxes = {name: lf.from_digits(spec, 0, tuple(digs))
-             for name, digs in zip(_BOX_NAMES, prefixes)}
+    """The classifier's integrand bounds agree with eval_vf_term on one
+    box, or both raise the same error class."""
+    boxes, forms = _box(spec, prefixes)
+    classify = _classifier(VfEq(VfVar("x"), VfVar("x")), term, spec,
+                           {"a": a}, _FREE[:2])
     try:
         reference = eval_vf_term(term, spec, {"a": a, **boxes})
     except Exception as e:  # the error class is part of the contract
         with pytest.raises(Exception) as raised:
-            _CompiledIntegrand(term, spec, _BOX_NAMES, {"a": a})
+            classify(forms, 0, Truth3.TRUE)
         assert raised.type is type(e)
         return
-    integrand = _CompiledIntegrand(term, spec, _BOX_NAMES, {"a": a})
-    forms = []
-    for name, digs in zip(_BOX_NAMES, prefixes):
-        form = (0, 0, None)
-        for level, d in enumerate(digs):
-            form = integrand.ops.child(form, level, d)
-        assert form == integrand.ops.form(boxes[name])
-        forms.append(form)
-    forms = tuple(forms)
-    value = integrand.evaluate(forms)
-    if reference.exact:
-        assert value == reference
-    else:
-        assert value == integrand.ops.form(reference)
-    assert integrand.ord_bounds(forms) == reference.ord_bounds()
+    truth, vlo, vhi, delta = classify(forms, 0, Truth3.TRUE)
+    assert (truth, delta) == (Truth3.TRUE, None)
+    assert (vlo, vhi) == reference.ord_bounds()
+
+
+def _bindings(spec, data):
+    """A value for the field parameter a: an exact monomial, a rational
+    or a truncated element."""
+    p = spec.prime
+    kind = data.draw(st.sampled_from(["exact", "fraction", "truncated"]))
+    c, k = data.draw(st.integers(-6, 6)), data.draw(st.integers(0, 3))
+    if kind == "exact":
+        return _monomial(spec, c, k, data.draw(st.integers(-3, 3)))
+    if kind == "fraction":
+        return F(c, p ** k)
+    return lf.from_digits(spec, k, data.draw(st.lists(
+        st.integers(0, p - 1), max_size=spec.precision)))
 
 
 @settings(max_examples=600, deadline=None)
 @given(term=_terms, make=st.sampled_from([lf.qp, lf.fpt]),
        p=st.sampled_from([2, 3, 5]), precision=st.integers(1, 4),
-       bind=st.sampled_from(["exact", "fraction"]), c=st.integers(-6, 6),
-       k=st.integers(0, 3), d=st.integers(-3, 3), data=st.data())
-def test_compiled_integrand_matches_reference(term, make, p, precision, bind,
-                                              c, k, d, data):
+       data=st.data())
+def test_compiled_integrand_matches_reference(term, make, p, precision, data):
     spec = make(p, precision)
-    a = _monomial(spec, c, k, d) if bind == "exact" else F(c, p ** k)
+    a = _bindings(spec, data)
     # leading zero digits are drawn often: they move the box's valuation
     digit = st.one_of(st.just(0), st.integers(0, p - 1))
     prefixes = [data.draw(st.lists(digit, max_size=precision))
@@ -426,6 +459,88 @@ def test_compiled_integrand_edge_cases(term, spec, a, x, y):
     if isinstance(term, str):
         term = parse_vf_polynomial(term)
     _check_compiled(term, spec, _monomial(spec, *a), [x, y])
+
+
+# random formulas over the whole compiled fragment: box variables x, y, a
+# field parameter a, residue parameters r and s (s is also the variable
+# of every residue quantifier, which shadows it) and a value-group
+# parameter n
+_rf_terms = st.recursive(
+    st.one_of(st.builds(RfConst, st.integers(-2, 4)),
+              st.sampled_from([RfVar("r"), RfVar("s"), RfVar("s")]),
+              st.builds(RfAc, _terms)),
+    lambda kids: st.one_of(
+        st.builds(RfAdd, kids, kids), st.builds(RfSub, kids, kids),
+        st.builds(RfMul, kids, kids), st.builds(RfNeg, kids),
+        st.builds(RfPow, kids, st.integers(0, 3))), max_leaves=4)
+
+_zz_terms = st.recursive(
+    st.one_of(st.builds(ZzConst, st.integers(-2, 4)), st.just(ZzVar("n")),
+              st.just(ZzInf()), st.builds(ZzOrd, _terms),
+              st.builds(ZzOrd, _terms)),
+    lambda kids: st.one_of(
+        st.builds(ZzAdd, kids, kids), st.builds(ZzSub, kids, kids),
+        st.builds(ZzNeg, kids), st.builds(ZzScale, st.integers(-2, 2),
+                                          kids)), max_leaves=3)
+
+_atoms = st.one_of(
+    st.builds(VfEq, _terms, _terms),
+    st.builds(RfEq, _rf_terms, _rf_terms), st.builds(RfNe, _rf_terms,
+                                                     _rf_terms),
+    st.builds(ZzLe, _zz_terms, _zz_terms), st.builds(ZzLt, _zz_terms,
+                                                     _zz_terms),
+    st.builds(ZzEq, _zz_terms, _zz_terms),
+    st.builds(ZzCong, _zz_terms, _zz_terms, st.integers(1, 3)))
+
+_formulas = st.recursive(_atoms, lambda kids: st.one_of(
+    st.builds(And, kids, kids), st.builds(Or, kids, kids),
+    st.builds(Not, kids), st.builds(Exists, st.just("s"), st.just(Sort.RF),
+                                    kids),
+    # left to interpret on the box, shadowing the parameters n and a
+    st.builds(Exists, st.just("n"), st.just(Sort.ZZ), kids),
+    st.builds(Exists, st.just("a"), st.just(Sort.VF), kids)), max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=_formulas, f=st.one_of(st.none(), _terms),
+       make=st.sampled_from([lf.qp, lf.fpt]), p=st.sampled_from([2, 3, 5]),
+       precision=st.integers(1, 3), data=st.data())
+def test_classifier_matches_interpret(expr, f, make, p, precision, data):
+    """On a random box at a random level, the compiled membership equals
+    `interpret` on the from_digits box, and the integrand bounds equal
+    eval_vf_term's, or both sides raise the same error class."""
+    spec = make(p, precision)
+    level = data.draw(st.integers(0, precision))
+    digit = st.one_of(st.just(0), st.integers(0, p - 1))
+    prefixes = [data.draw(st.lists(digit, min_size=level, max_size=level))
+                for _ in _BOX_NAMES]
+    boxes, forms = _box(spec, prefixes)
+    n = data.draw(st.one_of(st.integers(-2, 4), st.just(lf.INF)))
+    assignment = {"a": _bindings(spec, data), "r": data.draw(
+        st.integers(0, 6)), "s": data.draw(st.integers(0, 6)), "n": n}
+    try:
+        want = interpret(Formula(expr, _FREE), spec,
+                         {**assignment, **boxes}, 1)
+    except Exception as e:  # the error class is part of the contract
+        with pytest.raises(Exception) as raised:
+            _classifier(expr, f, spec, assignment)
+        assert raised.type is type(e)
+        return
+    classify = _classifier(expr, f, spec, assignment)
+    if want is Truth3.FALSE or f is None:
+        got = classify(forms, precision, Truth3.UNDECIDED)
+        assert got[0] is want
+        assert want is Truth3.FALSE or got[1:3] == (0, 0)
+        return
+    try:
+        bounds = eval_vf_term(f, spec, {**assignment, **boxes}).ord_bounds()
+    except Exception as e:
+        with pytest.raises(Exception) as raised:
+            classify(forms, precision, Truth3.UNDECIDED)
+        assert raised.type is type(e)
+        return
+    assert classify(forms, precision, Truth3.UNDECIDED)[:3] == \
+        (want,) + bounds
 
 
 # exact brackets recorded from the LFElem-per-box walk that preceded the
@@ -608,12 +723,17 @@ def test_deep_hensel_boxes_match_a_deeper_reference(m, make, e, data):
     domain = "vf %s; %s" % (", ".join(names),
                             data.draw(st.sampled_from(_DOMAINS[m])))
     deltas = []
-    settle = oracle_module._BoxWalk.hensel_delta
+    compiled = oracle_module._BoxWalk.classifier
 
-    def spy(walk, forms, level, vlo):
-        deltas.append(settle(walk, forms, level, vlo))
-        return deltas[-1]
-    with mock.patch.object(oracle_module._BoxWalk, "hensel_delta", spy):
+    def spy(walk):
+        classify = compiled(walk)
+
+        def recorded(forms, level, truth):
+            got = classify(forms, level, truth)
+            deltas.append(got[3])
+            return got
+        return recorded
+    with mock.patch.object(oracle_module._BoxWalk, "classifier", spy):
         iv = integrate(integrand, domain, make(p, precision))
     assume(any(deltas))  # a delta of 0, or None, is falsy
     lower, upper = reference.integrate(integrand, domain,
@@ -651,7 +771,8 @@ def test_hensel_needs_ord_f_past_the_derivative_valuation():
 
 
 def test_settled_boxes_skip_the_interpreter(monkeypatch):
-    """Children of a TRUE box inherit it; the unit integrand |z - 1| is
+    """Membership is compiled, so the walk never asks the interpreter;
+    children of a TRUE box inherit it; the unit integrand |z - 1| is
     closed by Hensel at level 1 on the class of its root."""
     calls = []
 
@@ -661,7 +782,7 @@ def test_settled_boxes_skip_the_interpreter(monkeypatch):
     monkeypatch.setattr(oracle_module, "interpret", counted)
     iv = integrate(IntegrandSpec.abs_power("z - 1"), "vf z; ord(z) >= 0",
                    Q5)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert iv.lower == iv.upper == F(5, 6)
     assert iv.nodes_visited == 1 + 5
     assert iv.boxes_hensel == 5 ** 5
