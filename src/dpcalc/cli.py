@@ -549,14 +549,11 @@ ord(a*d - b*c - 1) >= 1
 
 def _appendix2_vf_rows(primes, budget):
     """The locus volume at N = 1 in both characteristics, one row per
-    prime and field, for the smallest nonsquare eta; a prime with no
-    nonsquare, 2, has no row, as it has no per-eta count."""
+    prime and field, for the smallest nonsquare eta."""
     locus = parse(APPENDIX2_VF_LOCUS)
     rows = []
     for q in primes:
-        eta = next(nonsquares(q), None)
-        if eta is None:
-            continue
+        eta = next(nonsquares(q))
         expected = Fraction((q - 1) * (q + 1), 2 * q * q)
         for field, make in (("qp", qp), ("fpt", fpt)):
             iv = oracle_volume(locus, make(q, 1), assignment={"eta": eta},
@@ -570,6 +567,11 @@ def _appendix2_vf_rows(primes, budget):
 
 
 def cmd_appendix2(cfg):
+    # the counts need q >= 5, and 2, with no nonsquare, would give no row
+    # at all: refuse such a q before counting anything
+    small = [q for q in cfg.primes if q < 5]
+    if small:
+        raise InvalidPrime("need an odd prime >= 5, got %d" % small[0])
     symbolic = appendix2_symbolic()
     rows = []
     failing = []

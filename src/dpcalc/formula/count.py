@@ -16,9 +16,17 @@ speed:
   x0 = -f0/k mod q is tested against the other innermost conjuncts, and
   when k = 0 x runs over F_q only if f0 = 0.  This is exact because q is
   checked to be prime.
-* Inside a quantifier tested outside the innermost loop, subterms that do
-  not involve the quantified variables are computed once, before the
-  quantifier's own loop.
+* A quantifier `exists s. A == B(s) and C(s)`, in either orientation of
+  the equation, where A does not mention s and B and every other conjunct
+  C mention no variable but s, is decided by one set lookup: A mod q is
+  tested for membership in the image {B(s) mod q : s in F_q, C(s)}.  The
+  image set is built once per call of the counting function, after the
+  constants and after any image set C itself uses; quantifiers whose
+  sets have the same source share one.  Sets are never memoized across
+  calls.
+* Inside any other quantifier tested outside the innermost loop, subterms
+  that do not involve the quantified variables are computed once, before
+  the quantifier's own loop.
 
 Arithmetic stays in Z and reduces mod q at each comparison; integer
 constants are reduced mod q when the function runs, so one compiled
@@ -128,6 +136,8 @@ class _Plan:
         self.env = {name: "v%d" % i for i, name in enumerate(names)}
         self.fresh = len(names)
         self.consts = {}
+        # image-set source -> name, in the order the sets are built
+        self.images = {}
         self.hoisted = []
         parts = conjuncts(expr)
         uses = [set(free_vars(c)) for c in parts]
@@ -173,6 +183,8 @@ class _Plan:
         lines = ["def count(q):", "    n = 0"]
         lines += ["    %s = %d %% q" % (name, v)
                   for v, name in self.consts.items()]
+        lines += ["    %s = %s" % (name, src)
+                  for src, name in self.images.items()]
         lines += ["    " * d + s for d, s in body]
         lines.append("    return n * q ** %d" % self.unused)
         return "\n".join(lines) + "\n"
@@ -231,6 +243,11 @@ class _Plan:
                 "%s = %s" % (name, self.translate(n, env, None)))
             return name
         if isinstance(n, Exists):
+            image = self.image(n)
+            if image is not None:
+                a, name = image
+                return "((%s) %% q in %s)" % (self.translate(a, env, inner),
+                                              name)
             name = "v%d" % self.fresh
             self.fresh += 1
             body = self.translate(
@@ -249,6 +266,31 @@ class _Plan:
                 % type(n).__name__)
         return template % tuple(self.translate(c, env, inner)
                                 for c in children(n))
+
+    def image(self, n):
+        """(A, name of the image set) when the quantifier n is decided by
+        testing A mod q against an image set (see the module docstring),
+        else None."""
+        parts = conjuncts(n.body)
+        only_s = [not free_vars(c).keys() - {n.var} for c in parts]
+        env = {n.var: "s"}
+        for i, eq in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:]
+            if not isinstance(eq, RfEq) \
+                    or not all(only_s[:i] + only_s[i + 1:]):
+                continue
+            for a, b in ((eq.left, eq.right), (eq.right, eq.left)):
+                if n.var not in free_vars(a) \
+                        and not free_vars(b).keys() - {n.var}:
+                    src = "{%s %% q for s in range(q)" \
+                        % self.translate(b, env, None)
+                    if rest:
+                        src += " if " + " and ".join(
+                            self.translate(c, env, None) for c in rest)
+                    src += "}"
+                    return a, self.images.setdefault(
+                        src, "S%d" % len(self.images))
+        return None
 
 
 _TEMPLATES = {

@@ -284,6 +284,20 @@ def test_appendix2_rejects_composite(run_cli):
     assert rc == 2
 
 
+@pytest.mark.parametrize("primes", ["2", "2,5", "5,2"])
+def test_appendix2_refuses_small_primes_before_counting(run_cli, monkeypatch,
+                                                        primes):
+    """2 has no nonsquare, so it would give no row and a vacuous ok; it is
+    refused like 3, before any prime in the list is counted."""
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before refusing")
+    monkeypatch.setattr(cli, "appendix2_volume", no_count)
+    rc, out, err = run_cli("appendix2", "--primes", primes)
+    assert rc == 2
+    assert out == ""
+    assert err == "dpcalc: need an odd prime >= 5, got 2\n"
+
+
 def test_appendix2_honours_budget_env(run_cli, monkeypatch):
     monkeypatch.setenv("DPCALC_BOX_BUDGET", "10")
     rc, out, err = run_cli("appendix2", "--primes", "5")

@@ -1,12 +1,13 @@
 """Three-sorted formulas: parsing, printing, truth evaluation, counting."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import count_reference
-from dpcalc import localfield as lf
+from dpcalc import localfield as lf, motivic
 from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
                            SortError, UnboundVariable, UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
@@ -14,6 +15,7 @@ from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfVar, Sort, Truth3, VfConst, VfMul, VfVar,
                             bad_primes, count_rf_points, interpret, parse,
                             pretty_print)
+from dpcalc.formula.count import _Plan
 from dpcalc.formula.nodes import substitute
 from dpcalc.motivic import appendix2_volume
 
@@ -366,6 +368,93 @@ def test_count_matches_the_flat_enumeration(case):
             count_rf_points(phi, q, budget)
         return
     assert count_rf_points(phi, q, budget) == want
+
+
+@st.composite
+def image_quantifiers(draw, q, outer, var, depth):
+    """exists var. A == B(var) && C(var)..., the shape the counter decides
+    by an image set (A over outer, B and each C over var alone, in either
+    orientation and any order), or a near miss that must keep the scan:
+    A also mentions var, a C mentions an outer variable, or the body is
+    an Or.  With depth > 0 a C may be such a quantifier itself, over the
+    variable var."""
+    a = draw(rf_terms(q, outer, 2))
+    miss = draw(st.sampled_from([None, None, "a", "c", "or"]))
+    if miss == "a":
+        a = RfAdd(a, RfVar(var))
+    b = draw(rf_terms(q, (var,), 2))
+    parts = [RfEq(a, b) if draw(st.booleans()) else RfEq(b, a)]
+    parts += draw(st.lists(rf_formulas(q, (var,), 0), max_size=2))
+    if miss == "c":
+        parts.append(draw(rf_formulas(q, (var, draw(st.sampled_from(outer))),
+                                      0)))
+    if depth and draw(st.booleans()):
+        parts.append(draw(image_quantifiers(q, (var,), "r%d" % depth,
+                                            depth - 1)))
+    parts = draw(st.permutations(parts))
+    body = parts[0]
+    for c in parts[1:]:
+        body = (Or if miss == "or" else And)(body, c)
+    quantifier = Exists(var, Sort.RF, body)
+    return Not(quantifier) if draw(st.booleans()) else quantifier
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_image_sets_match_the_flat_enumeration(data):
+    """Quantifiers the planner decides by image sets, and near misses it
+    scans, count exactly what the reference counts."""
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    expr = data.draw(image_quantifiers(q, ("x", "y"), "s", 1))
+    if data.draw(st.booleans()):
+        expr = And(data.draw(rf_formulas(q, ("x", "y"), 0)), expr)
+    budget = 20000
+    try:
+        want = count_reference.count_rf_points(expr, q, budget)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            count_rf_points(expr, q, budget)
+        return
+    assert count_rf_points(expr, q, budget) == want
+
+
+def _plan(phi):
+    return _Plan(phi.expr, tuple(sorted(dict(phi.free)))).source()
+
+
+def _appendix2_plan(monkeypatch, eta_mode, variant):
+    """The plan source of the formula appendix2_volume counts at q = 7."""
+    seen = []
+    monkeypatch.setattr(motivic, "count_rf_points",
+                        lambda phi, q, budget: seen.append(phi) or 0)
+    appendix2_volume(eta_mode, 7, variant=variant)
+    (phi,) = seen
+    return _plan(phi)
+
+
+@pytest.mark.parametrize("variant", ["b2_minus_d2", "d2_minus_b2"])
+def test_appendix2_plans_scan_no_witnesses(monkeypatch, variant):
+    assert "any(" not in _appendix2_plan(monkeypatch, "per_eta", variant)
+    summed = _appendix2_plan(monkeypatch, "summed_over_nonsquares", variant)
+    assert "any(" not in summed
+    squares = re.findall(
+        r"^ +(S\d+) = \{\(s \* s\) % q for s in range\(q\)\}$", summed, re.M)
+    assert len(squares) == 1
+    if variant == "b2_minus_d2":
+        # h == r^2 and b^2 - d^2*h == s^2 test the one set of squares
+        assert summed.count(" in %s)" % squares[0]) == 2
+
+
+@pytest.mark.parametrize("text, count", [
+    ("rf x; exists s:rf. x*s == 1", 6),         # B mentions x
+    ("rf x; exists s:rf. x + s == s^2", 4),     # A mentions s
+    ("rf x; exists s:rf. s == 1 && x*s == 2", 1),
+    ("rf x; exists s:rf. x == s^2 || s == 3", 7),
+])
+def test_near_misses_keep_the_scan(text, count):
+    phi = parse(text, default_sort=Sort.RF)
+    assert "any(" in _plan(phi)
+    assert count_rf_points(phi, 7) == count
 
 
 # --- excluded primes ---
