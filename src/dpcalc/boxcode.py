@@ -45,6 +45,7 @@ from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
                             VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                             ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
                             children, free_vars, walk)
+from .formula.printer import _term, pretty_print
 from .localfield import INF, FieldKind
 
 # distinct walk structures whose classifiers are kept
@@ -371,8 +372,10 @@ def compile_walk(expr, f, names, kind, derivatives=None):
             _derivative(f, name) for name in names)
     gen = _Codegen(names, _OPS[kind].AC)
     scope = dict(_NAMESPACE)
-    exec(compile(gen.source(expr, f, derivatives), "<box classifier>",
-                 "exec"), scope)
+    # a file name of its own per structure, so that profiles tell them apart
+    name = "<box classifier:%s %s | %s>" % (
+        kind.value, pretty_print(expr), 1 if f is None else _term(f))
+    exec(compile(gen.source(expr, f, derivatives), name, "exec"), scope)
     return Plan(tuple(gen.sites), tuple(gen.quantified), derivatives,
                 scope["make"])
 

@@ -45,9 +45,9 @@ from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
                      ParseError, SortError, UnsupportedFeature,
                      UnsupportedZeroCell)
 from .formula import (Formula, Sort, VfConst, VfMul, VfPow, VfUnif,
-                      bad_primes, eval_vf_term, parse, pretty_print)
+                      eval_vf_term, parse, pretty_print)
 from .localfield import fpt, is_prime, qp
-from .motivic import (bind_parameters, integrate_cell_data,
+from .motivic import (bad_primes, bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
                       specialize)
 from .motivic import appendix2_symbolic, appendix2_volume, nonsquares

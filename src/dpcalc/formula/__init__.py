@@ -6,7 +6,7 @@ from .nodes import (And, Exists, Formula, Node, Not, Or, RfAc, RfAdd,
                     Sort, VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
-                    bad_primes, free_vars, walk)
+                    free_vars, walk)
 from .parse import parse
 from .printer import pretty_print
 from .interpret import Truth3, eval_vf_term, interpret
@@ -18,6 +18,6 @@ __all__ = [
     "Sort", "Truth3", "VfAdd", "VfConst", "VfEq", "VfMul", "VfNeg", "VfPow",
     "VfSub", "VfUnif", "VfVar", "ZzAdd", "ZzCong", "ZzConst", "ZzEq",
     "ZzInf", "ZzLe", "ZzLt", "ZzNeg", "ZzOrd", "ZzScale", "ZzSub", "ZzVar",
-    "bad_primes", "count_rf_points", "eval_vf_term", "free_vars",
-    "interpret", "parse", "pretty_print", "walk",
+    "count_rf_points", "eval_vf_term", "free_vars", "interpret", "parse",
+    "pretty_print", "walk",
 ]

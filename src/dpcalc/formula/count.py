@@ -48,6 +48,7 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                     RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
                     conjuncts, free_vars, walk)
 from .parse import parse
+from .printer import pretty_print
 
 # distinct formulas whose compiled counters are kept
 MEMO_SIZE = 256
@@ -95,8 +96,9 @@ def _compile(expr, names):
     """The counting function of expr, a function of q."""
     scope = {"__builtins__": {}, "range": range, "pow": pow, "any": any,
              "sum": sum}
-    exec(compile(_Plan(expr, names).source(), "<count_rf_points>", "exec"),
-         scope)
+    # a file name of its own per formula, so that profiles tell them apart
+    exec(compile(_Plan(expr, names).source(),
+                 "<count_rf_points:%s>" % pretty_print(expr), "exec"), scope)
     return scope["count"]
 
 

@@ -302,21 +302,13 @@ def substitute(node, mapping):
 
 
 class Formula:
-    """A parsed formula: expression tree plus its free variables.
-
-    The bad-prime accumulator lets downstream symbolic passes attach the
-    primes their manipulations exclude (append-only, order-independent).
-    """
+    """A parsed formula: expression tree plus its free variables."""
 
     def __init__(self, expr, free=None):
         self.expr = expr
         if free is None:
             free = free_vars(expr).items()
         self.free = tuple(free)
-        self._bad = []
-
-    def note_bad_prime(self, prime, reason):
-        self._bad.append((int(prime), str(reason)))
 
     def __eq__(self, other):
         if not isinstance(other, Formula):
@@ -335,58 +327,3 @@ def conjuncts(node):
     if isinstance(node, And):
         return conjuncts(node.left) + conjuncts(node.right)
     return [node]
-
-
-def _prime_factors(n):
-    n = abs(int(n))
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _has_nonconstant(node):
-    return any(isinstance(n, (VfVar, VfUnif, RfVar)) for n in walk(node))
-
-
-def bad_primes(phi):
-    """Primes the symbolic treatment of phi excludes, with reasons.
-
-    Collected from coefficient denominators, from multiplicative integer
-    coefficients (normalizing them divides by the coefficient), and from
-    whatever downstream passes recorded on the formula's accumulator.
-    Returns {prime: (reason, ...)} sorted by prime.
-    """
-    notes = []
-
-    def note(value, reason):
-        for p in _prime_factors(value):
-            notes.append((p, reason))
-
-    for n in walk(phi.expr):
-        if isinstance(n, VfConst) and n.value.denominator != 1:
-            note(n.value.denominator,
-                 "denominator of coefficient %s" % n.value)
-        elif isinstance(n, (VfMul, RfMul)):
-            for side, other in ((n.left, n.right), (n.right, n.left)):
-                c = None
-                if isinstance(side, VfConst) and side.value.denominator == 1:
-                    c = int(side.value)
-                elif isinstance(side, RfConst):
-                    c = side.value
-                if c is not None and abs(c) > 1 and _has_nonconstant(other):
-                    note(c, "coefficient %d not invertible" % c)
-    notes.extend(phi._bad)
-    out = {}
-    for p, reason in notes:
-        out.setdefault(p, [])
-        if reason not in out[p]:
-            out[p].append(reason)
-    return {p: tuple(out[p]) for p in sorted(out)}

@@ -36,10 +36,11 @@ from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
 from .formula import (And, Formula, Not, RfAdd, RfConst, RfEq, RfMul, RfNe,
                       RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul, VfNeg,
                       VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe, ZzLt,
-                      bad_primes, free_vars, parse, pretty_print, walk)
+                      free_vars, parse, pretty_print, walk)
 from .formula.count import count_rf_points
-from .formula.nodes import _prime_factors, conjuncts, substitute
+from .formula.nodes import conjuncts, substitute
 from .localfield import is_prime
+from .poly import evaluate, factor, interpolate
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
                          parse_affine)
 from .presburger import sum as pres_sum
@@ -612,11 +613,11 @@ def _class_size(phi, reserved):
         (v, c), = coeffs.items()
         value = Fraction(-const, c)
         if abs(c) != 1:
-            for p in _prime_factors(c):
+            for p in factor(c):
                 notes.append((p, "coefficient %d on %s is not invertible"
                               % (c, v)))
         if value.denominator != 1:
-            for p in _prime_factors(value.denominator):
+            for p in factor(value.denominator):
                 notes.append((p, "excluded residue %s is not integral"
                               % value))
         excluded[v].add(value)
@@ -625,7 +626,7 @@ def _class_size(phi, reserved):
         vals = sorted(excluded[v])
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                for p in _prime_factors((vals[j] - vals[i]).numerator):
+                for p in factor((vals[j] - vals[i]).numerator):
                     notes.append((p, "residues %s and %s of %s collide"
                                   % (vals[i], vals[j], v)))
         size = size * (L - SymA.from_int(len(vals)))
@@ -744,6 +745,39 @@ def _freeze_bad(bad):
     return {p: tuple(bad[p]) for p in sorted(bad)}
 
 
+def _has_nonconstant(node):
+    return any(isinstance(n, (VfVar, VfUnif, RfVar)) for n in walk(node))
+
+
+def bad_primes(phi):
+    """Primes the symbolic treatment of phi excludes, with reasons.
+
+    Collected from coefficient denominators and from multiplicative
+    integer coefficients (normalizing them divides by the coefficient).
+    Returns {prime: (reason, ...)} sorted by prime.
+    """
+    bad = {}
+
+    def note(value, reason):
+        for p in factor(value):
+            _note(bad, p, reason)
+
+    for n in walk(phi.expr):
+        if isinstance(n, VfConst) and n.value.denominator != 1:
+            note(n.value.denominator,
+                 "denominator of coefficient %s" % n.value)
+        elif isinstance(n, (VfMul, RfMul)):
+            for side, other in ((n.left, n.right), (n.right, n.left)):
+                c = None
+                if isinstance(side, VfConst) and side.value.denominator == 1:
+                    c = int(side.value)
+                elif isinstance(side, RfConst):
+                    c = side.value
+                if c is not None and abs(c) > 1 and _has_nonconstant(other):
+                    note(c, "coefficient %d not invertible" % c)
+    return _freeze_bad(bad)
+
+
 def _psi_terms(psi):
     if isinstance(psi, str):
         psi = parse_psi(psi)
@@ -763,7 +797,7 @@ def _center_notes(cell, bad):
         return
     for node in walk(cell.center_term):
         if isinstance(node, VfConst) and node.value.denominator != 1:
-            for p in _prime_factors(node.value.denominator):
+            for p in factor(node.value.denominator):
                 _note(bad, p, "center %s is not integral"
                       % cell.center_text)
 
@@ -1026,27 +1060,6 @@ def bind_parameters(value, assignment):
     return ConstructibleFn(terms, params)
 
 
-def _interp_poly(points):
-    """Exact Lagrange interpolation; returns coefficients by power."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] * (len(basis) + 1)
-            for k, b in enumerate(basis):
-                shifted[k + 1] += b
-                shifted[k] -= xj * b
-            basis = shifted
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
-    return coeffs
-
-
 def _case_witnesses(residue, modulus, avoid, need):
     out = []
     n = 5
@@ -1092,7 +1105,7 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
         total = ZERO
         for t in fn.terms:
             if t.rf_class is None:
-                poly = ONE
+                count = ONE
             else:
                 degree = len([n for n, _ in t.rf_class.free
                               if n not in rf_env])
@@ -1102,19 +1115,15 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
                     t.rf_class.expr,
                     {n: RfConst(v % q) for n, v in rf_env.items()})), q)
                     for q in primes]
-                fit = _interp_poly(list(zip(primes, counts))[:degree + 1])
+                fit = interpolate(list(zip(primes, counts))[:degree + 1])
                 for q, c in zip(primes, counts):
-                    got = sum(a * Fraction(q) ** k
-                              for k, a in enumerate(fit))
-                    if got != c:
+                    if evaluate(fit, q) != c:
                         raise UnsupportedFeature(
                             "the point count of [%s] is not polynomial "
                             "over q = %d mod %d" % (pretty_print(t.rf_class),
                                                     residue, modulus))
-                poly = ZERO
-                for k, a in enumerate(fit):
-                    poly = poly + SymA.from_fraction(a) * SymA.l_power(k)
-            total = total + poly * t.coeff.as_syma()
+                count = SymA(dict(enumerate(fit)))
+            total = total + count * t.coeff.as_syma()
         cases.append((residue, total))
     return cases
 

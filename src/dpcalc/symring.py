@@ -15,75 +15,13 @@ their canonical forms coincide, which makes equality decidable and hashable.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
+from . import poly
 from .errors import NotInvertibleInA, ParseError
-from . import realroots
 
 F0 = Fraction(0)
-
-
-# --- dense integer polynomial helpers (index = degree) ---
-
-def _ztrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-    return _ztrim(out)
-
-
-def _zdiv_monic(a, b):
-    """Quotient a/b for a monic integer b, or None when b does not divide a.
-
-    Monic divisors keep every step in the integers."""
-    n = len(b) - 1
-    low = [(j, c) for j, c in enumerate(b[:n]) if c]
-    r = list(a)
-    q = [0] * max(0, len(a) - n)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + n]
-        if c:
-            q[k] = c
-            for j, bc in low:
-                r[k + j] -= c * bc
-    if any(r[:n]):
-        return None
-    return q
-
-
-def _zprimitive(a):
-    """(content, primitive) with primitive having positive leading coefficient."""
-    g = 0
-    for c in a:
-        g = math.gcd(g, abs(c))
-    if g == 0:
-        return 0, []
-    if a[-1] < 0:
-        g = -g
-    return g, [c // g for c in a]
-
-
-def _divisors(n):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return out
 
 
 _cyclotomic_cache = {1: [-1, 1]}
@@ -95,9 +33,9 @@ def cyclotomic(d):
         return _cyclotomic_cache[d]
     num = [0] * d + [1]
     num[0] = -1  # x^d - 1
-    for e in sorted(_divisors(d)):
+    for e in sorted(poly.divisors(d)):
         if e < d:
-            num = _zdiv_monic(num, cyclotomic(e))
+            num = poly.divmod(num, cyclotomic(e))[0]
     _cyclotomic_cache[d] = num
     return num
 
@@ -250,9 +188,9 @@ class SymA:
         top = [1]
         for k, e in exponents.items():
             shift += k * e
-            rest = _zdiv_monic([-1] + [0] * (k - 1) + [1], cyclotomic(k))
+            rest = poly.divmod([-1] + [0] * (k - 1) + [1], cyclotomic(k))[0]
             for _ in range(e):
-                top = _zmul(top, rest)
+                top = poly.mul(top, rest)
         inv_num = _lift({j - shift: Fraction(sign * c)
                          for j, c in enumerate(top) if c}, {}, dict(d._den))
         return self * SymA(inv_num, exponents)
@@ -276,17 +214,11 @@ class SymA:
         """True iff nu_q(self) >= 0 for every real q > 1.
 
         The denominator factors are positive there, so the sign is the sign
-        of the cleared numerator polynomial, decided by Sturm sequences.
+        of the numerator polynomial, decided by `poly.nonneg_on_gt1`.
         """
         if self.is_zero():
             return True
-        num = self._numdict()
-        mn = min(num)
-        l = 1
-        for c in num.values():
-            l = math.lcm(l, c.denominator)
-        dense = [int(num.get(d, F0) * l) for d in range(mn, max(num) + 1)]
-        return realroots.nonneg_on_gt1(dense)
+        return poly.nonneg_on_gt1(_dense(self._numdict())[1])
 
     # -- rendering / parsing --
 
@@ -351,27 +283,19 @@ def _canonicalize(num, den):
             raise ValueError("denominator index must be positive")
     if not num:
         return (), ()
-    # content g/l, signed so that the primitive part has a positive leading
-    # coefficient
-    mn, mx = min(num), max(num)
-    l = math.lcm(*(c.denominator for c in num.values()))
-    g = math.gcd(*(c.numerator for c in num.values()))
-    if num[mx] < 0:
-        g = -g
-    prim = [0] * (mx - mn + 1)
-    for d, c in num.items():
-        prim[d - mn] = c.numerator * (l // c.denominator) // g
+    mn, dense = _dense(num)
+    content, prim = poly.primitive(dense)
     if not den:
-        return _to_form(g, l, mn, prim, {})
+        return _to_form(content, mn, prim, {})
     # prod (L^i - 1)^m_i is prod_d Phi_d^e_d, e_d the sum of m_i over d | i:
     # cancel each Phi_d from the numerator as often as it divides, up to e_d
     left = {}
-    for d in sorted(set().union(*map(_divisors, den)), reverse=True):
+    for d in sorted(set().union(*map(poly.divisors, den)), reverse=True):
         e = sum(m for i, m in den.items() if i % d == 0)
         phi = cyclotomic(d)
         while e:
-            q = _zdiv_monic(prim, phi)
-            if q is None:
+            q, r = poly.divmod(prim, phi)
+            if r:
                 break
             prim = q
             e -= 1
@@ -384,31 +308,27 @@ def _canonicalize(num, den):
         need = r - sum(m for i, m in newden.items() if i % d == 0)
         if need > 0:
             newden[d] = need
-    for d in set().union(*map(_divisors, newden)):
+    for d in set().union(*map(poly.divisors, newden)):
         extra = sum(m for i, m in newden.items() if i % d == 0)
         for _ in range(extra - left.get(d, 0)):
-            prim = _zmul(prim, cyclotomic(d))
+            prim = poly.mul(prim, cyclotomic(d))
     shift = sum(i * m for i, m in den.items()) - \
         sum(i * m for i, m in newden.items())
-    return _to_form(g, l, mn + shift, prim, newden)
+    return _to_form(content, mn + shift, prim, newden)
 
 
-def _to_form(g, l, shift, prim, den):
+def _dense(num):
+    """(lowest degree, dense coefficient list) of a nonzero {degree:
+    coefficient} numerator."""
+    mn = min(num)
+    return mn, [num.get(d, 0) for d in range(mn, max(num) + 1)]
+
+
+def _to_form(content, shift, prim, den):
+    g, l = content.numerator, content.denominator
     num = tuple((shift + j, Fraction(g * c, l))
                 for j, c in enumerate(prim) if c)
     return num, tuple(sorted(den.items()))
-
-
-def _totient(n):
-    out = n
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            out -= out // k
-            while n % k == 0:
-                n //= k
-        k += 1
-    return out - out // n if n > 1 else out
 
 
 def _unit_factorization(d):
@@ -420,15 +340,12 @@ def _unit_factorization(d):
     """
     if d.is_zero():
         raise NotInvertibleInA("zero is not invertible")
-    num = d._numdict()
-    mn = min(num)
-    dense = [num.get(k, F0) for k in range(mn, max(num) + 1)]
-    if any(c.denominator != 1 for c in dense):
+    mn, dense = _dense(d._numdict())
+    content, prim = poly.primitive(dense)
+    if content.denominator != 1:
         raise NotInvertibleInA("non-integer content: %s" % d.render())
-    ints = [int(c) for c in dense]
-    content, prim = _zprimitive(ints)
     if abs(content) != 1:
-        raise NotInvertibleInA("content %d is not a unit" % content)
+        raise NotInvertibleInA("content %d is not a unit" % content.numerator)
     exponents = {}
     k = 0
     while len(prim) > 1:
@@ -439,16 +356,16 @@ def _unit_factorization(d):
             raise NotInvertibleInA(
                 "%s is not a signed product of L-powers and cyclotomic "
                 "factors" % d.render())
-        if _totient(k) > deg:
+        if poly.totient(k) > deg:
             continue
         while True:
-            q = _zdiv_monic(prim, cyclotomic(k))
-            if q is None:
+            q, r = poly.divmod(prim, cyclotomic(k))
+            if r:
                 break
             prim = q
             exponents[k] = exponents.get(k, 0) + 1
     # prim is primitive with a positive leading coefficient, so it is [1]
-    return content, mn, exponents
+    return content.numerator, mn, exponents
 
 
 def _fmt_fraction(c):

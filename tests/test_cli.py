@@ -469,6 +469,46 @@ def test_twenty_digit_prime_stops_at_the_budget(fx):
     assert "exceed the budget" in proc.stderr
 
 
+def _run_apart(*argv, budget=None):
+    """Run the command line in a fresh interpreter, at the default budget
+    unless DPCALC_BOX_BUDGET is given, stopped after 5 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("DPCALC_BOX_BUDGET", None)
+    if budget is not None:
+        env["DPCALC_BOX_BUDGET"] = str(budget)
+    return subprocess.run([sys.executable, "-m", "dpcalc.cli"] + list(argv),
+                          capture_output=True, text=True, env=env, timeout=5)
+
+
+def test_prime_center_is_not_trial_divided():
+    # factoring stops once the cofactor is prime
+    p = 999999999999999989
+    proc = _run_apart("integrate", "--linear-product", "0:1,%d:1" % p)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert list(out_json(proc.stdout)["bad_primes"]) == [str(p)]
+
+
+def test_smooth_center_is_factored():
+    # the square root of 10^17 is 3.2e8, past the default budget, but
+    # its factors 2 and 5 are found at the first divisions
+    proc = _run_apart("integrate", "--linear-product",
+                      "0:1,100000000000000000:1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert list(out_json(proc.stdout)["bad_primes"]) == ["2", "5"]
+
+
+def test_semiprime_center_stops_at_the_budget():
+    # 1000000007 * 1000000009: trial division would pass 5 * 10^8
+    # divisions; the budget stops it after 10^6
+    proc = _run_apart("integrate", "--linear-product",
+                      "0:1,1000000016000000063:1", budget=10 ** 6)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == ("dpcalc: trial divisions factoring "
+                           "1000000016000000063 exceed the budget of "
+                           "1000000\n")
+
+
 def test_integrate_negative_first_center(run_cli):
     rc, out, err = run_cli("integrate", "--linear-product", "-3:2")
     assert (rc, err) == (0, "")

@@ -13,11 +13,10 @@ from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
                             RfVar, Sort, Truth3, VfConst, VfMul, VfVar,
-                            bad_primes, count_rf_points, interpret, parse,
-                            pretty_print)
-from dpcalc.formula.count import _Plan
+                            count_rf_points, interpret, parse, pretty_print)
+from dpcalc.formula.count import _compile, _Plan
 from dpcalc.formula.nodes import substitute
-from dpcalc.motivic import appendix2_volume
+from dpcalc.motivic import appendix2_volume, bad_primes
 
 T, FL, U = Truth3.TRUE, Truth3.FALSE, Truth3.UNDECIDED
 
@@ -234,6 +233,15 @@ def test_count_budget_environment_variable(monkeypatch):
                                              "exceed the budget of 24"):
         count_rf_points("u == 0 && v == 0", 5)
     assert count_rf_points("u == 0 && v == 0", 5, budget=25) == 1
+
+
+def test_each_counter_has_a_file_name_of_its_own():
+    # profiles key functions by file name and line
+    a, b = parse("rf u; u^2 == 2"), parse("rf u; u^3 == 2")
+    names = {_compile(phi.expr, ("u",)).__code__.co_filename
+             for phi in (a, b)}
+    assert names == {"<count_rf_points:u^2 == 2>",
+                     "<count_rf_points:u^3 == 2>"}
 
 
 def test_exists_agrees_with_count():
@@ -463,13 +471,6 @@ def test_bad_primes_from_coefficients():
     assert set(bad_primes(parse("vf x; 3*x == 0"))) == {3}
     assert bad_primes(parse("vf x; x == 0")) == {}
     assert set(bad_primes(parse("vf x; 6*x == 1"))) == {2, 3}
-
-
-def test_noted_bad_primes_accumulate():
-    phi = parse("vf x; x == 0")
-    phi.note_bad_prime(2, "divides a center difference")
-    phi.note_bad_prime(3, "divides a center difference")
-    assert set(bad_primes(phi)) == {2, 3}
 
 
 # --- property tests ---

@@ -3,6 +3,7 @@ integrals over the valuation ring."""
 
 import itertools
 import os
+import subprocess
 import sys
 from fractions import Fraction as F
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
 import oracle_reference as reference
-from dpcalc.boxcode import _field_ops
+from dpcalc.boxcode import _field_ops, compile_walk
 from dpcalc.errors import (BadPrime, BudgetExceeded, UnboundVariable,
                            UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
@@ -169,6 +170,33 @@ def test_counts_agree_across_characteristics(system, d):
 def test_counter_runs_without_numpy(monkeypatch):
     monkeypatch.setitem(sys.modules, "numpy", None)
     assert serre_oesterle_count("x*x + y*y - 1", 1, lf.qp(5, 3), 2) == F(4, 5)
+
+
+def test_oracle_loads_no_ring_code():
+    # the cross-check holds only while the oracle shares no code with the
+    # symbolic engine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        oracle_module.__file__)))
+    code = ("import sys, dpcalc.boxcode, dpcalc.localfield, dpcalc.oracle\n"
+            "dpcalc.oracle.volume('ord(x) >= 1', dpcalc.localfield.qp(5, 2))\n"
+            "print(' '.join(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dpcalc.boxcode" in loaded
+    assert not loaded & {"dpcalc.poly", "dpcalc.symring",
+                         "dpcalc.presburger", "dpcalc.motivic"}
+
+
+def test_each_classifier_has_a_file_name_of_its_own():
+    # profiles key functions by file name and line
+    names = {compile_walk(parse(text).expr, None, ("x",),
+                          lf.FieldKind.CHAR_ZERO).make.__code__.co_filename
+             for text in ("ord(x) >= 1", "ord(x) >= 2")}
+    assert len(names) == 2
+    assert all(n.startswith("<box classifier:") for n in names)
 
 
 def test_counter_errors():

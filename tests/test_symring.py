@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import symring_reference as reference
-from dpcalc import realroots, symring
+from dpcalc import poly, symring
 from dpcalc.errors import NotInvertibleInA
 from dpcalc.symring import ONE, ZERO, L, SymA
 
@@ -38,7 +38,7 @@ HALF_CUBE = SymA({3: F(1, 2), 1: F(-1, 2)})
     ([36, -60, 37, -10, 1], True),  # ((x-2)(x-3))^2
 ])
 def test_nonneg_on_gt1(coeffs, want):
-    assert realroots.nonneg_on_gt1(list(coeffs)) == want
+    assert poly.nonneg_on_gt1(list(coeffs)) == want
 
 
 # --- canonical form ---
