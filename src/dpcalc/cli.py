@@ -415,12 +415,13 @@ def _compare_formula(cfg):
         centers, mults = _parse_linear_product(directives["linear-product"])
         result = integrate_linear_product(
             centers, mults,
-            _integer(directives.get("exponent", "1"), "exponent"))
+            _integer(directives.get("exponent", "1"), "exponent"),
+            budget=cfg.budget)
         value = result.as_syma()
         skipped = result.bad_primes
     elif "expect" in directives:
         value = SymA.parse(directives["expect"])
-        skipped = bad_primes(phi)
+        skipped = bad_primes(phi, budget=cfg.budget)
     else:
         raise ParseError(
             "%s carries no symbolic value: add a '#! expect:' or "
@@ -446,7 +447,7 @@ def _compare_formula(cfg):
 
 def _compare_cells(cfg):
     data = _load_cells_path(cfg.path)
-    result = integrate_cell_data(data)
+    result = integrate_cell_data(data, budget=cfg.budget)
     block = data.oracle
     if not isinstance(block, dict) or "domain" not in block:
         raise UnsupportedFeature(

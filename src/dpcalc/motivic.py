@@ -579,7 +579,7 @@ def _split_components(phi):
     return groups
 
 
-def _class_size(phi, reserved):
+def _class_size(phi, reserved, budget):
     """Exact class size for a conjunction of linear disequalities over
     non-parameter residue variables: each variable contributes L minus its
     number of excluded residues.  Returns (SymA, notes) or None when the
@@ -613,11 +613,11 @@ def _class_size(phi, reserved):
         (v, c), = coeffs.items()
         value = Fraction(-const, c)
         if abs(c) != 1:
-            for p in factor(c):
+            for p in factor(c, budget):
                 notes.append((p, "coefficient %d on %s is not invertible"
                               % (c, v)))
         if value.denominator != 1:
-            for p in factor(value.denominator):
+            for p in factor(value.denominator, budget):
                 notes.append((p, "excluded residue %s is not integral"
                               % value))
         excluded[v].add(value)
@@ -626,7 +626,7 @@ def _class_size(phi, reserved):
         vals = sorted(excluded[v])
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                for p in factor((vals[j] - vals[i]).numerator):
+                for p in factor((vals[j] - vals[i]).numerator, budget):
                     notes.append((p, "residues %s and %s of %s collide"
                                   % (vals[i], vals[j], v)))
         size = size * (L - SymA.from_int(len(vals)))
@@ -749,7 +749,7 @@ def _has_nonconstant(node):
     return any(isinstance(n, (VfVar, VfUnif, RfVar)) for n in walk(node))
 
 
-def bad_primes(phi):
+def bad_primes(phi, budget=None):
     """Primes the symbolic treatment of phi excludes, with reasons.
 
     Collected from coefficient denominators and from multiplicative
@@ -759,7 +759,7 @@ def bad_primes(phi):
     bad = {}
 
     def note(value, reason):
-        for p in factor(value):
+        for p in factor(value, budget):
             _note(bad, p, reason)
 
     for n in walk(phi.expr):
@@ -792,17 +792,17 @@ def _psi_terms(psi):
     raise TypeError("cannot read a cell coefficient from %r" % (psi,))
 
 
-def _center_notes(cell, bad):
+def _center_notes(cell, bad, budget):
     if cell.center_term is None:
         return
     for node in walk(cell.center_term):
         if isinstance(node, VfConst) and node.value.denominator != 1:
-            for p in factor(node.value.denominator):
+            for p in factor(node.value.denominator, budget):
                 _note(bad, p, "center %s is not integral"
                       % cell.center_text)
 
 
-def integrate_cells(cells, psis=None, params=()):
+def integrate_cells(cells, psis=None, params=(), budget=None):
     """Integrate the coefficients over a disjoint family of cells.
 
     psis overrides the cells' own coefficients when given (one entry per
@@ -828,9 +828,10 @@ def integrate_cells(cells, psis=None, params=()):
 
     for cell, psi in zip(cells, psi_list):
         terms = _psi_terms(psi)
-        _center_notes(cell, bad)
+        _center_notes(cell, bad, budget)
         if cell.class_formula is not None:
-            for p, reasons in bad_primes(cell.class_formula).items():
+            for p, reasons in bad_primes(cell.class_formula,
+                                         budget).items():
                 for r in reasons:
                     _note(bad, p, r)
 
@@ -856,7 +857,7 @@ def integrate_cells(cells, psis=None, params=()):
                 sized = []
                 for _, nodes in _split_components(cls):
                     sub = Formula(_fold_and(nodes))
-                    collapsed = _class_size(sub, param_names)
+                    collapsed = _class_size(sub, param_names, budget)
                     if collapsed is None:
                         kept.extend(nodes)
                         continue
@@ -878,10 +879,11 @@ def integrate_cells(cells, psis=None, params=()):
                              derivation=tuple(derivation))
 
 
-def integrate_cell_data(data):
+def integrate_cell_data(data, budget=None):
     """Integrate a loaded cell-data file, folding in its declared excluded
     primes."""
-    result = integrate_cells(data.cells, params=data.parameters)
+    result = integrate_cells(data.cells, params=data.parameters,
+                             budget=budget)
     bad = {p: list(rs) for p, rs in result.bad_primes.items()}
     for p, reasons in data.bad_primes.items():
         for r in reasons:
@@ -890,7 +892,8 @@ def integrate_cell_data(data):
                              derivation=result.derivation)
 
 
-def integrate_linear_product(centers, multiplicities, exponent=1):
+def integrate_linear_product(centers, multiplicities, exponent=1,
+                             budget=None):
     """Integral of prod_j |t - c_j|^(e*m_j) over the valuation ring.
 
     The decomposition is built automatically: one cell for the residues
@@ -949,7 +952,7 @@ def integrate_linear_product(centers, multiplicities, exponent=1):
             cells.append(Cell(kind=ZERO_CELL, cell_id="point_%d" % j,
                               center_text=str(cj), center_term=VfConst(cj),
                               psi=PresTerm(ZERO, AffineForm.constant(0))))
-    return integrate_cells(cells)
+    return integrate_cells(cells, budget=budget)
 
 
 # ---------------------------------------------------------------------------

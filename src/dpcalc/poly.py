@@ -166,14 +166,14 @@ def _variations(values):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def factor(n):
+def factor(n, budget=None):
     """The prime factorization of |n| as {p: e}, primes ascending.
 
     Trial division stops once the cofactor is prime, and raises
-    BudgetExceeded when its failed divisions pass `budget.resolve`."""
+    BudgetExceeded when its failed divisions pass `budget.resolve(budget)`."""
     n = abs(n)
     out = {}
-    limit = resolve_budget(None)
+    limit = resolve_budget(budget)
     d, tries = 2, 0
     while n > 1:
         try:

@@ -1,20 +1,36 @@
 """The coefficient ring for symbolic integrals: Laurent polynomials in L
 together with inverted factors (1 - L^-i), rational scalars admitted.
 
-Every value is kept in a canonical shape: a Laurent numerator over a
-denominator multiset {(i, m_i)} of (1 - L^-i) factors.  Up to a power of
-L the denominator is prod (L^i - 1)^m_i = prod_d Phi_d^e_d, where e_d sums
-m_i over the i that d divides.  Canonicalization divides each cyclotomic
-Phi_d out of the primitive integer numerator as often as it divides, up to
-e_d, re-covers the cyclotomics left over by the smallest multiset of
-(1 - L^-i) factors (largest index first), and multiplies the numerator by
-the cyclotomics the cover adds.  Every division is by a monic integer
-polynomial, so it runs in integer arithmetic.  Two values are equal iff
-their canonical forms coincide, which makes equality decidable and hashable.
+A nonzero value is stored as (shift, content, prim, den), meaning
+
+    content * L^shift * prim(L) / prod_{(i, m) in den} (1 - L^-i)^m,
+
+with `content` a nonzero Fraction, `prim` a tuple of coprime ints with a
+nonzero constant and a positive leading coefficient, and `den` the sorted
+multiset of (i, m) pairs.  Zero is the empty `prim`.  Up to a power of L
+the denominator is prod (L^i - 1)^m_i = prod_d Phi_d^e_d, where e_d sums
+m_i over the i that d divides.  The form is canonical when each Phi_d
+that divides prim has been cancelled, up to e_d, and the cyclotomics left
+over are covered by the smallest multiset of (1 - L^-i) factors (largest
+index first), whose extra cyclotomics multiply prim.  Two values are equal
+iff their forms coincide, which makes equality decidable and hashable.
+
+The arithmetic stays in integers.  A product multiplies the contents and
+the prims, whose product is again primitive by Gauss's lemma; a sum lifts
+both prims to the merged denominator, scales them to the lcm of the two
+content denominators and takes one integer gcd.  Negation and scaling by
+a rational never reduce.  The cancellation depends on prim and den only,
+so it is one function, `_reduce`, memoized on that pair: the values of an
+integration meet a few hundred distinct pairs over and over.  Every division in it is by a monic cyclotomic, so
+it runs in integer arithmetic.  Only the views `numerator`, `render` and
+`nu` turn coefficients into Fractions.  Division by a unit peels its
+factors L^i - 1 by sparse division before it looks for cyclotomics.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from fractions import Fraction
 
@@ -22,6 +38,11 @@ from . import poly
 from .errors import NotInvertibleInA, ParseError
 
 F0 = Fraction(0)
+F1 = Fraction(1)
+# distinct (prim, den) pairs the reduction keeps, some 700 bytes each;
+# integrating the cube families and a stream of linear products meets
+# under 400
+REDUCE_MEMO = 1024
 
 
 _cyclotomic_cache = {1: [-1, 1]}
@@ -40,52 +61,83 @@ def cyclotomic(d):
     return num
 
 
+def _new(shift, content, prim, den):
+    out = object.__new__(SymA)
+    out._shift = shift
+    out._content = content
+    out._prim = prim
+    out._den = den
+    return out
+
+
+def _reduced(shift, content, prim, den):
+    """The canonical value content * L^shift * prim / den, for a primitive
+    prim with a nonzero constant and a positive leading coefficient."""
+    prim = tuple(prim)
+    if den:
+        prim, den, s = _reduce(prim, den)
+        shift += s
+    return _new(shift, content, prim, den)
+
+
 class SymA:
-    """One canonical ring value: Laurent numerator / prod (1 - L^-i)^m.
+    """One canonical ring value: content * L^shift * prim(L) / prod
+    (1 - L^-i)^m.
 
-    `num` maps degrees to int or Fraction coefficients, `den` maps
-    indices i > 0 to multiplicities."""
+    The constructor reads `num`, a map from degrees to int or Fraction
+    coefficients, and `den`, a map from indices i > 0 to multiplicities."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_shift", "_content", "_prim", "_den")
 
     def __init__(self, num=None, den=None):
-        num = dict(num or {})
-        den = dict(den or {})
-        cnum, cden = _canonicalize(num, den)
-        self._num = cnum
-        self._den = cden
+        num = {d: c for d, c in (num or {}).items() if c}
+        den = {i: m for i, m in (den or {}).items() if m > 0}
+        if any(i <= 0 for i in den):
+            raise ValueError("denominator index must be positive")
+        value = ZERO
+        if num:
+            shift = min(num)
+            content, prim = poly.primitive(
+                [num.get(d, 0) for d in range(shift, max(num) + 1)])
+            value = _reduced(shift, content, prim, tuple(sorted(den.items())))
+        self._shift = value._shift
+        self._content = value._content
+        self._prim = value._prim
+        self._den = value._den
 
     # -- constructors --
 
     @classmethod
     def from_int(cls, n):
-        return cls({0: Fraction(n)})
+        return cls.from_fraction(n)
 
     @classmethod
     def from_fraction(cls, r):
-        return cls({0: Fraction(r)})
+        r = Fraction(r)
+        return _new(0, r, (1,), ()) if r else ZERO
 
     @classmethod
     def l_power(cls, k):
-        return cls({k: Fraction(1)})
+        return _new(k, F1, (1,), ())
 
     @classmethod
     def geom(cls, i):
         """1 / (1 - L^-i)."""
         if i <= 0:
             raise ValueError("geometric factor index must be positive")
-        return cls({0: Fraction(1)}, {i: 1})
+        return _reduced(0, F1, (1,), ((i, 1),))
 
     @classmethod
     def one_minus_l_inv(cls, i):
-        return cls({0: Fraction(1), -i: Fraction(-1)})
+        return cls({0: F1, -i: -F1})
 
     # -- views --
 
     @property
     def numerator(self):
         """Canonical Laurent numerator as {degree: Fraction}."""
-        return dict(self._num)
+        c, s = self._content, self._shift
+        return {s + j: c * a for j, a in enumerate(self._prim) if a}
 
     @property
     def denominator(self):
@@ -93,44 +145,61 @@ class SymA:
         return self._den
 
     def is_zero(self):
-        return not self._num
+        return not self._prim
 
     def __bool__(self):
-        return bool(self._num)
+        return bool(self._prim)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = SymA.from_int(other)
         if not isinstance(other, SymA):
             return NotImplemented
-        return self._num == other._num and self._den == other._den
+        return (self._shift == other._shift and self._prim == other._prim
+                and self._content == other._content
+                and self._den == other._den)
 
     def __hash__(self):
-        return hash((self._num, self._den))
+        return hash((self._shift, self._content, self._prim, self._den))
 
     # -- ring operations --
-
-    def _numdict(self):
-        return dict(self._num)
 
     def __add__(self, other):
         if isinstance(other, int):
             other = SymA.from_int(other)
         if not isinstance(other, SymA):
             return NotImplemented
-        da = dict(self._den)
-        db = dict(other._den)
-        merged = {i: max(da.get(i, 0), db.get(i, 0)) for i in set(da) | set(db)}
-        na = _lift(self._numdict(), da, merged)
-        nb = _lift(other._numdict(), db, merged)
-        for d, c in nb.items():
-            na[d] = na.get(d, F0) + c
-        return SymA(na, merged)
+        if not other._prim:
+            return self
+        if not self._prim:
+            return other
+        a, sa, b, sb, den = self._prim, self._shift, other._prim, \
+            other._shift, self._den
+        if den != other._den:
+            da, db = dict(den), dict(other._den)
+            merged = {i: max(da.get(i, 0), db.get(i, 0)) for i in da | db}
+            a, sa = _lift(a, sa, da, merged)
+            b, sb = _lift(b, sb, db, merged)
+            den = tuple(sorted(merged.items()))
+        # over the lcm l of the content denominators the sum is an
+        # integer numerator: (ka * L^sa * a + kb * L^sb * b) / l
+        ca, cb = self._content, other._content
+        l = math.lcm(ca.denominator, cb.denominator)
+        ka = ca.numerator * (l // ca.denominator)
+        kb = cb.numerator * (l // cb.denominator)
+        lo = min(sa, sb)
+        out = poly.add([0] * (sa - lo) + [ka * c for c in a],
+                       [0] * (sb - lo) + list(b), kb)
+        if not out:
+            return ZERO
+        low = next(j for j, c in enumerate(out) if c)
+        content, prim = poly.primitive(out[low:])
+        return _reduced(lo + low, content / l, prim, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymA({d: -c for d, c in self._num}, dict(self._den))
+        return _new(self._shift, -self._content, self._prim, self._den)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -142,27 +211,33 @@ class SymA:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return SymA({d: c * other for d, c in self._numdict().items()},
-                        dict(self._den))
+            if not other or not self._prim:
+                return ZERO
+            return _new(self._shift, self._content * other, self._prim,
+                        self._den)
         if not isinstance(other, SymA):
             return NotImplemented
-        na, nb = self._numdict(), other._numdict()
-        out = {}
-        for d1, c1 in na.items():
-            for d2, c2 in nb.items():
-                k = d1 + d2
-                out[k] = out.get(k, F0) + c1 * c2
-        den = dict(self._den)
-        for i, m in other._den:
-            den[i] = den.get(i, 0) + m
-        return SymA(out, den)
+        if not self._prim or not other._prim:
+            return ZERO
+        den = self._den
+        if other._den:
+            if den:
+                merged = dict(den)
+                for i, m in other._den:
+                    merged[i] = merged.get(i, 0) + m
+                den = tuple(sorted(merged.items()))
+            else:
+                den = other._den
+        return _reduced(self._shift + other._shift,
+                        self._content * other._content,
+                        poly.mul(self._prim, other._prim), den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        acc = SymA.from_int(1)
+        acc = ONE
         base = self
         while n:
             if n & 1:
@@ -182,27 +257,27 @@ class SymA:
         if isinstance(d, int):
             d = SymA.from_int(d)
         sign, shift, exponents = _unit_factorization(d)
-        # 1/Phi_k = L^-k * ((L^k - 1)/Phi_k) / (1 - L^-k), so
-        # 1/d = sign * L^-shift * prod_{d's den} (1 - L^-i)^m
-        #       * prod_k (L^-k (L^k - 1)/Phi_k)^e_k / prod_k (1 - L^-k)^e_k
-        top = [1]
-        for k, e in exponents.items():
-            shift += k * e
-            rest = poly.divmod([-1] + [0] * (k - 1) + [1], cyclotomic(k))[0]
-            for _ in range(e):
-                top = poly.mul(top, rest)
-        inv_num = _lift({j - shift: Fraction(sign * c)
-                         for j, c in enumerate(top) if c}, {}, dict(d._den))
-        return self * SymA(inv_num, exponents)
+        # d = sign * L^shift * P / prod_j (1 - L^-j)^n_j with P the product
+        # of the Phi_k^e_k.  Cover P by prod_i (L^i - 1)^c_i, which P
+        # divides with quotient Q; since L^i - 1 = L^i (1 - L^-i),
+        # 1/d = sign * L^(-shift - sum i c_i - sum j n_j)
+        #       * Q * prod_j (L^j - 1)^n_j / prod_i (1 - L^-i)^c_i
+        cover = _cover(exponents)
+        top, shift = _lift([1], -shift, {}, cover)
+        top, shift = _lift(poly.divmod(top, d._prim)[0], shift, {},
+                           dict(d._den))
+        return self * _reduced(shift, Fraction(sign), top,
+                               tuple(sorted(cover.items())))
 
     def nu(self, q):
         """Exact specialization L -> q (q rational, q > 1 for the order)."""
         q = Fraction(q)
         if q == 0:
             raise ZeroDivisionError("nu at q = 0")
-        acc = F0
-        for d, c in self._num:
-            acc += c * q ** d
+        if not self._prim:
+            return F0
+        x = q.numerator if q.denominator == 1 else q
+        acc = self._content * q ** self._shift * poly.evaluate(self._prim, x)
         for i, m in self._den:
             f = 1 - q ** (-i)
             if f == 0:
@@ -214,18 +289,18 @@ class SymA:
         """True iff nu_q(self) >= 0 for every real q > 1.
 
         The denominator factors are positive there, so the sign is the sign
-        of the numerator polynomial, decided by `poly.nonneg_on_gt1`.
+        of content * prim, decided by `poly.nonneg_on_gt1`.
         """
-        if self.is_zero():
-            return True
-        return poly.nonneg_on_gt1(_dense(self._numdict())[1])
+        if self._content > 0:
+            return poly.nonneg_on_gt1(self._prim)
+        return poly.nonneg_on_gt1([-c for c in self._prim])
 
     # -- rendering / parsing --
 
     def render(self):
         if self.is_zero():
             return "0"
-        num = self._numdict()
+        num = self.numerator
         parts = []
         for idx, d in enumerate(sorted(num, reverse=True)):
             c = num[d]
@@ -262,36 +337,38 @@ class SymA:
         return _parse_syma(text)
 
 
-def _lift(num, den, target):
-    """Multiply num by the expanded missing (1 - L^-i) factors of target/den."""
-    out = dict(num)
+def _lift(prim, shift, den, target):
+    """(prim, shift) times the (1 - L^-i) factors target has beyond den:
+    each one is L^-i (L^i - 1)."""
     for i, m in target.items():
         for _ in range(m - den.get(i, 0)):
-            nxt = {}
-            for d, c in out.items():
-                nxt[d] = nxt.get(d, F0) + c
-                nxt[d - i] = nxt.get(d - i, F0) - c
-            out = {d: c for d, c in nxt.items() if c != 0}
-    return out
+            prim = poly.add([0] * i + list(prim), prim, -1)
+            shift -= i
+    return prim, shift
 
 
-def _canonicalize(num, den):
-    num = {d: c for d, c in num.items() if c}
-    den = {i: m for i, m in den.items() if m > 0}
-    for i in den:
-        if i <= 0:
-            raise ValueError("denominator index must be positive")
-    if not num:
-        return (), ()
-    mn, dense = _dense(num)
-    content, prim = poly.primitive(dense)
-    if not den:
-        return _to_form(content, mn, prim, {})
-    # prod (L^i - 1)^m_i is prod_d Phi_d^e_d, e_d the sum of m_i over d | i:
-    # cancel each Phi_d from the numerator as often as it divides, up to e_d
+def _cover(left):
+    """The smallest multiset {i: c_i} of (L^i - 1) factors whose product
+    the cyclotomics {d: e_d} divide: each Phi_d is covered, largest d
+    first, by the factors chosen so far whose index d divides."""
+    cover = {}
+    for d in sorted(left, reverse=True):
+        need = left[d] - sum(m for i, m in cover.items() if i % d == 0)
+        if need > 0:
+            cover[d] = need
+    return cover
+
+
+@functools.lru_cache(maxsize=REDUCE_MEMO)
+def _reduce(prim, den):
+    """The canonical (prim, den, shift) of prim / den: divide each Phi_d
+    out of prim as often as it divides, up to e_d, re-cover what is left
+    and multiply prim by the cyclotomics the cover adds.  The value moves
+    by L^shift, since prod (1 - L^-i)^m is L^-(sum i m) prod (L^i - 1)^m."""
     left = {}
-    for d in sorted(set().union(*map(poly.divisors, den)), reverse=True):
-        e = sum(m for i, m in den.items() if i % d == 0)
+    for d in sorted(set().union(*(poly.divisors(i) for i, _ in den)),
+                    reverse=True):
+        e = sum(m for i, m in den if i % d == 0)
         phi = cyclotomic(d)
         while e:
             q, r = poly.divmod(prim, phi)
@@ -301,61 +378,64 @@ def _canonicalize(num, den):
             e -= 1
         if e:
             left[d] = e
-    # cover what is left by (L^i - 1) factors, largest i first (left is in
-    # descending order), and put the cyclotomics the cover adds on top
-    newden = {}
-    for d, r in left.items():
-        need = r - sum(m for i, m in newden.items() if i % d == 0)
-        if need > 0:
-            newden[d] = need
-    for d in set().union(*map(poly.divisors, newden)):
-        extra = sum(m for i, m in newden.items() if i % d == 0)
+    cover = _cover(left)
+    for d in set().union(*map(poly.divisors, cover)):
+        extra = sum(m for i, m in cover.items() if i % d == 0)
         for _ in range(extra - left.get(d, 0)):
             prim = poly.mul(prim, cyclotomic(d))
-    shift = sum(i * m for i, m in den.items()) - \
-        sum(i * m for i, m in newden.items())
-    return _to_form(content, mn + shift, prim, newden)
-
-
-def _dense(num):
-    """(lowest degree, dense coefficient list) of a nonzero {degree:
-    coefficient} numerator."""
-    mn = min(num)
-    return mn, [num.get(d, 0) for d in range(mn, max(num) + 1)]
-
-
-def _to_form(content, shift, prim, den):
-    g, l = content.numerator, content.denominator
-    num = tuple((shift + j, Fraction(g * c, l))
-                for j, c in enumerate(prim) if c)
-    return num, tuple(sorted(den.items()))
+    shift = sum(i * m for i, m in den) - sum(i * m for i, m in cover.items())
+    return tuple(prim), tuple(sorted(cover.items())), shift
 
 
 def _unit_factorization(d):
     """Factor the numerator of d as sign * L^shift * prod_k Phi_k(L)^e_k;
     returns (sign, shift, {k: e_k}).
 
+    Factors L^i - 1 are peeled first, largest i first, each by one sparse
+    division; the cyclotomics they leave are found one k at a time.
     Raises NotInvertibleInA when the numerator has any other irreducible
     factor or a non-unit integer content.
     """
     if d.is_zero():
         raise NotInvertibleInA("zero is not invertible")
-    mn, dense = _dense(d._numdict())
-    content, prim = poly.primitive(dense)
+    content = d._content
     if content.denominator != 1:
         raise NotInvertibleInA("non-integer content: %s" % d.render())
     if abs(content) != 1:
         raise NotInvertibleInA("content %d is not a unit" % content.numerator)
+    prim = list(d._prim)
+
+    def not_a_unit():
+        return NotInvertibleInA(
+            "%s is not a signed product of L-powers and cyclotomic "
+            "factors" % d.render())
+
+    # Phi_1 = L - 1 is its own reciprocal up to sign, every other Phi_k
+    # exactly, and so is any product of them
+    if prim[::-1] not in (prim, [-c for c in prim]):
+        raise not_a_unit()
     exponents = {}
+    # L^i - 1 divides prim iff prim's coefficients sum to zero in each
+    # residue class of degrees mod i
+    i = len(prim) - 1
+    while i:
+        if any(sum(prim[r::i]) for r in range(i)):
+            i -= 1
+            continue
+        q = prim[i:]  # prim = q * (L^i - 1): q_j = q_(j-i) - prim_j
+        for j in range(len(q)):
+            q[j] = (q[j - i] if j >= i else 0) - prim[j]
+        prim = q
+        for k in poly.divisors(i):
+            exponents[k] = exponents.get(k, 0) + 1
+        i = min(i, len(prim) - 1)
     k = 0
     while len(prim) > 1:
         k += 1
         deg = len(prim) - 1
         # totient(k) >= sqrt(k/2), so no Phi_k of degree <= deg is left
         if k > 2 * deg * deg:
-            raise NotInvertibleInA(
-                "%s is not a signed product of L-powers and cyclotomic "
-                "factors" % d.render())
+            raise not_a_unit()
         if poly.totient(k) > deg:
             continue
         while True:
@@ -365,7 +445,7 @@ def _unit_factorization(d):
             prim = q
             exponents[k] = exponents.get(k, 0) + 1
     # prim is primitive with a positive leading coefficient, so it is [1]
-    return content.numerator, mn, exponents
+    return content.numerator, d._shift, exponents
 
 
 def _fmt_fraction(c):
@@ -484,9 +564,8 @@ class _SymAParser:
 def _divide(v, w):
     # integer/rational constant divisors scale the content; unit-shaped
     # divisors go through div_by_unit
-    wn = dict(w._num)
-    if not w._den and set(wn) == {0}:
-        return v * (1 / wn[0])
+    if w._prim == (1,) and not w._shift and not w._den:
+        return v * (1 / w._content)
     return v.div_by_unit(w)
 
 
@@ -494,6 +573,6 @@ def _parse_syma(text):
     return _SymAParser(_tokenize_syma(text)).parse()
 
 
-L = SymA.l_power(1)
+ZERO = _new(0, F0, (), ())
 ONE = SymA.from_int(1)
-ZERO = SymA.from_int(0)
+L = SymA.l_power(1)

@@ -203,7 +203,7 @@ def _unit_factorization(d):
     """
     if d.is_zero():
         raise NotInvertibleInA("zero is not invertible")
-    num = d._numdict()
+    num = d.numerator
     mn = min(num)
     dense = [num.get(k, F0) for k in range(mn, max(num) + 1)]
     if any(c.denominator != 1 for c in dense):

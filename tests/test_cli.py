@@ -509,6 +509,24 @@ def test_semiprime_center_stops_at_the_budget():
                            "1000000\n")
 
 
+def test_compare_budget_reaches_the_symbolic_factoring(tmp_path):
+    # the excluded primes of the linear product factor 35, which takes
+    # more than one trial division: --budget lifts the limit for that
+    # factoring too, and without it the environment's limit holds
+    path = tmp_path / "two_centers.dp"
+    path.write_text("#! linear-product: 0:1,35:1\n"
+                    "#! integrand: z*(z - 35)\n"
+                    "vf z; ord(z) >= 0\n")
+    argv = ("compare", str(path), "--primes", "11")
+    proc = _run_apart(*argv, "--budget", str(10 ** 18), budget=1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out_json(proc.stdout)["ok"] is True
+    proc = _run_apart(*argv, budget=1)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == ("dpcalc: trial divisions factoring 35 exceed "
+                           "the budget of 1\n")
+
+
 def test_integrate_negative_first_center(run_cli):
     rc, out, err = run_cli("integrate", "--linear-product", "-3:2")
     assert (rc, err) == (0, "")

@@ -1,5 +1,6 @@
 """The coefficient ring: canonical forms, arithmetic, specialization, order."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -227,18 +228,19 @@ def _times_one_minus_l_inv(num, i):
 
 
 @st.composite
-def raw_forms(draw):
+def raw_forms(draw, top=12, most=4):
     """An uncanonical (numerator, denominator) pair with rational content,
-    indices up to 12 and multiplicities up to 4, whose numerator carries
-    (1 - L^-i) factors that often share cyclotomics with the denominator."""
-    den = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 4),
+    indices up to `top` and multiplicities up to `most`, whose numerator
+    carries (1 - L^-i) factors that often share cyclotomics with the
+    denominator."""
+    den = draw(st.dictionaries(st.integers(1, top), st.integers(0, most),
                                max_size=3))
     num = draw(st.dictionaries(
         st.integers(-6, 6),
         st.fractions(min_value=-20, max_value=20, max_denominator=12),
         max_size=5))
     shared = sorted({d for i in den for d in range(1, i + 1) if i % d == 0})
-    indices = st.integers(1, 12)
+    indices = st.integers(1, top)
     if shared:
         indices = st.sampled_from(shared) | indices
     for i in draw(st.lists(indices, max_size=4)):
@@ -251,7 +253,7 @@ def raw_forms(draw):
 def test_canonical_form_matches_reference(form):
     num, den = form
     elem = SymA(num, den)
-    assert (elem._num, elem._den) == \
+    assert (tuple(elem.numerator.items()), elem.denominator) == \
         reference._canonicalize(dict(num), dict(den))
 
 
@@ -301,3 +303,116 @@ def test_unit_division_matches_reference(shape):
         return
     assert symring._unit_factorization(d) == _as_cyclotomic(want)
 
+
+# --- the integer core against naive Fraction arithmetic ---
+
+def _form(elem):
+    return tuple(elem.numerator.items()), elem.denominator
+
+
+def _reference_form(raw):
+    num, den = raw
+    return reference._canonicalize(dict(num), dict(den))
+
+
+def _naive_scale(raw, r):
+    num, den = raw
+    return {d: F(c) * r for d, c in num.items()}, den
+
+
+def _naive_mul(a, b):
+    (na, da), (nb, db) = a, b
+    num = {}
+    for d1, c1 in na.items():
+        for d2, c2 in nb.items():
+            num[d1 + d2] = num.get(d1 + d2, F(0)) + F(c1) * c2
+    den = dict(da)
+    for i, m in db.items():
+        den[i] = den.get(i, 0) + m
+    return num, den
+
+
+def _naive_add(a, b):
+    den = {i: max(a[1].get(i, 0), b[1].get(i, 0))
+           for i in set(a[1]) | set(b[1])}
+    out = {}
+    for num, own in (a, b):
+        for i, m in den.items():
+            for _ in range(m - own.get(i, 0)):
+                num = _times_one_minus_l_inv(num, i)
+        for d, c in num.items():
+            out[d] = out.get(d, F(0)) + c
+    return out, den
+
+
+_nonzero_fractions = _fractions.filter(bool)
+# operands small enough that the reference's expanded denominators of
+# their products stay cheap
+_operands = raw_forms(top=6, most=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_operands, b=_operands, r=_nonzero_fractions, n=st.integers(0, 2))
+def test_integer_core_matches_reference(a, b, r, n):
+    x, y = SymA(*a), SymA(*b)
+    assert _form(x + y) == _reference_form(_naive_add(a, b))
+    assert _form(x - y) == _reference_form(
+        _naive_add(a, _naive_scale(b, -1)))
+    assert _form(-x) == _reference_form(_naive_scale(a, -1))
+    assert _form(x * y) == _reference_form(_naive_mul(a, b))
+    assert _form(x.scale(r)) == _reference_form(_naive_scale(a, r))
+    power = ({0: F(1)}, {})
+    for _ in range(n):
+        power = _naive_mul(power, a)
+    assert _form(x ** n) == _reference_form(power)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_operands, b=_operands, r=_nonzero_fractions, k=st.integers(-6, 6))
+def test_content_and_shift_leave_the_reduction_alone(a, b, r, k):
+    """x and r * L^k * x reduce the same primitive numerator over the same
+    denominator, so they share one memo entry; each result must still be
+    the reference's form."""
+    moved = ({d + k: F(c) * r for d, c in a[0].items()}, a[1])
+    x, y = SymA(*moved), SymA(*b)
+    assert _form(x) == _reference_form(moved)
+    assert x == SymA(*a) * SymA.l_power(k) * r
+    assert _form(x + y) == _reference_form(_naive_add(moved, b))
+    assert _form(x * y) == _reference_form(_naive_mul(moved, b))
+
+
+@st.composite
+def units_with_inverses(draw):
+    """A raw unit sign * L^k * prod (1 - L^-i)^(+-1) and its inverse."""
+    sign, k = draw(st.sampled_from([1, -1])), draw(st.integers(-5, 5))
+    unit, inverse = ({k: F(sign)}, {}), ({-k: F(sign)}, {})
+    for i, on_top in draw(st.lists(st.tuples(st.integers(1, 12),
+                                             st.booleans()), max_size=3)):
+        # (1 - L^-i) joins the numerator of one, the denominator of the other
+        up, down = (unit, inverse) if on_top else (inverse, unit)
+        up = (_times_one_minus_l_inv(up[0], i), up[1])
+        down = (down[0], {**down[1], i: down[1].get(i, 0) + 1})
+        unit, inverse = (up, down) if on_top else (down, up)
+    return unit, inverse
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_operands, pair=units_with_inverses())
+def test_div_by_unit_matches_reference(a, pair):
+    unit, inverse = pair
+    got = SymA(*a).div_by_unit(SymA(*unit))
+    assert _form(got) == _reference_form(_naive_mul(a, inverse))
+
+
+def test_large_unit_is_peeled_at_once():
+    # L^2000 - 1 is one sparse division, not a search over cyclotomics
+    start = time.perf_counter()
+    value = SymA.parse("1/(1 - L^-2000)")
+    assert time.perf_counter() - start < 0.5
+    assert value == SymA.geom(2000)
+    assert value * SymA.one_minus_l_inv(2000) == ONE
+    # no product of cyclotomics has coefficients that are not symmetric
+    start = time.perf_counter()
+    with pytest.raises(NotInvertibleInA):
+        SymA.parse("1/(L^2000 + 2)")
+    assert time.perf_counter() - start < 0.5
