@@ -526,10 +526,16 @@ class _Codegen:
             base = self.vf(node.base, block)
             if base[0] == "c":
                 return ("c", self.site("pow", base[1], node.exponent))
-            out = base[1]
-            for _ in range(node.exponent - 1):
-                out = self.op("mul", out, base[1], block)
-            return ("f", out)
+            # repeated squaring, as in localfield.power
+            out, square, n = None, base[1], node.exponent
+            while True:
+                if n & 1:
+                    out = square if out is None \
+                        else self.op("mul", out, square, block)
+                n >>= 1
+                if not n:
+                    return ("f", out)
+                square = self.op("mul", square, square, block)
         raise AssertionError(node)
 
     def op(self, name, a, b, block):

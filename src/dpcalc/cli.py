@@ -25,14 +25,16 @@ Fixture files are plain text.  Lines starting with "#" are comments; lines
 starting with "#!" carry key: value directives (expect, linear-product,
 integrand, exponent) that describe what the formula in the file is for.
 Cell-data files are JSON; their optional "oracle" block gives a domain
-formula, an integrand, and per-case parameter values and uniformizer
-expressions so the same integral can be run numerically.
+formula, an integrand, and per-case parameter values and field values
+so the same integral can be run numerically.  Every term in the inputs,
+integrands and binds included, is read by the formula grammar's
+`parse_term` at its sort; a bind such as "acx * pi^(3*k)" is a field
+term in the case's parameters and the uniformizer pi.
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import functools
 import json
 import re
@@ -44,8 +46,9 @@ from .budget import ENV as BUDGET_ENV
 from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
                      ParseError, SortError, UnsupportedFeature,
                      UnsupportedZeroCell)
-from .formula import (Formula, Sort, VfConst, VfMul, VfPow, VfUnif,
-                      eval_vf_term, parse, pretty_print)
+from .formula import (Formula, Sort, VfUnif, eval_vf_term, free_vars, parse,
+                      parse_term, pretty_print)
+from .formula.nodes import substitute
 from .localfield import fpt, is_prime, qp
 from .motivic import (bad_primes, bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
@@ -218,68 +221,6 @@ def _derivation_json(result):
             for cid, fn, note in result.derivation]
 
 
-# ---------------------------------------------------------------------------
-# uniformizer-monomial arithmetic for oracle binds
-
-
-def _eval_monomial(text, env):
-    """Evaluate an arithmetic expression over the integers, the declared
-    parameters, and the uniformizer symbol pi, e.g. "acx * pi^(3*k)".
-
-    Values are monomials c * pi^e; sums are only defined between pi-free
-    values, so the result is always a single monomial (coeff, exponent)."""
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except (AttributeError, SyntaxError, ValueError) as e:
-        raise ParseError("bad arithmetic in %r: %s" % (text, e))
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return Fraction(node.value), 0
-        if isinstance(node, ast.Name):
-            if node.id == "pi":
-                return Fraction(1), 1
-            if node.id in env:
-                return Fraction(env[node.id]), 0
-            raise ParseError("unknown name %r in %r" % (node.id, text))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            c, e = ev(node.operand)
-            return -c, e
-        if isinstance(node, ast.BinOp):
-            a, ae = ev(node.left)
-            b, be = ev(node.right)
-            if isinstance(node.op, ast.Mult):
-                return a * b, ae + be
-            if isinstance(node.op, ast.Div):
-                if be or b == 0:
-                    raise ParseError("bad division in %r" % text)
-                return a / b, ae
-            if isinstance(node.op, (ast.Add, ast.Sub)):
-                if ae or be:
-                    raise ParseError("cannot add uniformizer powers in %r"
-                                     % text)
-                return (a + b, 0) if isinstance(node.op, ast.Add) \
-                    else (a - b, 0)
-            if isinstance(node.op, ast.Pow):
-                if be or b.denominator != 1 or b < 0:
-                    raise ParseError("exponents must be nonnegative "
-                                     "integers in %r" % text)
-                return a ** int(b), ae * int(b)
-        raise ParseError("unsupported arithmetic in %r" % text)
-
-    return ev(tree)
-
-
-def _vf_value(spec, coeff, exp):
-    """The field element coeff * pi^exp in the given complete field."""
-    term = VfConst(coeff)
-    if exp:
-        term = VfMul(term, VfPow(VfUnif(), exp))
-    return eval_vf_term(term, spec, {})
-
-
 def _integrand_from(directives):
     if "integrand" in directives:
         return IntegrandSpec.abs_power(
@@ -408,6 +349,22 @@ def _oracle_rows(cfg, primes, skipped, per_prime):
     return rows, failing
 
 
+def _bracket(cfg, row, sym, integrand, phi, p, precision, binds):
+    """Put the oracle's bracket at p into row for each field cfg asks
+    for, the binds evaluated in that field; whether all contain sym."""
+    ok = True
+    for kind in ("qp", "fpt") if cfg.both_characteristics else ("qp",):
+        spec = (qp if kind == "qp" else fpt)(p, precision)
+        assignment = {name: eval_vf_term(term, spec, {})
+                      for name, term in binds.items()}
+        iv = oracle_integrate(integrand, phi, spec, assignment=assignment,
+                              budget=cfg.budget)
+        row[kind] = [fraction_str(iv.lower), fraction_str(iv.upper)]
+        row[kind + "_contained"] = iv.contains(sym)
+        ok = ok and iv.contains(sym)
+    return ok
+
+
 def _compare_formula(cfg):
     body, directives = _read_dp(cfg.path)
     phi = parse(body)
@@ -431,18 +388,29 @@ def _compare_formula(cfg):
     def per_prime(p):
         sym = value.nu(p)
         row = {"prime": p, "symbolic": fraction_str(sym)}
-        ok = True
-        for kind in ("qp", "fpt") if cfg.both_characteristics else ("qp",):
-            spec = (qp if kind == "qp" else fpt)(p, cfg.precision)
-            iv = oracle_integrate(integrand, phi, spec, budget=cfg.budget)
-            row[kind] = [fraction_str(iv.lower), fraction_str(iv.upper)]
-            row[kind + "_contained"] = iv.contains(sym)
-            ok = ok and iv.contains(sym)
-        return row, ok
+        return row, _bracket(cfg, row, sym, integrand, phi, p,
+                             cfg.precision, {})
 
     rows, failing = _oracle_rows(cfg, cfg.primes, skipped, per_prime)
     return {"file": cfg.path, "value": value.render(),
             "rows": rows}, failing
+
+
+def _oracle_case(case, precision):
+    """(params, precision, {name: term}) of one oracle case.  A bind is a
+    field term in the case's parameters, read as integers, and the
+    uniformizer pi, such as "acx * pi^(3*k)"."""
+    params = {k: int(v) for k, v in (case.get("params") or {}).items()}
+    binds = {}
+    for name, text in (case.get("vf") or {}).items():
+        term = substitute(parse_term(text, Sort.VF, values=params),
+                          {"pi": VfUnif()})
+        loose = free_vars(term)
+        if loose:
+            raise ParseError("unknown name %r in the bind %r"
+                             % (next(iter(loose)), text))
+        binds[name] = term
+    return params, int(case.get("precision", precision)), binds
 
 
 def _compare_cells(cfg):
@@ -461,9 +429,7 @@ def _compare_cells(cfg):
                                                 int(spec_f.get("e", 1)))
         else:
             integrand = IntegrandSpec.one()
-        cases = [({k: int(v) for k, v in (case.get("params") or {}).items()},
-                  int(case.get("precision", cfg.precision)),
-                  dict(case.get("vf") or {}))
+        cases = [_oracle_case(case, cfg.precision)
                  for case in block.get("cases") or [{}]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed oracle block in %s: %s"
@@ -492,21 +458,8 @@ def _compare_cells(cfg):
             row = {"prime": p,
                    "case": {k: v for k, v in sorted(params.items())},
                    "symbolic": fraction_str(sym)}
-            ok = True
-            kinds = ("qp", "fpt") if cfg.both_characteristics else ("qp",)
-            for kind in kinds:
-                spec = (qp if kind == "qp" else fpt)(p, precision)
-                assignment = {}
-                for name, expr in binds.items():
-                    coeff, exp = _eval_monomial(expr, params)
-                    assignment[name] = _vf_value(spec, coeff, exp)
-                iv = oracle_integrate(integrand, phi, spec,
-                                      assignment=assignment,
-                                      budget=cfg.budget)
-                row[kind] = [fraction_str(iv.lower), fraction_str(iv.upper)]
-                row[kind + "_contained"] = iv.contains(sym)
-                ok = ok and iv.contains(sym)
-            return row, ok
+            return row, _bracket(cfg, row, sym, integrand, phi, p, precision,
+                                 binds)
 
         rows, failing = _oracle_rows(cfg, cfg.primes, result.bad_primes,
                                      per_prime)

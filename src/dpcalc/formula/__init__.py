@@ -7,7 +7,7 @@ from .nodes import (And, Exists, Formula, Node, Not, Or, RfAc, RfAdd,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
                     free_vars, walk)
-from .parse import parse
+from .parse import parse, parse_term
 from .printer import pretty_print
 from .interpret import Truth3, eval_vf_term, interpret
 from .count import count_rf_points
@@ -19,5 +19,5 @@ __all__ = [
     "VfSub", "VfUnif", "VfVar", "ZzAdd", "ZzCong", "ZzConst", "ZzEq",
     "ZzInf", "ZzLe", "ZzLt", "ZzNeg", "ZzOrd", "ZzScale", "ZzSub", "ZzVar",
     "count_rf_points", "eval_vf_term", "free_vars", "interpret", "parse",
-    "pretty_print", "walk",
+    "parse_term", "pretty_print", "walk",
 ]

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 
 from ..errors import PrecisionExhausted, UnboundVariable, UnsupportedFeature
-from ..localfield import INF, LFElem, embed_rational, from_digits
+from ..localfield import INF, LFElem, embed_rational, from_digits, power
 from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
@@ -196,11 +196,7 @@ class _Evaluator:
         if isinstance(n, VfNeg):
             return -self.vf(n.operand, env)
         if isinstance(n, VfPow):
-            acc = embed_rational(1, self.spec)
-            base = self.vf(n.base, env)
-            for _ in range(n.exponent):
-                acc = acc * base
-            return acc
+            return power(self.vf(n.base, env), n.exponent)
         raise AssertionError(n)
 
     def rf(self, n, env):

@@ -278,27 +278,42 @@ def free_vars(node, bound=frozenset()):
     return out
 
 
-def substitute(node, mapping):
-    """node with every free variable whose name is a key of mapping
-    replaced by the mapped node; an exists hides its own variable from
-    the mapping.  A name has one sort throughout a formula, so matching by
-    name alone is exact.  Subtrees with nothing replaced are kept as they
-    are."""
+def rewrite(node, replace):
+    """node with each subtree n for which replace(n) is not None replaced
+    by that value, which is not descended into.  Subtrees with nothing
+    replaced are kept as they are."""
+    w = replace(node)
+    if w is not None:
+        return w
     cls = type(node)
-    if cls in _VAR_SORT:
-        return mapping.get(node.name, node)
-    if cls is Exists and node.var in mapping:
-        mapping = {n: v for n, v in mapping.items() if n != node.var}
     changed = False
     kwargs = {}
     for name in _field_names(cls):
         v = getattr(node, name)
         if isinstance(v, Node):
-            w = substitute(v, mapping)
+            w = rewrite(v, replace)
             changed = changed or w is not v
             v = w
         kwargs[name] = v
     return cls(**kwargs) if changed else node
+
+
+def substitute(node, mapping):
+    """node with every free variable whose name is a key of mapping
+    replaced by the mapped node; an exists hides its own variable from
+    the mapping.  A name has one sort throughout a formula, so matching by
+    name alone is exact."""
+    def replace(n):
+        cls = type(n)
+        if cls in _VAR_SORT:
+            return mapping.get(n.name, n)
+        if cls is Exists and n.var in mapping:
+            body = substitute(n.body, {k: v for k, v in mapping.items()
+                                       if k != n.var})
+            return n if body is n.body else Exists(n.var, n.sort, body)
+        return None
+
+    return rewrite(node, replace)
 
 
 class Formula:

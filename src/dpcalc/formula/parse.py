@@ -8,6 +8,11 @@
     cmp     := '==' | '!=' | '<=' | '<' | '>=' | '>' | '==' ... 'mod' nat
     term    := sums/products/powers over idents, integers, 't' (uniformizer),
                'inf', 'ord(term)', 'ac(term)'
+    power   := atom '^' (nat | '(' term ')')
+
+A parenthesized exponent is a value-group term that folds to an integer
+n >= 0; its names must be bound by `parse_term`'s values, which also read
+those names as integer constants in the term itself.
 
 A quantifier's body extends as far right as possible.  'forall' is rewritten
 to !exists! while parsing.  '>' and '>=' are sugar for the flipped '<'/'<='.
@@ -77,6 +82,8 @@ def _lex(src):
             toks.append(_Tok(text, text, line, col))
             col += len(text)
         pos = m.end()
+    if not toks:
+        raise ParseError("empty input")
     return toks
 
 
@@ -86,8 +93,9 @@ _SORT_KW = {"vf": Sort.VF, "rf": Sort.RF, "zz": Sort.ZZ}
 
 
 class _Parser:
-    def __init__(self, toks, default_sort=None):
+    def __init__(self, toks, default_sort=None, values=None):
         self.toks = toks
+        self.values = values or {}  # name -> int, read as a constant
         self.i = 0
         self.env = {}        # name -> Sort (declared, quantified, inferred)
         self.declared = []   # declaration order
@@ -132,12 +140,15 @@ class _Parser:
                     break
             self.take(";")
         expr = self.parse_or(set(self.env))
+        self.end()
+        free = [(n, self.env[n]) for n in self.declared + self.inferred]
+        return Formula(expr, free)
+
+    def end(self):
         t = self.peek()
         if t is not None:
             raise ParseError("trailing input starting at %r" % t.value,
                              t.line, t.col)
-        free = [(n, self.env[n]) for n in self.declared + self.inferred]
-        return Formula(expr, free)
 
     # boolean layer
 
@@ -257,11 +268,19 @@ class _Parser:
 
     def parse_tpow(self):
         base = self.parse_tatom()
-        if self.at("^"):
-            self.take()
+        if not self.at("^"):
+            return base
+        self.take()
+        if not self.at("("):
             e = self.take("int")
             return ("pow", base, e.value, (e.line, e.col))
-        return base
+        e = self.take("(")
+        n = _fold(self.parse_term())
+        self.take(")")
+        if n is None or n < 0:
+            raise ParseError("an exponent must fold to an integer >= 0",
+                             e.line, e.col)
+        return ("pow", base, n, (e.line, e.col))
 
     def parse_tatom(self):
         t = self.take()
@@ -269,6 +288,8 @@ class _Parser:
         if t.kind == "int":
             return ("int", t.value, pos)
         if t.kind == "ident":
+            if t.value in self.values:
+                return ("int", self.values[t.value], pos)
             return ("var", t.value, pos)
         if t.kind == "t":
             return ("t", pos)
@@ -406,6 +427,23 @@ class _Parser:
         raise AssertionError(tag)
 
 
+def _fold(t):
+    """The integer a term tree of integers, sums, differences and
+    products stands for, or None when it has anything else."""
+    tag = t[0]
+    if tag == "int":
+        return t[1]
+    if tag == "neg":
+        n = _fold(t[1])
+        return None if n is None else -n
+    if tag in ("add", "sub", "mul"):
+        a, b = _fold(t[1]), _fold(t[2])
+        if a is not None and b is not None:
+            return a + b if tag == "add" else a - b if tag == "sub" \
+                else a * b
+    return None
+
+
 def _mentions_var(t):
     if t[0] == "var":
         return True
@@ -415,7 +453,19 @@ def _mentions_var(t):
 def parse(src, default_sort=None):
     """Parse a formula.  default_sort settles otherwise-ambiguous atoms
     (count_rf_points uses Sort.RF)."""
-    toks = _lex(src)
-    if not toks:
-        raise ParseError("empty input")
-    return _Parser(toks, default_sort).parse_formula()
+    return _Parser(_lex(src), default_sort).parse_formula()
+
+
+def parse_term(src, sort, values=None):
+    """Parse one term and build it at `sort`, such as a valued-field
+    polynomial "y^3 - x" or a value-group form "2*k - 1".  Every
+    variable takes that sort; the names in `values` are read as those
+    integers instead.  A term of another sort raises SortError."""
+    parser = _Parser(_lex(src), values=values)
+    tree = parser.parse_term()
+    parser.end()
+    if sort not in parser.possible(tree):
+        t = parser.toks[0]
+        raise SortError("%r is not a %s term" % (src, sort.value),
+                        t.line, t.col)
+    return parser.build(tree, sort)

@@ -333,17 +333,21 @@ def _val_fraction(r, p):
     return _val_int(r.numerator, p) - _val_int(r.denominator, p)
 
 
+def _base_digits(s, p, n):
+    """The n lowest base-p digits of the integer s, lowest first."""
+    out = []
+    for _ in range(n):
+        s, d = divmod(s, p)
+        out.append(d)
+    return out
+
+
 def _unit_digits(r, p, n):
     """Base-p digits of the unit part of a nonzero rational, length n."""
     v = _val_fraction(r, p)
     u = r / Fraction(p) ** v
     a, b = u.numerator, u.denominator
-    s = a * pow(b, -1, p ** n) % p ** n
-    out = []
-    for _ in range(n):
-        out.append(s % p)
-        s //= p
-    return tuple(out)
+    return tuple(_base_digits(a * pow(b, -1, p ** n), p, n))
 
 
 @dataclass(frozen=True)
@@ -551,11 +555,8 @@ def add(a, b):
         return LFElem._approx(spec, min(low, bound), ())
     n = bound - low
     if spec.kind is FieldKind.CHAR_ZERO:
-        s = (_int_value_mod(a, low, bound) + _int_value_mod(b, low, bound)) % p ** n
-        ds = []
-        for _ in range(n):
-            ds.append(s % p)
-            s //= p
+        ds = _base_digits(_int_value_mod(a, low, bound)
+                          + _int_value_mod(b, low, bound), p, n)
     else:
         ds = [( _digit_at(a, low + i, bound) + _digit_at(b, low + i, bound)) % p
               for i in range(n)]
@@ -577,12 +578,7 @@ def neg(a):
         return LFElem._approx(spec, a.val, [(-d) % p for d in a.known])
     k = len(a.known)
     s = sum(d * p ** i for i, d in enumerate(a.known))
-    s = (-s) % p ** k
-    ds = []
-    for _ in range(k):
-        ds.append(s % p)
-        s //= p
-    return LFElem._approx(spec, a.val, ds)
+    return LFElem._approx(spec, a.val, _base_digits(-s, p, k))
 
 
 def mul(a, b):
@@ -616,11 +612,7 @@ def mul(a, b):
     if spec.kind is FieldKind.CHAR_ZERO:
         sa = sum(d * p ** i for i, d in enumerate(da[:k]))
         sb = sum(d * p ** i for i, d in enumerate(db[:k]))
-        s = sa * sb % p ** k
-        ds = []
-        for _ in range(k):
-            ds.append(s % p)
-            s //= p
+        ds = _base_digits(sa * sb, p, k)
     else:
         ds = [0] * k
         for i in range(k):
@@ -628,6 +620,21 @@ def mul(a, b):
                 for j in range(k - i):
                     ds[i + j] = (ds[i + j] + da[i] * db[j]) % p
     return LFElem._approx(spec, v, ds)
+
+
+def power(a, n):
+    """a^n for an integer n >= 0, by repeated squaring.  A product keeps
+    at most `precision` digits of either factor, and the truncations
+    commute with products, so this is the n-fold product a * ... * a
+    digit for digit."""
+    acc = a.spec.one()
+    while n:
+        if n & 1:
+            acc = mul(acc, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return acc
 
 
 def inv(a):
@@ -645,11 +652,7 @@ def inv(a):
     k = len(a.known)
     if spec.kind is FieldKind.CHAR_ZERO:
         s = sum(d * p ** i for i, d in enumerate(a.known))
-        s = pow(s, -1, p ** k)
-        ds = []
-        for _ in range(k):
-            ds.append(s % p)
-            s //= p
+        ds = _base_digits(pow(s, -1, p ** k), p, k)
     else:
         ds = _series_inv(list(a.known), p, k)
     return LFElem._approx(spec, -a.val, ds)
@@ -700,11 +703,7 @@ def hensel_lift(coeffs, x0, spec):
         dfx = ev(dcoeffs, x, m)
         x = (x - fx * pow(dfx, -1, m)) % m
     assert ev(coeffs, x, p ** n) == 0
-    ds = []
-    s = x
-    for _ in range(n):
-        ds.append(s % p)
-        s //= p
+    ds = _base_digits(x, p, n)
     if all(d == 0 for d in ds):
         return LFElem._approx(spec, n, ())
     return LFElem._approx(spec, 0, ds)

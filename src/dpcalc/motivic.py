@@ -36,13 +36,13 @@ from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
 from .formula import (And, Formula, Not, RfAdd, RfConst, RfEq, RfMul, RfNe,
                       RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul, VfNeg,
                       VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe, ZzLt,
-                      free_vars, parse, pretty_print, walk)
+                      free_vars, parse, parse_term, pretty_print, walk)
 from .formula.count import count_rf_points
 from .formula.nodes import conjuncts, substitute
 from .localfield import is_prime
 from .poly import evaluate, factor, interpolate
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
-                         parse_affine)
+                         parse_affine, zz_affine)
 from .presburger import sum as pres_sum
 from .symring import ONE, ZERO, L, SymA
 
@@ -57,25 +57,6 @@ def _fold_and(parts):
     for p in parts:
         out = p if out is None else And(out, p)
     return out
-
-
-def _zz_affine(node):
-    """A value-group term as an AffineForm, or a loud failure."""
-    from .formula import ZzAdd, ZzConst, ZzNeg, ZzScale, ZzSub, ZzVar
-    if isinstance(node, ZzConst):
-        return AffineForm.constant(node.value)
-    if isinstance(node, ZzVar):
-        return AffineForm.var(node.name)
-    if isinstance(node, ZzAdd):
-        return _zz_affine(node.left) + _zz_affine(node.right)
-    if isinstance(node, ZzSub):
-        return _zz_affine(node.left) - _zz_affine(node.right)
-    if isinstance(node, ZzNeg):
-        return -_zz_affine(node.operand)
-    if isinstance(node, ZzScale):
-        return _zz_affine(node.operand).scale(node.factor)
-    raise UnsupportedFeature(
-        "value-group constraint is not affine (%s)" % type(node).__name__)
 
 
 def _extract_ranges(conjuncts, ordered_vars, context):
@@ -109,7 +90,7 @@ def _extract_ranges(conjuncts, ordered_vars, context):
         if not names & set(ordered_vars):
             leftover.append(c)
             continue
-        aff = _zz_affine(c.left) - _zz_affine(c.right)
+        aff = zz_affine(c.left) - zz_affine(c.right)
         tv = target_of(aff)
         coeff = aff.coeff(tv)
         rest = aff.drop(tv)
@@ -147,18 +128,6 @@ def _extract_ranges(conjuncts, ordered_vars, context):
 _PSI_RE = re.compile(r"^\s*(?:(?P<pre>.*?)\s*\*\s*)?L\^\(\s*(?P<aff>[^()]*?)\s*\)\s*$")
 
 
-def _strip_parens(text):
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(text):
-            depth += (ch == "(") - (ch == ")")
-            if depth == 0 and i < len(text) - 1:
-                return text
-        text = text[1:-1].strip()
-    return text
-
-
 def parse_psi(text):
     """A cell coefficient 'c * L^(affine)' (or a bare ring constant) as a
     PresTerm."""
@@ -166,24 +135,17 @@ def parse_psi(text):
     if m is None:
         return PresTerm(SymA.parse(text), AffineForm.constant(0))
     pre = m.group("pre")
-    coeff = SymA.parse(_strip_parens(pre)) if pre else ONE
+    coeff = SymA.parse(pre) if pre else ONE
     return PresTerm(coeff, parse_affine(m.group("aff")))
 
 
-def _parse_vf_term(text):
+def _term_or_none(text, sort):
+    """text as a term of the sort, or None when it is not one (a center
+    such as root(x, eta2) is named, not written as a term)."""
     try:
-        phi = parse("(%s) == 0" % text, default_sort=Sort.VF)
+        return parse_term(text, sort)
     except ParseError:
         return None
-    return phi.expr.left
-
-
-def _parse_rf_term(text):
-    try:
-        phi = parse("(%s) == 0" % text, default_sort=Sort.RF)
-    except ParseError:
-        return None
-    return phi.expr.left
 
 
 def _vf_degree(node):
@@ -314,7 +276,7 @@ def _build_cell(raw, index, param_names, zz_params):
                              % (cell_id, sorted(loose)))
         # xi ranges over nonzero residues by definition; make the literal
         # constraint part of the class when xi is a bare variable
-        term = _parse_rf_term(xi_text.strip())
+        term = _term_or_none(xi_text.strip(), Sort.RF)
         if isinstance(term, RfVar):
             atom = RfNe(term, RfConst(0))
             if atom not in basis_atoms:
@@ -338,7 +300,7 @@ def _build_cell(raw, index, param_names, zz_params):
                 param_domain=param_domain,
                 alpha=alpha,
                 xi_text=xi_text.strip() if xi_text else None,
-                center_term=_parse_vf_term(center_text),
+                center_term=_term_or_none(center_text, Sort.VF),
                 presentation=str(raw.get("presentation", "") or ""))
 
 
@@ -778,20 +740,6 @@ def bad_primes(phi, budget=None):
     return _freeze_bad(bad)
 
 
-def _psi_terms(psi):
-    if isinstance(psi, str):
-        psi = parse_psi(psi)
-    if isinstance(psi, SymA):
-        return (PresTerm(psi, AffineForm.constant(0)),)
-    if isinstance(psi, PresTerm):
-        return (psi,)
-    if isinstance(psi, SymSum):
-        return psi.terms
-    if isinstance(psi, tuple) and len(psi) == 2:
-        return (PresTerm(*psi),)
-    raise TypeError("cannot read a cell coefficient from %r" % (psi,))
-
-
 def _center_notes(cell, bad, budget):
     if cell.center_term is None:
         return
@@ -802,23 +750,16 @@ def _center_notes(cell, bad, budget):
                       % cell.center_text)
 
 
-def integrate_cells(cells, psis=None, params=(), budget=None):
+def integrate_cells(cells, params=(), budget=None):
     """Integrate the coefficients over a disjoint family of cells.
 
-    psis overrides the cells' own coefficients when given (one entry per
-    cell).  Every 1-cell contributes its residue class tensored with the
+    Every 1-cell contributes its residue class tensored with the
     exact sum of psi * L^(-alpha - 1) over its value-group variables;
     parameter-free classes cut out by linear disequalities collapse to
     their ring cardinality.  0-cells contribute nothing to the value; their
     counting terms go to the derivation log, and non-affine centers are
     rejected."""
     cells = tuple(cells)
-    if psis is None:
-        psi_list = [cell.psi for cell in cells]
-    else:
-        psi_list = list(psis)
-        if len(psi_list) != len(cells):
-            raise ValueError("need one coefficient per cell")
     _check_disjoint(cells)
 
     param_names = {n for n, _ in params}
@@ -826,8 +767,7 @@ def integrate_cells(cells, psis=None, params=(), budget=None):
     derivation = []
     total = ConstructibleFn.zero(params)
 
-    for cell, psi in zip(cells, psi_list):
-        terms = _psi_terms(psi)
+    for cell in cells:
         _center_notes(cell, bad, budget)
         if cell.class_formula is not None:
             for p, reasons in bad_primes(cell.class_formula,
@@ -840,16 +780,14 @@ def integrate_cells(cells, psis=None, params=(), budget=None):
                 raise UnsupportedZeroCell(
                     "cell %s: only affine centers are supported, got %s"
                     % (cell.cell_id, cell.center_text))
-            counting = SymSum(terms)
+            counting = SymSum((cell.psi,))
             contribution = ConstructibleFn.zero(params)
             note = ("measure zero; counting term %s recorded only"
                     % counting.render())
         else:
-            summed = SymSum()
-            for t in terms:
-                exponent = t.exponent - cell.alpha - 1
-                summed = summed + pres_sum(cell.z_domain,
-                                           PresTerm(t.coefficient, exponent))
+            psi = cell.psi
+            summed = pres_sum(cell.z_domain, PresTerm(
+                psi.coefficient, psi.exponent - cell.alpha - 1))
             cls = cell.class_formula
             note = ""
             if cls is not None:

@@ -59,11 +59,11 @@ from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
                      UnboundVariable, UnsupportedFeature)
 from .formula import (And, Formula, Node, Sort, Truth3, VfConst, VfMul,
                       VfVar, ZzConst, ZzLe, ZzOrd, eval_vf_term, free_vars,
-                      interpret, parse)
+                      interpret, parse, parse_term)
 from .formula.interpret import _PINF_POINT, bind_assignment
-from .formula.nodes import _field_names, substitute
+from .formula.nodes import rewrite, substitute
 from .localfield import INF, LFElem, embed_rational, from_digits
-from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg
+from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
 
 
 def fraction_str(x):
@@ -135,14 +135,6 @@ class VolumeInterval:
         }
 
 
-def parse_vf_polynomial(text):
-    """Parse a valued-field polynomial term such as "y^3 - x".
-
-    Every identifier is read at the field sort; returns the term AST."""
-    phi = parse("(%s) == 0" % text, default_sort=Sort.VF)
-    return phi.expr.left
-
-
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Either the constant 1 (plain volume) or |f|^e for a field polynomial
@@ -160,7 +152,7 @@ class IntegrandSpec:
         if int(e) < 1:
             raise InvalidArgument("exponent must be a positive integer")
         if isinstance(f, str):
-            f = parse_vf_polynomial(f)
+            f = parse_term(f, Sort.VF)
         return cls(f, int(e))
 
     @property
@@ -180,15 +172,12 @@ def _as_formula(phi):
 # the walk
 
 
+_ZERO = VfConst(Fraction(0))
+
+
 def _zeroed(node, targets):
     """node with every subterm in `targets` replaced by the exact 0."""
-    if node in targets:
-        return VfConst(Fraction(0))
-    fields = {}
-    for name in _field_names(type(node)):
-        v = getattr(node, name)
-        fields[name] = _zeroed(v, targets) if isinstance(v, Node) else v
-    return type(node)(**fields)
+    return rewrite(node, lambda n: _ZERO if n in targets else None)
 
 
 def _integral(term, spec, names):
@@ -384,10 +373,7 @@ class _BoxWalk:
         if op == "neg":
             return lf_neg(values[args[0]])
         if op == "pow":
-            acc = embed_rational(1, spec)
-            for _ in range(args[1]):
-                acc = lf_mul(acc, values[args[0]])
-            return acc
+            return power(values[args[0]], args[1])
         if op in ("addk", "mulform"):
             c = values[args[0]]
             if c.spec != spec:
@@ -490,7 +476,7 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     """
     if isinstance(system, (str, Node)):
         system = [system]
-    terms = [parse_vf_polynomial(f) if isinstance(f, str) else f
+    terms = [parse_term(f, Sort.VF) if isinstance(f, str) else f
              for f in system]
     if not terms:
         raise ValueError("empty polynomial system")

@@ -200,13 +200,18 @@ def factor(n, budget=None):
     return out
 
 
+# The ring factors only its denominator indices, each the length of a
+# dense coefficient list that already exists; the sqrt(n) trial divisions
+# cost less than that list, so a limit of n, which they never reach,
+# leaves them unbudgeted.
+
 @functools.lru_cache(maxsize=1024)
 def divisors(n):
     """The positive divisors of n >= 1 as a tuple, in no fixed order.
 
     Kept per n: the ring asks for the same few indices on every value."""
     out = [1]
-    for p, e in factor(n).items():
+    for p, e in factor(n, n).items():
         out = [x * p ** k for x in out for k in range(e + 1)]
     return tuple(out)
 
@@ -214,6 +219,6 @@ def divisors(n):
 def totient(n):
     """Euler's phi of n >= 1."""
     out = n
-    for p in factor(n):
+    for p in factor(n, n):
         out -= out // p
     return out

@@ -10,12 +10,13 @@ the exponent.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NotSummable, ParseError, UnboundParameter,
                      UnsupportedFeature)
+from .formula import (Sort, ZzAdd, ZzConst, ZzNeg, ZzScale, ZzSub, ZzVar,
+                      parse_term)
 from .symring import SymA
 
 
@@ -134,62 +135,30 @@ class AffineForm:
     __str__ = render
 
 
-_AFF_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*)|(\+)|(-))")
+def zz_affine(node):
+    """A value-group term as an AffineForm, or a loud failure."""
+    if isinstance(node, ZzConst):
+        return AffineForm.constant(node.value)
+    if isinstance(node, ZzVar):
+        return AffineForm.var(node.name)
+    if isinstance(node, ZzAdd):
+        return zz_affine(node.left) + zz_affine(node.right)
+    if isinstance(node, ZzSub):
+        return zz_affine(node.left) - zz_affine(node.right)
+    if isinstance(node, ZzNeg):
+        return -zz_affine(node.operand)
+    if isinstance(node, ZzScale):
+        return zz_affine(node.operand).scale(node.factor)
+    raise UnsupportedFeature(
+        "value-group constraint is not affine (%s)" % type(node).__name__)
 
 
 def parse_affine(text):
-    """Parse forms like '2*k + 1', '-m + k', '3'."""
-    pos = 0
-    toks = []
-    while pos < len(text):
-        m = _AFF_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if not text[pos:].strip():
-                break
-            raise ParseError("unexpected character %r in affine form"
-                             % text[pos:].strip()[0])
-        pos = m.end()
-        t = m.group(0).strip()
-        if t:
-            toks.append(t)
-    coeffs = {}
-    const = 0
-    i = 0
-    sign = 1
-    expect_term = True
-    while i < len(toks):
-        t = toks[i]
-        if t == "+" or t == "-":
-            if expect_term and t == "-":
-                sign = -sign
-            elif expect_term:
-                pass
-            else:
-                sign = 1 if t == "+" else -1
-                expect_term = True
-            i += 1
-            continue
-        if not expect_term:
-            raise ParseError("expected '+' or '-' in affine form, got %r" % t)
-        if t.isdigit():
-            k = int(t)
-            if i + 2 < len(toks) and toks[i + 1] == "*":
-                name = toks[i + 2]
-                if name.isdigit():
-                    raise ParseError("expected variable after '*'")
-                coeffs[name] = coeffs.get(name, 0) + sign * k
-                i += 3
-            else:
-                const += sign * k
-                i += 1
-        else:
-            coeffs[t] = coeffs.get(t, 0) + sign
-            i += 1
-        sign = 1
-        expect_term = False
-    if expect_term and (coeffs or const or toks):
-        raise ParseError("dangling sign in affine form")
-    return AffineForm.make(coeffs, const)
+    """Parse forms like '2*k + 1', '-m + k', '3' as value-group terms."""
+    try:
+        return zz_affine(parse_term(text, Sort.ZZ))
+    except UnsupportedFeature as e:
+        raise ParseError("%s in %r" % (e, text)) from None
 
 
 @dataclass(frozen=True)

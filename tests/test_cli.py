@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpcalc import cli
 from dpcalc.boxcode import compile_walk
-from dpcalc.formula import parse
+from dpcalc.formula import VfAdd, VfConst, VfMul, VfPow, VfUnif, parse
 from dpcalc.symring import SymA
 
 
@@ -416,9 +416,22 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
      ["compare"]),
     ("linear_m1.dp", "#! integrand", "#! exponent: 0\n#! integrand",
      ["oracle", "--prime", "5"]),
+    ("linear_m1.dp", "#! integrand: z", "#! integrand: ord(z)",
+     ["oracle", "--prime", "5"]),
+    ("linear_m1.dp", "#! integrand: z", "#! integrand: ac(z)",
+     ["oracle", "--prime", "5"]),
+    ("linear_m1.dp", "#! integrand: z", "#! integrand: inf",
+     ["oracle", "--prime", "5"]),
+    ("cube.cells.json", '"f": "y^3 - x"', '"f": "ord(y)"', ["compare"]),
+    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}',
+     '"vf": {"x": "acx * y"}', ["compare"]),
+    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}',
+     '"vf": {"x": "acx / pi"}', ["compare"]),
 ], ids=["integrand-exponent-0", "integrand-exponent-x", "domain-not-text",
         "case-not-object", "bind-not-text", "bad-primes-not-object",
-        "exponent-directive-x", "exponent-directive-0"])
+        "exponent-directive-x", "exponent-directive-0", "integrand-ord",
+        "integrand-ac", "integrand-inf", "oracle-integrand-ord",
+        "bind-unknown-name", "bind-division"])
 def test_malformed_input_files_exit_2(run_cli, fx, tmp_path, name, old, new,
                                       argv):
     with open(fx(name)) as fh:
@@ -525,6 +538,43 @@ def test_compare_budget_reaches_the_symbolic_factoring(tmp_path):
     assert (proc.returncode, proc.stdout) == (5, "")
     assert proc.stderr == ("dpcalc: trial divisions factoring 35 exceed "
                            "the budget of 1\n")
+
+
+def test_ring_indices_take_no_budget(tmp_path):
+    # |z|^34 has the denominator 1 - L^-35: the ring factors the index 35,
+    # the length of a coefficient list it already holds, whatever the
+    # budget, so a budget of 1 stops nothing but the oracle's boxes
+    path = tmp_path / "index35.dp"
+    path.write_text("#! linear-product: 0:34\n"
+                    "#! integrand: z^34\n"
+                    "vf z; ord(z) >= 0\n")
+    proc = _run_apart("compare", str(path), "--primes", "11",
+                      "--budget", str(10 ** 18), budget=1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out_json(proc.stdout)["ok"] is True
+    proc = _run_apart("integrate", "--linear-product", "0:34", budget=1)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out_json(proc.stdout)["value"] == "(1 - L^-1)/(1 - L^-35)"
+
+
+@pytest.mark.parametrize("field", ["qp", "fpt"])
+def test_huge_powers_compile_to_a_squaring_chain(tmp_path, field):
+    path = tmp_path / "huge_power.dp"
+    path.write_text("vf x; ord(x^100000000) >= 0\n")
+    proc = _run_apart("oracle", str(path), "--prime", "5", "--field", field)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    interval = out_json(proc.stdout)["interval"]
+    assert [interval["lower"], interval["upper"]] == ["1/1", "1/1"]
+
+
+def test_oracle_binds_are_field_terms():
+    params, precision, binds = cli._oracle_case(
+        {"params": {"acx": 2, "k": 1}, "precision": 7,
+         "vf": {"x": "acx * pi^(3*k)", "y": "1 + pi"}}, 6)
+    assert (params, precision) == ({"acx": 2, "k": 1}, 7)
+    assert binds == {
+        "x": VfMul(VfConst(F(2)), VfPow(VfUnif(), 3)),
+        "y": VfAdd(VfConst(F(1)), VfUnif())}
 
 
 def test_integrate_negative_first_center(run_cli):

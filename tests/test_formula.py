@@ -12,8 +12,10 @@ from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
                            SortError, UnboundVariable, UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
-                            RfVar, Sort, Truth3, VfConst, VfMul, VfVar,
-                            count_rf_points, interpret, parse, pretty_print)
+                            RfVar, Sort, Truth3, VfAdd, VfConst, VfMul, VfPow,
+                            VfSub, VfUnif, VfVar, ZzOrd,
+                            count_rf_points, interpret, parse, parse_term,
+                            pretty_print)
 from dpcalc.formula.count import _compile, _Plan
 from dpcalc.formula.nodes import substitute
 from dpcalc.motivic import appendix2_volume, bad_primes
@@ -51,6 +53,43 @@ def test_parse_errors(text):
 def test_sort_clash():
     with pytest.raises(SortError):
         parse("vf x; ac(x) == 1 && x != 0")
+
+
+def test_parse_term_builds_one_term_at_its_sort():
+    assert parse_term("y^3 - x", Sort.VF) == \
+        VfSub(VfPow(VfVar("y"), 3), VfVar("x"))
+    assert parse_term("eta3", Sort.RF) == RfVar("eta3")
+    assert parse_term("ord(x)", Sort.ZZ) == ZzOrd(VfVar("x"))
+    # the term a formula's atom holds
+    assert parse_term("z * (z - 1)", Sort.VF) == \
+        parse("(z * (z - 1)) == 0", default_sort=Sort.VF).expr.left
+
+
+@pytest.mark.parametrize("text, sort", [
+    ("ord(z)", Sort.VF), ("ac(z)", Sort.VF), ("inf", Sort.VF),
+    ("t", Sort.RF), ("x + ac(x)", Sort.RF), ("k * m", Sort.ZZ),
+])
+def test_parse_term_refuses_a_term_of_another_sort(text, sort):
+    with pytest.raises(SortError):
+        parse_term(text, sort)
+
+
+@pytest.mark.parametrize("text", ["", "root(x, eta2)", "x == 0", "x /2"])
+def test_parse_term_refuses_what_is_not_one_term(text):
+    with pytest.raises(ParseError):
+        parse_term(text, Sort.VF)
+
+
+def test_parenthesized_exponents_fold_to_integers():
+    assert parse("vf x; ord(x^(2*3 - 1)) >= 0") == \
+        parse("vf x; ord(x^5) >= 0")
+    assert parse_term("a * pi^(3*k) + 1", Sort.VF, values={"a": 2, "k": 1}) \
+        == VfAdd(VfMul(VfConst(F(2)), VfPow(VfVar("pi"), 3)), VfConst(F(1)))
+    assert parse_term("t^(k)", Sort.VF, values={"k": 0}) == \
+        VfPow(VfUnif(), 0)
+    for text in ("x^(k)", "x^(-1)", "x^(2^2)", "x^(ord(x))", "x^(t)"):
+        with pytest.raises(ParseError):
+            parse_term(text, Sort.VF)
 
 
 def test_substitute_replaces_free_variables_and_respects_shadowing():

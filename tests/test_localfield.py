@@ -9,7 +9,7 @@ from dpcalc import localfield as lf
 from dpcalc.errors import (DivisionByZero, InvalidArgument, InvalidPrime,
                            NoSimpleRoot, PrecisionExhausted)
 from dpcalc.localfield import (INF, Fpt, embed_rational, from_digits,
-                               hensel_lift, inv, is_prime)
+                               hensel_lift, inv, is_prime, mul, power)
 
 
 # --- primality and spec validation ---
@@ -316,3 +316,27 @@ def test_fpt_inverse_property(a):
     if a.is_zero():
         return
     assert a.mul(a.inv()) == Fpt.const(5, 1)
+
+
+@st.composite
+def field_elements(draw):
+    """An exact or a truncated element of Q_5 or F_5((t)) at precision 4,
+    the truncated ones with 0 to 6 known digits."""
+    spec = draw(st.sampled_from([lf.qp(5, 4), lf.fpt(5, 4)]))
+    if draw(st.booleans()):
+        r = draw(st.fractions(min_value=-30, max_value=30,
+                              max_denominator=12))
+        if spec.kind is lf.FieldKind.EQUAL_CHAR and r.denominator % 5 == 0:
+            r = F(r.numerator)
+        e = embed_rational(r, spec)
+        return e * spec.uniformizer() if draw(st.booleans()) else e
+    digits = draw(st.lists(st.integers(0, 4), max_size=6))
+    return from_digits(spec, draw(st.integers(-2, 3)), digits)
+
+
+@given(a=field_elements(), n=st.integers(0, 12))
+def test_power_is_the_repeated_product(a, n):
+    want = a.spec.one()
+    for _ in range(n):
+        want = mul(want, a)
+    assert power(a, n) == want

@@ -3,13 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 import dpcalc.localfield as lf
 from dpcalc import oracle
 from dpcalc.errors import (BadPrime, DuplicateCenter, InvalidPrime,
                            OverlapDetected, UnboundParameter,
                            UnsupportedFeature, UnsupportedZeroCell)
-from dpcalc.formula import Formula, RfConst, RfNe, RfVar, Sort, parse
+from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, parse,
+                            parse_term)
 from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             appendix2_steps, appendix2_symbolic,
                             appendix2_volume, bind_parameters,
@@ -31,6 +33,21 @@ def test_parse_psi():
     assert parse_psi("1") == PresTerm(ONE, AffineForm.constant(0))
     assert parse_psi("L^-2") == PresTerm(SymA.l_power(-2),
                                          AffineForm.constant(0))
+
+
+_COEFFICIENTS = st.builds(
+    lambda a, b, i: SymA.from_int(a) * SymA.l_power(b) + SymA.geom(i),
+    st.integers(-3, 3), st.integers(-4, 4), st.integers(1, 3))
+_EXPONENTS = st.builds(
+    AffineForm.make,
+    st.dictionaries(st.sampled_from(["k", "g", "j"]), st.integers(-4, 4),
+                    max_size=2),
+    st.integers(-5, 5))
+
+
+@given(term=st.builds(PresTerm, _COEFFICIENTS, _EXPONENTS))
+def test_parse_psi_reads_what_render_writes(term):
+    assert parse_psi(term.render()) == term
 
 
 # --- products of linear factors ---
@@ -62,7 +79,7 @@ def test_three_centers_oracle_containment():
         + 3 * (ONE - SymA.l_power(-1)) * SymA.l_power(-2) * SymA.geom(2)
     dom = oracle.parse("vf z; ord(z) >= 0")
     f = oracle.IntegrandSpec.abs_power(
-        oracle.parse_vf_polynomial("z * (z - 1) * (z - 3)"), 1)
+        parse_term("z * (z - 1) * (z - 3)", Sort.VF), 1)
     for p in (5, 7, 11, 13):
         got = oracle.integrate(f, dom, lf.qp(p, 6))
         want = expected.nu(p)
@@ -185,12 +202,12 @@ def test_cube_specializations(cube_result):
 def test_cube_oracle_containment(cube_result):
     _, res = cube_result
     dom = oracle.parse("vf x, y; ord(y) >= 0")
-    f = oracle.IntegrandSpec.abs_power(oracle.parse_vf_polynomial("y^3 - x"), 1)
+    f = oracle.IntegrandSpec.abs_power(parse_term("y^3 - x", Sort.VF), 1)
     for p, acx in ((7, 1), (7, 2), (5, 1), (11, 3), (13, 1)):
         for k in (0, 1):
             spec = lf.qp(p, 8 if p < 11 else 6)
             x = oracle.eval_vf_term(
-                oracle.parse_vf_polynomial(str(acx * p ** (3 * k))), spec, {})
+                parse_term(str(acx * p ** (3 * k)), Sort.VF), spec, {})
             got = oracle.integrate(f, dom, spec, assignment={"x": x})
             want = specialize(res, p, {"acx": acx, "k": k})
             assert got.lower <= want <= got.upper, (p, acx, k, got, want)
@@ -199,9 +216,9 @@ def test_cube_oracle_containment(cube_result):
 def test_cube_equal_characteristic_transfer(cube_result):
     _, res = cube_result
     spec = lf.fpt(7, 8)
-    x = oracle.eval_vf_term(oracle.parse_vf_polynomial("t^3"), spec, {})
+    x = oracle.eval_vf_term(parse_term("t^3", Sort.VF), spec, {})
     dom = oracle.parse("vf x, y; ord(y) >= 0")
-    f = oracle.IntegrandSpec.abs_power(oracle.parse_vf_polynomial("y^3 - x"), 1)
+    f = oracle.IntegrandSpec.abs_power(parse_term("y^3 - x", Sort.VF), 1)
     got = oracle.integrate(f, dom, spec, assignment={"x": x})
     want = specialize(res, 7, {"acx": 1, "k": 1})
     assert got.lower <= want <= got.upper

@@ -23,10 +23,9 @@ from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             VfNeg, VfPow, VfSub, VfUnif, VfVar, ZzAdd,
                             ZzCong, ZzConst, ZzEq, ZzInf, ZzLe, ZzLt, ZzNeg,
                             ZzOrd, ZzScale, ZzSub, ZzVar, eval_vf_term,
-                            interpret, parse)
+                            interpret, parse, parse_term)
 from dpcalc.oracle import (IntegrandSpec, fraction_str, integrate,
-                           jacobian_check, parse_vf_polynomial,
-                           serre_oesterle_count, volume)
+                           jacobian_check, serre_oesterle_count, volume)
 from dpcalc.symring import SymA
 
 Q5 = lf.qp(5, 6)
@@ -485,7 +484,7 @@ def test_compiled_integrand_matches_reference(term, make, p, precision, data):
         "indeterminate", "no-residue-image"])
 def test_compiled_integrand_edge_cases(term, spec, a, x, y):
     if isinstance(term, str):
-        term = parse_vf_polynomial(term)
+        term = parse_term(term, Sort.VF)
     _check_compiled(term, spec, _monomial(spec, *a), [x, y])
 
 
@@ -834,8 +833,8 @@ def test_hensel_needs_an_integral_polynomial():
     # Hensel's lemma would close wrongly: the Taylor terms past the linear
     # one are not integral
     f = IntegrandSpec.abs_power(VfAdd(
-        parse_vf_polynomial("3*z"),
-        VfMul(VfConst(F(3, 4)), parse_vf_polynomial("z^2"))))
+        parse_term("3*z", Sort.VF),
+        VfMul(VfConst(F(3, 4)), parse_term("z^2", Sort.VF))))
     spec = lf.qp(2, 4)
     iv = integrate(f, "vf z; ord(z) >= 0", spec)
     assert iv.boxes_hensel == 0

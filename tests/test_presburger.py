@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcalc import presburger as P
-from dpcalc.errors import NotSummable
+from dpcalc.errors import NotSummable, ParseError
 from dpcalc.presburger import (AffineForm, PresDomain, PresTerm, SymSum,
                                VarRange, parse_affine)
 from dpcalc.symring import ONE, SymA
@@ -43,6 +43,24 @@ def test_parse_affine():
     assert parse_affine("-m + k") == af({"m": -1, "k": 1})
     assert parse_affine("7") == const(7)
     assert parse_affine("k - 1") == af({"k": 1}, -1)
+
+
+_NAMES = st.sampled_from(["k", "m", "g", "j", "n", "acx"])
+_affine_forms = st.builds(
+    af, st.dictionaries(_NAMES, st.integers(-6, 6), max_size=4),
+    st.integers(-20, 20))
+
+
+@given(f=_affine_forms)
+def test_parse_affine_reads_what_render_writes(f):
+    assert parse_affine(f.render()) == f
+
+
+@pytest.mark.parametrize("text", ["", "k +", "ord(x)", "inf", "k*m", "t",
+                                  "2^k"])
+def test_parse_affine_rejects_what_is_not_affine(text):
+    with pytest.raises(ParseError):
+        parse_affine(text)
 
 
 # --- single rays ---
