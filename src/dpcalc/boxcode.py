@@ -1,27 +1,39 @@
-"""Residue boxes as integer forms, and the box classifier the oracle's
-walk compiles from its structure.
+"""Residue boxes as integer forms, and the sweep the oracle's walk
+compiles from its structure.
 
-A value that depends on the box is a tuple of plain integers standing for
-one truncated LFElem: (val, unit mod p^k, k) in Q_p, (val, digit tuple, k)
-in F_p((t)), and (val, 0, None) when only ord >= val is known.  `_QpOps`
-and `_FptOps` follow localfield's add, mul and neg precision rules digit
-for digit, so every valuation bound agrees with `LFElem` arithmetic on
-the corresponding `from_digits` box; they are the only implementation of
-those rules over forms.
+A value that depends on the box is a *form*: three plain values standing
+for one truncated LFElem, (val, unit mod p^k, k) in Q_p, (val, digit
+tuple, k) in F_p((t)), and (val, 0, None) when only ord >= val is known.
+The generated code keeps each form in three locals and does its
+arithmetic inline, from the source that `_QpOps` and `_FptOps` hold for
+add, mul, neg and the child of a box.  That source follows localfield's
+add, mul and neg precision rules digit for digit, so every valuation
+bound agrees with `LFElem` arithmetic on the corresponding `from_digits`
+box; it is the only implementation of those rules over forms.
 
-`compile_walk(expr, f, derivatives, names, kind)` turns a walk's domain
+`compile_walk(expr, f, names, kind, derivatives)` turns a walk's domain
 formula, its integrand f and the formal partial derivatives of f into the
-source of one Python function per structure, as `formula/count.py` does
-for point counts.  The function takes a box's forms and returns its
-three-valued membership, the integrand's valuation bounds and the least
-Hensel delta, with every subterm computed once as a local.  What it
-covers of the formula is everything `interpret` decides on a box except
-field and value-group quantifiers: And/Or/Not, value-group comparisons
-and congruences, residue (in)equalities over `ac` terms and bound
-residues, field equalities, and `exists x:rf` as a loop over F_p in which
-whatever does not depend on x is computed once before the loop.  A field-
-or value-group-quantified subformula is handed back to the walk, which
-asks `interpret` about it on that box.
+source of one *sweep* per structure, as `formula/count.py` does for point
+counts.  A sweep takes a box's forms and level, its membership and a
+digit range per variable, and enumerates the box's children in one
+compiled loop nest, a loop per box variable, the most-read variable
+outermost.  Each subterm is computed in the loop of the last variable it
+reads, the rule by which whatever does not depend on x is computed once
+before an `exists x:rf` loop: a witness scan that reads two of four box
+variables runs once per pair of their digits, not once per child.  Each
+child is classified in place: its three-valued membership, the
+integrand's valuation bounds and, on a TRUE child at level >= 1 whose
+integrand is still undecided, the least Hensel delta.  A decided child
+is credited inside the loop, to counts per exponent; the sweep returns
+how many children were TRUE, how many of those Hensel's lemma settled and
+how many stay open at full depth, and the children still undecided above
+it, which the walk sweeps in turn.  The code covers everything
+`interpret` decides on a box except field and value-group quantifiers:
+And/Or/Not, value-group comparisons and congruences, residue
+(in)equalities over `ac` terms and bound residues, field equalities, and
+`exists x:rf` as a loop over F_p.  A field- or value-group-quantified
+subformula is handed back to the walk, which asks `interpret` about it
+on that child.
 
 Subterms without a box variable are not in the code: each is a *site*,
 which the walk folds once through the reference semantics and passes in
@@ -48,7 +60,7 @@ from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
 from .formula.printer import _term, pretty_print
 from .localfield import INF, FieldKind
 
-# distinct walk structures whose classifiers are kept
+# distinct walk structures whose sweeps are kept
 MEMO_SIZE = 256
 
 
@@ -56,47 +68,44 @@ MEMO_SIZE = 256
 # forms
 
 
-class _ExactConstant:
-    """An exact nonzero constant as the forms localfield truncates it to,
-    its unit digits expanded through LFElem.digits once per length."""
+class _Summand(dict):
+    """A constant as it enters a sum with a box, by the box side's
+    absolute precision: an exact one, 0 included, is known up to that
+    bound, its unit digits expanded through LFElem.digits once per
+    length; a truncated one keeps its own window."""
 
-    __slots__ = ("val", "_elem", "_pack", "_forms")
+    __slots__ = ("_val", "_elem", "_pack", "_fixed")
 
-    def __init__(self, elem, pack):
-        self.val = elem.ord()
+    def __init__(self, elem, pack, fixed=None):
+        super().__init__()
+        self._val = None if elem is None else elem.ord()
         self._elem = elem
         self._pack = pack
-        self._forms = {}
+        self._fixed = fixed
 
-    def form(self, k):
-        """The constant to k unit digits."""
-        got = self._forms.get(k)
-        if got is None:
-            got = self._forms[k] = (self.val, self._pack(self._elem.digits(k)),
-                                    k)
-        return got
-
-    def upto(self, bound):
-        """The constant known below absolute precision `bound`."""
-        if self.val >= bound:
-            return (bound, 0, None)
-        return self.form(bound - self.val)
-
-
-class _InexactConstant:
-    """A truncated constant: the sum with a box keeps its own window."""
-
-    __slots__ = ("_form",)
-
-    def __init__(self, form):
-        self._form = form
-
-    def upto(self, bound):
-        return self._form
+    def __missing__(self, bound):
+        val = self._val
+        if self._fixed is not None:
+            form = self._fixed
+        elif val >= bound:
+            form = (bound, 0, None)
+        else:
+            form = (val, self._pack(self._elem.digits(bound - val)),
+                    bound - val)
+        self[bound] = form
+        return form
 
 
 class _FieldOps:
-    """What Q_p and F_p((t)) forms share."""
+    """What Q_p and F_p((t)) forms share.  The class attributes are the
+    source of the form arithmetic, with operands and result named by
+    format fields; no box form keeps more than `depth` (the precision)
+    digits, so a product never reaches past it."""
+
+    # per walk, before any sweep
+    MAKE = ()
+    # per box variable, at the start of a sweep
+    SWEEP = ""
 
     def __init__(self, p, precision):
         self.p = p
@@ -108,24 +117,67 @@ class _FieldOps:
         return (elem.val, self.pack(elem.known), len(elem.known))
 
     def summand(self, c):
-        """The constant c as it enters a sum with a box: an exact one, 0
-        included, is known up to the box side's absolute precision, and a
-        truncated one keeps its own window."""
-        return _ExactConstant(c, self.pack) if c.exact \
-            else _InexactConstant(self.form(c))
+        """The constant c as it enters a sum with a box."""
+        return _Summand(c, self.pack) if c.exact \
+            else _Summand(None, None, self.form(c))
 
     def factor(self, c):
         """A constant c other than the exact 0 as it enters a product:
         it keeps at most `precision` digits of either factor."""
-        return _ExactConstant(c, self.pack).form(self.precision) \
-            if c.exact else self.form(c)
+        if not c.exact:
+            return self.form(c)
+        return (c.ord(), self.pack(c.digits(self.precision)), self.precision)
 
 
 class _QpOps(_FieldOps):
-    """Q_p forms (val, u, k): the element is p^val * (u + O(p^k))."""
+    """Q_p forms (val, u, k): the element is p^val * (u + O(p^k)).  Powers
+    p^k come from the walk's table P, which runs to p^depth."""
 
-    # source of the angular component of a form held in a local
-    AC = "%s[1] %% p if %s[2] else None"
+    # source of the angular component of a form
+    AC = "{u} % p if {k} else None"
+
+    MAKE = ("P = [p ** k for k in range(depth + 1)]",
+            "NP = depth + 1")
+
+    # the place value of a box's next digit
+    SWEEP = "{f}q = P[{f}k] if {f}k is not None else 0"
+
+    # the form of from_digits(spec, 0, digits + (d,)) for a child of a box
+    # at `level` whose digits have the form f
+    CHILD = """\
+if {f}k is None:
+    if {d}: {x}v, {x}u, {x}k = level, {d}, 1
+    else: {x}v, {x}u, {x}k = lv, 0, None
+else: {x}v, {x}u, {x}k = {f}v, {f}u + {d} * {f}q, {f}k + 1"""
+
+    # the digits of the sum on [low, bound): strip leading zeros, truncate
+    ADD = """\
+_b = {av} + ({ak} or 0)
+_n = {bv} + ({bk} or 0)
+if _n < _b: _b = _n
+if {av} <= {bv}: _l = {av}; _s = {au}; _h = {bu}; _i = {bv} - _l
+else: _l = {bv}; _s = {bu}; _h = {au}; _i = {av} - _l
+_n = _b - _l
+if _n > 0:
+    if _h and _i < _n: _s += _h * (P[_i] if _i < NP else p ** _i)
+    _s %= P[_n] if _n < NP else p ** _n
+if _n > 0 and _s:
+    _v = 0
+    while not _s % p: _s //= p; _v += 1
+    {r}v, {r}k = _l + _v, _n - _v
+    if {r}k > depth: {r}k = depth; _s %= P[depth]
+    {r}u = _s
+else: {r}v, {r}u, {r}k = _b, 0, None"""
+
+    NEG = """\
+if {ak} is None: {r}v, {r}u, {r}k = {av}, {au}, None
+else: {r}v, {r}u, {r}k = {av}, -{au} % P[{ak}], {ak}"""
+
+    MUL = """\
+if {ak} is None or {bk} is None: {r}v, {r}u, {r}k = {av} + {bv}, 0, None
+else:
+    {r}k = {ak} if {ak} < {bk} else {bk}
+    {r}v, {r}u = {av} + {bv}, {au} * {bu} % P[{r}k]"""
 
     def pack(self, digits):
         return sum(d * self.p ** i for i, d in enumerate(digits))
@@ -134,105 +186,67 @@ class _QpOps(_FieldOps):
         _, u, k = form
         return [u // self.p ** i % self.p for i in range(k or 0)]
 
-    def child(self, form, level, d):
-        """The form of from_digits(spec, 0, digits + (d,)) for a box at
-        `level` whose digits have the given form."""
-        val, u, k = form
-        if k is None:
-            return (level + 1, 0, None) if d == 0 else (level, d, 1)
-        return (val, u + d * self.p ** k, k + 1)
-
-    def add(self, a, b):
-        va, ua, ka = a
-        vb, ub, kb = b
-        bound = min(va + (ka or 0), vb + (kb or 0))
-        low = min(va, vb)
-        if bound <= low:
-            return (bound, 0, None)
-        p = self.p
-        s = (ua * p ** (va - low) + ub * p ** (vb - low)) % p ** (bound - low)
-        # the digits of s on [low, bound): strip leading zeros, truncate
-        if not s:
-            return (bound, 0, None)
-        v = 0
-        while s % p == 0:
-            s //= p
-            v += 1
-        k = min(bound - low - v, self.precision)
-        return (low + v, s % p ** k, k)
-
-    def neg(self, a):
-        va, ua, ka = a
-        if ka is None:
-            return a
-        return (va, -ua % self.p ** ka, ka)
-
-    def mul(self, a, b):
-        va, ua, ka = a
-        vb, ub, kb = b
-        if ka is None or kb is None:
-            return (va + vb, 0, None)
-        k = min(ka, kb, self.precision)
-        return (va + vb, ua * ub % self.p ** k, k)
-
 
 class _FptOps(_FieldOps):
     """F_p((t)) forms (val, digits, k): t^val * (digits + O(t^k)), with
     k == len(digits)."""
 
-    AC = "%s[1][0] if %s[2] else None"
+    AC = "{u}[0] if {k} else None"
+
+    MAKE = ("mod = p.__rmod__",
+            "negd = [-d % p for d in range(p)].__getitem__")
+
+    CHILD = """\
+if {f}k is None:
+    if {d}: {x}v, {x}u, {x}k = level, ({d},), 1
+    else: {x}v, {x}u, {x}k = lv, 0, None
+else: {x}v, {x}u, {x}k = {f}v, {f}u + ({d},), {f}k + 1"""
+
+    ADD = """\
+_b = {av} + ({ak} or 0)
+_n = {bv} + ({bk} or 0)
+if _n < _b: _b = _n
+_l = {av} if {av} < {bv} else {bv}
+_n = _b - _l
+{r}k = None
+if _n > 0:
+    _o = [0] * _n
+    if {ak}:
+        _i = {av} - _l
+        for _j in range({ak} if {ak} < _n - _i else _n - _i):
+            _o[_i + _j] = {au}[_j]
+    if {bk}:
+        _i = {bv} - _l
+        for _j in range({bk} if {bk} < _n - _i else _n - _i):
+            _o[_i + _j] = (_o[_i + _j] + {bu}[_j]) % p
+    _v = 0
+    while _v < _n and not _o[_v]: _v += 1
+    if _v < _n:
+        {r}u = tuple(_o[_v:_v + depth])
+        {r}v, {r}k = _l + _v, len({r}u)
+if {r}k is None: {r}v, {r}u = _b, 0"""
+
+    NEG = """\
+if {ak} is None: {r}v, {r}u, {r}k = {av}, {au}, None
+else: {r}v, {r}u, {r}k = {av}, tuple(map(negd, {au})), {ak}"""
+
+    MUL = """\
+if {ak} is None or {bk} is None: {r}v, {r}u, {r}k = {av} + {bv}, 0, None
+elif {ak} == 1 or {bk} == 1:
+    {r}v, {r}u, {r}k = {av} + {bv}, ({au}[0] * {bu}[0] % p,), 1
+else:
+    {r}k = {ak} if {ak} < {bk} else {bk}
+    _o = [0] * {r}k
+    for _i in range({r}k):
+        _x = {au}[_i]
+        if _x:
+            for _j in range({r}k - _i): _o[_i + _j] += _x * {bu}[_j]
+    {r}v, {r}u = {av} + {bv}, tuple(map(mod, _o))"""
 
     pack = staticmethod(tuple)
 
     def unit_digits(self, form):
         return list(form[1]) if form[2] else []
-
-    def child(self, form, level, d):
-        val, ds, k = form
-        if k is None:
-            return (level + 1, 0, None) if d == 0 else (level, (d,), 1)
-        return (val, ds + (d,), k + 1)
-
-    def add(self, a, b):
-        va, da, ka = a
-        vb, db, kb = b
-        bound = min(va + (ka or 0), vb + (kb or 0))
-        low = min(va, vb)
-        if bound <= low:
-            return (bound, 0, None)
-        p = self.p
-        out = [0] * (bound - low)
-        for offset, digits in ((va - low, da), (vb - low, db)):
-            if digits:
-                for i in range(min(len(digits), len(out) - offset)):
-                    out[offset + i] = (out[offset + i] + digits[i]) % p
-        for v, d in enumerate(out):
-            if d:
-                kept = tuple(out[v:v + self.precision])
-                return (low + v, kept, len(kept))
-        return (bound, 0, None)
-
-    def neg(self, a):
-        va, da, ka = a
-        if ka is None:
-            return a
-        p = self.p
-        return (va, tuple(-d % p for d in da), ka)
-
-    def mul(self, a, b):
-        va, da, ka = a
-        vb, db, kb = b
-        if ka is None or kb is None:
-            return (va + vb, 0, None)
-        k = min(ka, kb, self.precision)
-        out = [0] * k
-        for i in range(k):
-            x = da[i]
-            if x:
-                for j in range(k - i):
-                    out[i + j] += x * db[j]
-        p = self.p
-        return (va + vb, tuple(d % p for d in out), k)
 
 
 _OPS = {FieldKind.CHAR_ZERO: _QpOps, FieldKind.EQUAL_CHAR: _FptOps}
@@ -243,7 +257,7 @@ def _field_ops(spec):
 
 
 # ---------------------------------------------------------------------------
-# the compiled classifier
+# the compiled sweep
 
 
 _VF_TERMS = (VfVar, VfConst, VfUnif, VfAdd, VfSub, VfMul, VfNeg, VfPow)
@@ -308,15 +322,18 @@ def _derivative(node, name):
 _ONE = VfConst(Fraction(1))
 
 
+
+
 class _Block:
     """Straight-line code with the values it has computed.  A line is a
-    statement or (header, block); `loop` names the residue variable a
-    loop body binds, and nothing is hoisted out of a `top` block."""
+    statement, several of them on lines of their own, or (header, block);
+    `loop` names the variable a loop body binds, and nothing is hoisted
+    out of a `top` block."""
 
     __slots__ = ("lines", "cache", "parent", "loop", "top")
 
-    def __init__(self, parent=None, loop=None, top=False):
-        self.lines = []
+    def __init__(self, parent=None, loop=None, top=False, lines=()):
+        self.lines = list(lines)
         self.cache = {}
         self.parent = parent
         self.loop = loop
@@ -327,7 +344,8 @@ class _Block:
             out.append("    " * indent + "pass")
         for line in self.lines:
             if isinstance(line, str):
-                out.append("    " * indent + line)
+                out.extend("    " * indent + part
+                           for part in line.split("\n"))
             else:
                 header, block = line
                 out.append("    " * indent + header)
@@ -339,9 +357,21 @@ class Plan:
     (section, op, *args) with args naming earlier sites by index;
     `quantified` the subformulas left to `interpret`; the partial
     `derivatives` of the integrand it computes; and
-    `make(values, ops, p, depth, integral, f_err, quant)`, which returns
-    the classifier `(forms, level, truth) -> (truth, vlo, vhi, delta)`.
-    `truth` is the parent's membership, TRUE being inherited as is."""
+    `make(values, p, depth, integral, f_err, quant, e, exact, open_,
+    hensel)`, which returns the sweep
+    `(forms, level, truth, digits) -> (true, settled, open, pending)`.
+
+    The sweep classifies the children of the box at `level` whose
+    digits have the given forms, taking from `digits` (a range per box
+    variable) the last digit of each.  `truth` is the box's membership,
+    TRUE being inherited as is.  A child decided TRUE is counted in
+    `exact` at its exponent level*m + e*v, or in `hensel` at
+    level*m + e*(level + delta); one at full depth still undecided in
+    `open_` at level*m + e*vlo.  `pending` lists (forms, membership) of
+    the children still undecided above full depth.  With no integrand
+    the sweep raises `f_err` where the integrand would be needed: the
+    walk compiles its domain alone when the integrand's constants do not
+    fold."""
 
     __slots__ = ("sites", "quantified", "derivatives", "make")
 
@@ -353,7 +383,8 @@ class Plan:
 
 
 _NAMESPACE = {
-    "__builtins__": {"range": range, "pow": pow},
+    "__builtins__": {"range": range, "pow": pow, "len": len, "map": map,
+                     "tuple": tuple},
     "_T": Truth3.TRUE, "_F": Truth3.FALSE, "_U": Truth3.UNDECIDED,
     "INF": INF, "PINF": _PINF_POINT, "zi_add": _zi_add, "zi_neg": _zi_neg,
     "zi_scale": _zi_scale, "zz_le": zz_le, "zz_lt": zz_lt, "zz_eq": zz_eq,
@@ -370,7 +401,7 @@ def compile_walk(expr, f, names, kind, derivatives=None):
     if derivatives is None:
         derivatives = () if f is None else tuple(
             _derivative(f, name) for name in names)
-    gen = _Codegen(names, _OPS[kind].AC)
+    gen = _Codegen(names, _OPS[kind], expr, f)
     scope = dict(_NAMESPACE)
     # a file name of its own per structure, so that profiles tell them apart
     name = "<box classifier:%s %s | %s>" % (
@@ -381,19 +412,31 @@ def compile_walk(expr, f, names, kind, derivatives=None):
 
 
 class _Codegen:
-    """The source of one walk structure's classifier factory."""
+    """The source of one walk structure's sweep factory."""
 
-    def __init__(self, names, ac):
+    def __init__(self, names, field, expr, f):
         self.names = frozenset(names)
         self.box = ["x%d" % i for i in range(len(names))]
         self.local = dict(zip(names, self.box))
-        self.ac = ac
+        # the loop variable of each box variable: its last digit
+        self.loopvar = {n: "d%d" % i for i, n in enumerate(names)}
+        reads = dict.fromkeys(names, 0)
+        for node in (expr, f):
+            if node is not None:
+                for n in walk(node):
+                    if isinstance(n, VfVar) and n.name in reads:
+                        reads[n.name] += 1
+        # the most-read variables outermost, ties in the given order
+        self.order = sorted(range(len(names)),
+                            key=lambda i: -reads[names[i]])
+        self.field = field
         self.sites = []
         self.site_index = {}
         self.section = "m"
         self.quantified = []
         self.fresh = 0
         self._boxed = {}
+        self._box_deps = {}
         # the block each local is assigned in
         self.home = {}
 
@@ -410,44 +453,116 @@ class _Codegen:
         return got
 
     def source(self, expr, f, derivatives):
+        m = len(self.box)
         body = _Block(top=True)
-        if self.box:
-            body.lines.append("%s, = forms" % ", ".join(self.box))
-        for name in self.box:
-            self.home[name] = body
-        member = _Block(body, top=True)
-        member.lines.append("truth = " + self.truth(expr, member, {}))
-        member.lines.append("if truth is F or truth is U and level < depth:"
-                            " return truth, 0, 0, None")
-        body.lines.append(("if truth is not T:", member))
-        self.section = "f"
+        if m:
+            body.lines.append("%s, = forms" % ", ".join(
+                "(f%dv, f%du, f%dk)" % (i, i, i) for i in range(m)))
+            body.lines.append("%s, = digits" % ", ".join(
+                "D%d" % i for i in range(m)))
+        body.lines.append("lv = level + 1")
+        body.lines.append("base = lv * %d" % m)
+        body.lines.append("ntrue = nsettled = nopen = 0")
+        body.lines.append("pending = []")
+        if self.field.SWEEP:
+            body.lines.extend(self.field.SWEEP.format(f="f%d" % i)
+                              for i in range(m))
+        self.nest(body, expr, f, derivatives)
         if f is None:
-            body.lines.append("return truth, 0, 0, None")
-        else:
-            body.lines.append("if f_err is not None: raise f_err")
-            body.lines.append("vlo, vhi = " + self.bounds(self.vf(f, body)))
-            body.lines.append("delta = None")
-            self.section = "d"
-            hensel = _Block(body)
-            for term in derivatives:
-                if term is not None:
-                    hensel.lines.append(self.candidate(
-                        self.vf(term, hensel)))
-            body.lines.append(("if truth is T and vlo != vhi and integral "
-                               "and 1 <= level <= vlo:", hensel))
-            body.lines.append("return truth, vlo, vhi, delta")
-        out = ["def make(values, ops, p, depth, integral, f_err, quant):",
+            body.lines.append("if ntrue: exact[base] = exact_get(base, 0) "
+                              "+ ntrue")
+            body.lines.append("if nopen: open_[base] = open_get(base, 0) "
+                              "+ nopen")
+        body.lines.append("return ntrue, nsettled, nopen, pending")
+        out = ["def make(values, p, depth, integral, f_err, quant, e, exact,"
+               " open_, hensel):",
                "    T, F, U = _T, _F, _U",
-               "    add, mul, neg = ops.add, ops.mul, ops.neg"]
+               "    exact_get, open_get, hensel_get = exact.get, open_.get, "
+               "hensel.get"]
+        out.extend("    " + line for line in self.field.MAKE)
         if self.sites:
             out.append("    %s, = values" % ", ".join(
                 "c%d" % i for i in range(len(self.sites))))
-        out.append("    def classify(forms, level, truth):")
+        out.append("    def sweep(forms, level, truth, digits):")
         body.render(2, out)
-        out.append("    return classify")
+        out.append("    return sweep")
         return "\n".join(out) + "\n"
 
+    def nest(self, top, expr, f, derivatives):
+        """The loops over a box's children inside `top`, each child's
+        membership, inherited when TRUE, and what each child comes to."""
+        loops = []
+        block = top
+        for i in self.order:
+            block = _Block(block, loop="d%d" % i, lines=[
+                self.field.CHILD.format(x="x%d" % i, f="f%d" % i,
+                                        d="d%d" % i)])
+            self.register("x%d" % i, block)
+            loops.append(("for d%d in D%d:" % (i, i), block))
+        if not loops:
+            # no box variable: one child, the box itself a level down
+            block = _Block(block, loop="d")
+            loops.append(("for d in (0,):", block))
+        inner = block
+        forms = "(%s)" % "".join("(x%dv, x%du, x%dk), " % (i, i, i)
+                                 for i in range(len(self.box)))
+        inner.lines.append("mem = truth")
+        # what the membership computes leaves this branch only as the
+        # hoisting rule allows, computed where it may not be needed
+        member = _Block(inner)
+        self.section = "m"
+        member.lines.append("mem = " + self.truth(expr, member, {}))
+        member.lines.append("if mem is F: continue")
+        member.lines.append("if mem is U and lv < depth: "
+                            "pending.append((%s, U)); continue" % forms)
+        inner.lines.append(("if truth is not T:", member))
+        self.outcome(inner, f, derivatives, forms)
+        # each loop after whatever was hoisted into the block around it
+        for header, block in loops:
+            block.parent.lines.append((header, block))
+
+    def outcome(self, inner, f, derivatives, forms):
+        """Credit a child whose membership `mem` is TRUE, or undecided at
+        full depth, or hand it back to the walk."""
+        if f is None:
+            inner.lines.append("if f_err is not None: raise f_err")
+            inner.lines.append("if mem is T: ntrue += 1")
+            inner.lines.append("else: nopen += 1")
+            return
+        self.section = "f"
+        inner.lines.append("vlo, vhi = " + self.bounds(self.vf(f, inner)))
+        inner.lines.append(("if mem is T and vlo == vhi:", _Block(lines=[
+            "ntrue += 1",
+            "if vlo is not INF: "
+            "_e = base + e * vlo; exact[_e] = exact_get(_e, 0) + 1",
+            "continue"])))
+        self.section = "d"
+        hensel = _Block(inner, top=True, lines=["delta = None"])
+        for term in derivatives:
+            if term is not None:
+                hensel.lines.append(self.candidate(self.vf(term, hensel)))
+        hensel.lines.append(("if delta is not None:", _Block(lines=[
+            "ntrue += 1",
+            "nsettled += 1",
+            "_e = base + e * (lv + delta)",
+            "hensel[_e] = hensel_get(_e, 0) + 1",
+            "continue"])))
+        inner.lines.append(("if mem is T and integral and 1 <= lv <= vlo:",
+                            hensel))
+        inner.lines.append(("if lv == depth:", _Block(lines=[
+            "nopen += 1",
+            "if vlo is not INF: "
+            "_e = base + e * vlo; open_[_e] = open_get(_e, 0) + 1"])))
+        inner.lines.append(("else:", _Block(lines=[
+            "pending.append((%s, mem))" % forms])))
+
     # emission
+
+    def register(self, name, block):
+        """name, and the parts of the form it names, are assigned in
+        block."""
+        for suffix in ("", "v", "u", "k"):
+            self.home[name + suffix] = block
 
     def hoist(self, block, deps, cheap=False, uses=()):
         """The outermost block, below the section's top and not above the
@@ -467,28 +582,56 @@ class _Codegen:
             b = b.parent
         return target
 
+    @staticmethod
+    def cached(block, key):
+        while block is not None:
+            got = block.cache.get(key)
+            if got is not None:
+                return got
+            block = block.parent
+        return None
+
     def value(self, block, key, expr, deps=frozenset(), uses=(),
               cheap=True):
         """A local holding expr, which reads the locals `uses`, computed
-        once where deps allow.  Field arithmetic is not cheap."""
-        b = block
-        while b is not None:
-            got = b.cache.get(key)
-            if got is not None:
-                return got
-            b = b.parent
+        once where deps allow."""
+        got = self.cached(block, key)
+        if got is not None:
+            return got
         target = self.hoist(block, deps, cheap, uses)
         name = self.new("t")
         target.lines.append("%s = %s" % (name, expr))
         target.cache[key] = name
-        self.home[name] = target
+        self.register(name, target)
+        return name
+
+    def form(self, block, key, code, uses):
+        """A form computed once, by the source `code` with the result's
+        name to fill in, in the outermost block that holds its operands.
+        Field arithmetic is not cheap."""
+        got = self.cached(block, key)
+        if got is not None:
+            return got
+        target = self.hoist(block, frozenset(), False, uses)
+        name = self.new("t")
+        target.lines.append(code.replace("{r}", name))
+        target.cache[key] = name
+        self.register(name, target)
         return name
 
     def deps(self, node, scope):
-        return frozenset(scope[n] for n in free_vars(node) if n in scope)
+        """The loop variables node reads: residue loops through scope,
+        box loops through the field variables it mentions."""
+        got = self._box_deps.get(node)
+        if got is None:
+            got = self._box_deps[node] = frozenset(
+                self.loopvar[n.name] for n in walk(node)
+                if isinstance(n, VfVar) and n.name in self.loopvar)
+        return got | frozenset(scope[n] for n in free_vars(node)
+                               if n in scope)
 
     # field terms: ("c", site) for a value the walk binds, ("f", local)
-    # for a form
+    # for a form held in the locals local+"v", local+"u", local+"k"
 
     def boxed(self, node):
         got = self._boxed.get(node)
@@ -531,23 +674,36 @@ class _Codegen:
             while True:
                 if n & 1:
                     out = square if out is None \
-                        else self.op("mul", out, square, block)
+                        else self.op("MUL", out, square, block)
                 n >>= 1
                 if not n:
                     return ("f", out)
-                square = self.op("mul", square, square, block)
+                square = self.op("MUL", square, square, block)
         raise AssertionError(node)
+
+    @staticmethod
+    def parts(a, b=None, constant=None):
+        """The format fields of the local forms a and b, or of a and the
+        constant held in the local `constant`."""
+        out = {"av": a + "v", "au": a + "u", "ak": a + "k"}
+        if b is not None:
+            out.update(bv=b + "v", bu=b + "u", bk=b + "k")
+        else:
+            out.update(bv=constant + "[0]", bu=constant + "[1]",
+                       bk=constant + "[2]")
+        return out
 
     def op(self, name, a, b, block):
         a, b = sorted((a, b))  # add and mul are symmetric in their forms
-        return self.value(block, (name, a, b), "%s(%s, %s)" % (name, a, b),
-                          uses=(a, b), cheap=False)
+        code = getattr(self.field, name).format(r="{r}", **self.parts(a, b))
+        return self.form(block, (name, a, b), code, (a, b))
 
     def neg(self, x, block):
         if x[0] == "c":
             return ("c", self.site("neg", x[1]))
-        return ("f", self.value(block, ("neg", x[1]), "neg(%s)" % x[1],
-                                uses=(x[1],), cheap=False))
+        code = self.field.NEG.format(r="{r}", av=x[1] + "v", au=x[1] + "u",
+                                     ak=x[1] + "k")
+        return ("f", self.form(block, ("neg", x[1]), code, (x[1],)))
 
     def add(self, a, b, block):
         if a[0] == "c" and b[0] == "c":
@@ -555,10 +711,10 @@ class _Codegen:
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("addk", c)
-            expr = "add(%s, c%d.upto(%s[0] + (%s[2] or 0)))" % (x, k, x, x)
-            return ("f", self.value(block, ("addk", x, k), expr, uses=(x,),
-                                    cheap=False))
-        return ("f", self.op("add", a[1], b[1], block))
+            code = ("_cv, _cu, _ck = c%d[%sv + (%sk or 0)]\n" % (k, x, x)
+                    + self.field.ADD.format(r="{r}", **self.parts(x, "_c")))
+            return ("f", self.form(block, ("addk", x, k), code, (x,)))
+        return ("f", self.op("ADD", a[1], b[1], block))
 
     def mul(self, a, b, block, node):
         if a[0] == "c" and b[0] == "c":
@@ -566,16 +722,16 @@ class _Codegen:
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("mulform", c, node)
-            return ("f", self.value(block, ("mulform", x, k),
-                                    "mul(%s, c%d)" % (x, k), uses=(x,),
-                                    cheap=False))
-        return ("f", self.op("mul", a[1], b[1], block))
+            code = self.field.MUL.format(r="{r}", **self.parts(
+                x, constant="c%d" % k))
+            return ("f", self.form(block, ("mulform", x, k), code, (x,)))
+        return ("f", self.op("MUL", a[1], b[1], block))
 
     def bounds(self, x):
         """Source of the (lower, upper) valuation bounds of x."""
         if x[0] == "c":
             return "c%d" % self.site("ord", x[1])
-        return "%s[0], %s[0] if %s[2] else INF" % ((x[1],) * 3)
+        return "%sv, %sv if %sk else INF" % ((x[1],) * 3)
 
     def candidate(self, x):
         """Source that lowers delta to the valuation of the derivative x
@@ -584,8 +740,8 @@ class _Codegen:
             c = "c%d" % self.site("ord", x[1])
             known, v = "%s[0] == %s[1]" % (c, c), c + "[0]"
         else:
-            known, v = x[1] + "[2]", x[1] + "[0]"
-        return ("if %s and %s < level and level + %s <= vlo and "
+            known, v = x[1] + "k", x[1] + "v"
+        return ("if %s and %s < lv and lv + %s <= vlo and "
                 "(delta is None or %s < delta): delta = %s"
                 % (known, v, v, v, v))
 
@@ -604,8 +760,8 @@ class _Codegen:
             x = self.vf(node.operand, block)
             if x[0] == "c":
                 return "c%d" % self.site("ac", x[1]), True, frozenset()
-            return self.value(block, ("ac", x[1]), self.ac % (x[1], x[1]),
-                              uses=(x[1],)), \
+            return self.value(block, ("ac", x[1]), self.field.AC.format(
+                u=x[1] + "u", k=x[1] + "k"), uses=(x[1],)), \
                 True, frozenset()
         if cls is RfNeg or cls is RfPow:
             a, null, deps = self.rf(node.operand if cls is RfNeg
@@ -639,11 +795,10 @@ class _Codegen:
             x = self.vf(node.operand, block)
             if x[0] == "c":
                 return ("iv", "c%d" % self.site("ord", x[1]))
-            lo = self.value(block, ("lo", x[1]), "%s[0]" % x[1], uses=(x[1],))
             hi = self.value(block, ("hi", x[1]),
-                            "%s if %s[2] else INF" % (lo, x[1]),
-                            uses=(lo, x[1]))
-            return ("pt", lo, hi)
+                            "%sv if %sk else INF" % (x[1], x[1]),
+                            uses=(x[1],))
+            return ("pt", x[1] + "v", hi)
         if cls is ZzAdd or cls is ZzSub:
             a = self.zz(node.left, block)
             b = self.zz(node.right, block)
@@ -730,12 +885,15 @@ class _Codegen:
             for part in closed_parts(node, self.names):
                 self.site("eval", part)
             self.quantified.append(node)
+            boxes = ", ".join(
+                "%r: (%sv, %su, %sk)" % ((n,) + (self.local[n],) * 3)
+                for n in sorted(self.names) if self.loopvar[n] in deps)
             loops = ", ".join("%r: %s" % (n, scope[n])
                               for n in free_vars(node) if n in scope)
             return self.value(block, ("quant", len(self.quantified)),
-                              "quant(%d, forms, {%s})"
-                              % (len(self.quantified) - 1, loops), deps,
-                              cheap=False)
+                              "quant(%d, {%s}, {%s})"
+                              % (len(self.quantified) - 1, boxes, loops),
+                              deps, cheap=False)
         e = self.new("e")
         block.lines.append("%s = F" % e)
         self.home[e] = block
@@ -758,7 +916,7 @@ class _Codegen:
             if w[0] == "c":
                 return "c%d" % self.site("eq", w[1])
             return self.value(block, ("eq", w[1]),
-                              "F if %s[2] else U" % w[1], uses=(w[1],))
+                              "F if %sk else U" % w[1], uses=(w[1],))
         if cls is RfEq or cls is RfNe:
             a, anull, _ = self.rf(node.left, block, scope)
             b, bnull, _ = self.rf(node.right, block, scope)

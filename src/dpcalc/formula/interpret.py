@@ -127,7 +127,7 @@ def _zi_scale(k, A):
 
 
 # value-group atoms over intervals (lower, upper) with +-inf ends; the
-# oracle's compiled box classifier calls these too
+# oracle's compiled sweep calls these too
 
 def zz_le(A, B):
     if _ext_le(A[1], B[0]):

@@ -320,10 +320,23 @@ class Fpt:
 # --- rational valuation helpers ---
 
 def _val_int(n, p):
+    """The valuation at p of the nonzero integer n, in O(log v) big
+    divisions: by p, p^2, p^4, ... while they divide n, then back down
+    through the same powers, one binary digit of v each."""
+    if n % p:
+        return 0
+    powers = [p]
+    while True:
+        square = powers[-1] * powers[-1]
+        if n % square:
+            break
+        powers.append(square)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            v += 1 << i
     return v
 
 

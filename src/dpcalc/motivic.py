@@ -47,6 +47,9 @@ from .presburger import sum as pres_sum
 from .symring import ONE, ZERO, L, SymA
 
 EMPTY_DOMAIN = PresDomain(())
+# distinct (class, domain) pairs whose term order is kept; the acceptance
+# corpus meets five
+TERM_KEY_MEMO = 1024
 
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
@@ -378,6 +381,16 @@ def _render_range(r):
     return " && ".join(parts) or r.name + " free"
 
 
+@functools.lru_cache(maxsize=TERM_KEY_MEMO)
+def _term_key(rf_class, domain):
+    """The order of a term among a function's terms, by the text of its
+    class and of its ranges; kept per (class, domain), which every sum of
+    functions meets again."""
+    return ("" if rf_class is None else pretty_print(rf_class),
+            tuple((r.name, str(r.lower), str(r.upper), r.modulus, r.residue)
+                  for r in domain.ranges))
+
+
 class ConstructibleFn:
     """A finite sum of residue classes tensored with exact ring values.
 
@@ -405,11 +418,7 @@ class ConstructibleFn:
         out = [CTerm(cls, dom, coeff)
                for (cls, dom), coeff in merged.items()
                if not coeff.is_zero()]
-        out.sort(key=lambda t: ("" if t.rf_class is None
-                                else pretty_print(t.rf_class),
-                                tuple((r.name, str(r.lower), str(r.upper),
-                                       r.modulus, r.residue)
-                                      for r in t.domain.ranges)))
+        out.sort(key=lambda t: _term_key(t.rf_class, t.domain))
         self.terms = tuple(out)
 
     @classmethod

@@ -8,24 +8,26 @@ digits are added, so a subtree can be classified the moment its root box
 decides; the result is identical to flat enumeration of all p^(N*m) boxes,
 which is what the box budget meters.
 
-Each walk runs one classifier that `boxcode.compile_walk` generates from
-its structure (the domain, the integrand f and the partial derivatives
-of f, the box variables and the kind of field) and keeps in a memo of
-code.  On a box given as integer forms, (valuation, unit mod p^k) in Q_p
-and (valuation, digit tuple) in F_p((t)), it returns the three-valued
+Each walk runs one sweep that `boxcode.compile_walk` generates from its
+structure (the domain, the integrand f and the partial derivatives of f,
+the box variables and the kind of field) and keeps in a memo of code.
+Given a box as integer forms, (valuation, unit mod p^k) in Q_p and
+(valuation, digit tuple) in F_p((t)), it enumerates the box's children
+in one loop nest and classifies each in place: the three-valued
 membership, the valuation bounds of f and the least Hensel valuation,
-computing each shared subterm once.  It decides everything `interpret`
-decides on the corresponding `from_digits` box; a field- or
-value-group-quantified subformula alone is put to `interpret` on each
-box.  Subterms without a box variable are folded once per walk through
-`eval_vf_term`, so they raise its errors: those of the domain before the
-first box, those of the integrand at the first box that needs it.
-`interpret`, `eval_vf_term` and `LFElem` arithmetic stay the reference
-semantics, and the tests hold the classifier to them on random formulas,
-terms and boxes.  The children of a TRUE box inherit it, and a FALSE box
-is pruned.  A box at depth d with integrand valuation v contributes
-p^-(d*m + e*v), so the walk counts boxes per exponent and forms each
-endpoint as one Fraction at the end.
+each subterm computed in the loop of the last variable it reads.  It
+decides everything `interpret` decides on the corresponding
+`from_digits` box; a field- or value-group-quantified subformula alone
+is put to `interpret` on each box.  Subterms without a box variable are
+folded once per walk through `eval_vf_term`, so they raise its errors:
+those of the domain before the first box, those of the integrand at the
+first box that needs it.  `interpret`, `eval_vf_term` and `LFElem`
+arithmetic stay the reference semantics, and the tests hold the sweep to
+them on random formulas, terms and boxes.  The children of a TRUE box
+inherit it, and a FALSE box is pruned.  A box at depth d with integrand
+valuation v contributes p^-(d*m + e*v), so the sweep counts the boxes it
+decides per exponent, the walk sweeps the children of those it leaves
+undecided, and each endpoint is formed as one Fraction at the end.
 
 A TRUE box at level l >= 1 on which f is still undecided is settled by
 Hensel's lemma when f is a polynomial over the valuation ring (every
@@ -39,8 +41,8 @@ alike (Igusa, An Introduction to the Theory of Local Zeta Functions,
 2000, §2-3).  Such a box contributes exactly
 p^-(l*m + e*(l+d)) * (1 - p^-1)/(1 - p^-(1+e)) to both endpoints, with
 d the least valuation that qualifies; the walk counts these boxes per
-exponent in a table of their own.  The classifier computes the
-derivatives only on a TRUE box that is still undecided.
+exponent in a table of their own.  The sweep computes the derivatives
+only on a TRUE box that is still undecided.
 
 Nothing here is symbolic.  The point is an independent check on the
 symbolic engine, plus the classical consistency checks: Jacobian scaling,
@@ -50,7 +52,6 @@ and Serre–Oesterlé solution counts mod ϖ^N, read off the same walk.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -89,7 +90,7 @@ class VolumeInterval:
 
     Both endpoints are exact sums of powers p^-(d*m + e*v) over the boxes
     that count, with v the integrand's valuation bound on each box (from
-    the compiled classifier, which agrees with `LFElem` arithmetic); they
+    the compiled sweep, which agrees with `LFElem` arithmetic); they
     are accumulated as integer counts per exponent and reduced once.
     """
 
@@ -227,49 +228,29 @@ class _BoxWalk:
         return self.p ** (self.depth * self.m)
 
     def run(self):
-        classify = self.classifier()
-        p, m, depth, e = self.p, self.m, self.depth, self.integrand.e
-        child = self.ops.child
-        digits = range(p)
-        weights = [p ** ((depth - level) * m) for level in range(depth + 1)]
-        # boxes per exponent: decided, only bounded above, and settled
-        # by Hensel's lemma
         exact, open_, hensel = {}, {}, {}
-        TRUE, FALSE = Truth3.TRUE, Truth3.FALSE
-        nodes = true = undecided = settled = 0
+        sweep = self.sweeper(exact, open_, hensel)
+        p, m, depth, e = self.p, self.m, self.depth, self.integrand.e
+        weights = [p ** ((depth - level) * m) for level in range(depth + 1)]
+        every = (range(p),) * m
+        width = p ** m
+        nodes, true, undecided, settled = 1, 0, 0, 0
 
-        def credit(counts, level, v):
-            if v is not INF:
-                x = level * m + e * v
-                counts[x] = counts.get(x, 0) + 1
-
-        def walk(forms, level, membership):
+        def descend(forms, level, truth, digits):
             nonlocal nodes, true, undecided, settled
-            nodes += 1
-            membership, vlo, vhi, delta = classify(forms, level, membership)
-            if membership is FALSE:
-                return
-            if membership is TRUE:
-                if vlo == vhi:
-                    credit(exact, level, vlo)
-                    true += weights[level]
-                    return
-                if delta is not None:
-                    # Hensel: f/pi^(level + delta) carries the box's
-                    # normalised measure onto the Haar measure of O
-                    credit(hensel, level, level + delta)
-                    true += weights[level]
-                    settled += weights[level]
-                    return
-            if level == depth:
-                undecided += weights[level]
-                credit(open_, level, vlo)
-                return
-            rows = [[child(form, level, d) for d in digits] for form in forms]
-            for combo in itertools.product(*rows):
-                walk(combo, level + 1, membership)
+            ntrue, nsettled, nopen, pending = sweep(forms, level, truth,
+                                                    digits)
+            weight = weights[level + 1]
+            true += ntrue * weight
+            settled += nsettled * weight
+            undecided += nopen * weight
+            nodes += width * len(pending)
+            for forms, truth in pending:
+                descend(forms, level + 1, truth, every)
 
-        walk(tuple((0, 0, None) for _ in self.names), 0, Truth3.UNDECIDED)
+        # the root box is the one child, digit 0 in every variable, of a
+        # box at level -1
+        descend(((-1, 0, None),) * m, -1, Truth3.UNDECIDED, (range(1),) * m)
         self.nodes_visited = nodes
         self.boxes_true, self.boxes_undecided = true, undecided
         self.boxes_hensel = settled
@@ -284,14 +265,17 @@ class _BoxWalk:
                               self.boxes_undecided, self.boxes_hensel,
                               self.nodes_visited)
 
-    def classifier(self):
-        """The compiled classifier of this walk with its sites folded.
+    def sweeper(self, exact, open_, hensel):
+        """The compiled sweep of this walk with its sites folded, crediting
+        the counts per exponent exact, open_ and hensel.
 
         A product with a constant that folds to the exact 0 is the exact
         0, as in `localfield.mul`; such products are replaced by 0 and the
         walk recompiled.  The membership sites raise their errors here,
-        where `interpret` would raise them on the first box; errors of the
-        integrand's are kept and raised by the first box that needs it."""
+        where `interpret` would raise them on the first box.  When the
+        integrand's raise, the walk compiles its domain alone, and the
+        sweep raises that error at the first box that needs the
+        integrand."""
         # the walk compiler is imported by the first walk, not with dpcalc
         from .boxcode import _field_ops, compile_walk
         self.ops = _field_ops(self.spec)
@@ -311,19 +295,22 @@ class _BoxWalk:
                 derivs = tuple(None if d is None
                                else _zeroed(d, zeros.get("d", ()))
                                for d in plan.derivatives)
-        spec, ops, names = self.spec, self.ops, self.names
+        if f_err is not None:
+            plan = compile_walk(expr, None, self.names, self.spec.kind)
+            values = self._fold(plan.sites)[0]
+        spec, ops = self.spec, self.ops
 
-        def quant(i, forms, loops):
-            """`interpret` on a quantified subformula at this box."""
+        def quant(i, boxes, loops):
+            """`interpret` on a quantified subformula at one box."""
             env = dict(self.assignment)
-            for name, form in zip(names, forms):
+            for name, form in boxes.items():
                 env[name] = from_digits(spec, form[0], ops.unit_digits(form))
             env.update(loops)
             return interpret(plan.quantified[i], spec, env,
                              self.vf_witness_depth)
 
-        return plan.make(values, ops, self.p, self.depth, integral, f_err,
-                         quant)
+        return plan.make(values, self.p, self.depth, integral, f_err, quant,
+                         self.integrand.e, exact, open_, hensel)
 
     def _fold(self, sites):
         """(the value of each site, {section: products with a constant that

@@ -21,10 +21,13 @@ both prims to the merged denominator, scales them to the lcm of the two
 content denominators and takes one integer gcd.  Negation and scaling by
 a rational never reduce.  The cancellation depends on prim and den only,
 so it is one function, `_reduce`, memoized on that pair: the values of an
-integration meet a few hundred distinct pairs over and over.  Every division in it is by a monic cyclotomic, so
-it runs in integer arithmetic.  Only the views `numerator`, `render` and
-`nu` turn coefficients into Fractions.  Division by a unit peels its
-factors L^i - 1 by sparse division before it looks for cyclotomics.
+integration meet a few hundred distinct pairs over and over.  Every
+division in it is by a monic cyclotomic, so it runs in integer
+arithmetic.  Only the views `numerator` and `nu` turn coefficients into
+Fractions; `render` reduces each coefficient of content * prim in
+integers.  Division by a unit peels its factors L^i - 1 by sparse
+division, then reads the cyclotomics left over off roots of unity modulo
+primes.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import NotInvertibleInA, ParseError
+from .localfield import is_prime
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -300,25 +304,32 @@ class SymA:
     def render(self):
         if self.is_zero():
             return "0"
-        num = self.numerator
+        # each coefficient content * a, reduced in integers
+        top, bottom = self._content.numerator, self._content.denominator
+        terms = [(self._shift + j, a) for j, a in enumerate(self._prim)
+                 if a]
         parts = []
-        for idx, d in enumerate(sorted(num, reverse=True)):
-            c = num[d]
-            mag = abs(c)
+        plain = True
+        for idx, (d, a) in enumerate(reversed(terms)):
+            n = top * a
+            g = math.gcd(n, bottom)
+            n, den = n // g, bottom // g
+            plain = plain and n > 0 and den == 1
+            mag = "%d" % abs(n) if den == 1 else "%d/%d" % (abs(n), den)
             if d == 0:
-                body = _fmt_fraction(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = _fmt_lpow(d)
             else:
-                body = "%s*%s" % (_fmt_fraction(mag), _fmt_lpow(d))
+                body = "%s*%s" % (mag, _fmt_lpow(d))
             if idx == 0:
-                parts.append("-" + body if c < 0 else body)
+                parts.append("-" + body if n < 0 else body)
             else:
-                parts.append((" - " if c < 0 else " + ") + body)
+                parts.append((" - " if n < 0 else " + ") + body)
         num_text = "".join(parts)
         if not self._den:
             return num_text
-        if len(num) > 1 or any(c < 0 or c.denominator != 1 for c in num.values()):
+        if len(terms) > 1 or not plain:
             num_text = "(%s)" % num_text
         den_text = "*".join(
             "(1 - %s)" % _fmt_lpow(-i) + ("^%d" % m if m > 1 else "")
@@ -392,7 +403,9 @@ def _unit_factorization(d):
     returns (sign, shift, {k: e_k}).
 
     Factors L^i - 1 are peeled first, largest i first, each by one sparse
-    division; the cyclotomics they leave are found one k at a time.
+    division; each cyclotomic Phi_k they leave is read off a root of
+    unity of order k modulo a prime, among the k whose Phi_k is no
+    longer than what is left, and divided out.
     Raises NotInvertibleInA when the numerator has any other irreducible
     factor or a non-unit integer content.
     """
@@ -429,29 +442,66 @@ def _unit_factorization(d):
         for k in poly.divisors(i):
             exponents[k] = exponents.get(k, 0) + 1
         i = min(i, len(prim) - 1)
-    k = 0
-    while len(prim) > 1:
-        k += 1
-        deg = len(prim) - 1
-        # totient(k) >= sqrt(k/2), so no Phi_k of degree <= deg is left
-        if k > 2 * deg * deg:
-            raise not_a_unit()
-        if poly.totient(k) > deg:
+    # a Phi_k left over vanishes at the primitive k-th roots of unity mod
+    # any prime = 1 (mod k), so one evaluation there rules k out or in
+    for k, phi in _orders(len(prim) - 1):
+        if len(prim) == 1:
+            break
+        if phi >= len(prim):
+            continue
+        modulus, root = _root_of_unity(k)
+        acc = 0
+        for c in reversed(prim):
+            acc = (acc * root + c) % modulus
+        if acc:
             continue
         while True:
-            q, r = poly.divmod(prim, cyclotomic(k))
+            quotient, r = poly.divmod(prim, cyclotomic(k))
             if r:
                 break
-            prim = q
+            prim = quotient
             exponents[k] = exponents.get(k, 0) + 1
+    if len(prim) > 1:
+        raise not_a_unit()
     # prim is primitive with a positive leading coefficient, so it is [1]
     return content.numerator, d._shift, exponents
 
 
-def _fmt_fraction(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+def _orders(bound):
+    """(k, totient(k)) for every k > 1 with totient(k) <= bound, k
+    increasing: the orders of the roots of unity of degree at most bound
+    over Q."""
+    primes = [p for p in range(2, bound + 2) if is_prime(p)]
+    out = []
+
+    def extend(k, phi, start):
+        for j in range(start, len(primes)):
+            p = primes[j]
+            kp, phip = k * p, phi * (p - 1)
+            if phip > bound:
+                break
+            while phip <= bound:
+                out.append((kp, phip))
+                extend(kp, phip, j + 1)
+                kp, phip = kp * p, phip * p
+
+    extend(1, 1, 0)
+    return sorted(out)
+
+
+@functools.lru_cache(maxsize=1024)
+def _root_of_unity(k):
+    """(q, g): the least prime q = 1 (mod k) and the least g whose order
+    mod q is k."""
+    q = k + 1
+    while not is_prime(q):
+        q += k
+    primes = poly.factor(k, k)
+    for h in range(2, q):
+        g = pow(h, (q - 1) // k, q)
+        if all(pow(g, k // p, q) != 1 for p in primes):
+            return q, g
+    raise AssertionError(k)
 
 
 def _fmt_lpow(d):

@@ -2,16 +2,24 @@
 membership, settled smooth boxes by Hensel's lemma and compiled its
 membership: `interpret` on every box, full descent wherever the
 integrand stays undecided.  The integrand's valuation bounds come from
-the walk's compiled classifier, which the tests hold to `eval_vf_term`.
-Kept, with `run` returning the bare endpoints, as the reference the
-current walk is tested against."""
+the walk's compiled sweep, one box at a time, which the tests hold to
+`eval_vf_term`.  Kept, with `run` returning the bare endpoints, as the
+reference the current walk is tested against."""
 
 import itertools
 
 from dpcalc.boxcode import _field_ops
-from dpcalc.formula import Sort, Truth3, interpret
+from dpcalc.formula import Formula, Sort, Truth3, VfEq, VfVar, interpret
 from dpcalc.localfield import INF, from_digits
 from dpcalc.oracle import IntegrandSpec, _as_formula, _BoxWalk as _Walk, _mass
+
+
+class _Unsettled(_Walk):
+    """The walk with Hensel's lemma off: its sweep credits a TRUE child
+    at the integrand's valuation, or leaves it open or undecided."""
+
+    def _fold(self, sites):
+        return super()._fold(sites)[:3] + (False,)
 
 
 class _BoxWalk:
@@ -33,7 +41,7 @@ class _BoxWalk:
                       if s is Sort.VF and n not in assignment]
         self.m = len(self.names)
         self.ops = _field_ops(spec)
-        self.compiled = None
+        self.sweep = None
         self.lower_counts = {}
         self.upper_counts = {}
         self.boxes_true = 0
@@ -43,31 +51,51 @@ class _BoxWalk:
         return self.p ** (self.depth * self.m)
 
     def run(self):
-        self.walk(tuple(() for _ in self.names),
-                  tuple((0, 0, None) for _ in self.names), 0)
+        self.walk(tuple(() for _ in self.names), 0)
         return (_mass(self.p, self.lower_counts),
                 _mass(self.p, self.upper_counts))
 
-    def integrand_bounds(self, forms):
+    def integrand_bounds(self, prefixes):
         """(lower, upper) bounds on the integrand's valuation over the
-        box; equal when decided, INF for the value 0.  The classifier is
-        built on first use, so a walk that never evaluates the integrand
-        never raises its errors."""
+        box, equal when decided, INF for the value 0, or None where it is
+        undecided above full depth.  The sweep is built on first use, so
+        a walk that never evaluates the integrand never raises its
+        errors."""
         if self.integrand.is_one:
             return 0, 0
-        if self.compiled is None:
-            self.compiled = _Walk(self.phi, self.spec, self.integrand,
-                                  self.assignment,
-                                  self.vf_witness_depth).classifier()
-        # a TRUE box at level 0 asks for neither membership nor Hensel
-        return self.compiled(forms, 0, Truth3.TRUE)[1:3]
+        if self.sweep is None:
+            # a domain TRUE by reflexivity, so the sweep reads f alone
+            x = VfVar(self.names[0])
+            self.counts = ({}, {}, {})
+            self.sweep = _Unsettled(
+                Formula(VfEq(x, x), self.phi.free), self.spec, self.integrand,
+                self.assignment, self.vf_witness_depth).sweeper(*self.counts)
+        for counts in self.counts:
+            counts.clear()
+        level = len(prefixes[0])
+        if level:
+            forms = tuple(self.ops.form(from_digits(self.spec, 0, d[:-1]))
+                          for d in prefixes)
+            digits = tuple(range(d[-1], d[-1] + 1) for d in prefixes)
+        else:
+            forms, digits = ((-1, 0, None),) * self.m, (range(1),) * self.m
+        true, _, _, pending = self.sweep(forms, level - 1, Truth3.TRUE,
+                                         digits)
+        if pending:
+            return None
+        # the one child's exponent level*m + e*v, none for the value 0
+        exact, open_, _ = self.counts
+        v = INF
+        for x in exact or open_:
+            v = (x - level * self.m) // self.integrand.e
+        return (v, v) if true else (v, INF)
 
     def credit(self, counts, level, v):
         if v is not INF:
             x = level * self.m + self.integrand.e * v
             counts[x] = counts.get(x, 0) + 1
 
-    def walk(self, prefixes, forms, level):
+    def walk(self, prefixes, level):
         env = dict(self.assignment)
         for name, digs in zip(self.names, prefixes):
             env[name] = from_digits(self.spec, 0, digs)
@@ -77,27 +105,24 @@ class _BoxWalk:
             return
         weight = self.p ** ((self.depth - level) * self.m)
         if membership is Truth3.TRUE:
-            vlo, vhi = self.integrand_bounds(forms)
-            if vlo == vhi:
-                self.credit(self.lower_counts, level, vlo)
-                self.credit(self.upper_counts, level, vlo)
+            bounds = self.integrand_bounds(prefixes)
+            if bounds is not None and bounds[0] == bounds[1]:
+                self.credit(self.lower_counts, level, bounds[0])
+                self.credit(self.upper_counts, level, bounds[0])
                 self.boxes_true += weight
                 return
             if level == self.depth:
                 self.boxes_undecided += weight
-                self.credit(self.upper_counts, level, vlo)
+                self.credit(self.upper_counts, level, bounds[0])
                 return
         elif level == self.depth:
-            vlo, _ = self.integrand_bounds(forms)
+            vlo, _ = self.integrand_bounds(prefixes)
             self.boxes_undecided += weight
             self.credit(self.upper_counts, level, vlo)
             return
-        children = [[self.ops.child(form, level, d) for d in range(self.p)]
-                    for form in forms]
         for combo in itertools.product(range(self.p), repeat=self.m):
             self.walk(tuple(digs + (d,)
                             for digs, d in zip(prefixes, combo)),
-                      tuple(row[d] for row, d in zip(children, combo)),
                       level + 1)
 
 

@@ -567,6 +567,18 @@ def test_huge_powers_compile_to_a_squaring_chain(tmp_path, field):
     assert [interval["lower"], interval["upper"]] == ["1/1", "1/1"]
 
 
+@pytest.mark.parametrize("field", ["qp", "fpt"])
+def test_huge_constant_valuations_take_few_divisions(tmp_path, field):
+    # the valuation of 5^100000 is found by repeated squaring of 5, not
+    # by one division per unit of valuation
+    path = tmp_path / "huge_valuation.dp"
+    path.write_text("vf x; ord(x - t^100000) >= 0\n")
+    proc = _run_apart("oracle", str(path), "--prime", "5", "--field", field)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    interval = out_json(proc.stdout)["interval"]
+    assert [interval["lower"], interval["upper"]] == ["1/1", "1/1"]
+
+
 def test_oracle_binds_are_field_terms():
     params, precision, binds = cli._oracle_case(
         {"params": {"acx": 2, "k": 1}, "precision": 7,

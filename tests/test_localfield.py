@@ -65,6 +65,14 @@ def test_infinity_ordering():
     assert 1 + INF is INF
 
 
+@given(p=st.sampled_from([2, 3, 5, 7, 31]), v=st.integers(0, 3000),
+       u=st.integers(1, 10 ** 6), sign=st.sampled_from([1, -1]))
+def test_valuation_of_an_integer(p, v, u, sign):
+    if u % p == 0:
+        u += 1
+    assert lf._val_int(sign * u * p ** v, p) == v
+
+
 # --- exact embeddings ---
 
 def test_embed_char_zero():

@@ -1,6 +1,7 @@
 """The point-counting oracle: exact interval brackets for volumes and
 integrals over the valuation ring."""
 
+import collections
 import itertools
 import os
 import subprocess
@@ -14,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
 import oracle_reference as reference
-from dpcalc.boxcode import _field_ops, compile_walk
+from dpcalc.boxcode import (_derivative, _field_ops, closed_parts,
+                            compile_walk)
 from dpcalc.errors import (BadPrime, BudgetExceeded, UnboundVariable,
                            UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
@@ -365,7 +367,7 @@ def test_volume_additivity_property(c1, c2, q):
     assert both.upper == v1.upper + v2.upper
 
 
-# --- the compiled classifier against the reference semantics ---
+# --- the compiled sweep against the reference semantics ---
 
 _BOX_NAMES = ["x", "y"]
 
@@ -388,50 +390,116 @@ def _monomial(spec, c, k, d=0):
                               VfConst(F(d))), spec, {})
 
 
-def _box(spec, prefixes):
-    """The from_digits boxes and their forms, built a digit at a time as
-    the walk builds them."""
-    ops = _field_ops(spec)
-    boxes, forms = {}, []
-    for name, digs in zip(_BOX_NAMES, prefixes):
-        boxes[name] = lf.from_digits(spec, 0, tuple(digs))
-        form = (0, 0, None)
-        for level, d in enumerate(digs):
-            form = ops.child(form, level, d)
-        assert form == ops.form(boxes[name])
-        forms.append(form)
-    return boxes, tuple(forms)
-
-
 _FREE = [("x", Sort.VF), ("y", Sort.VF), ("a", Sort.VF), ("r", Sort.RF),
          ("s", Sort.RF), ("n", Sort.ZZ)]
 
 
-def _classifier(expr, f, spec, assignment, free=_FREE):
-    """The walk's compiled classifier for domain expr over the boxes x, y
-    and integrand f (None for 1), field witnesses at depth 1."""
+def _sweep(expr, f, spec, assignment, prefixes, truth, free=_FREE):
+    """What the walk's compiled sweep makes of the children of one box,
+    field witnesses at depth 1: (TRUE, Hensel and open children,
+    pending children, and the exact, open and Hensel counts).  prefixes
+    holds the digits of each box variable, of one length; its last
+    digit is the child's, None for all p of them, and with no digits the
+    child is the root box."""
     phi = Formula(expr, free)
     integrand = IntegrandSpec.one() if f is None else IntegrandSpec(f, 1)
-    return oracle_module._BoxWalk(phi, spec, integrand, assignment,
-                                  1).classifier()
+    walk = oracle_module._BoxWalk(phi, spec, integrand, assignment, 1)
+    counts = ({}, {}, {})
+    sweep = walk.sweeper(*counts)
+    ops = _field_ops(spec)
+    level = len(prefixes[0]) - 1
+    if level < 0:
+        forms, digits = ((-1, 0, None),) * len(prefixes), \
+            (range(1),) * len(prefixes)
+    else:
+        forms = tuple(ops.form(lf.from_digits(spec, 0, tuple(d[:-1])))
+                      for d in prefixes)
+        digits = tuple(range(spec.prime) if d[-1] is None
+                       else range(d[-1], d[-1] + 1) for d in prefixes)
+    true, settled, open_, pending = sweep(forms, level, truth, digits)
+    return (true, settled, open_, collections.Counter(pending)) + counts
+
+
+def _child_outcome(expr, f, spec, assignment, prefixes, truth, free=_FREE):
+    """The same for one child box by the reference semantics: membership
+    by `interpret` unless inherited TRUE, the integrand's valuation
+    bounds by `eval_vf_term`, and Hensel's delta from the bounds of its
+    formal partial derivatives."""
+    names = [n for n, s in free if s is Sort.VF and n not in assignment]
+    boxes = {n: lf.from_digits(spec, 0, tuple(d))
+             for n, d in zip(names, prefixes)}
+    env = {**assignment, **boxes}
+    level, depth, m = len(prefixes[0]), spec.precision, len(names)
+    forms = tuple(_field_ops(spec).form(boxes[n]) for n in names)
+    if truth is not Truth3.TRUE:
+        truth = interpret(Formula(expr, free), spec, env, 1)
+    if truth is Truth3.FALSE:
+        return 0, 0, 0, [], {}, {}, {}
+    if truth is Truth3.UNDECIDED and level < depth:
+        return 0, 0, 0, [(forms, truth)], {}, {}, {}
+    vlo, vhi = (0, 0) if f is None \
+        else eval_vf_term(f, spec, env).ord_bounds()
+    if truth is Truth3.TRUE and vlo == vhi:
+        return 1, 0, 0, [], {} if vlo is lf.INF else {level * m + vlo: 1}, \
+            {}, {}
+    if truth is Truth3.TRUE and f is not None and 1 <= level <= vlo and all(
+            c.exact and c.ord() >= 0
+            for c in (eval_vf_term(part, spec, assignment)
+                      for part in closed_parts(f, frozenset(names)))):
+        deltas = [lo for lo, hi in (
+            eval_vf_term(d, spec, env).ord_bounds()
+            for d in (_derivative(f, n) for n in names) if d is not None)
+            if lo == hi and lo < level and level + lo <= vlo]
+        if deltas:
+            return 1, 1, 0, [], {}, {}, \
+                {level * m + level + min(deltas): 1}
+    if level == depth:
+        return 0, 0, 1, [], {}, \
+            {} if vlo is lf.INF else {level * m + vlo: 1}, {}
+    return 0, 0, 0, [(forms, truth)], {}, {}, {}
+
+
+def _swept_by_reference(expr, f, spec, assignment, prefixes, truth,
+                        free=_FREE):
+    """`_child_outcome` summed over the children `_sweep` classifies."""
+    p = spec.prime
+    last = [[d[-1]] if d and d[-1] is not None else range(p if d else 1)
+            for d in prefixes]
+    true = settled = open_ = 0
+    pending = collections.Counter()
+    counts = ({}, {}, {})
+    for combo in itertools.product(*last):
+        child = [list(d[:-1]) + [c] if d else [] for d, c in
+                 zip(prefixes, combo)]
+        got = _child_outcome(expr, f, spec, assignment, child, truth, free)
+        true, settled, open_ = true + got[0], settled + got[1], \
+            open_ + got[2]
+        pending.update(got[3])
+        for total, part in zip(counts, got[4:]):
+            for x, c in part.items():
+                total[x] = total.get(x, 0) + c
+    return (true, settled, open_, pending) + counts
+
+
+def _check_swept(expr, f, spec, assignment, prefixes, truth, free=_FREE):
+    """The sweep agrees with the reference semantics on each child it
+    classifies, or both raise the same error class."""
+    try:
+        want = _swept_by_reference(expr, f, spec, assignment, prefixes,
+                                   truth, free)
+    except Exception as e:  # the error class is part of the contract
+        with pytest.raises(Exception) as raised:
+            _sweep(expr, f, spec, assignment, prefixes, truth, free)
+        assert raised.type is type(e)
+        return
+    assert _sweep(expr, f, spec, assignment, prefixes, truth, free) == want
 
 
 def _check_compiled(term, spec, a, prefixes):
-    """The classifier's integrand bounds agree with eval_vf_term on one
-    box, or both raise the same error class."""
-    boxes, forms = _box(spec, prefixes)
-    classify = _classifier(VfEq(VfVar("x"), VfVar("x")), term, spec,
-                           {"a": a}, _FREE[:2])
-    try:
-        reference = eval_vf_term(term, spec, {"a": a, **boxes})
-    except Exception as e:  # the error class is part of the contract
-        with pytest.raises(Exception) as raised:
-            classify(forms, 0, Truth3.TRUE)
-        assert raised.type is type(e)
-        return
-    truth, vlo, vhi, delta = classify(forms, 0, Truth3.TRUE)
-    assert (truth, delta) == (Truth3.TRUE, None)
-    assert (vlo, vhi) == reference.ord_bounds()
+    """The sweep's integrand bounds agree with eval_vf_term on one child
+    of a TRUE box, or both raise the same error class."""
+    _check_swept(VfEq(VfVar("x"), VfVar("x")), term, spec, {"a": a},
+                 prefixes, Truth3.TRUE, _FREE[:2])
 
 
 def _bindings(spec, data):
@@ -448,6 +516,18 @@ def _bindings(spec, data):
         st.integers(0, p - 1), max_size=spec.precision)))
 
 
+def _prefixes(spec, data, names=_BOX_NAMES):
+    """Digits of one child box, one list per box variable, at a level
+    that is full depth half the time: leading zero digits are drawn
+    often, since they move the box's valuation."""
+    p, precision = spec.prime, spec.precision
+    level = data.draw(st.one_of(st.just(precision),
+                                st.integers(0, precision)))
+    digit = st.one_of(st.just(0), st.integers(0, p - 1))
+    return [data.draw(st.lists(digit, min_size=level, max_size=level))
+            for _ in names]
+
+
 @settings(max_examples=600, deadline=None)
 @given(term=_terms, make=st.sampled_from([lf.qp, lf.fpt]),
        p=st.sampled_from([2, 3, 5]), precision=st.integers(1, 4),
@@ -455,30 +535,27 @@ def _bindings(spec, data):
 def test_compiled_integrand_matches_reference(term, make, p, precision, data):
     spec = make(p, precision)
     a = _bindings(spec, data)
-    # leading zero digits are drawn often: they move the box's valuation
-    digit = st.one_of(st.just(0), st.integers(0, p - 1))
-    prefixes = [data.draw(st.lists(digit, max_size=precision))
-                for _ in _BOX_NAMES]
-    _check_compiled(term, spec, a, prefixes)
+    _check_compiled(term, spec, a, _prefixes(spec, data))
 
 
 @pytest.mark.parametrize("term,spec,a,x,y", [
     # a constant of several digits added to a box
-    ("x + a", lf.fpt(5, 4), (1, 1, 1), (1, 2, 3, 4), ()),
+    ("x + a", lf.fpt(5, 4), (1, 1, 1), (1, 2, 3, 4), (0, 0, 0, 0)),
     # a sum whose window runs past the precision is truncated
-    ("x*x + 1", lf.fpt(3, 4), (0, 0, 1), (0, 1, 2, 1), ()),
+    ("x*x + 1", lf.fpt(3, 4), (0, 0, 1), (0, 1, 2, 1), (0, 0, 0, 0)),
     (VfSub(VfAdd(VfVar("x"), VfConst(F(1, 25))), VfConst(F(1, 25))),
-     lf.qp(5, 3), (0, 0, 1), (1, 2, 3), ()),
+     lf.qp(5, 3), (0, 0, 1), (1, 2, 3), (0, 0, 0)),
     # cancellation leaves only a valuation bound
-    ("(x - y)^2", lf.qp(3, 4), (0, 0, 1), (1, 2), (1, 2, 0, 1)),
-    ("x*y - y*x + a", lf.fpt(2, 3), (1, 2, 0), (1, 1), (0, 1, 1)),
+    ("(x - y)^2", lf.qp(3, 4), (0, 0, 1), (1, 2, 0, 1), (1, 2, 0, 1)),
+    ("x*y - y*x + a", lf.fpt(2, 3), (1, 2, 0), (1, 1, 0), (0, 1, 1)),
     # exact zero absorbs a box; z^0 is the exact one
-    ("x*0 + y", lf.qp(5, 3), (0, 0, 1), (2,), (0, 3)),
-    ("x^0*a - a", lf.fpt(2, 3), (1, 1, 1), (1,), ()),
+    ("x*0 + y", lf.qp(5, 3), (0, 0, 1), (2, 0, 0), (0, 3, 0)),
+    ("x^0*a - a", lf.fpt(2, 3), (1, 1, 1), (1, 0, 0), (0, 0, 0)),
     # indeterminate boxes
-    ("x*y + a", lf.qp(7, 3), (1, 1, 0), (0, 0), (0,)),
+    ("x*y + a", lf.qp(7, 3), (1, 1, 0), (0, 0, 0), (0, 0, 0)),
     # a constant with no residue image in F_p((t))
-    (VfAdd(VfVar("x"), VfConst(F(1, 3))), lf.fpt(3, 2), (0, 0, 1), (1,), ()),
+    (VfAdd(VfVar("x"), VfConst(F(1, 3))), lf.fpt(3, 2), (0, 0, 1), (1, 0),
+     (0, 0)),
 ], ids=["multidigit-constant", "fpt-truncation", "qp-truncation",
         "cancellation", "fpt-cancellation", "zero-absorbs", "power-zero",
         "indeterminate", "no-residue-image"])
@@ -533,41 +610,60 @@ _formulas = st.recursive(_atoms, lambda kids: st.one_of(
        make=st.sampled_from([lf.qp, lf.fpt]), p=st.sampled_from([2, 3, 5]),
        precision=st.integers(1, 3), data=st.data())
 def test_classifier_matches_interpret(expr, f, make, p, precision, data):
-    """On a random box at a random level, the compiled membership equals
-    `interpret` on the from_digits box, and the integrand bounds equal
-    eval_vf_term's, or both sides raise the same error class."""
+    """On a random child box at a random level, the sweep's membership
+    equals `interpret` on the from_digits box, and its integrand bounds
+    and Hensel delta follow from eval_vf_term's, or both sides raise the
+    same error class."""
     spec = make(p, precision)
-    level = data.draw(st.integers(0, precision))
-    digit = st.one_of(st.just(0), st.integers(0, p - 1))
-    prefixes = [data.draw(st.lists(digit, min_size=level, max_size=level))
-                for _ in _BOX_NAMES]
-    boxes, forms = _box(spec, prefixes)
     n = data.draw(st.one_of(st.integers(-2, 4), st.just(lf.INF)))
     assignment = {"a": _bindings(spec, data), "r": data.draw(
         st.integers(0, 6)), "s": data.draw(st.integers(0, 6)), "n": n}
-    try:
-        want = interpret(Formula(expr, _FREE), spec,
-                         {**assignment, **boxes}, 1)
-    except Exception as e:  # the error class is part of the contract
-        with pytest.raises(Exception) as raised:
-            _classifier(expr, f, spec, assignment)
-        assert raised.type is type(e)
-        return
-    classify = _classifier(expr, f, spec, assignment)
-    if want is Truth3.FALSE or f is None:
-        got = classify(forms, precision, Truth3.UNDECIDED)
-        assert got[0] is want
-        assert want is Truth3.FALSE or got[1:3] == (0, 0)
-        return
-    try:
-        bounds = eval_vf_term(f, spec, {**assignment, **boxes}).ord_bounds()
-    except Exception as e:
-        with pytest.raises(Exception) as raised:
-            classify(forms, precision, Truth3.UNDECIDED)
-        assert raised.type is type(e)
-        return
-    assert classify(forms, precision, Truth3.UNDECIDED)[:3] == \
-        (want,) + bounds
+    _check_swept(expr, f, spec, assignment, _prefixes(spec, data),
+                 Truth3.UNDECIDED)
+
+
+_SWEEP_NAMES = ["x", "y", "z"]
+
+
+def _witness_text(names, data):
+    """`exists s:rf` over a residue condition on a polynomial in names,
+    with an ord condition on another."""
+    g, h = _poly_text(names, data), _poly_text(names, data)
+    cond = data.draw(st.sampled_from(["ac(%s) == s^2", "ac(%s) + s == 1",
+                                      "ac(%s) * s == 1 || s == 0"]))
+    return "(exists s:rf. (%s) && ord(%s) %s %d)" % (
+        cond % g, h, data.draw(st.sampled_from([">=", "=="])),
+        data.draw(st.integers(0, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), make=st.sampled_from([lf.qp, lf.fpt]),
+       data=st.data())
+def test_sweep_hoists_by_variable(m, make, data):
+    """A whole sweep over random domains and integrands in one to three
+    box variables, with a residue witness scan that reads only some of
+    them and so runs in an outer loop: every child's membership,
+    integrand bounds and Hensel delta agree with the reference
+    semantics, whatever the loop a subterm was hoisted to."""
+    names = _SWEEP_NAMES[:m]
+    p = data.draw(st.sampled_from([2, 3] if m == 3 else [2, 3, 5]))
+    spec = make(p, data.draw(st.integers(1, 3)))
+    seen = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                              max_size=m, unique=True))
+    domain = "%s %s %s" % (_atom_text(names, data),
+                           data.draw(st.sampled_from(["&&", "||"])),
+                           _witness_text(sorted(seen), data))
+    phi = parse("vf %s; %s" % (", ".join(names), domain))
+    f = parse_term(_poly_text(names, data), Sort.VF) \
+        if data.draw(st.booleans()) else None
+    # the children of one box: the root, or all p^m below a random box
+    level = data.draw(st.integers(0, spec.precision))
+    digit = st.integers(0, p - 1)
+    prefixes = [[] if level == 0 else data.draw(st.lists(
+        digit, min_size=level - 1, max_size=level - 1)) + [None]
+        for _ in names]
+    truth = data.draw(st.sampled_from([Truth3.UNDECIDED, Truth3.TRUE]))
+    _check_swept(phi.expr, f, spec, {}, prefixes, truth, phi.free)
 
 
 # exact brackets recorded from the LFElem-per-box walk that preceded the
@@ -750,17 +846,21 @@ def test_deep_hensel_boxes_match_a_deeper_reference(m, make, e, data):
     domain = "vf %s; %s" % (", ".join(names),
                             data.draw(st.sampled_from(_DOMAINS[m])))
     deltas = []
-    compiled = oracle_module._BoxWalk.classifier
+    compiled = oracle_module._BoxWalk.sweeper
 
-    def spy(walk):
-        classify = compiled(walk)
+    def spy(walk, exact, open_, hensel):
+        sweep = compiled(walk, exact, open_, hensel)
 
-        def recorded(forms, level, truth):
-            got = classify(forms, level, truth)
-            deltas.append(got[3])
+        def recorded(forms, level, truth, digits):
+            before = dict(hensel)
+            got = sweep(forms, level, truth, digits)
+            # a child at level l settled at l*m + e*(l + delta)
+            lv = level + 1
+            deltas.extend((x - lv * walk.m) // e - lv
+                          for x in hensel if hensel[x] != before.get(x))
             return got
         return recorded
-    with mock.patch.object(oracle_module._BoxWalk, "classifier", spy):
+    with mock.patch.object(oracle_module._BoxWalk, "sweeper", spy):
         iv = integrate(integrand, domain, make(p, precision))
     assume(any(deltas))  # a delta of 0, or None, is falsy
     lower, upper = reference.integrate(integrand, domain,

@@ -1,5 +1,8 @@
 """The coefficient ring: canonical forms, arithmetic, specialization, order."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
@@ -416,3 +419,34 @@ def test_large_unit_is_peeled_at_once():
     with pytest.raises(NotInvertibleInA):
         SymA.parse("1/(L^2000 + 2)")
     assert time.perf_counter() - start < 0.5
+
+
+def test_a_large_cyclotomic_is_read_off_a_root_of_unity():
+    # Phi_2000 alone, of degree 800: each order k whose Phi_k is short
+    # enough is ruled out by one evaluation at a root of unity mod a
+    # prime, not by a division by Phi_k
+    src = os.path.dirname(os.path.dirname(os.path.abspath(symring.__file__)))
+    code = ("from dpcalc.symring import SymA\n"
+            "print(SymA.parse('1/(L^800 - L^600 + L^400 - L^200 + 1)'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == \
+        "(L^-800 + L^-1000 - L^-1800 - L^-2000)/(1 - L^-2000)\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+       power=st.integers(1, 2))
+def test_cyclotomic_units_are_factored(orders, power):
+    """A product of cyclotomics Phi_k(L)^power factors into exactly those
+    k, each found whatever else the product holds."""
+    d = ONE
+    want = {}
+    for k in orders:
+        d = d * SymA({i: c for i, c in enumerate(symring.cyclotomic(k))}) \
+            ** power
+        want[k] = want.get(k, 0) + power
+    assert symring._unit_factorization(d) == (1, 0, want)
+    assert ONE.div_by_unit(d) * d == ONE
