@@ -17,8 +17,9 @@ source of one *sweep* per structure, as `formula/count.py` does for point
 counts.  A sweep takes a box's forms and level, its membership and a
 digit range per variable, and enumerates the box's children in one
 compiled loop nest, a loop per box variable, the most-read variable
-outermost.  Each subterm is computed in the loop of the last variable it
-reads, the rule by which whatever does not depend on x is computed once
+outermost (past `NESTED_LOOPS` of them the rest share one loop over the
+product of their digits).  Each subterm is computed in the loop of the
+last variable it reads, the rule by which whatever does not depend on x is computed once
 before an `exists x:rf` loop: a witness scan that reads two of four box
 variables runs once per pair of their digits, not once per child.  Each
 child is classified in place: its three-valued membership, the
@@ -47,6 +48,7 @@ in a bounded LRU memo that holds code, never a value.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
@@ -62,6 +64,12 @@ from .localfield import INF, FieldKind
 
 # distinct walk structures whose sweeps are kept
 MEMO_SIZE = 256
+# box variables with a loop of their own, the most-read first
+NESTED_LOOPS = 6
+# the box loops that fit in CPython's 20 statically nested blocks beside
+# the two of the arithmetic templates, less one per nested residue
+# quantifier
+_BOX_BLOCKS = 18
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +289,14 @@ def closed_parts(node, excluded):
         yield from closed_parts(child, excluded)
 
 
+def _rf_depth(node):
+    """The deepest nesting of residue quantifiers in node, each a loop in
+    the sweep; a quantifier of another sort is left to `interpret`."""
+    if isinstance(node, Exists):
+        return 1 + _rf_depth(node.body) if node.sort is Sort.RF else 0
+    return max((_rf_depth(c) for c in children(node)), default=0)
+
+
 def _derivative(node, name):
     """The formal partial derivative of a field term in the variable
     `name`, or None when it is identically zero."""
@@ -388,7 +404,7 @@ _NAMESPACE = {
     "_T": Truth3.TRUE, "_F": Truth3.FALSE, "_U": Truth3.UNDECIDED,
     "INF": INF, "PINF": _PINF_POINT, "zi_add": _zi_add, "zi_neg": _zi_neg,
     "zi_scale": _zi_scale, "zz_le": zz_le, "zz_lt": zz_lt, "zz_eq": zz_eq,
-    "zz_cong": zz_cong,
+    "zz_cong": zz_cong, "product": itertools.product,
 }
 
 
@@ -418,17 +434,23 @@ class _Codegen:
         self.names = frozenset(names)
         self.box = ["x%d" % i for i in range(len(names))]
         self.local = dict(zip(names, self.box))
-        # the loop variable of each box variable: its last digit
-        self.loopvar = {n: "d%d" % i for i, n in enumerate(names)}
         reads = dict.fromkeys(names, 0)
         for node in (expr, f):
             if node is not None:
                 for n in walk(node):
                     if isinstance(n, VfVar) and n.name in reads:
                         reads[n.name] += 1
-        # the most-read variables outermost, ties in the given order
-        self.order = sorted(range(len(names)),
-                            key=lambda i: -reads[names[i]])
+        # the most-read variables outermost, ties in the given order; past
+        # the loops that may nest, the rest share one loop over the
+        # product of their digits
+        order = sorted(range(len(names)), key=lambda i: -reads[names[i]])
+        cut = max(1, min(NESTED_LOOPS, _BOX_BLOCKS - _rf_depth(expr))) - 1
+        self.loops = [[i] for i in order[:cut]]
+        if order[cut:]:
+            self.loops.append(order[cut:])
+        # the loop that binds each box variable's last digit
+        self.loopvar = {names[i]: "d%d" % group[0]
+                        for group in self.loops for i in group}
         self.field = field
         self.sites = []
         self.site_index = {}
@@ -493,12 +515,16 @@ class _Codegen:
         membership, inherited when TRUE, and what each child comes to."""
         loops = []
         block = top
-        for i in self.order:
-            block = _Block(block, loop="d%d" % i, lines=[
+        for group in self.loops:
+            block = _Block(block, loop="d%d" % group[0], lines=[
                 self.field.CHILD.format(x="x%d" % i, f="f%d" % i,
-                                        d="d%d" % i)])
-            self.register("x%d" % i, block)
-            loops.append(("for d%d in D%d:" % (i, i), block))
+                                        d="d%d" % i) for i in group])
+            for i in group:
+                self.register("x%d" % i, block)
+            loops.append(("for %s in %s:" % (
+                ", ".join("d%d" % i for i in group),
+                "D%d" % group[0] if len(group) == 1 else "product(%s)"
+                % ", ".join("D%d" % i for i in group)), block))
         if not loops:
             # no box variable: one child, the box itself a level down
             block = _Block(block, loop="d")

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import dpcalc.boxcode as boxcode
 import dpcalc.localfield as lf
 import dpcalc.oracle as oracle_module
 import oracle_reference as reference
@@ -664,6 +665,39 @@ def test_sweep_hoists_by_variable(m, make, data):
         for _ in names]
     truth = data.draw(st.sampled_from([Truth3.UNDECIDED, Truth3.TRUE]))
     _check_swept(phi.expr, f, spec, {}, prefixes, truth, phi.free)
+
+
+@settings(max_examples=25, deadline=None)
+@given(make=st.sampled_from([lf.qp, lf.fpt]), data=st.data())
+def test_sweep_groups_the_variables_past_its_nested_loops(make, data):
+    """Past NESTED_LOOPS box variables the rest share one loop over the
+    product of their digits: a whole sweep at p = 2 still agrees with the
+    reference child by child."""
+    names = ["x%d" % i for i in range(boxcode.NESTED_LOOPS + 2)]
+    spec = make(2, data.draw(st.integers(1, 2)))
+    seen = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                              max_size=3, unique=True))
+    phi = parse("vf %s; %s && %s" % (", ".join(names),
+                                     _atom_text(names, data),
+                                     _witness_text(sorted(seen), data)))
+    f = parse_term(_poly_text(names, data), Sort.VF) \
+        if data.draw(st.booleans()) else None
+    level = data.draw(st.integers(0, spec.precision))
+    prefixes = [[] if level == 0 else data.draw(st.lists(
+        st.integers(0, 1), min_size=level - 1, max_size=level - 1)) + [None]
+        for _ in names]
+    truth = data.draw(st.sampled_from([Truth3.UNDECIDED, Truth3.TRUE]))
+    _check_swept(phi.expr, f, spec, {}, prefixes, truth, phi.free)
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_many_box_variables_compile(make):
+    # one loop each would pass CPython's 20 statically nested blocks
+    names = ["x%d" % i for i in range(24)]
+    phi = "vf %s; %s" % (", ".join(names),
+                         " && ".join("ord(%s) >= 0" % n for n in names))
+    iv = volume(phi, make(2, 1))
+    assert iv.lower == iv.upper == 1
 
 
 # exact brackets recorded from the LFElem-per-box walk that preceded the
