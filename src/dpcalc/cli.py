@@ -39,7 +39,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from dataclasses import fields as dataclass_fields, is_dataclass
 from fractions import Fraction
 
 from .budget import ENV as BUDGET_ENV
@@ -60,33 +60,14 @@ from .oracle import volume as oracle_volume
 from .symring import SymA
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation: the command, its inputs, and the numeric knobs."""
-
-    command: str
-    path: str | None = None
-    primes: tuple = ()
-    precision: int = 6
-    budget: int | None = None
-    output: str | None = None
-    emit: str = "json"
-    params: tuple = ()
-    linear_product: str | None = None
-    exponent: int = 1
-    field: str = "qp"
-    both_characteristics: bool = False
-    prime: int | None = None
-
-
 # ---------------------------------------------------------------------------
 # small shared helpers
 
 
-def _emit(cfg, payload):
+def _emit(args, payload):
     text = json.dumps(payload, indent=2) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -233,17 +214,17 @@ def _integrand_from(directives):
 # parse
 
 
-def cmd_parse(cfg):
-    body, _ = _read_dp(cfg.path)
+def cmd_parse(args):
+    body, _ = _read_dp(args.path)
     phi = parse(body)
     pretty = pretty_print(phi)
     if parse(pretty) != phi:
         raise AssertionError("pretty text failed to round-trip")
-    if cfg.emit == "pretty":
+    if args.emit == "pretty":
         sys.stdout.write(pretty + "\n")
         return 0
-    _emit(cfg, {
-        "file": cfg.path,
+    _emit(args, {
+        "file": args.path,
         "free": [{"name": n, "sort": s.value} for n, s in phi.free],
         "pretty": pretty,
         "ast": _node_json(phi.expr),
@@ -258,28 +239,28 @@ def cmd_parse(cfg):
 _CLASS_TOKENS = {"cube": (3, 1)}
 
 
-def cmd_integrate(cfg):
-    if cfg.linear_product is not None:
-        if cfg.path:
+def cmd_integrate(args):
+    if args.linear_product is not None:
+        if args.path:
             raise ParseError("give either a cell-data file or "
                              "--linear-product, not both")
-        centers, mults = _parse_linear_product(cfg.linear_product)
-        result = integrate_linear_product(centers, mults, cfg.exponent)
-        _emit(cfg, {
-            "input": {"linear_product": cfg.linear_product,
-                      "exponent": cfg.exponent},
+        centers, mults = _parse_linear_product(args.linear_product)
+        result = integrate_linear_product(centers, mults, args.exponent)
+        _emit(args, {
+            "input": {"linear_product": args.linear_product,
+                      "exponent": args.exponent},
             "value": result.as_syma().render(),
             "bad_primes": _bad_json(result.bad_primes),
             "derivation": _derivation_json(result),
         })
         return 0
 
-    if not cfg.path:
+    if not args.path:
         raise ParseError("integrate needs a cell-data file or "
                          "--linear-product")
-    data = _load_cells_path(cfg.path)
+    data = _load_cells_path(args.path)
     result = integrate_cell_data(data)
-    numeric, tokens = _parse_param_list(cfg.params)
+    numeric, tokens = _parse_param_list(args.param)
     declared = dict(data.parameters)
     for name in list(numeric) + list(tokens):
         if name not in declared:
@@ -300,7 +281,7 @@ def cmd_integrate(cfg):
 
     bound = bind_parameters(result, numeric)
     out = {
-        "file": cfg.path,
+        "file": args.path,
         "parameters": [{"name": n, "sort": s.value}
                        for n, s in data.parameters],
         "assigned": {n: v for n, v in sorted(numeric.items())},
@@ -324,7 +305,7 @@ def cmd_integrate(cfg):
         out["cases"] = [
             {"when": "q = %d (mod %d)" % (r, modulus), "value": v.render()}
             for r, v in residue_cases(result, modulus, witness, numeric)]
-    _emit(cfg, out)
+    _emit(args, out)
     return 0
 
 
@@ -332,7 +313,7 @@ def cmd_integrate(cfg):
 # compare
 
 
-def _oracle_rows(cfg, primes, skipped, per_prime):
+def _oracle_rows(primes, skipped, per_prime):
     """Run `per_prime` at each non-skipped prime; collect rows/failures."""
     rows = []
     failing = []
@@ -349,50 +330,50 @@ def _oracle_rows(cfg, primes, skipped, per_prime):
     return rows, failing
 
 
-def _bracket(cfg, row, sym, integrand, phi, p, precision, binds):
-    """Put the oracle's bracket at p into row for each field cfg asks
+def _bracket(args, row, sym, integrand, phi, p, precision, binds):
+    """Put the oracle's bracket at p into row for each field args asks
     for, the binds evaluated in that field; whether all contain sym."""
     ok = True
-    for kind in ("qp", "fpt") if cfg.both_characteristics else ("qp",):
+    for kind in ("qp", "fpt") if args.both_characteristics else ("qp",):
         spec = (qp if kind == "qp" else fpt)(p, precision)
         assignment = {name: eval_vf_term(term, spec, {})
                       for name, term in binds.items()}
         iv = oracle_integrate(integrand, phi, spec, assignment=assignment,
-                              budget=cfg.budget)
+                              budget=args.budget)
         row[kind] = [fraction_str(iv.lower), fraction_str(iv.upper)]
         row[kind + "_contained"] = iv.contains(sym)
         ok = ok and iv.contains(sym)
     return ok
 
 
-def _compare_formula(cfg):
-    body, directives = _read_dp(cfg.path)
+def _compare_formula(args):
+    body, directives = _read_dp(args.path)
     phi = parse(body)
     if "linear-product" in directives:
         centers, mults = _parse_linear_product(directives["linear-product"])
         result = integrate_linear_product(
             centers, mults,
             _integer(directives.get("exponent", "1"), "exponent"),
-            budget=cfg.budget)
+            budget=args.budget)
         value = result.as_syma()
         skipped = result.bad_primes
     elif "expect" in directives:
         value = SymA.parse(directives["expect"])
-        skipped = bad_primes(phi, budget=cfg.budget)
+        skipped = bad_primes(phi, budget=args.budget)
     else:
         raise ParseError(
             "%s carries no symbolic value: add a '#! expect:' or "
-            "'#! linear-product:' directive" % cfg.path)
+            "'#! linear-product:' directive" % args.path)
     integrand = _integrand_from(directives)
 
     def per_prime(p):
         sym = value.nu(p)
         row = {"prime": p, "symbolic": fraction_str(sym)}
-        return row, _bracket(cfg, row, sym, integrand, phi, p,
-                             cfg.precision, {})
+        return row, _bracket(args, row, sym, integrand, phi, p,
+                             args.precision, {})
 
-    rows, failing = _oracle_rows(cfg, cfg.primes, skipped, per_prime)
-    return {"file": cfg.path, "value": value.render(),
+    rows, failing = _oracle_rows(args.primes, skipped, per_prime)
+    return {"file": args.path, "value": value.render(),
             "rows": rows}, failing
 
 
@@ -413,14 +394,14 @@ def _oracle_case(case, precision):
     return params, int(case.get("precision", precision)), binds
 
 
-def _compare_cells(cfg):
-    data = _load_cells_path(cfg.path)
-    result = integrate_cell_data(data, budget=cfg.budget)
+def _compare_cells(args):
+    data = _load_cells_path(args.path)
+    result = integrate_cell_data(data, budget=args.budget)
     block = data.oracle
     if not isinstance(block, dict) or "domain" not in block:
         raise UnsupportedFeature(
             "%s has no oracle block, so there is nothing to compare against"
-            % cfg.path)
+            % args.path)
     try:
         phi = parse(block["domain"])
         spec_f = block.get("integrand") or {}
@@ -429,11 +410,11 @@ def _compare_cells(cfg):
                                                 int(spec_f.get("e", 1)))
         else:
             integrand = IntegrandSpec.one()
-        cases = [_oracle_case(case, cfg.precision)
+        cases = [_oracle_case(case, args.precision)
                  for case in block.get("cases") or [{}]]
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed oracle block in %s: %s"
-                         % (cfg.path, e)) from None
+                         % (args.path, e)) from None
 
     rf_params = {n for n, s in data.parameters if s is Sort.RF}
     all_rows = []
@@ -454,30 +435,29 @@ def _compare_cells(cfg):
                 return {"prime": p,
                         "case": {k: v for k, v in sorted(params.items())},
                         "skipped": reason}, True
-            sym = specialize(result, p, params, budget=cfg.budget)
+            sym = specialize(result, p, params, budget=args.budget)
             row = {"prime": p,
                    "case": {k: v for k, v in sorted(params.items())},
                    "symbolic": fraction_str(sym)}
-            return row, _bracket(cfg, row, sym, integrand, phi, p, precision,
+            return row, _bracket(args, row, sym, integrand, phi, p, precision,
                                  binds)
 
-        rows, failing = _oracle_rows(cfg, cfg.primes, result.bad_primes,
-                                     per_prime)
+        rows, failing = _oracle_rows(args.primes, result.bad_primes, per_prime)
         all_rows.extend(rows)
         all_failing.extend(failing)
-    return {"file": cfg.path, "value": result.value.render(),
+    return {"file": args.path, "value": result.value.render(),
             "rows": all_rows}, all_failing
 
 
-def cmd_compare(cfg):
-    if cfg.path.endswith(".json"):
-        out, failing = _compare_cells(cfg)
+def cmd_compare(args):
+    if args.path.endswith(".json"):
+        out, failing = _compare_cells(args)
     else:
-        out, failing = _compare_formula(cfg)
+        out, failing = _compare_formula(args)
     out["ok"] = not failing
     if failing:
         out["failing_primes"] = sorted(set(failing))
-    _emit(cfg, out)
+    _emit(args, out)
     if failing:
         _say("comparison failed at prime(s) %s"
              % ", ".join(str(p) for p in sorted(set(failing))))
@@ -520,21 +500,21 @@ def _appendix2_vf_rows(primes, budget):
     return rows
 
 
-def cmd_appendix2(cfg):
+def cmd_appendix2(args):
     # the counts need q >= 5, and 2, with no nonsquare, would give no row
     # at all: refuse such a q before counting anything
-    small = [q for q in cfg.primes if q < 5]
+    small = [q for q in args.primes if q < 5]
     if small:
         raise InvalidPrime("need an odd prime >= 5, got %d" % small[0])
     symbolic = appendix2_symbolic()
     rows = []
     failing = []
-    for q in cfg.primes:
+    for q in args.primes:
         expected = q * (q - 1) * (q + 1) // 2
         for eta in nonsquares(q):
             for variant in ("b2_minus_d2", "d2_minus_b2"):
                 vol = appendix2_volume("per_eta", q, eta=eta,
-                                       variant=variant, budget=cfg.budget)
+                                       variant=variant, budget=args.budget)
                 count = vol * q ** 3
                 ok = count == expected
                 rows.append({"q": q, "eta": eta, "variant": variant,
@@ -542,10 +522,10 @@ def cmd_appendix2(cfg):
                              "ok": ok})
                 if not ok:
                     failing.append("q=%d eta=%d (%s)" % (q, eta, variant))
-    vf_rows = _appendix2_vf_rows(cfg.primes, cfg.budget)
+    vf_rows = _appendix2_vf_rows(args.primes, args.budget)
     failing += ["q=%d (%s locus)" % (r["q"], r["field"])
                 for r in vf_rows if not r["ok"]]
-    _emit(cfg, {
+    _emit(args, {
         "symbolic": symbolic.render(),
         "count_formula": "q*(q-1)*(q+1)/2",
         "rows": rows,
@@ -563,18 +543,18 @@ def cmd_appendix2(cfg):
 # oracle
 
 
-def cmd_oracle(cfg):
-    body, directives = _read_dp(cfg.path)
+def cmd_oracle(args):
+    body, directives = _read_dp(args.path)
     phi = parse(body)
     integrand = _integrand_from(directives)
-    make = qp if cfg.field == "qp" else fpt
-    spec = make(cfg.prime, cfg.precision)
-    iv = oracle_integrate(integrand, phi, spec, budget=cfg.budget)
-    _emit(cfg, {
-        "file": cfg.path,
-        "field": cfg.field,
-        "prime": cfg.prime,
-        "precision": cfg.precision,
+    make = qp if args.field == "qp" else fpt
+    spec = make(args.prime, args.precision)
+    iv = oracle_integrate(integrand, phi, spec, budget=args.budget)
+    _emit(args, {
+        "file": args.path,
+        "field": args.field,
+        "prime": args.prime,
+        "precision": args.precision,
         "integrand": directives.get("integrand", "1"),
         "interval": iv.to_json_dict(),
         "width": fraction_str(iv.width()),
@@ -664,33 +644,6 @@ _COMMANDS = {
 }
 
 
-def _config_from(args):
-    def get(name, default=None):
-        return getattr(args, name, default)
-
-    primes = get("primes")
-    if primes is not None:
-        primes = _parse_primes(primes)
-    prime = get("prime")
-    if prime is not None and not is_prime(prime):
-        raise InvalidPrime("%d is not a prime" % prime)
-    return RunConfig(
-        command=args.command,
-        path=get("path"),
-        primes=primes or (),
-        precision=get("precision", 6),
-        budget=get("budget"),
-        output=get("output"),
-        emit=get("emit", "json"),
-        params=tuple(get("param", []) or []),
-        linear_product=get("linear_product"),
-        exponent=get("exponent", 1),
-        field=get("field", "qp"),
-        both_characteristics=bool(get("both_characteristics")),
-        prime=prime,
-    )
-
-
 def _attach_negative_values(argv):
     """argparse reads a value starting with "-" as an option, so a
     linear product with a negative first center ("-3:2") is attached to
@@ -710,8 +663,11 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
-        cfg = _config_from(args)
-        return _COMMANDS[cfg.command](cfg)
+        if "primes" in args:
+            args.primes = _parse_primes(args.primes)
+        if "prime" in args and not is_prime(args.prime):
+            raise InvalidPrime("%d is not a prime" % args.prime)
+        return _COMMANDS[args.command](args)
     except (ParseError, SortError) as e:
         _say(str(e))
         return 2

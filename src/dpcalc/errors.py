@@ -19,10 +19,6 @@ class InvalidPrime(DpcalcError):
     pass
 
 
-class DivisionByZero(DpcalcError, ZeroDivisionError):
-    pass
-
-
 class PrecisionExhausted(DpcalcError):
     """No significant digit of the requested quantity is determined."""
 

@@ -1,10 +1,12 @@
 """Truncated arithmetic in Q_p and F_p((t)) with exact elements where possible.
 
-Elements carry either an exact payload (a rational for Q_p, a rational
-function of t over F_p for F_p((t))) or a finite digit window.  Arithmetic
-propagates how many digits remain trustworthy; cancellation can leave an
-element about which only a lower bound on the valuation is known.  Accessors
-that need a significant digit (ord, ac, inv, digit reads) raise
+Elements carry either an exact payload (a rational for Q_p, a Laurent
+polynomial t^shift * num(t) over F_p for F_p((t))) or a finite digit
+window.  Exact elements are closed under +, - and *, which is all that
+formulas and their rational constants build; there is no division.
+Arithmetic propagates how many digits remain trustworthy; cancellation can
+leave an element about which only a lower bound on the valuation is known.
+Accessors that need a significant digit (ord, ac, digit reads) raise
 PrecisionExhausted on such elements instead of guessing.
 """
 
@@ -14,8 +16,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DivisionByZero, InvalidArgument, InvalidPrime,
-                     NoSimpleRoot, PrecisionExhausted)
+from .errors import (InvalidArgument, InvalidPrime, NoSimpleRoot,
+                     PrecisionExhausted)
 
 
 class _Infinity:
@@ -170,94 +172,32 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_scale(a, c, p):
-    c %= p
-    return _poly_trim([x * c % p for x in a])
-
-
-def _poly_divmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        if len(a) < len(b) + i:
-            continue
-        c = a[len(b) + i - 1] * inv_lead % p
-        if c:
-            q[i] = c
-            for j, d in enumerate(b):
-                a[i + j] = (a[i + j] - c * d) % p
-        _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    if a:
-        a = _poly_scale(a, pow(a[-1], -1, p), p)
-    return a
-
-
-def _series_inv(d, p, n):
-    # inverse of d (d[0] != 0) as a power series mod t^n
-    inv0 = pow(d[0], -1, p)
-    out = [inv0] + [0] * (n - 1)
-    for k in range(1, n):
-        acc = 0
-        for j in range(1, min(k, len(d) - 1) + 1):
-            acc += d[j] * out[k - j]
-        out[k] = (-acc * inv0) % p
-    return out
-
-
 class Fpt:
-    """Exact element of F_p((t)): t^shift * num(t)/den(t), num(0), den(0) != 0."""
+    """Exact element of F_p((t)): the Laurent polynomial t^shift * num(t),
+    with num(0) != 0; num is empty for 0."""
 
-    __slots__ = ("p", "shift", "num", "den")
+    __slots__ = ("p", "shift", "num")
 
-    def __init__(self, p, shift, num, den):
-        num = _poly_trim(list(num))
-        den = _poly_trim(list(den))
-        if not den:
-            raise ZeroDivisionError
-        if not num:
-            shift = 0
-        else:
-            while num[0] == 0:
-                num.pop(0)
-                shift += 1
-            while den[0] == 0:
-                den.pop(0)
-                shift -= 1
-            # a constant denominator has no factor in common with num
-            if len(den) > 1:
-                g = _poly_gcd(num, den, p)
-                if len(g) > 1:
-                    num = _poly_divmod(num, g, p)[0]
-                    den = _poly_divmod(den, g, p)[0]
-            c = pow(den[0], -1, p)
-            num = _poly_scale(num, c, p)
-            den = _poly_scale(den, c, p)
+    def __init__(self, p, shift, num):
+        num = _poly_trim([c % p for c in num])
+        lead = 0
+        while lead < len(num) and not num[lead]:
+            lead += 1
         self.p = p
-        self.shift = shift
-        self.num = tuple(num)
-        self.den = tuple(den) if num else (1,)
+        self.shift = shift + lead if num else 0
+        self.num = tuple(num[lead:])
 
     @classmethod
     def zero(cls, p):
-        return cls(p, 0, [], [1])
+        return cls(p, 0, [])
 
     @classmethod
     def const(cls, p, c):
-        return cls(p, 0, [c % p], [1])
+        return cls(p, 0, [c])
 
     @classmethod
     def gen(cls, p):
-        return cls(p, 1, [1], [1])
+        return cls(p, 1, [1])
 
     def is_zero(self):
         return not self.num
@@ -267,54 +207,36 @@ class Fpt:
 
     def __eq__(self, other):
         return (isinstance(other, Fpt) and self.p == other.p
-                and self.shift == other.shift and self.num == other.num
-                and self.den == other.den)
+                and self.shift == other.shift and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.p, self.shift, self.num, self.den))
+        return hash((self.p, self.shift, self.num))
 
     def add(self, other):
-        p = self.p
         if self.is_zero():
             return other
         if other.is_zero():
             return self
         s = min(self.shift, other.shift)
-        a = [0] * (self.shift - s) + list(_poly_mul(self.num, other.den, p))
-        b = [0] * (other.shift - s) + list(_poly_mul(other.num, self.den, p))
-        return Fpt(p, s, _poly_add(a, b, p), _poly_mul(self.den, other.den, p))
+        a = [0] * (self.shift - s) + list(self.num)
+        b = [0] * (other.shift - s) + list(other.num)
+        return Fpt(self.p, s, _poly_add(a, b, self.p))
 
     def neg(self):
-        return Fpt(self.p, self.shift, _poly_scale(self.num, -1, self.p), self.den)
+        return Fpt(self.p, self.shift, [-c for c in self.num])
 
     def mul(self, other):
-        p = self.p
-        if self.is_zero() or other.is_zero():
-            return Fpt.zero(p)
-        return Fpt(p, self.shift + other.shift,
-                   _poly_mul(self.num, other.num, p),
-                   _poly_mul(self.den, other.den, p))
-
-    def inv(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero in F_p((t))")
-        return Fpt(self.p, -self.shift, self.den, self.num)
+        # _poly_mul skips zero coefficients, which keeps sparse powers
+        # such as (1 + t)^(p^k) cheap
+        return Fpt(self.p, self.shift + other.shift,
+                   _poly_mul(self.num, other.num, self.p))
 
     def digits(self, n):
         # coefficients of t^shift, ..., t^(shift+n-1)
-        if self.is_zero():
-            return (0,) * n
-        inv = _series_inv(list(self.den), self.p, n)
-        out = []
-        for k in range(n):
-            acc = 0
-            for j in range(min(k, len(self.num) - 1) + 1):
-                acc += self.num[j] * inv[k - j]
-            out.append(acc % self.p)
-        return tuple(out)
+        return (self.num + (0,) * n)[:n]
 
     def __repr__(self):
-        return "Fpt(p=%d, t^%d * %r / %r)" % (self.p, self.shift, self.num, self.den)
+        return "Fpt(p=%d, t^%d * %r)" % (self.p, self.shift, self.num)
 
 
 # --- rational valuation helpers ---
@@ -355,12 +277,15 @@ def _base_digits(s, p, n):
     return out
 
 
-def _unit_digits(r, p, n):
-    """Base-p digits of the unit part of a nonzero rational, length n."""
-    v = _val_fraction(r, p)
-    u = r / Fraction(p) ** v
-    a, b = u.numerator, u.denominator
-    return tuple(_base_digits(a * pow(b, -1, p ** n), p, n))
+def _unit_mod(r, p, v, n):
+    """The unit part r/p^v of a nonzero rational of valuation v, mod p^n."""
+    a, b = r.numerator, r.denominator
+    if v > 0:
+        a //= p ** v
+    elif v < 0:
+        b //= p ** -v
+    m = p ** n
+    return a * pow(b, -1, m) % m
 
 
 @dataclass(frozen=True)
@@ -439,20 +364,15 @@ class LFElem:
                 return (0,) * n
             if isinstance(self.payload, Fpt):
                 return self.payload.digits(n)
-            return _unit_digits(self.payload, self.spec.prime, n)
+            r, p = self.payload, self.spec.prime
+            return tuple(_base_digits(
+                _unit_mod(r, p, _val_fraction(r, p), n), p, n))
         if not self.known:
             raise PrecisionExhausted("no significant digit determined")
         if n > len(self.known):
             raise PrecisionExhausted(
                 "only %d digit(s) determined" % len(self.known))
         return self.known[:n]
-
-    @property
-    def valuation(self):
-        """Spec-facing field: int, INF, or None when undetermined."""
-        if self.exact or self.known:
-            return self.ord()
-        return None
 
     def __repr__(self):
         k = "Qp" if self.spec.kind is FieldKind.CHAR_ZERO else "Fpt"
@@ -522,9 +442,7 @@ def _int_value_mod(e, low, high):
         v = _val_fraction(r, p)
         if v >= high:
             return 0
-        ds = _unit_digits(r, p, high - v)
-        full = sum(d * p ** i for i, d in enumerate(ds))  # e / p^v mod p^(high-v)
-        return (full * p ** (v - low)) % p ** n
+        return _unit_mod(r, p, v, high - v) * p ** (v - low) % p ** n
     acc = 0
     for i, d in enumerate(e.known):
         pos = e.val + i
@@ -533,20 +451,16 @@ def _int_value_mod(e, low, high):
     return acc % p ** n
 
 
-def _digit_at(e, pos, n_ok):
-    """Digit of e at absolute position pos (< n_ok known bound)."""
-    p = e.spec.prime
+def _digit_at(e, pos):
+    """EqualChar helper: the digit of e at absolute position pos.
+
+    Caller guarantees every digit of e at pos is known."""
     if e.exact:
-        if e.is_exact_zero():
-            return 0
-        v = e.ord()
-        if pos < v:
-            return 0
-        return e.digits(pos - v + 1)[pos - v]
-    if pos < e.val:
-        return 0
-    idx = pos - e.val
-    return e.known[idx] if idx < len(e.known) else 0
+        shift, digits = e.payload.shift, e.payload.num
+    else:
+        shift, digits = e.val, e.known
+    i = pos - shift
+    return digits[i] if 0 <= i < len(digits) else 0
 
 
 def add(a, b):
@@ -571,7 +485,7 @@ def add(a, b):
         ds = _base_digits(_int_value_mod(a, low, bound)
                           + _int_value_mod(b, low, bound), p, n)
     else:
-        ds = [( _digit_at(a, low + i, bound) + _digit_at(b, low + i, bound)) % p
+        ds = [(_digit_at(a, low + i) + _digit_at(b, low + i)) % p
               for i in range(n)]
     if all(d == 0 for d in ds):
         return LFElem._approx(spec, bound, ())
@@ -648,31 +562,6 @@ def power(a, n):
         if n:
             a = mul(a, a)
     return acc
-
-
-def inv(a):
-    spec = a.spec
-    if a.exact:
-        if a.is_exact_zero():
-            raise DivisionByZero("inverse of exact zero")
-        if spec.kind is FieldKind.CHAR_ZERO:
-            return LFElem._exact(spec, 1 / a.payload)
-        return LFElem._exact(spec, a.payload.inv())
-    if not a.known:
-        raise PrecisionExhausted(
-            "cannot invert: element may be zero (ord >= %d)" % a.val)
-    p = spec.prime
-    k = len(a.known)
-    if spec.kind is FieldKind.CHAR_ZERO:
-        s = sum(d * p ** i for i, d in enumerate(a.known))
-        ds = _base_digits(pow(s, -1, p ** k), p, k)
-    else:
-        ds = _series_inv(list(a.known), p, k)
-    return LFElem._approx(spec, -a.val, ds)
-
-
-def ac(a):
-    return a.ac()
 
 
 def from_digits(spec, val, digits):

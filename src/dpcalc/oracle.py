@@ -194,13 +194,6 @@ def _integral(term, spec, names):
 _LF_OPS = {"add": lf_add, "mul": lf_mul, "addk": lf_add, "mulform": lf_mul}
 
 
-def _mass(p, counts):
-    """sum(count * p^-x) over {x: count}, as one exact Fraction."""
-    top = max(max(counts, default=0), 0)
-    return Fraction(sum(c * p ** (top - x) for x, c in counts.items()),
-                    p ** top)
-
-
 class _BoxWalk:
     """Depth-first refinement of the residue-box tree for one bracket.
 
@@ -254,13 +247,21 @@ class _BoxWalk:
         self.nodes_visited = nodes
         self.boxes_true, self.boxes_undecided = true, undecided
         self.boxes_hensel = settled
-        # a Hensel box's own p^-(level*m + e*(level + delta)) times the
+        # every endpoint over p^top * (p^(e+1) - 1): a box counted at
+        # exponent x weighs p^(top-x), and a Hensel box also carries the
         # integral of |z|^e over O, (1 - p^-1)/(1 - p^-(1+e))
-        closed = _mass(p, hensel) * Fraction(p ** (e + 1) - p ** e,
-                                              p ** (e + 1) - 1)
-        lower = _mass(p, exact) + closed
-        upper = lower + _mass(p, open_)
-        return VolumeInterval(lower, upper, self.depth, upper - lower,
+        top = max((0, *exact, *open_, *hensel))
+
+        def mass(counts):
+            return sum(c * p ** (top - x) for x, c in counts.items())
+
+        scale = p ** (e + 1) - 1
+        known = mass(exact) * scale + mass(hensel) * (scale + 1 - p ** e)
+        unknown = mass(open_) * scale
+        denominator = p ** top * scale
+        return VolumeInterval(Fraction(known, denominator),
+                              Fraction(known + unknown, denominator),
+                              self.depth, Fraction(unknown, denominator),
                               self.nominal_boxes(), self.boxes_true,
                               self.boxes_undecided, self.boxes_hensel,
                               self.nodes_visited)

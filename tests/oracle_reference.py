@@ -7,11 +7,18 @@ the walk's compiled sweep, one box at a time, which the tests hold to
 reference the current walk is tested against."""
 
 import itertools
+from fractions import Fraction
 
 from dpcalc.boxcode import _field_ops
 from dpcalc.formula import Formula, Sort, Truth3, VfEq, VfVar, interpret
 from dpcalc.localfield import INF, from_digits
-from dpcalc.oracle import IntegrandSpec, _as_formula, _BoxWalk as _Walk, _mass
+from dpcalc.oracle import IntegrandSpec, _as_formula, _BoxWalk as _Walk
+
+
+def _mass(p, counts):
+    """sum(count * p^-x) over {x: count}, as one exact Fraction."""
+    return sum((Fraction(c, 1) / Fraction(p) ** x for x, c in counts.items()),
+               Fraction(0))
 
 
 class _Unsettled(_Walk):

@@ -3,13 +3,15 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpcalc import localfield as lf
-from dpcalc.errors import (DivisionByZero, InvalidArgument, InvalidPrime,
-                           NoSimpleRoot, PrecisionExhausted)
+from dpcalc.formula import (VfAdd, VfConst, VfMul, VfNeg, VfPow, VfSub,
+                            VfUnif, eval_vf_term)
+from dpcalc.errors import (InvalidArgument, InvalidPrime, NoSimpleRoot,
+                           PrecisionExhausted)
 from dpcalc.localfield import (INF, Fpt, embed_rational, from_digits,
-                               hensel_lift, inv, is_prime, mul, power)
+                               hensel_lift, is_prime, mul, power)
 
 
 # --- primality and spec validation ---
@@ -111,13 +113,6 @@ def test_exact_arithmetic_matches_rationals():
     assert (a + b) == embed_rational(F(3, 4) + F(7, 2), q5)
     assert (a * b) == embed_rational(F(21, 8), q5)
     assert (a - b) == embed_rational(F(3, 4) - F(7, 2), q5)
-    assert inv(a) == embed_rational(F(4, 3), q5)
-
-
-def test_exact_division_by_zero():
-    q5 = lf.qp(5, 6)
-    with pytest.raises(DivisionByZero):
-        inv(q5.zero())
 
 
 # --- digit windows ---
@@ -134,13 +129,10 @@ def test_indeterminate_elements():
     x = from_digits(q5, 1, ())
     assert x.is_indeterminate()
     assert x.ord_bounds() == (1, INF)
-    assert x.valuation is None
     with pytest.raises(PrecisionExhausted):
         x.ord()
     with pytest.raises(PrecisionExhausted):
         x.ac()
-    with pytest.raises(PrecisionExhausted):
-        inv(x)
 
 
 def test_addition_with_cancellation():
@@ -181,14 +173,6 @@ def test_negation_digits():
     assert (-y).digits(2) == (4, 3)
 
 
-def test_inverse_of_unit_window():
-    q5 = lf.qp(5, 6)
-    x = from_digits(q5, 0, (2,))
-    assert inv(x).digits(1) == (3,)  # 2 * 3 = 6 = 1 mod 5
-    y = from_digits(q5, 3, (2, 1))
-    assert inv(y).ord() == -3
-
-
 def test_mixed_exact_and_window():
     q5 = lf.qp(5, 8)
     exact = embed_rational(7, q5)       # digits 2, 1, 0, ...
@@ -200,28 +184,19 @@ def test_mixed_exact_and_window():
 
 # --- formal Laurent series ---
 
-def test_fpt_geometric_series_digits():
-    p = 5
-    x = Fpt(p, 0, [1], [1, p - 1])  # 1/(1 - t)
-    assert x.digits(5) == (1, 1, 1, 1, 1)
-    assert x.valuation() == 0
-
-
 def test_fpt_field_axioms():
     p = 7
     t = Fpt.gen(p)
     one = Fpt.const(p, 1)
     x = t.mul(t).add(Fpt.const(p, 3))        # 3 + t^2
-    assert x.mul(x.inv()) == one
+    assert x.mul(one) == x
     assert x.add(x.neg()).is_zero()
     assert Fpt.zero(p).valuation() is INF
-    with pytest.raises(DivisionByZero):
-        Fpt.zero(p).inv()
 
 
 def test_fpt_shift_normalization():
     p = 3
-    x = Fpt(p, 0, [0, 0, 2], [1])  # 2 t^2 presented with leading zeros
+    x = Fpt(p, 0, [0, 0, 2])  # 2 t^2 presented with leading zeros
     assert x.shift == 2
     assert x.num == (2,)
 
@@ -304,11 +279,8 @@ def test_digit_expansion_reconstructs_integers(x):
 @st.composite
 def fpt_elements(draw, p=5):
     num = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=4))
-    den = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
-    if all(c == 0 for c in den):
-        den = [1]
     shift = draw(st.integers(-3, 3))
-    return Fpt(p, shift, num, den)
+    return Fpt(p, shift, num)
 
 
 @given(a=fpt_elements(), b=fpt_elements(), c=fpt_elements())
@@ -319,11 +291,62 @@ def test_fpt_ring_laws(a, b, c):
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
 
 
-@given(a=fpt_elements())
-def test_fpt_inverse_property(a):
-    if a.is_zero():
-        return
-    assert a.mul(a.inv()) == Fpt.const(5, 1)
+# --- exact F_p((t)) against a dictionary of coefficients ---
+
+_P = 5
+
+_closed_terms = st.recursive(
+    st.one_of(st.just(VfUnif()), st.builds(VfConst, st.builds(
+        F, st.integers(-30, 30),
+        st.integers(1, 30).filter(lambda d: d % _P)))),
+    lambda kids: st.one_of(
+        st.builds(VfAdd, kids, kids), st.builds(VfSub, kids, kids),
+        st.builds(VfMul, kids, kids), st.builds(VfNeg, kids),
+        st.builds(VfPow, kids, st.integers(0, 4))),
+    max_leaves=8)
+
+
+def _times(a, b):
+    out = {}
+    for i, c in a.items():
+        for j, d in b.items():
+            out[i + j] = (out.get(i + j, 0) + c * d) % _P
+    return {k: c for k, c in out.items() if c}
+
+
+def _coefficients(term):
+    """A closed field term as {power of t: nonzero coefficient mod p}."""
+    if isinstance(term, VfUnif):
+        return {1: 1}
+    if isinstance(term, VfConst):
+        c = term.value.numerator * pow(term.value.denominator, -1, _P) % _P
+        return {0: c} if c else {}
+    if isinstance(term, VfNeg):
+        return {k: -c % _P for k, c in _coefficients(term.operand).items()}
+    if isinstance(term, VfPow):
+        out, base = {0: 1}, _coefficients(term.base)
+        for _ in range(term.exponent):
+            out = _times(out, base)
+        return out
+    a, b = _coefficients(term.left), _coefficients(term.right)
+    if isinstance(term, VfMul):
+        return _times(a, b)
+    sign = 1 if isinstance(term, VfAdd) else -1
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = (out.get(k, 0) + sign * c) % _P
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(term=_closed_terms, n=st.integers(1, 8))
+def test_exact_fpt_terms_match_their_coefficients(term, n):
+    got = eval_vf_term(term, lf.fpt(_P, n), {})
+    want = _coefficients(term)
+    assert got.exact
+    v = min(want, default=INF)
+    assert got.ord() == v
+    assert got.digits(n) == tuple(want.get(v + i, 0) for i in range(n))
 
 
 @st.composite
