@@ -19,22 +19,22 @@ digit range per variable, and enumerates the box's children in one
 compiled loop nest, a loop per box variable, the most-read variable
 outermost (past `NESTED_LOOPS` of them the rest share one loop over the
 product of their digits).  Each subterm is computed in the loop of the
-last variable it reads, the rule by which whatever does not depend on x is computed once
-before an `exists x:rf` loop: a witness scan that reads two of four box
-variables runs once per pair of their digits, not once per child.  Each
-child is classified in place: its three-valued membership, the
-integrand's valuation bounds and, on a TRUE child at level >= 1 whose
-integrand is still undecided, the least Hensel delta.  A decided child
-is credited inside the loop, to counts per exponent; the sweep returns
-how many children were TRUE, how many of those Hensel's lemma settled and
-how many stay open at full depth, and the children still undecided above
-it, which the walk sweeps in turn.  The code covers everything
-`interpret` decides on a box except field and value-group quantifiers:
-And/Or/Not, value-group comparisons and congruences, residue
-(in)equalities over `ac` terms and bound residues, field equalities, and
-`exists x:rf` as a loop over F_p.  A field- or value-group-quantified
-subformula is handed back to the walk, which asks `interpret` about it
-on that child.
+last variable it reads, the rule by which whatever does not depend on x
+is computed once before an `exists x:rf` loop: a witness scan that reads
+two of four box variables runs once per pair of their digits, not once
+per child.  Each child is classified in place: its three-valued
+membership, the integrand's valuation bounds and, on a TRUE child at
+level >= 1 whose integrand is still undecided, the least Hensel delta.
+A decided child is credited inside the loop, to counts per exponent; the
+sweep returns how many children were TRUE, how many of those Hensel's
+lemma settled and how many stay open at full depth, and the children
+still undecided above it, which the walk sweeps in turn.  The code
+decides everything `interpret` decides on a box: And/Or/Not, value-group
+comparisons and congruences, residue (in)equalities over `ac` terms and
+bound residues, field equalities, `exists x:rf` as a loop over F_p and
+`exists m:zz` as a loop over `interpret`'s window [-depth, depth],
+complete where it is.  A field quantifier is a site that the walk
+refuses as it folds.
 
 Subterms without a box variable are not in the code: each is a *site*,
 which the walk folds once through the reference semantics and passes in
@@ -51,8 +51,9 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
-                                _zi_scale, zz_cong, zz_eq, zz_le, zz_lt)
+from .formula.interpret import (_PINF_POINT, Truth3, _syntactic_zz_bounds,
+                                _zi_add, _zi_neg, _zi_scale, zz_cong, zz_eq,
+                                zz_le, zz_lt)
 from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
                             RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                             VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
@@ -67,8 +68,8 @@ MEMO_SIZE = 256
 # box variables with a loop of their own, the most-read first
 NESTED_LOOPS = 6
 # the box loops that fit in CPython's 20 statically nested blocks beside
-# the two of the arithmetic templates, less one per nested residue
-# quantifier
+# the two of the arithmetic templates, less one per nested residue or
+# value-group quantifier
 _BOX_BLOCKS = 18
 
 
@@ -190,10 +191,6 @@ else:
     def pack(self, digits):
         return sum(d * self.p ** i for i, d in enumerate(digits))
 
-    def unit_digits(self, form):
-        _, u, k = form
-        return [u // self.p ** i % self.p for i in range(k or 0)]
-
 
 class _FptOps(_FieldOps):
     """F_p((t)) forms (val, digits, k): t^val * (digits + O(t^k)), with
@@ -253,9 +250,6 @@ else:
 
     pack = staticmethod(tuple)
 
-    def unit_digits(self, form):
-        return list(form[1]) if form[2] else []
-
 
 _OPS = {FieldKind.CHAR_ZERO: _QpOps, FieldKind.EQUAL_CHAR: _FptOps}
 
@@ -268,33 +262,23 @@ def _field_ops(spec):
 # the compiled sweep
 
 
-_VF_TERMS = (VfVar, VfConst, VfUnif, VfAdd, VfSub, VfMul, VfNeg, VfPow)
-_ATOMS = (VfEq, RfEq, RfNe, ZzEq, ZzLe, ZzLt, ZzCong)
-
-
-def closed_parts(node, excluded):
-    """The maximal field subterms of node that mention no variable in
-    `excluded` and none bound inside node, left to right, skipping the
-    sides of an atom that reflexivity decides unevaluated."""
-    if isinstance(node, Exists):
-        yield from closed_parts(node.body, excluded | {node.var})
+def closed_parts(term, excluded):
+    """The maximal subterms of the field term that mention no variable in
+    `excluded`, left to right."""
+    if not any(isinstance(n, VfVar) and n.name in excluded
+               for n in walk(term)):
+        yield term
         return
-    if isinstance(node, _ATOMS) and node.left == node.right:
-        return
-    if isinstance(node, _VF_TERMS) and not any(
-            isinstance(n, VfVar) and n.name in excluded for n in walk(node)):
-        yield node
-        return
-    for child in children(node):
+    for child in children(term):
         yield from closed_parts(child, excluded)
 
 
-def _rf_depth(node):
-    """The deepest nesting of residue quantifiers in node, each a loop in
-    the sweep; a quantifier of another sort is left to `interpret`."""
+def _loop_depth(node):
+    """The deepest nesting of quantifiers in node: each is a loop in the
+    sweep, but for a field quantifier, which is refused."""
     if isinstance(node, Exists):
-        return 1 + _rf_depth(node.body) if node.sort is Sort.RF else 0
-    return max((_rf_depth(c) for c in children(node)), default=0)
+        return 1 + _loop_depth(node.body)
+    return max((_loop_depth(c) for c in children(node)), default=0)
 
 
 def _derivative(node, name):
@@ -338,8 +322,6 @@ def _derivative(node, name):
 _ONE = VfConst(Fraction(1))
 
 
-
-
 class _Block:
     """Straight-line code with the values it has computed.  A line is a
     statement, several of them on lines of their own, or (header, block);
@@ -370,11 +352,10 @@ class _Block:
 
 class Plan:
     """One walk structure compiled: `sites` in binding order, each
-    (section, op, *args) with args naming earlier sites by index;
-    `quantified` the subformulas left to `interpret`; the partial
-    `derivatives` of the integrand it computes; and
-    `make(values, p, depth, integral, f_err, quant, e, exact, open_,
-    hensel)`, which returns the sweep
+    (section, op, *args) with args naming earlier sites by index; the
+    partial `derivatives` of the integrand it computes; and
+    `make(values, p, depth, integral, f_err, e, exact, open_, hensel)`,
+    which returns the sweep
     `(forms, level, truth, digits) -> (true, settled, open, pending)`.
 
     The sweep classifies the children of the box at `level` whose
@@ -389,11 +370,10 @@ class Plan:
     walk compiles its domain alone when the integrand's constants do not
     fold."""
 
-    __slots__ = ("sites", "quantified", "derivatives", "make")
+    __slots__ = ("sites", "derivatives", "make")
 
-    def __init__(self, sites, quantified, derivatives, make):
+    def __init__(self, sites, derivatives, make):
         self.sites = sites
-        self.quantified = quantified
         self.derivatives = derivatives
         self.make = make
 
@@ -423,8 +403,7 @@ def compile_walk(expr, f, names, kind, derivatives=None):
     name = "<box classifier:%s %s | %s>" % (
         kind.value, pretty_print(expr), 1 if f is None else _term(f))
     exec(compile(gen.source(expr, f, derivatives), name, "exec"), scope)
-    return Plan(tuple(gen.sites), tuple(gen.quantified), derivatives,
-                scope["make"])
+    return Plan(tuple(gen.sites), derivatives, scope["make"])
 
 
 class _Codegen:
@@ -444,7 +423,7 @@ class _Codegen:
         # the loops that may nest, the rest share one loop over the
         # product of their digits
         order = sorted(range(len(names)), key=lambda i: -reads[names[i]])
-        cut = max(1, min(NESTED_LOOPS, _BOX_BLOCKS - _rf_depth(expr))) - 1
+        cut = max(1, min(NESTED_LOOPS, _BOX_BLOCKS - _loop_depth(expr))) - 1
         self.loops = [[i] for i in order[:cut]]
         if order[cut:]:
             self.loops.append(order[cut:])
@@ -455,7 +434,6 @@ class _Codegen:
         self.sites = []
         self.site_index = {}
         self.section = "m"
-        self.quantified = []
         self.fresh = 0
         self._boxed = {}
         self._box_deps = {}
@@ -496,8 +474,8 @@ class _Codegen:
             body.lines.append("if nopen: open_[base] = open_get(base, 0) "
                               "+ nopen")
         body.lines.append("return ntrue, nsettled, nopen, pending")
-        out = ["def make(values, p, depth, integral, f_err, quant, e, exact,"
-               " open_, hensel):",
+        out = ["def make(values, p, depth, integral, f_err, e, exact, open_,"
+               " hensel):",
                "    T, F, U = _T, _F, _U",
                "    exact_get, open_get, hensel_get = exact.get, open_.get, "
                "hensel.get"]
@@ -809,13 +787,16 @@ class _Codegen:
     # bounds with a finite lower end and no -inf, ("iv", local) for an
     # interval tuple of any kind
 
-    def zz(self, node, block):
+    def zz(self, node, block, scope):
         cls = type(node)
         if cls is ZzConst:
             return ("lit", node.value)
         if cls is ZzInf:
             return ("iv", "PINF")
         if cls is ZzVar:
+            local = scope.get(node.name)
+            if local is not None:
+                return ("pt", local, local)
             return ("iv", "c%d" % self.site("zz", node.name))
         if cls is ZzOrd:
             x = self.vf(node.operand, block)
@@ -826,8 +807,8 @@ class _Codegen:
                             uses=(x[1],))
             return ("pt", x[1] + "v", hi)
         if cls is ZzAdd or cls is ZzSub:
-            a = self.zz(node.left, block)
-            b = self.zz(node.right, block)
+            a = self.zz(node.left, block, scope)
+            b = self.zz(node.right, block, scope)
             if cls is ZzSub:
                 b = self.zneg(b, block)
             if a[0] == "lit" and b[0] == "lit":
@@ -843,9 +824,9 @@ class _Codegen:
                                      % (self.tup(a), self.tup(b)),
                                      uses=a[1:] + b[1:]))
         if cls is ZzNeg:
-            return self.zneg(self.zz(node.operand, block), block)
+            return self.zneg(self.zz(node.operand, block, scope), block)
         if cls is ZzScale:
-            a = self.zz(node.operand, block)
+            a = self.zz(node.operand, block, scope)
             k = node.factor
             if k == 0 or a[0] == "lit":
                 return ("lit", k * a[1] if k else 0)
@@ -904,31 +885,31 @@ class _Codegen:
         return self.atom(node, block, scope)
 
     def exists(self, node, block, scope):
-        deps = self.deps(node, scope)
-        if node.sort is not Sort.RF:
-            if node.sort is Sort.VF:
-                self.site("vfq")
-            for part in closed_parts(node, self.names):
-                self.site("eval", part)
-            self.quantified.append(node)
-            boxes = ", ".join(
-                "%r: (%sv, %su, %sk)" % ((n,) + (self.local[n],) * 3)
-                for n in sorted(self.names) if self.loopvar[n] in deps)
-            loops = ", ".join("%r: %s" % (n, scope[n])
-                              for n in free_vars(node) if n in scope)
-            return self.value(block, ("quant", len(self.quantified)),
-                              "quant(%d, {%s}, {%s})"
-                              % (len(self.quantified) - 1, boxes, loops),
-                              deps, cheap=False)
+        if node.sort is Sort.VF:
+            self.site("vfq")
+            return "U"
         e = self.new("e")
         block.lines.append("%s = F" % e)
         self.home[e] = block
         var = self.new("s")
         body = _Block(block, loop=var)
+        # what reads the loop variable stays in its loop
+        self.home[var] = body
         r = self.truth(node.body, body, {**scope, node.var: var})
         body.lines.append("if %s is T: %s = T; break" % (r, e))
         body.lines.append("if %s is U: %s = U" % (r, e))
-        block.lines.append(("for %s in range(p):" % var, body))
+        if node.sort is Sort.RF:
+            block.lines.append(("for %s in range(p):" % var, body))
+            return e
+        block.lines.append(("for %s in range(-depth, depth + 1):" % var,
+                            body))
+        # a window that misses a witness leaves FALSE undecided
+        lo, hi = _syntactic_zz_bounds(node.body, node.var)
+        if lo is None or hi is None:
+            block.lines.append("if %s is F: %s = U" % (e, e))
+        else:
+            block.lines.append("if %s is F and (%d < -depth or %d > depth): "
+                               "%s = U" % (e, lo, hi, e))
         return e
 
     def atom(self, node, block, scope):
@@ -950,8 +931,8 @@ class _Codegen:
             expr = _unless_none("(%s if %s == %s else %s)" % (yes, a, b, no),
                                 "U", (a, anull), (b, bnull))
             return self.value(block, (cls, a, b), expr, deps, (a, b))
-        a = self.zz(node.left, block)
-        b = self.zz(node.right, block)
+        a = self.zz(node.left, block, scope)
+        b = self.zz(node.right, block, scope)
         if cls is ZzCong:
             expr = "zz_cong(%s, %s, %d)" % (self.tup(a), self.tup(b),
                                            node.modulus)

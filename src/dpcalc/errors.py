@@ -23,10 +23,6 @@ class PrecisionExhausted(DpcalcError):
     """No significant digit of the requested quantity is determined."""
 
 
-class NoSimpleRoot(DpcalcError):
-    pass
-
-
 # symbolic ring
 
 class NotInvertibleInA(DpcalcError):

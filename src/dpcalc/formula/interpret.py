@@ -10,12 +10,13 @@ interval cannot settle comes back Undecided.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from fractions import Fraction
 
 from ..errors import PrecisionExhausted, UnboundVariable, UnsupportedFeature
-from ..localfield import INF, LFElem, embed_rational, from_digits, power
+from ..localfield import INF, LFElem, embed_rational, power
+# perfbench/spans.py traces from_digits under this module's name
+from ..localfield import from_digits  # noqa: F401
 from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
@@ -172,11 +173,17 @@ def zz_cong(A, B, modulus):
 _ZZ_ATOMS = {ZzLe: zz_le, ZzLt: zz_lt, ZzEq: zz_eq}
 
 
+def refuse_field_quantifier():
+    """Field quantifiers lie outside the fragment: cell decomposition
+    eliminates them (Pas 1989), so no input needs them."""
+    raise UnsupportedFeature(
+        "field quantifiers (cell decomposition eliminates them)")
+
+
 class _Evaluator:
-    def __init__(self, spec, vf_witness_depth=None):
+    def __init__(self, spec):
         self.spec = spec
         self.p = spec.prime
-        self.vf_witness_depth = vf_witness_depth
 
     # terms
 
@@ -313,23 +320,7 @@ class _Evaluator:
             complete = lo is not None and hi is not None \
                 and -B <= lo and hi <= B
             return self._search(n, env, window, complete)
-        # VF witnesses: disjoint digit boxes covering the valuation ring
-        if self.vf_witness_depth is None:
-            raise UnsupportedFeature(
-                "valued-field quantifiers are only searchable in oracle "
-                "mode (pass a witness depth)")
-        m = min(self.vf_witness_depth, self.spec.precision)
-        p = self.p
-
-        def candidates():
-            for digits in itertools.product(range(p), repeat=m):
-                # the exact representative can certify equalities that the
-                # box leaves open; the boxes alone form the exhaustive cover
-                yield embed_rational(
-                    sum(d * p ** i for i, d in enumerate(digits)), self.spec)
-                yield from_digits(self.spec, 0, digits)
-
-        return self._search(n, env, candidates(), complete=True)
+        refuse_field_quantifier()
 
     def _search(self, n, env, candidates, complete):
         saw_undecided = False
@@ -406,18 +397,18 @@ def bind_assignment(free, spec, assignment):
     return env
 
 
-def interpret(phi, spec, assignment, vf_witness_depth=None):
+def interpret(phi, spec, assignment):
     """Evaluate a formula at an assignment of its free variables.
 
     VF values may be LFElem (matching spec), int, or Fraction; RF values are
     integers mod p; ZZ values are integers or the infinity constant.
     Returns Truth3; finite precision surfaces as UNDECIDED, never as a
-    wrong answer.
+    wrong answer.  A field quantifier raises UnsupportedFeature.
     """
     expr = phi.expr if isinstance(phi, Formula) else phi
     free = dict(phi.free) if isinstance(phi, Formula) else free_vars(expr)
     env = bind_assignment(free.items(), spec, assignment)
-    return _Evaluator(spec, vf_witness_depth).truth(expr, env)
+    return _Evaluator(spec).truth(expr, env)
 
 
 def eval_vf_term(term, spec, assignment):

@@ -16,8 +16,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (InvalidArgument, InvalidPrime, NoSimpleRoot,
-                     PrecisionExhausted)
+from .errors import InvalidArgument, InvalidPrime, PrecisionExhausted
 
 
 class _Infinity:
@@ -567,45 +566,3 @@ def power(a, n):
 def from_digits(spec, val, digits):
     """Truncated element ϖ^val * (digits), digits tail unknown."""
     return LFElem._approx(spec, val, digits)
-
-
-def hensel_lift(coeffs, x0, spec):
-    """Lift a simple residue root x0 of f (integer coefficients, low-to-high
-    degree) to spec.precision digits.  Requires f(x0) ≡ 0 and f'(x0) ≠ 0
-    mod p; raises NoSimpleRoot otherwise.
-    """
-    p = spec.prime
-    coeffs = [int(c) for c in coeffs]
-    if not coeffs or all(c % p == 0 for c in coeffs):
-        raise NoSimpleRoot("polynomial vanishes identically mod %d" % p)
-    x0 = int(x0) % p
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-
-    def ev(cs, x, m):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * x + c) % m
-        return acc
-
-    if ev(coeffs, x0, p) != 0:
-        raise NoSimpleRoot("f(%d) != 0 mod %d" % (x0, p))
-    if ev(dcoeffs, x0, p) == 0:
-        raise NoSimpleRoot("f'(%d) == 0 mod %d: root is not simple" % (x0, p))
-
-    n = spec.precision
-    if spec.kind is FieldKind.EQUAL_CHAR:
-        # coefficients lie in F_p, so the simple root is the constant x0
-        return LFElem._exact(spec, Fpt.const(p, x0))
-    x = x0
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        m = p ** k
-        fx = ev(coeffs, x, m)
-        dfx = ev(dcoeffs, x, m)
-        x = (x - fx * pow(dfx, -1, m)) % m
-    assert ev(coeffs, x, p ** n) == 0
-    ds = _base_digits(x, p, n)
-    if all(d == 0 for d in ds):
-        return LFElem._approx(spec, n, ())
-    return LFElem._approx(spec, 0, ds)

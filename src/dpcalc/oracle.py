@@ -17,17 +17,20 @@ in one loop nest and classifies each in place: the three-valued
 membership, the valuation bounds of f and the least Hensel valuation,
 each subterm computed in the loop of the last variable it reads.  It
 decides everything `interpret` decides on the corresponding
-`from_digits` box; a field- or value-group-quantified subformula alone
-is put to `interpret` on each box.  Subterms without a box variable are
-folded once per walk through `eval_vf_term`, so they raise its errors:
-those of the domain before the first box, those of the integrand at the
-first box that needs it.  `interpret`, `eval_vf_term` and `LFElem`
-arithmetic stay the reference semantics, and the tests hold the sweep to
-them on random formulas, terms and boxes.  The children of a TRUE box
-inherit it, and a FALSE box is pruned.  A box at depth d with integrand
-valuation v contributes p^-(d*m + e*v), so the sweep counts the boxes it
-decides per exponent, the walk sweeps the children of those it leaves
-undecided, and each endpoint is formed as one Fraction at the end.
+`from_digits` box, residue and value-group quantifiers included, and no
+walk calls `interpret`.  A field quantifier is refused with
+UnsupportedFeature: cell decomposition eliminates them (Pas, J. reine
+angew. Math. 399, 1989), so no input needs one.  Subterms without a box
+variable are folded once per walk through `eval_vf_term`, so they raise
+its errors: those of the domain before the first box, those of the
+integrand at the first box that needs it.  `interpret`, `eval_vf_term`
+and `LFElem` arithmetic stay the reference semantics, and the tests hold
+the sweep to them on random formulas, terms and boxes.  The children of
+a TRUE box inherit it, and a FALSE box is pruned.  A box at depth d with
+integrand valuation v contributes p^-(d*m + e*v), so the sweep counts
+the boxes it decides per exponent, the walk sweeps the children of those
+it leaves undecided, and each endpoint is formed as one Fraction at the
+end.
 
 A TRUE box at level l >= 1 on which f is still undecided is settled by
 Hensel's lemma when f is a polynomial over the valuation ring (every
@@ -45,8 +48,8 @@ exponent in a table of their own.  The sweep computes the derivatives
 only on a TRUE box that is still undecided.
 
 Nothing here is symbolic.  The point is an independent check on the
-symbolic engine, plus the classical consistency checks: Jacobian scaling,
-and Serre–Oesterlé solution counts mod ϖ^N, read off the same walk.
+symbolic engine, plus the Serre–Oesterlé solution counts mod ϖ^N, read
+off the same walk.
 """
 
 from __future__ import annotations
@@ -58,13 +61,17 @@ from fractions import Fraction
 from .budget import check as check_budget
 from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
                      UnboundVariable, UnsupportedFeature)
-from .formula import (And, Formula, Node, Sort, Truth3, VfConst, VfMul,
-                      VfVar, ZzConst, ZzLe, ZzOrd, eval_vf_term, free_vars,
-                      interpret, parse, parse_term)
-from .formula.interpret import _PINF_POINT, bind_assignment
-from .formula.nodes import rewrite, substitute
-from .localfield import INF, LFElem, embed_rational, from_digits
+from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
+                      ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
+                      parse_term)
+from .formula.interpret import (_PINF_POINT, bind_assignment,
+                                refuse_field_quantifier)
+from .formula.nodes import rewrite
+from .localfield import INF, LFElem, embed_rational
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
+# perfbench/spans.py traces these two under this module's names
+from .formula import interpret  # noqa: F401
+from .localfield import from_digits  # noqa: F401
 
 
 def fraction_str(x):
@@ -112,9 +119,6 @@ class VolumeInterval:
 
     def contains(self, value):
         return self.lower <= value <= self.upper
-
-    def overlaps(self, other):
-        return self.lower <= other.upper and other.lower <= self.upper
 
     def scaled(self, c):
         """The interval for c times the quantity (c >= 0)."""
@@ -201,12 +205,11 @@ class _BoxWalk:
     so the walk counts boxes per exponent and builds both endpoints once
     at the end."""
 
-    def __init__(self, phi, spec, integrand, assignment, vf_witness_depth):
+    def __init__(self, phi, spec, integrand, assignment):
         self.phi = phi
         self.spec = spec
         self.integrand = integrand
         self.assignment = assignment
-        self.vf_witness_depth = vf_witness_depth
         self.p = spec.prime
         self.depth = spec.precision
         self.names = tuple(n for n, s in phi.free
@@ -299,18 +302,7 @@ class _BoxWalk:
         if f_err is not None:
             plan = compile_walk(expr, None, self.names, self.spec.kind)
             values = self._fold(plan.sites)[0]
-        spec, ops = self.spec, self.ops
-
-        def quant(i, boxes, loops):
-            """`interpret` on a quantified subformula at one box."""
-            env = dict(self.assignment)
-            for name, form in boxes.items():
-                env[name] = from_digits(spec, form[0], ops.unit_digits(form))
-            env.update(loops)
-            return interpret(plan.quantified[i], spec, env,
-                             self.vf_witness_depth)
-
-        return plan.make(values, self.p, self.depth, integral, f_err, quant,
+        return plan.make(values, self.p, self.depth, integral, f_err,
                          self.integrand.e, exact, open_, hensel)
 
     def _fold(self, sites):
@@ -396,15 +388,11 @@ class _BoxWalk:
             v = env[args[0]]
             return _PINF_POINT if v is INF else (int(v), int(v))
         if op == "vfq":
-            if self.vf_witness_depth is None:
-                raise UnsupportedFeature(
-                    "valued-field quantifiers are only searchable in oracle "
-                    "mode (pass a witness depth)")
-            return None
+            refuse_field_quantifier()
         raise AssertionError(site)
 
 
-def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
+def _prepare(phi, spec, integrand, assignment, budget):
     phi = _as_formula(phi)
     assignment = dict(assignment or {})
     missing = [n for n, s in phi.free
@@ -420,33 +408,30 @@ def _prepare(phi, spec, integrand, assignment, budget, vf_witness_depth):
             raise UnboundVariable(
                 "integrand mentions variables outside the domain: "
                 + ", ".join(sorted(loose)))
-    walk = _BoxWalk(phi, spec, integrand, assignment, vf_witness_depth)
+    walk = _BoxWalk(phi, spec, integrand, assignment)
     check_budget(walk.p, walk.depth * walk.m, budget,
                  "%d^(%d*%d) residue boxes" % (walk.p, walk.depth, walk.m))
     return walk
 
 
-def volume(phi, spec, *, assignment=None, budget=None,
-           vf_witness_depth=None):
+def volume(phi, spec, *, assignment=None, budget=None):
     """Exact rational bracket around the measure of the integral points
     satisfying phi.
 
     Free field variables range over the valuation ring; residue and
     value-group parameters must be pre-bound through `assignment`.
-    Field quantifiers are rejected unless a witness depth is supplied.
+    Residue and value-group quantifiers are decided on each box as
+    `interpret` decides them; a field quantifier raises
+    UnsupportedFeature.
     """
-    walk = _prepare(phi, spec, IntegrandSpec.one(), assignment, budget,
-                    vf_witness_depth)
-    return walk.run()
+    return _prepare(phi, spec, IntegrandSpec.one(), assignment,
+                    budget).run()
 
 
-def integrate(integrand, phi, field, *, assignment=None, budget=None,
-              vf_witness_depth=None):
+def integrate(integrand, phi, field, *, assignment=None, budget=None):
     """Bracket the integral of `integrand` over the set phi cuts out of
     the valuation ring, against the normalized Haar measure."""
-    walk = _prepare(phi, field, integrand, assignment, budget,
-                    vf_witness_depth)
-    return walk.run()
+    return _prepare(phi, field, integrand, assignment, budget).run()
 
 
 def serre_oesterle_count(system, d, spec, N, *, budget=None):
@@ -481,23 +466,3 @@ def serre_oesterle_count(system, d, spec, N, *, budget=None):
     if iv.lower != iv.upper:
         raise AssertionError("undecided boxes at full depth: %r" % (iv,))
     return iv.lower * Fraction(spec.prime) ** (N * (len(names) - d))
-
-
-def jacobian_check(a, phi, spec, *, assignment=None, budget=None):
-    """(volume of phi, volume of phi with each field variable x read as
-    x/a), i.e. of the original set and the set scaled by a.
-
-    The second measure must equal |a|^m times the first; callers assert
-    the containment on the returned intervals.
-    """
-    a = Fraction(a)
-    if a == 0:
-        raise ValueError("scale factor must be nonzero")
-    phi = _as_formula(phi)
-    assignment = dict(assignment or {})
-    names = {n for n, s in phi.free
-             if s is Sort.VF and n not in assignment}
-    scaled = Formula(substitute(phi.expr, {
-        n: VfMul(VfConst(1 / a), VfVar(n)) for n in names}), phi.free)
-    return (volume(phi, spec, assignment=assignment, budget=budget),
-            volume(scaled, spec, assignment=assignment, budget=budget))

@@ -4,15 +4,44 @@ membership: `interpret` on every box, full descent wherever the
 integrand stays undecided.  The integrand's valuation bounds come from
 the walk's compiled sweep, one box at a time, which the tests hold to
 `eval_vf_term`.  Kept, with `run` returning the bare endpoints, as the
-reference the current walk is tested against."""
+reference the current walk is tested against; with the interval checks
+the tests make of the walk's brackets."""
 
 import itertools
 from fractions import Fraction
 
 from dpcalc.boxcode import _field_ops
-from dpcalc.formula import Formula, Sort, Truth3, VfEq, VfVar, interpret
+from dpcalc.formula import (Formula, Sort, Truth3, VfConst, VfEq, VfMul,
+                            VfVar, interpret)
+from dpcalc.formula.nodes import substitute
 from dpcalc.localfield import INF, from_digits
-from dpcalc.oracle import IntegrandSpec, _as_formula, _BoxWalk as _Walk
+from dpcalc.oracle import (IntegrandSpec, _as_formula, _BoxWalk as _Walk,
+                           volume)
+
+
+def overlaps(a, b):
+    """Whether the brackets a and b share a point."""
+    return a.lower <= b.upper and b.lower <= a.upper
+
+
+def jacobian_check(a, phi, spec, *, assignment=None, budget=None):
+    """(volume of phi, volume of phi with each field variable x read as
+    x/a), i.e. of the original set and the set scaled by a.
+
+    The second measure must equal |a|^m times the first; callers assert
+    the containment on the returned intervals.
+    """
+    a = Fraction(a)
+    if a == 0:
+        raise ValueError("scale factor must be nonzero")
+    phi = _as_formula(phi)
+    assignment = dict(assignment or {})
+    names = {n for n, s in phi.free
+             if s is Sort.VF and n not in assignment}
+    scaled = Formula(substitute(phi.expr, {
+        n: VfMul(VfConst(1 / a), VfVar(n)) for n in names}), phi.free)
+    return (volume(phi, spec, assignment=assignment, budget=budget),
+            volume(scaled, spec, assignment=assignment, budget=budget))
 
 
 def _mass(p, counts):
@@ -36,12 +65,11 @@ class _BoxWalk:
     so the walk counts boxes per exponent and builds both endpoints once
     at the end."""
 
-    def __init__(self, phi, spec, integrand, assignment, vf_witness_depth):
+    def __init__(self, phi, spec, integrand, assignment):
         self.phi = phi
         self.spec = spec
         self.integrand = integrand
         self.assignment = assignment
-        self.vf_witness_depth = vf_witness_depth
         self.p = spec.prime
         self.depth = spec.precision
         self.names = [n for n, s in phi.free
@@ -76,7 +104,7 @@ class _BoxWalk:
             self.counts = ({}, {}, {})
             self.sweep = _Unsettled(
                 Formula(VfEq(x, x), self.phi.free), self.spec, self.integrand,
-                self.assignment, self.vf_witness_depth).sweeper(*self.counts)
+                self.assignment).sweeper(*self.counts)
         for counts in self.counts:
             counts.clear()
         level = len(prefixes[0])
@@ -106,8 +134,7 @@ class _BoxWalk:
         env = dict(self.assignment)
         for name, digs in zip(self.names, prefixes):
             env[name] = from_digits(self.spec, 0, digs)
-        membership = interpret(self.phi, self.spec, env,
-                               self.vf_witness_depth)
+        membership = interpret(self.phi, self.spec, env)
         if membership is Truth3.FALSE:
             return
         weight = self.p ** ((self.depth - level) * self.m)
@@ -133,10 +160,9 @@ class _BoxWalk:
                       level + 1)
 
 
-def integrate(integrand, phi, spec, *, assignment=None,
-              vf_witness_depth=None):
+def integrate(integrand, phi, spec, *, assignment=None):
     """(lower, upper) of the reference bracket; no budget."""
     phi = _as_formula(phi)
     walk = _BoxWalk(phi, spec, integrand or IntegrandSpec.one(),
-                    dict(assignment or {}), vf_witness_depth)
+                    dict(assignment or {}))
     return walk.run()

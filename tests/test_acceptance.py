@@ -16,17 +16,17 @@ import pytest
 import dpcalc.localfield as lf
 from dpcalc import oracle
 from dpcalc import presburger as P
-from dpcalc.errors import NoSimpleRoot
 from dpcalc.formula import count_rf_points
-from dpcalc.localfield import hensel_lift
 from dpcalc.motivic import (appendix2_symbolic, appendix2_volume,
                             integrate_cell_data, integrate_cells,
                             integrate_linear_product, load_cells,
                             residue_cases, specialize)
-from dpcalc.oracle import (IntegrandSpec, integrate, jacobian_check,
-                           serre_oesterle_count, volume)
+from dpcalc.oracle import (IntegrandSpec, integrate, serre_oesterle_count,
+                           volume)
 from dpcalc.presburger import AffineForm, PresDomain, PresTerm, SymSum
 from dpcalc.symring import ONE, L, SymA
+from hensel_reference import NoSimpleRoot, hensel_lift
+from oracle_reference import jacobian_check, overlaps
 
 parse_a = SymA.parse
 
@@ -192,7 +192,7 @@ def test_criterion_06_haar_and_jacobian():
             va, vb = jacobian_check(a, phi, spec)
             scale = F(1, p) ** _val(F(a), p)
             sv = va.scaled(scale)
-            assert sv.overlaps(vb), (phi, a)
+            assert overlaps(sv, vb), (phi, a)
             if sv.width() == 0 and vb.width() == 0:
                 assert sv.lower == vb.lower
 

@@ -209,26 +209,16 @@ def test_equal_characteristic_values():
     assert interpret(F_ORD, f3, {"x": x}) is T
 
 
-# --- field-sort witness search ---
+# --- field quantifiers ---
 
-def test_vf_witness_search():
+def test_vf_quantifier_refused():
+    # cell decomposition eliminates field quantifiers, so none is searched
     f_sq = parse("vf x; exists w:vf. w*w == x")
-    q5 = lf.qp(5, 4)
-    four = lf.embed_rational(4, q5)
-    two = lf.embed_rational(2, q5)
-    assert interpret(f_sq, q5, {"x": four}, vf_witness_depth=3) is T
-    assert interpret(f_sq, q5, {"x": two}, vf_witness_depth=3) is FL
-
-    f_approx = parse("vf x; exists w:vf. ord(w*w - x) >= 3")
-    assert interpret(f_approx, q5, {"x": 4}, vf_witness_depth=3) is T
-    assert interpret(f_approx, q5, {"x": 2}, vf_witness_depth=3) is FL
-
-
-def test_vf_quantifier_needs_depth():
-    f_sq = parse("vf x; exists w:vf. w*w == x")
-    q5 = lf.qp(5, 4)
-    with pytest.raises(UnsupportedFeature):
-        interpret(f_sq, q5, {"x": lf.embed_rational(4, q5)})
+    for spec in (lf.qp(5, 4), lf.fpt(5, 4)):
+        with pytest.raises(UnsupportedFeature) as raised:
+            interpret(f_sq, spec, {"x": lf.embed_rational(4, spec)})
+        assert "\n" not in str(raised.value)
+        assert "witness" not in str(raised.value)
 
 
 # --- residue point counting ---

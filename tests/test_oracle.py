@@ -27,9 +27,11 @@ from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             ZzCong, ZzConst, ZzEq, ZzInf, ZzLe, ZzLt, ZzNeg,
                             ZzOrd, ZzScale, ZzSub, ZzVar, eval_vf_term,
                             interpret, parse, parse_term)
+from dpcalc.formula.interpret import _Evaluator
 from dpcalc.oracle import (IntegrandSpec, fraction_str, integrate,
-                           jacobian_check, serre_oesterle_count, volume)
+                           serre_oesterle_count, volume)
 from dpcalc.symring import SymA
+from oracle_reference import jacobian_check, overlaps
 
 Q5 = lf.qp(5, 6)
 
@@ -66,9 +68,15 @@ def test_undecided_tail():
     assert v.undecided_mass == F(1, 5 ** 6)
 
 
-def test_vf_quantifier_needs_witness_depth():
-    with pytest.raises(UnsupportedFeature):
-        volume("exists y:vf. x*x + y*y == 1", Q5)
+def test_vf_quantifier_refused():
+    # cell decomposition eliminates field quantifiers, so no walk searches
+    # one: every x != 0 has an inverse, which no search over O finds
+    phi = "vf x; exists y:vf. x*y == 1"
+    for spec in (Q5, lf.fpt(5, 6)):
+        with pytest.raises(UnsupportedFeature):
+            volume(phi, spec)
+        with pytest.raises(UnsupportedFeature):
+            integrate(IntegrandSpec.abs_power("x"), phi, spec)
 
 
 def test_residue_parameters_must_be_bound():
@@ -77,10 +85,30 @@ def test_residue_parameters_must_be_bound():
 
 
 def test_refinement_nesting():
-    phi = "exists y:vf. ord(y*y - x) >= 4"
-    v3 = volume(phi, lf.qp(3, 3), vf_witness_depth=3)
-    v4 = volume(phi, lf.qp(3, 4), vf_witness_depth=4)
+    phi = "exists m:zz. ord(x) == 2*m && m >= 0"
+    v3 = volume(phi, lf.qp(3, 3))
+    v4 = volume(phi, lf.qp(3, 4))
     assert v3.lower <= v4.lower <= v4.upper <= v3.upper
+
+
+_EVEN_ORD = "vf x; exists m:zz. ord(x) == 2*m && m >= 0"
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_value_group_quantifier_is_swept(make, monkeypatch):
+    """The sweep decides `exists m:zz` in a loop over [-depth, depth], as
+    `interpret` does: with no upper bound on m the search is incomplete,
+    so boxes of odd valuation stay undecided (the true value is 5/6).  No
+    box is put to `interpret`."""
+    calls = []
+    truth = _Evaluator.truth
+    monkeypatch.setattr(_Evaluator, "truth",
+                        lambda self, n, env: calls.append(n)
+                        or truth(self, n, env))
+    iv = volume(_EVEN_ORD, make(5, 4))
+    assert (iv.lower, iv.upper) == (F(104, 125), 1)
+    assert iv.nodes_visited == 141
+    assert calls == []
 
 
 # --- budget ---
@@ -135,7 +163,7 @@ def test_equal_characteristic_transfer():
     iv = integrate(spec, phi, q7, assignment={"x": 1})
     iv2 = integrate(spec, phi, f7t, assignment={"x": 1})
     assert iv2.contains(expected)
-    assert iv.overlaps(iv2)
+    assert overlaps(iv, iv2)
 
 
 # --- stabilized solution counts mod p^N ---
@@ -396,15 +424,14 @@ _FREE = [("x", Sort.VF), ("y", Sort.VF), ("a", Sort.VF), ("r", Sort.RF),
 
 
 def _sweep(expr, f, spec, assignment, prefixes, truth, free=_FREE):
-    """What the walk's compiled sweep makes of the children of one box,
-    field witnesses at depth 1: (TRUE, Hensel and open children,
-    pending children, and the exact, open and Hensel counts).  prefixes
-    holds the digits of each box variable, of one length; its last
-    digit is the child's, None for all p of them, and with no digits the
-    child is the root box."""
+    """What the walk's compiled sweep makes of the children of one box:
+    (TRUE, Hensel and open children, pending children, and the exact,
+    open and Hensel counts).  prefixes holds the digits of each box
+    variable, of one length; its last digit is the child's, None for all
+    p of them, and with no digits the child is the root box."""
     phi = Formula(expr, free)
     integrand = IntegrandSpec.one() if f is None else IntegrandSpec(f, 1)
-    walk = oracle_module._BoxWalk(phi, spec, integrand, assignment, 1)
+    walk = oracle_module._BoxWalk(phi, spec, integrand, assignment)
     counts = ({}, {}, {})
     sweep = walk.sweeper(*counts)
     ops = _field_ops(spec)
@@ -433,7 +460,7 @@ def _child_outcome(expr, f, spec, assignment, prefixes, truth, free=_FREE):
     level, depth, m = len(prefixes[0]), spec.precision, len(names)
     forms = tuple(_field_ops(spec).form(boxes[n]) for n in names)
     if truth is not Truth3.TRUE:
-        truth = interpret(Formula(expr, free), spec, env, 1)
+        truth = interpret(Formula(expr, free), spec, env)
     if truth is Truth3.FALSE:
         return 0, 0, 0, [], {}, {}, {}
     if truth is Truth3.UNDECIDED and level < depth:
@@ -601,7 +628,8 @@ _formulas = st.recursive(_atoms, lambda kids: st.one_of(
     st.builds(And, kids, kids), st.builds(Or, kids, kids),
     st.builds(Not, kids), st.builds(Exists, st.just("s"), st.just(Sort.RF),
                                     kids),
-    # left to interpret on the box, shadowing the parameters n and a
+    # a value-group loop and a refused field quantifier, shadowing the
+    # parameters n and a
     st.builds(Exists, st.just("n"), st.just(Sort.ZZ), kids),
     st.builds(Exists, st.just("a"), st.just(Sort.VF), kids)), max_leaves=5)
 
@@ -697,6 +725,10 @@ def test_many_box_variables_compile(make):
     phi = "vf %s; %s" % (", ".join(names),
                          " && ".join("ord(%s) >= 0" % n for n in names))
     iv = volume(phi, make(2, 1))
+    assert iv.lower == iv.upper == 1
+    # two value-group loops nest inside the box loops as well
+    iv = volume("%s && exists n:zz. exists k:zz. ord(x0) >= n + k" % phi,
+                make(2, 1))
     assert iv.lower == iv.upper == 1
 
 
