@@ -31,10 +31,9 @@ lemma settled and how many stay open at full depth, and the children
 still undecided above it, which the walk sweeps in turn.  The code
 decides everything `interpret` decides on a box: And/Or/Not, value-group
 comparisons and congruences, residue (in)equalities over `ac` terms and
-bound residues, field equalities, `exists x:rf` as a loop over F_p and
-`exists m:zz` as a loop over `interpret`'s window [-depth, depth],
-complete where it is.  A field quantifier is a site that the walk
-refuses as it folds.
+bound residues, field equalities, and `exists x:rf` as a loop over F_p.
+A field or value-group quantifier is a site that the walk refuses as it
+folds.
 
 Subterms without a box variable are not in the code: each is a *site*,
 which the walk folds once through the reference semantics and passes in
@@ -51,9 +50,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .formula.interpret import (_PINF_POINT, Truth3, _syntactic_zz_bounds,
-                                _zi_add, _zi_neg, _zi_scale, zz_cong, zz_eq,
-                                zz_le, zz_lt)
+from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
+                                _zi_scale, zz_cong, zz_eq, zz_le, zz_lt)
 from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
                             RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                             VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
@@ -68,8 +66,8 @@ MEMO_SIZE = 256
 # box variables with a loop of their own, the most-read first
 NESTED_LOOPS = 6
 # the box loops that fit in CPython's 20 statically nested blocks beside
-# the two of the arithmetic templates, less one per nested residue or
-# value-group quantifier
+# the two of the arithmetic templates, less one per nested residue
+# quantifier
 _BOX_BLOCKS = 18
 
 
@@ -274,10 +272,11 @@ def closed_parts(term, excluded):
 
 
 def _loop_depth(node):
-    """The deepest nesting of quantifiers in node: each is a loop in the
-    sweep, but for a field quantifier, which is refused."""
+    """The deepest nesting of residue quantifiers in node: each is a loop
+    in the sweep.  Any other quantifier is refused, its body not
+    compiled."""
     if isinstance(node, Exists):
-        return 1 + _loop_depth(node.body)
+        return 1 + _loop_depth(node.body) if node.sort is Sort.RF else 0
     return max((_loop_depth(c) for c in children(node)), default=0)
 
 
@@ -787,16 +786,13 @@ class _Codegen:
     # bounds with a finite lower end and no -inf, ("iv", local) for an
     # interval tuple of any kind
 
-    def zz(self, node, block, scope):
+    def zz(self, node, block):
         cls = type(node)
         if cls is ZzConst:
             return ("lit", node.value)
         if cls is ZzInf:
             return ("iv", "PINF")
         if cls is ZzVar:
-            local = scope.get(node.name)
-            if local is not None:
-                return ("pt", local, local)
             return ("iv", "c%d" % self.site("zz", node.name))
         if cls is ZzOrd:
             x = self.vf(node.operand, block)
@@ -807,8 +803,8 @@ class _Codegen:
                             uses=(x[1],))
             return ("pt", x[1] + "v", hi)
         if cls is ZzAdd or cls is ZzSub:
-            a = self.zz(node.left, block, scope)
-            b = self.zz(node.right, block, scope)
+            a = self.zz(node.left, block)
+            b = self.zz(node.right, block)
             if cls is ZzSub:
                 b = self.zneg(b, block)
             if a[0] == "lit" and b[0] == "lit":
@@ -824,9 +820,9 @@ class _Codegen:
                                      % (self.tup(a), self.tup(b)),
                                      uses=a[1:] + b[1:]))
         if cls is ZzNeg:
-            return self.zneg(self.zz(node.operand, block, scope), block)
+            return self.zneg(self.zz(node.operand, block), block)
         if cls is ZzScale:
-            a = self.zz(node.operand, block, scope)
+            a = self.zz(node.operand, block)
             k = node.factor
             if k == 0 or a[0] == "lit":
                 return ("lit", k * a[1] if k else 0)
@@ -885,8 +881,9 @@ class _Codegen:
         return self.atom(node, block, scope)
 
     def exists(self, node, block, scope):
-        if node.sort is Sort.VF:
-            self.site("vfq")
+        if node.sort is not Sort.RF:
+            # refused as the walk folds it, where `interpret` would raise
+            self.site("quantifier", node.sort)
             return "U"
         e = self.new("e")
         block.lines.append("%s = F" % e)
@@ -898,18 +895,7 @@ class _Codegen:
         r = self.truth(node.body, body, {**scope, node.var: var})
         body.lines.append("if %s is T: %s = T; break" % (r, e))
         body.lines.append("if %s is U: %s = U" % (r, e))
-        if node.sort is Sort.RF:
-            block.lines.append(("for %s in range(p):" % var, body))
-            return e
-        block.lines.append(("for %s in range(-depth, depth + 1):" % var,
-                            body))
-        # a window that misses a witness leaves FALSE undecided
-        lo, hi = _syntactic_zz_bounds(node.body, node.var)
-        if lo is None or hi is None:
-            block.lines.append("if %s is F: %s = U" % (e, e))
-        else:
-            block.lines.append("if %s is F and (%d < -depth or %d > depth): "
-                               "%s = U" % (e, lo, hi, e))
+        block.lines.append(("for %s in range(p):" % var, body))
         return e
 
     def atom(self, node, block, scope):
@@ -931,8 +917,8 @@ class _Codegen:
             expr = _unless_none("(%s if %s == %s else %s)" % (yes, a, b, no),
                                 "U", (a, anull), (b, bnull))
             return self.value(block, (cls, a, b), expr, deps, (a, b))
-        a = self.zz(node.left, block, scope)
-        b = self.zz(node.right, block, scope)
+        a = self.zz(node.left, block)
+        b = self.zz(node.right, block)
         if cls is ZzCong:
             expr = "zz_cong(%s, %s, %d)" % (self.tup(a), self.tup(b),
                                            node.modulus)

@@ -44,6 +44,7 @@ import functools
 from ..budget import check as check_budget
 from ..errors import InvalidPrime, UnsupportedFeature
 from ..localfield import is_prime
+from .interpret import refuse_quantifier
 from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                     RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
                     conjuncts, free_vars, walk)
@@ -81,8 +82,7 @@ def count_rf_points(phi, q, budget=None):
     for node in walk(expr):
         if isinstance(node, Exists):
             if node.sort is not Sort.RF:
-                raise UnsupportedFeature(
-                    "only residue-sort quantifiers are countable")
+                refuse_quantifier(node.sort)
             nquant += 1
     names = tuple(sorted(free))
     depth = len(names) + nquant

@@ -22,7 +22,7 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
-                    conjuncts, free_vars)
+                    free_vars)
 
 
 class Truth3(Enum):
@@ -173,11 +173,17 @@ def zz_cong(A, B, modulus):
 _ZZ_ATOMS = {ZzLe: zz_le, ZzLt: zz_lt, ZzEq: zz_eq}
 
 
-def refuse_field_quantifier():
-    """Field quantifiers lie outside the fragment: cell decomposition
-    eliminates them (Pas 1989), so no input needs them."""
+def refuse_quantifier(sort):
+    """Field and value-group quantifiers lie outside the fragment: cell
+    decomposition eliminates the first (Pas 1989), and what it leaves of
+    the second is Presburger, which congruences make quantifier-free
+    (Cooper 1972), so no input needs either."""
+    if sort is Sort.VF:
+        raise UnsupportedFeature(
+            "field quantifiers (cell decomposition eliminates them)")
     raise UnsupportedFeature(
-        "field quantifiers (cell decomposition eliminates them)")
+        "value-group quantifiers (write the condition with congruences, "
+        "such as ord(x) == 0 mod 2)")
 
 
 class _Evaluator:
@@ -311,67 +317,16 @@ class _Evaluator:
         return self.atom(n, env)
 
     def exists(self, n, env):
-        if n.sort is Sort.RF:
-            return self._search(n, env, range(self.p), complete=True)
-        if n.sort is Sort.ZZ:
-            B = self.spec.precision
-            window = range(-B, B + 1)
-            lo, hi = _syntactic_zz_bounds(n.body, n.var)
-            complete = lo is not None and hi is not None \
-                and -B <= lo and hi <= B
-            return self._search(n, env, window, complete)
-        refuse_field_quantifier()
-
-    def _search(self, n, env, candidates, complete):
+        if n.sort is not Sort.RF:
+            refuse_quantifier(n.sort)
         saw_undecided = False
-        for v in candidates:
+        for v in range(self.p):
             r = self.truth(n.body, {**env, n.var: v})
             if r is _T:
                 return _T
             if r is _U:
                 saw_undecided = True
-        if saw_undecided or not complete:
-            return _U
-        return _F
-
-
-def _syntactic_zz_bounds(body, var):
-    """(lower, upper) integer bounds that top-level conjuncts force on a
-    quantified ZZ variable; None for an unbounded side."""
-    lo = hi = None
-
-    def tighten_lo(v):
-        nonlocal lo
-        lo = v if lo is None else max(lo, v)
-
-    def tighten_hi(v):
-        nonlocal hi
-        hi = v if hi is None else min(hi, v)
-
-    for atom in conjuncts(body):
-        pairs = []
-        if isinstance(atom, (ZzLe, ZzLt, ZzEq)):
-            pairs = [(atom.left, atom.right)]
-        for a, b in pairs:
-            if isinstance(a, ZzVar) and a.name == var and \
-                    isinstance(b, ZzConst):
-                if isinstance(atom, ZzLe):
-                    tighten_hi(b.value)
-                elif isinstance(atom, ZzLt):
-                    tighten_hi(b.value - 1)
-                else:
-                    tighten_lo(b.value)
-                    tighten_hi(b.value)
-            elif isinstance(b, ZzVar) and b.name == var and \
-                    isinstance(a, ZzConst):
-                if isinstance(atom, ZzLe):
-                    tighten_lo(a.value)
-                elif isinstance(atom, ZzLt):
-                    tighten_lo(a.value + 1)
-                else:
-                    tighten_lo(a.value)
-                    tighten_hi(a.value)
-    return lo, hi
+        return _U if saw_undecided else _F
 
 
 def bind_assignment(free, spec, assignment):
@@ -403,7 +358,8 @@ def interpret(phi, spec, assignment):
     VF values may be LFElem (matching spec), int, or Fraction; RF values are
     integers mod p; ZZ values are integers or the infinity constant.
     Returns Truth3; finite precision surfaces as UNDECIDED, never as a
-    wrong answer.  A field quantifier raises UnsupportedFeature.
+    wrong answer.  A field or value-group quantifier raises
+    UnsupportedFeature.
     """
     expr = phi.expr if isinstance(phi, Formula) else phi
     free = dict(phi.free) if isinstance(phi, Formula) else free_vars(expr)

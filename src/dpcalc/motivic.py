@@ -33,11 +33,13 @@ from math import gcd
 from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
                      OverlapDetected, ParseError, UnboundParameter,
                      UnsupportedFeature, UnsupportedZeroCell)
-from .formula import (And, Formula, Not, RfAdd, RfConst, RfEq, RfMul, RfNe,
-                      RfNeg, RfSub, RfVar, Sort, VfAdd, VfConst, VfMul, VfNeg,
-                      VfPow, VfSub, VfUnif, VfVar, ZzCong, ZzEq, ZzLe, ZzLt,
-                      free_vars, parse, parse_term, pretty_print, walk)
+from .formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
+                      RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, VfAdd,
+                      VfConst, VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar,
+                      ZzCong, ZzEq, ZzLe, ZzLt, free_vars, parse, parse_term,
+                      pretty_print, walk)
 from .formula.count import count_rf_points
+from .formula.interpret import refuse_quantifier
 from .formula.nodes import conjuncts, substitute
 from .localfield import is_prime
 from .poly import evaluate, factor, interpolate
@@ -53,6 +55,11 @@ TERM_KEY_MEMO = 1024
 
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
+# what a cell's residue class may be built from, since count_rf_points
+# counts it: residue terms and atoms, connectives, and quantifiers, of
+# which only residue ones pass
+_CLASS_NODES = (And, Or, Not, Exists, RfEq, RfNe, RfVar, RfConst, RfAdd,
+                RfSub, RfMul, RfNeg, RfPow)
 
 
 def _fold_and(parts):
@@ -286,8 +293,10 @@ def _build_cell(raw, index, param_names, zz_params):
                 leftover = leftover + [atom]
 
     for c in leftover:
-        for name, sort in free_vars(c).items():
-            if sort is not Sort.RF:
+        for node in walk(c):
+            if isinstance(node, Exists) and node.sort is not Sort.RF:
+                refuse_quantifier(node.sort)
+            if not isinstance(node, _CLASS_NODES):
                 raise UnsupportedFeature(
                     "cell %s: constraint %s is neither a summation range "
                     "nor a residue condition" % (cell_id, pretty_print(

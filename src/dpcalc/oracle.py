@@ -17,20 +17,22 @@ in one loop nest and classifies each in place: the three-valued
 membership, the valuation bounds of f and the least Hensel valuation,
 each subterm computed in the loop of the last variable it reads.  It
 decides everything `interpret` decides on the corresponding
-`from_digits` box, residue and value-group quantifiers included, and no
-walk calls `interpret`.  A field quantifier is refused with
-UnsupportedFeature: cell decomposition eliminates them (Pas, J. reine
-angew. Math. 399, 1989), so no input needs one.  Subterms without a box
-variable are folded once per walk through `eval_vf_term`, so they raise
-its errors: those of the domain before the first box, those of the
-integrand at the first box that needs it.  `interpret`, `eval_vf_term`
-and `LFElem` arithmetic stay the reference semantics, and the tests hold
-the sweep to them on random formulas, terms and boxes.  The children of
-a TRUE box inherit it, and a FALSE box is pruned.  A box at depth d with
-integrand valuation v contributes p^-(d*m + e*v), so the sweep counts
-the boxes it decides per exponent, the walk sweeps the children of those
-it leaves undecided, and each endpoint is formed as one Fraction at the
-end.
+`from_digits` box, residue quantifiers included, and no walk calls
+`interpret`.  A field or value-group quantifier is refused with
+UnsupportedFeature, as `interpret` refuses it: cell decomposition
+eliminates field quantifiers (Pas, J. reine angew. Math. 399, 1989), and
+the value-group conditions it leaves are Presburger formulas, which need
+no quantifier once congruences are allowed (Cooper, Machine Intelligence
+7, 1972), so no input needs one.  Subterms without a box variable are
+folded once per walk through `eval_vf_term`, so they raise its errors:
+those of the domain before the first box, those of the integrand at the
+first box that needs it.  `interpret`, `eval_vf_term` and `LFElem`
+arithmetic stay the reference semantics, and the tests hold the sweep to
+them on random formulas, terms and boxes.  The children of a TRUE box
+inherit it, and a FALSE box is pruned.  A box at depth d with integrand
+valuation v contributes p^-(d*m + e*v), so the sweep counts the boxes it
+decides per exponent, the walk sweeps the children of those it leaves
+undecided, and each endpoint is formed as one Fraction at the end.
 
 A TRUE box at level l >= 1 on which f is still undecided is settled by
 Hensel's lemma when f is a polynomial over the valuation ring (every
@@ -65,7 +67,7 @@ from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
 from .formula.interpret import (_PINF_POINT, bind_assignment,
-                                refuse_field_quantifier)
+                                refuse_quantifier)
 from .formula.nodes import rewrite
 from .localfield import INF, LFElem, embed_rational
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
@@ -387,8 +389,8 @@ class _BoxWalk:
         if op == "zz":
             v = env[args[0]]
             return _PINF_POINT if v is INF else (int(v), int(v))
-        if op == "vfq":
-            refuse_field_quantifier()
+        if op == "quantifier":
+            refuse_quantifier(args[0])
         raise AssertionError(site)
 
 
@@ -420,9 +422,8 @@ def volume(phi, spec, *, assignment=None, budget=None):
 
     Free field variables range over the valuation ring; residue and
     value-group parameters must be pre-bound through `assignment`.
-    Residue and value-group quantifiers are decided on each box as
-    `interpret` decides them; a field quantifier raises
-    UnsupportedFeature.
+    Residue quantifiers are decided on each box as `interpret` decides
+    them; a field or value-group quantifier raises UnsupportedFeature.
     """
     return _prepare(phi, spec, IntegrandSpec.one(), assignment,
                     budget).run()

@@ -221,6 +221,32 @@ def test_compare_needs_an_oracle_block(run_cli, tmp_path):
     assert "outside the supported fragment" in err
 
 
+@pytest.mark.parametrize("basis, message", [
+    ("rf u; zz g; u != 0 && g >= 0 && (exists m:zz. u == u && m == 0)",
+     "value-group quantifiers"),
+    ("rf u; zz g; u != 0 && g >= 0 && 1 <= 2",
+     "neither a summation range nor a residue condition"),
+], ids=["value-group-quantifier", "closed-value-group-atom"])
+def test_uncountable_residue_classes_exit_3(run_cli, tmp_path, basis,
+                                            message):
+    """The loader refuses a residue class that the point counter cannot
+    count, so `integrate` and `compare` refuse it alike."""
+    path = tmp_path / "class.cells.json"
+    path.write_text(json.dumps({
+        "cells": [{"kind": "OneCell", "id": "shells", "center": "0",
+                   "basis": basis, "alpha": "g", "xi": "u", "psi": "1"}],
+        "oracle": {"domain": "vf x; ord(x) >= 0",
+                   "cases": [{"precision": 5}]},
+    }))
+    errs = []
+    for argv in (("integrate", path), ("compare", path, "--primes", "5")):
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (3, "")
+        assert message in err and err.count("\n") == 1
+        errs.append(err)
+    assert errs[0] == errs[1]
+
+
 def test_compare_malformed_cells(run_cli, fx):
     rc, _, err = run_cli("compare", fx("corrupted.cells.json"))
     assert rc == 2

@@ -174,12 +174,25 @@ def test_kleene_absorption():
     assert interpret(f_mix, Q7, {"x": blur}) is FL
 
 
-def test_bounded_integer_quantifier():
-    f_even = parse("vf x; exists n:zz. 0 <= n && n <= 4 && ord(x) == 2*n")
+def test_value_group_quantifier_refused():
+    # congruences say what a value-group quantifier would, so none is
+    # searched
+    f_quant = parse("vf x; exists n:zz. 0 <= n && n <= 4 && ord(x) == 2*n")
+    for spec in (Q7, lf.fpt(7, 12)):
+        with pytest.raises(UnsupportedFeature) as raised:
+            interpret(f_quant, spec, {"x": 1})
+        assert "\n" not in str(raised.value)
+        assert "ord(x) == 0 mod 2" in str(raised.value)
+    # the point counter refuses it with the same message
+    with pytest.raises(UnsupportedFeature) as counted:
+        count_rf_points("rf u; u == 0 && exists n:zz. n == 0", 5)
+    assert str(counted.value) == str(raised.value)
+    f_even = parse("vf x; ord(x) == 0 mod 2 && ord(x) <= 8")
     assert interpret(f_even, Q7, {"x": 49}) is T
     assert interpret(f_even, Q7, {"x": 7 ** 3}) is FL
-    f_open = parse("vf x; exists n:zz. ord(x) == 2*n")
+    f_open = parse("vf x; ord(x) == 0 mod 2")
     assert interpret(f_open, Q7, {"x": 49}) is T
+    assert interpret(f_open, Q7, {"x": 7}) is FL
 
 
 def test_congruence_with_indeterminate_ord():

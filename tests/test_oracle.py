@@ -85,29 +85,31 @@ def test_residue_parameters_must_be_bound():
 
 
 def test_refinement_nesting():
-    phi = "exists m:zz. ord(x) == 2*m && m >= 0"
+    phi = "vf x; ord(x) == 0 mod 2"
     v3 = volume(phi, lf.qp(3, 3))
     v4 = volume(phi, lf.qp(3, 4))
     assert v3.lower <= v4.lower <= v4.upper <= v3.upper
 
 
-_EVEN_ORD = "vf x; exists m:zz. ord(x) == 2*m && m >= 0"
-
-
 @pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
-def test_value_group_quantifier_is_swept(make, monkeypatch):
-    """The sweep decides `exists m:zz` in a loop over [-depth, depth], as
-    `interpret` does: with no upper bound on m the search is incomplete,
-    so boxes of odd valuation stay undecided (the true value is 5/6).  No
-    box is put to `interpret`."""
+def test_value_group_quantifier_refused(make, monkeypatch):
+    """A value-group quantifier is refused as `interpret` refuses it; its
+    congruence spelling is swept without `interpret`, which leaves only
+    the boxes at full depth open (the true value is 5/6)."""
+    spec = make(5, 4)
+    phi = "vf x; exists m:zz. ord(x) == 2*m && m >= 0"
+    with pytest.raises(UnsupportedFeature):
+        volume(phi, spec)
+    with pytest.raises(UnsupportedFeature):
+        integrate(IntegrandSpec.abs_power("x"), phi, spec)
     calls = []
     truth = _Evaluator.truth
     monkeypatch.setattr(_Evaluator, "truth",
                         lambda self, n, env: calls.append(n)
                         or truth(self, n, env))
-    iv = volume(_EVEN_ORD, make(5, 4))
-    assert (iv.lower, iv.upper) == (F(104, 125), 1)
-    assert iv.nodes_visited == 141
+    iv = volume("vf x; ord(x) == 0 mod 2", spec)
+    assert (iv.lower, iv.upper) == (F(104, 125), F(521, 625))
+    assert iv.nodes_visited == 21
     assert calls == []
 
 
@@ -628,8 +630,8 @@ _formulas = st.recursive(_atoms, lambda kids: st.one_of(
     st.builds(And, kids, kids), st.builds(Or, kids, kids),
     st.builds(Not, kids), st.builds(Exists, st.just("s"), st.just(Sort.RF),
                                     kids),
-    # a value-group loop and a refused field quantifier, shadowing the
-    # parameters n and a
+    # a value-group and a field quantifier, which both sides refuse,
+    # shadowing the parameters n and a
     st.builds(Exists, st.just("n"), st.just(Sort.ZZ), kids),
     st.builds(Exists, st.just("a"), st.just(Sort.VF), kids)), max_leaves=5)
 
@@ -726,9 +728,9 @@ def test_many_box_variables_compile(make):
                          " && ".join("ord(%s) >= 0" % n for n in names))
     iv = volume(phi, make(2, 1))
     assert iv.lower == iv.upper == 1
-    # two value-group loops nest inside the box loops as well
-    iv = volume("%s && exists n:zz. exists k:zz. ord(x0) >= n + k" % phi,
-                make(2, 1))
+    # two residue loops nest inside the box loops as well
+    iv = volume("%s && exists u:rf. exists v:rf. u == v && ord(x0) >= 0"
+                % phi, make(2, 1))
     assert iv.lower == iv.upper == 1
 
 
