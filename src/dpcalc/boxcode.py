@@ -536,7 +536,7 @@ class _Codegen:
         inner.lines.append("vlo, vhi = " + self.bounds(self.vf(f, inner)))
         inner.lines.append(("if mem is T and vlo == vhi:", _Block(lines=[
             "ntrue += 1",
-            "if vlo is not INF: "
+            "if vlo != INF: "
             "_e = base + e * vlo; exact[_e] = exact_get(_e, 0) + 1",
             "continue"])))
         self.section = "d"
@@ -554,7 +554,7 @@ class _Codegen:
                             hensel))
         inner.lines.append(("if lv == depth:", _Block(lines=[
             "nopen += 1",
-            "if vlo is not INF: "
+            "if vlo != INF: "
             "_e = base + e * vlo; open_[_e] = open_get(_e, 0) + 1"])))
         inner.lines.append(("else:", _Block(lines=[
             "pending.append((%s, mem))" % forms])))
@@ -830,8 +830,7 @@ class _Codegen:
                 return ("pt", self.value(block, ("*", k, a[1]),
                                          "%d * %s" % (k, a[1]), uses=a[1:2]),
                         self.value(block, ("*", k, a[2]),
-                                   "INF if %s is INF else %d * %s"
-                                   % (a[2], k, a[2]), uses=a[2:]))
+                                   "%d * %s" % (k, a[2]), uses=a[2:]))
             return ("iv", self.value(block, ("zi_scale", k, a),
                                      "zi_scale(%d, %s)" % (k, self.tup(a)),
                                      uses=a[1:]))

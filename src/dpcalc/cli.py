@@ -28,8 +28,8 @@ Cell-data files are JSON; their optional "oracle" block gives a domain
 formula, an integrand, and per-case parameter values and field values
 so the same integral can be run numerically.  Every term in the inputs,
 integrands and binds included, is read by the formula grammar's
-`parse_term` at its sort; a bind such as "acx * pi^(3*k)" is a field
-term in the case's parameters and the uniformizer pi.
+`parse_term` at its sort; a bind such as "acx * t^(3*k)" is a field
+term in the case's parameters and the uniformizer t.
 """
 
 from __future__ import annotations
@@ -46,9 +46,8 @@ from .budget import ENV as BUDGET_ENV
 from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
                      ParseError, SortError, UnsupportedFeature,
                      UnsupportedZeroCell)
-from .formula import (Formula, Sort, VfUnif, eval_vf_term, free_vars, parse,
+from .formula import (Formula, Sort, eval_vf_term, free_vars, parse,
                       parse_term, pretty_print)
-from .formula.nodes import substitute
 from .localfield import fpt, is_prime, qp
 from .motivic import (bad_primes, bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
@@ -377,21 +376,30 @@ def _compare_formula(args):
             "rows": rows}, failing
 
 
+def _json_int(value, what):
+    """value, if it is a JSON integer: a float or a bool is not one."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %s"
+                         % (what, json.dumps(value)))
+    return value
+
+
 def _oracle_case(case, precision):
     """(params, precision, {name: term}) of one oracle case.  A bind is a
-    field term in the case's parameters, read as integers, and the
-    uniformizer pi, such as "acx * pi^(3*k)"."""
-    params = {k: int(v) for k, v in (case.get("params") or {}).items()}
+    field term in the case's parameters, which are JSON integers, and the
+    uniformizer t, such as "acx * t^(3*k)"."""
+    params = {k: _json_int(v, k)
+              for k, v in (case.get("params") or {}).items()}
     binds = {}
     for name, text in (case.get("vf") or {}).items():
-        term = substitute(parse_term(text, Sort.VF, values=params),
-                          {"pi": VfUnif()})
+        term = parse_term(text, Sort.VF, values=params)
         loose = free_vars(term)
         if loose:
             raise ParseError("unknown name %r in the bind %r"
                              % (next(iter(loose)), text))
         binds[name] = term
-    return params, int(case.get("precision", precision)), binds
+    return params, _json_int(case.get("precision", precision),
+                             "precision"), binds
 
 
 def _compare_cells(args):
@@ -406,8 +414,8 @@ def _compare_cells(args):
         phi = parse(block["domain"])
         spec_f = block.get("integrand") or {}
         if spec_f:
-            integrand = IntegrandSpec.abs_power(spec_f["f"],
-                                                int(spec_f.get("e", 1)))
+            integrand = IntegrandSpec.abs_power(
+                spec_f["f"], _json_int(spec_f.get("e", 1), "e"))
         else:
             integrand = IntegrandSpec.one()
         cases = [_oracle_case(case, args.precision)

@@ -5,7 +5,9 @@ Truth values refine monotonically: once an atom decides True or False at
 precision N it decides the same way at every higher precision, because
 element digit windows only grow.  Valuations of not-fully-determined
 elements enter comparisons as intervals [lower, upper]; anything the
-interval cannot settle comes back Undecided.
+interval cannot settle comes back Undecided.  The ends are integers or
+float infinities: INF (math.inf) is ord 0, and NINF = -INF arises from
+negating it.
 """
 
 from __future__ import annotations
@@ -58,90 +60,48 @@ def t3_or(a, b):
     return _U
 
 
-class _NegInf:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "-inf"
-
-
-NINF = _NegInf()
-
-
-def _ext_neg(v):
-    if v is INF:
-        return NINF
-    if v is NINF:
-        return INF
-    return -v
-
-
-def _ext_scale(k, v):
-    if v is INF:
-        return INF if k > 0 else NINF
-    if v is NINF:
-        return NINF if k > 0 else INF
-    return k * v
-
-
-def _ext_le(a, b):
-    if a is NINF or b is INF:
-        return True
-    if a is INF:
-        return b is INF
-    if b is NINF:
-        return False
-    return a <= b
-
-
-def _ext_lt(a, b):
-    return not _ext_le(b, a)
-
-
+NINF = -INF
 _PINF_POINT = (INF, INF)
 _NINF_POINT = (NINF, NINF)
 
 
 def _zi_neg(A):
-    return (_ext_neg(A[1]), _ext_neg(A[0]))
+    return (-A[1], -A[0])
 
 
 def _zi_add(A, B):
-    if (A == _PINF_POINT and B == _NINF_POINT) or \
-       (A == _NINF_POINT and B == _PINF_POINT):
-        return (NINF, INF)
+    # +inf and -inf meet at one end only where a side is an infinite
+    # point; every other sum of ends is a float or integer sum
     if A == _PINF_POINT or B == _PINF_POINT:
-        return _PINF_POINT
+        return (NINF, INF) if _NINF_POINT in (A, B) else _PINF_POINT
     if A == _NINF_POINT or B == _NINF_POINT:
         return _NINF_POINT
-    lo = NINF if (A[0] is NINF or B[0] is NINF) else A[0] + B[0]
-    hi = INF if (A[1] is INF or B[1] is INF) else A[1] + B[1]
-    return (lo, hi)
+    return (A[0] + B[0], A[1] + B[1])
 
 
 def _zi_scale(k, A):
     if k == 0:
         return (0, 0)
     if k > 0:
-        return (_ext_scale(k, A[0]), _ext_scale(k, A[1]))
-    return (_ext_scale(k, A[1]), _ext_scale(k, A[0]))
+        return (k * A[0], k * A[1])
+    return (k * A[1], k * A[0])
 
 
 # value-group atoms over intervals (lower, upper) with +-inf ends; the
 # oracle's compiled sweep calls these too
 
 def zz_le(A, B):
-    if _ext_le(A[1], B[0]):
+    if A[1] <= B[0]:
         return _T
-    if _ext_lt(B[1], A[0]):
+    if B[1] < A[0]:
         return _F
     return _U
 
 
 def zz_lt(A, B):
-    if _ext_lt(A[1], B[0]):
+    if A[1] < B[0]:
         return _T
-    if _ext_le(B[1], A[0]):
+    if B[1] <= A[0]:
         return _F
     return _U
 
@@ -149,7 +109,7 @@ def zz_lt(A, B):
 def zz_eq(A, B):
     if A == B and A[0] == A[1]:
         return _T
-    if _ext_lt(A[1], B[0]) or _ext_lt(B[1], A[0]):
+    if A[1] < B[0] or B[1] < A[0]:
         return _F
     return _U
 
@@ -160,7 +120,7 @@ def zz_cong(A, B, modulus):
         # no finite difference exists, so the congruence fails
         return _F
     lo, hi = D
-    if lo is NINF or hi is INF:
+    if lo == NINF or hi == INF:
         return _U
     hits = [v % modulus == 0 for v in range(lo, hi + 1)]
     if all(hits):
@@ -246,7 +206,7 @@ class _Evaluator:
         """Value-group interval (lower, upper) over Z with +-inf ends."""
         if isinstance(n, ZzVar):
             v = env[n.name]
-            return _PINF_POINT if v is INF else (int(v), int(v))
+            return _PINF_POINT if v == INF else (int(v), int(v))
         if isinstance(n, ZzConst):
             return (n.value, n.value)
         if isinstance(n, ZzInf):
@@ -331,7 +291,8 @@ class _Evaluator:
 
 def bind_assignment(free, spec, assignment):
     """The values `interpret` evaluates with: for each (name, sort) in
-    free, an LFElem of spec, a residue mod p, or an integer or INF."""
+    free, an LFElem of spec, a residue mod p, or an integer or INF
+    (math.inf)."""
     env = {}
     for name, sort in free:
         if name not in assignment:
@@ -348,7 +309,7 @@ def bind_assignment(free, spec, assignment):
         elif sort is Sort.RF:
             env[name] = int(v) % spec.prime
         else:
-            env[name] = v if v is INF else int(v)
+            env[name] = v if v == INF else int(v)
     return env
 
 
@@ -356,7 +317,7 @@ def interpret(phi, spec, assignment):
     """Evaluate a formula at an assignment of its free variables.
 
     VF values may be LFElem (matching spec), int, or Fraction; RF values are
-    integers mod p; ZZ values are integers or the infinity constant.
+    integers mod p; ZZ values are integers or INF.
     Returns Truth3; finite precision surfaces as UNDECIDED, never as a
     wrong answer.  A field or value-group quantifier raises
     UnsupportedFeature.

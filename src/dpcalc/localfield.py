@@ -7,57 +7,22 @@ formulas and their rational constants build; there is no division.
 Arithmetic propagates how many digits remain trustworthy; cancellation can
 leave an element about which only a lower bound on the valuation is known.
 Accessors that need a significant digit (ord, ac, digit reads) raise
-PrecisionExhausted on such elements instead of guessing.
+PrecisionExhausted on such elements instead of guessing.  Valuations are
+integers, or INF for the exact zero: INF is Python's math.inf, which
+compares exactly against integers and absorbs them under addition.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidArgument, InvalidPrime, PrecisionExhausted
 
 
-class _Infinity:
-    """The valuation of zero.  Compares above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("dpcalc-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    def __radd__(self, other):
-        return self
-
-
-INF = _Infinity()
+INF = math.inf
 
 
 # Miller-Rabin with the primes up to 41 as bases decides primality exactly
@@ -340,7 +305,7 @@ class LFElem:
         return self.val
 
     def ord_bounds(self):
-        """(lower, upper) bounds on the valuation; upper is INF when open."""
+        """(lower, upper) bounds on the valuation; the upper INF when open."""
         if self.exact or self.known:
             v = self.ord()
             return (v, v)

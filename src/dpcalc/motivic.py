@@ -52,6 +52,8 @@ EMPTY_DOMAIN = PresDomain(())
 # distinct (class, domain) pairs whose term order is kept; the acceptance
 # corpus meets five
 TERM_KEY_MEMO = 1024
+# witness primes past an interpolation's degree + 1 that confirm its fit
+RESIDUE_FIT_CHECKS = 2
 
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
@@ -1029,17 +1031,17 @@ def _case_witnesses(residue, modulus, avoid, need):
     return out
 
 
-def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
+def residue_cases(value, modulus, rf_witness, zz_assignment=None):
     """Evaluate a constructible function as an exact ring element on each
     invertible congruence class of q mod `modulus`.
 
     Residue-class point counts are quasi-polynomial in q; on each fixed
     congruence class the counts are interpolated from witness primes as
-    exact polynomials in L, and the fit is confirmed on `validate` further
-    witnesses (a mismatch raises UnsupportedFeature).  rf_witness binds each
-    residue-sort parameter to an integer that lands in the intended class
-    at every witness prime (1 for "a nonzero cube").  Value-group
-    parameters must all be bound by zz_assignment.
+    exact polynomials in L, and the fit is confirmed on RESIDUE_FIT_CHECKS
+    further witnesses (a mismatch raises UnsupportedFeature).  rf_witness
+    binds each residue-sort parameter to an integer that lands in the
+    intended class at every witness prime (1 for "a nonzero cube").
+    Value-group parameters must all be bound by zz_assignment.
 
     Returns [(residue, SymA)] sorted by residue.
     """
@@ -1069,7 +1071,7 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None, validate=2):
                 degree = len([n for n, _ in t.rf_class.free
                               if n not in rf_env])
                 primes = _case_witnesses(residue, modulus, bad,
-                                         degree + 1 + validate)
+                                         degree + 1 + RESIDUE_FIT_CHECKS)
                 counts = [count_rf_points(Formula(substitute(
                     t.rf_class.expr,
                     {n: RfConst(v % q) for n, v in rf_env.items()})), q)

@@ -388,7 +388,7 @@ class _BoxWalk:
             return args[0] % self.p
         if op == "zz":
             v = env[args[0]]
-            return _PINF_POINT if v is INF else (int(v), int(v))
+            return _PINF_POINT if v == INF else (int(v), int(v))
         if op == "quantifier":
             refuse_quantifier(args[0])
         raise AssertionError(site)

@@ -72,9 +72,6 @@ class AffineForm:
             other = AffineForm.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return AffineForm.constant(other) + (-self)
-
     def scale(self, k):
         k = int(k)
         if k == 0:
@@ -327,30 +324,10 @@ class SymSum:
             other = SymSum.of_syma(other)
         return SymSum(self.terms + other.terms)
 
-    def __neg__(self):
-        return SymSum(tuple(PresTerm(-t.coefficient, t.exponent)
-                            for t in self.terms))
-
-    def __sub__(self, other):
-        if isinstance(other, SymA):
-            other = SymSum.of_syma(other)
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, SymA)):
             return SymSum(tuple(PresTerm(t.coefficient * other, t.exponent)
                                 for t in self.terms))
-        if isinstance(other, PresTerm):
-            return SymSum(tuple(
-                PresTerm(t.coefficient * other.coefficient,
-                         t.exponent + other.exponent) for t in self.terms))
-        if isinstance(other, SymSum):
-            out = []
-            for t in self.terms:
-                for s in other.terms:
-                    out.append(PresTerm(t.coefficient * s.coefficient,
-                                        t.exponent + s.exponent))
-            return SymSum(tuple(out))
         return NotImplemented
 
     __rmul__ = __mul__

@@ -210,9 +210,6 @@ class SymA:
             other = SymA.from_int(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return SymA.from_int(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other or not self._prim:

@@ -433,7 +433,7 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
     ("cube.cells.json", '"domain": "vf x, y; ord(y) >= 0"', '"domain": 7',
      ["compare"]),
     ("cube.cells.json", '"cases": [', '"cases": [7, ', ["compare"]),
-    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}', '"vf": {"x": 5}',
+    ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}', '"vf": {"x": 5}',
      ["compare"]),
     ("cube.cells.json", '"bad_primes": {\n    "3": "the cube map degenerates'
      ' on units in characteristic 3"\n  }', '"bad_primes": [3]',
@@ -449,15 +449,21 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
     ("linear_m1.dp", "#! integrand: z", "#! integrand: inf",
      ["oracle", "--prime", "5"]),
     ("cube.cells.json", '"f": "y^3 - x"', '"f": "ord(y)"', ["compare"]),
-    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}',
+    ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}',
      '"vf": {"x": "acx * y"}', ["compare"]),
-    ("cube.cells.json", '"vf": {"x": "acx * pi^(3*k)"}',
-     '"vf": {"x": "acx / pi"}', ["compare"]),
+    ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}',
+     '"vf": {"x": "acx / t"}', ["compare"]),
+    ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}',
+     '"vf": {"x": "acx * pi^(3*k)"}', ["compare"]),
+    ("cube.cells.json", '"k": 0}', '"k": 0.5}', ["compare"]),
+    ("cube.cells.json", '"precision": 7', '"precision": 7.5', ["compare"]),
+    ("cube.cells.json", '"e": 1', '"e": 1.5', ["compare"]),
 ], ids=["integrand-exponent-0", "integrand-exponent-x", "domain-not-text",
         "case-not-object", "bind-not-text", "bad-primes-not-object",
         "exponent-directive-x", "exponent-directive-0", "integrand-ord",
         "integrand-ac", "integrand-inf", "oracle-integrand-ord",
-        "bind-unknown-name", "bind-division"])
+        "bind-unknown-name", "bind-division", "bind-pi", "param-float",
+        "precision-float", "integrand-exponent-float"])
 def test_malformed_input_files_exit_2(run_cli, fx, tmp_path, name, old, new,
                                       argv):
     with open(fx(name)) as fh:
@@ -608,7 +614,7 @@ def test_huge_constant_valuations_take_few_divisions(tmp_path, field):
 def test_oracle_binds_are_field_terms():
     params, precision, binds = cli._oracle_case(
         {"params": {"acx": 2, "k": 1}, "precision": 7,
-         "vf": {"x": "acx * pi^(3*k)", "y": "1 + pi"}}, 6)
+         "vf": {"x": "acx * t^(3*k)", "y": "1 + t"}}, 6)
     assert (params, precision) == ({"acx": 2, "k": 1}, 7)
     assert binds == {
         "x": VfMul(VfConst(F(2)), VfPow(VfUnif(), 3)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import count_reference
+import value_group_reference as zz_reference
 from dpcalc import localfield as lf, motivic
 from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
                            SortError, UnboundVariable, UnsupportedFeature)
@@ -17,6 +18,8 @@ from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             count_rf_points, interpret, parse, parse_term,
                             pretty_print)
 from dpcalc.formula.count import _compile, _Plan
+from dpcalc.formula.interpret import (NINF, _zi_add, _zi_neg, _zi_scale,
+                                      zz_cong, zz_eq, zz_le, zz_lt)
 from dpcalc.formula.nodes import substitute
 from dpcalc.motivic import appendix2_volume, bad_primes
 
@@ -574,3 +577,48 @@ def test_decisions_monotone_in_information(idx, val, digits, keep):
     fine = interpret(phi, spec, {"x": more})
     if coarse is not U:
         assert fine is coarse
+
+
+# --- the value group's infinite ends ---
+
+_ENDS = [NINF] + list(range(-3, 4)) + [lf.INF]
+
+
+@st.composite
+def zz_intervals(draw):
+    lo = draw(st.integers(0, len(_ENDS) - 1))
+    return (_ENDS[lo], _ENDS[draw(st.integers(lo, len(_ENDS) - 1))])
+
+
+def _well_formed(A):
+    """Each end an integer or an infinity, never nan."""
+    return all(isinstance(v, int) or v in (lf.INF, NINF) for v in A)
+
+
+@settings(max_examples=500, deadline=None)
+@given(A=zz_intervals(), B=zz_intervals(), k=st.integers(-2, 2),
+       modulus=st.integers(1, 3))
+def test_value_group_intervals_follow_the_reference(A, B, k, modulus):
+    """Sums, negations, multiples and the four atoms over intervals with
+    +-inf ends give what the case-by-case rules give."""
+    for got, want in ((_zi_add(A, B), zz_reference.zi_add(A, B)),
+                      (_zi_neg(A), zz_reference.zi_neg(A)),
+                      (_zi_scale(k, A), zz_reference.zi_scale(k, A))):
+        assert _well_formed(got)
+        assert got == want
+    for mine, theirs in ((zz_le, zz_reference.zz_le),
+                         (zz_lt, zz_reference.zz_lt),
+                         (zz_eq, zz_reference.zz_eq)):
+        assert mine(A, B) is theirs(A, B)
+    assert zz_cong(A, B, modulus) is zz_reference.zz_cong(A, B, modulus)
+
+
+def test_infinite_points_meet_by_the_rules():
+    INF = lf.INF
+    # +inf plus -inf is any value at all
+    assert _zi_add((INF, INF), (NINF, NINF)) == (NINF, INF)
+    assert _zi_add((NINF, NINF), (INF, INF)) == (NINF, INF)
+    # an infinite point absorbs an interval open at the other end
+    assert _zi_add((INF, INF), (NINF, 5)) == (INF, INF)
+    assert _zi_add((NINF, NINF), (3, INF)) == (NINF, NINF)
+    assert _zi_scale(0, (INF, INF)) == (0, 0)

@@ -63,8 +63,8 @@ def test_infinity_ordering():
     assert INF > 10 ** 9
     assert INF >= INF
     assert not (INF < 5)
-    assert INF + 1 is INF
-    assert 1 + INF is INF
+    assert INF + 1 == INF
+    assert 1 + INF == INF
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 31]), v=st.integers(0, 3000),

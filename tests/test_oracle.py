@@ -797,7 +797,7 @@ _EXACT = {
 
 
 _PINNED_CASES = {
-    # fixture: (domain, integrand, precision, binds x = acx * pi^(3k))
+    # fixture: (domain, integrand, precision, binds x = acx * t^(3k))
     "linear_triple": ("vf z; ord(z) >= 0", "z * (z - 1) * (z - 3)", 6,
                       False),
     "linear_m3": ("vf z; ord(z) >= 0", "z^3", 6, False),
