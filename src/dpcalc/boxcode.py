@@ -4,12 +4,18 @@ compiles from its structure.
 A value that depends on the box is a *form*: three plain values standing
 for one truncated LFElem, (val, unit mod p^k, k) in Q_p, (val, digit
 tuple, k) in F_p((t)), and (val, 0, None) when only ord >= val is known.
-The generated code keeps each form in three locals and does its
-arithmetic inline, from the source that `_QpOps` and `_FptOps` hold for
-add, mul, neg and the child of a box.  That source follows localfield's
-add, mul and neg precision rules digit for digit, so every valuation
-bound agrees with `LFElem` arithmetic on the corresponding `from_digits`
-box; it is the only implementation of those rules over forms.
+The generated code keeps each form in three locals.  What the hot loops
+take it does inline, from the source that `_QpOps` and `_FptOps` hold:
+the child of a box, neg, the Q_p product, the F_p((t)) product with a
+one-digit factor, and the sum of two forms of one valuation whose unit
+digits do not cancel (of one digit each in F_p((t))).  Any other sum,
+and an F_p((t)) product of several digits, is a call to `_qp_add`,
+`_fpt_add` or `_fpt_mul`, bound once per walk, so no template holds a
+loop.  Templates and functions follow localfield's add, mul and neg precision
+rules digit for digit, so every valuation bound agrees with `LFElem`
+arithmetic on the corresponding `from_digits` box; they are the only
+implementation of those rules over forms.  A value-group term is an
+interval tuple, put to the helpers that `interpret` uses.
 
 `compile_walk(expr, f, names, kind, derivatives)` turns a walk's domain
 formula, its integrand f and the formal partial derivatives of f into the
@@ -65,10 +71,9 @@ from .localfield import INF, FieldKind
 MEMO_SIZE = 256
 # box variables with a loop of their own, the most-read first
 NESTED_LOOPS = 6
-# the box loops that fit in CPython's 20 statically nested blocks beside
-# the two of the arithmetic templates, less one per nested residue
-# quantifier
-_BOX_BLOCKS = 18
+# the box loops that fit in CPython's 20 statically nested blocks, less
+# one per nested residue quantifier: no arithmetic template holds a loop
+_BOX_BLOCKS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +110,10 @@ class _Summand(dict):
 
 class _FieldOps:
     """What Q_p and F_p((t)) forms share.  The class attributes are the
-    source of the form arithmetic, with operands and result named by
-    format fields; no box form keeps more than `depth` (the precision)
-    digits, so a product never reaches past it."""
+    source of the form arithmetic the sweep keeps inline, with operands
+    and result named by format fields.  No box form keeps more than
+    `depth` (the precision) digits, so neither a product nor a sum that
+    stays inline reaches past it."""
 
     # per walk, before any sweep
     MAKE = ()
@@ -143,8 +149,8 @@ class _QpOps(_FieldOps):
     # source of the angular component of a form
     AC = "{u} % p if {k} else None"
 
-    MAKE = ("P = [p ** k for k in range(depth + 1)]",
-            "NP = depth + 1")
+    MAKE = ("P = [*map(p.__pow__, range(depth + 1))]",
+            "add = partial(qp_add, p, depth)")
 
     # the place value of a box's next digit
     SWEEP = "{f}q = P[{f}k] if {f}k is not None else 0"
@@ -157,24 +163,13 @@ if {f}k is None:
     else: {x}v, {x}u, {x}k = lv, 0, None
 else: {x}v, {x}u, {x}k = {f}v, {f}u + {d} * {f}q, {f}k + 1"""
 
-    # the digits of the sum on [low, bound): strip leading zeros, truncate
+    # inline, the sum of two forms of one valuation whose unit digits do
+    # not cancel; any other sum is a call
     ADD = """\
-_b = {av} + ({ak} or 0)
-_n = {bv} + ({bk} or 0)
-if _n < _b: _b = _n
-if {av} <= {bv}: _l = {av}; _s = {au}; _h = {bu}; _i = {bv} - _l
-else: _l = {bv}; _s = {bu}; _h = {au}; _i = {av} - _l
-_n = _b - _l
-if _n > 0:
-    if _h and _i < _n: _s += _h * (P[_i] if _i < NP else p ** _i)
-    _s %= P[_n] if _n < NP else p ** _n
-if _n > 0 and _s:
-    _v = 0
-    while not _s % p: _s //= p; _v += 1
-    {r}v, {r}k = _l + _v, _n - _v
-    if {r}k > depth: {r}k = depth; _s %= P[depth]
-    {r}u = _s
-else: {r}v, {r}u, {r}k = _b, 0, None"""
+if {av} == {bv} and {ak} and {bk} and ({au} + {bu}) % p:
+    {r}k = {ak} if {ak} < {bk} else {bk}
+    {r}v, {r}u = {av}, ({au} + {bu}) % P[{r}k]
+else: {r}v, {r}u, {r}k = add({av}, {au}, {ak}, {bv}, {bu}, {bk})"""
 
     NEG = """\
 if {ak} is None: {r}v, {r}u, {r}k = {av}, {au}, None
@@ -190,14 +185,34 @@ else:
         return sum(d * self.p ** i for i, d in enumerate(digits))
 
 
+def _qp_add(p, depth, av, au, ak, bv, bu, bk):
+    """The Q_p form of the sum of two: its digits on [low, bound), leading
+    zeros stripped, truncated to depth."""
+    bound = min(av + (ak or 0), bv + (bk or 0))
+    if av > bv:
+        av, au, bv, bu = bv, bu, av, au
+    n = bound - av
+    s = (au + bu * p ** (bv - av)) % p ** n if n > 0 else 0
+    if not s:
+        return bound, 0, None
+    v = 0
+    while not s % p:
+        s //= p
+        v += 1
+    k = min(n - v, depth)
+    return av + v, s % p ** k, k
+
+
 class _FptOps(_FieldOps):
     """F_p((t)) forms (val, digits, k): t^val * (digits + O(t^k)), with
     k == len(digits)."""
 
     AC = "{u}[0] if {k} else None"
 
-    MAKE = ("mod = p.__rmod__",
-            "negd = [-d % p for d in range(p)].__getitem__")
+    # negd(d) is -d % p
+    MAKE = ("negd = [0, *range(p - 1, 0, -1)].__getitem__",
+            "add = partial(fpt_add, p, depth)",
+            "mul = partial(fpt_mul, p)")
 
     CHILD = """\
 if {f}k is None:
@@ -205,48 +220,54 @@ if {f}k is None:
     else: {x}v, {x}u, {x}k = lv, 0, None
 else: {x}v, {x}u, {x}k = {f}v, {f}u + ({d},), {f}k + 1"""
 
+    # inline, the sum of two one-digit forms of one valuation that do not
+    # cancel; any other sum is a call
     ADD = """\
-_b = {av} + ({ak} or 0)
-_n = {bv} + ({bk} or 0)
-if _n < _b: _b = _n
-_l = {av} if {av} < {bv} else {bv}
-_n = _b - _l
-{r}k = None
-if _n > 0:
-    _o = [0] * _n
-    if {ak}:
-        _i = {av} - _l
-        for _j in range({ak} if {ak} < _n - _i else _n - _i):
-            _o[_i + _j] = {au}[_j]
-    if {bk}:
-        _i = {bv} - _l
-        for _j in range({bk} if {bk} < _n - _i else _n - _i):
-            _o[_i + _j] = (_o[_i + _j] + {bu}[_j]) % p
-    _v = 0
-    while _v < _n and not _o[_v]: _v += 1
-    if _v < _n:
-        {r}u = tuple(_o[_v:_v + depth])
-        {r}v, {r}k = _l + _v, len({r}u)
-if {r}k is None: {r}v, {r}u = _b, 0"""
+if {ak} == 1 == {bk} and {av} == {bv} and ({au}[0] + {bu}[0]) % p:
+    {r}v, {r}u, {r}k = {av}, (({au}[0] + {bu}[0]) % p,), 1
+else: {r}v, {r}u, {r}k = add({av}, {au}, {ak}, {bv}, {bu}, {bk})"""
 
     NEG = """\
 if {ak} is None: {r}v, {r}u, {r}k = {av}, {au}, None
 else: {r}v, {r}u, {r}k = {av}, tuple(map(negd, {au})), {ak}"""
 
+    # inline, a product with a one-digit factor; of several digits, a call
     MUL = """\
 if {ak} is None or {bk} is None: {r}v, {r}u, {r}k = {av} + {bv}, 0, None
 elif {ak} == 1 or {bk} == 1:
     {r}v, {r}u, {r}k = {av} + {bv}, ({au}[0] * {bu}[0] % p,), 1
 else:
     {r}k = {ak} if {ak} < {bk} else {bk}
-    _o = [0] * {r}k
-    for _i in range({r}k):
-        _x = {au}[_i]
-        if _x:
-            for _j in range({r}k - _i): _o[_i + _j] += _x * {bu}[_j]
-    {r}v, {r}u = {av} + {bv}, tuple(map(mod, _o))"""
+    {r}v, {r}u = {av} + {bv}, mul({au}, {bu}, {r}k)"""
 
     pack = staticmethod(tuple)
+
+
+def _fpt_add(p, depth, av, au, ak, bv, bu, bk):
+    """The F_p((t)) form of the sum of two: its digits on [low, bound),
+    leading zeros stripped, truncated to depth."""
+    bound = min(av + (ak or 0), bv + (bk or 0))
+    low = min(av, bv)
+    out = [0] * (bound - low)
+    for v, u, k in ((av, au, ak), (bv, bu, bk)):
+        for j in range(min(k or 0, bound - v)):
+            out[v - low + j] += u[j]
+    for v, d in enumerate(out):
+        if d % p:
+            u = tuple([d % p for d in out[v:v + depth]])
+            return low + v, u, len(u)
+    return bound, 0, None
+
+
+def _fpt_mul(p, a, b, k):
+    """The first k digits of the product of the digit tuples a and b."""
+    out = [0] * k
+    for i in range(k):
+        x = a[i]
+        if x:
+            for j in range(k - i):
+                out[i + j] += x * b[j]
+    return tuple([c % p for c in out])
 
 
 _OPS = {FieldKind.CHAR_ZERO: _QpOps, FieldKind.EQUAL_CHAR: _FptOps}
@@ -378,12 +399,14 @@ class Plan:
 
 
 _NAMESPACE = {
-    "__builtins__": {"range": range, "pow": pow, "len": len, "map": map,
+    "__builtins__": {"range": range, "pow": pow, "map": map,
                      "tuple": tuple},
     "_T": Truth3.TRUE, "_F": Truth3.FALSE, "_U": Truth3.UNDECIDED,
     "INF": INF, "PINF": _PINF_POINT, "zi_add": _zi_add, "zi_neg": _zi_neg,
     "zi_scale": _zi_scale, "zz_le": zz_le, "zz_lt": zz_lt, "zz_eq": zz_eq,
     "zz_cong": zz_cong, "product": itertools.product,
+    "partial": functools.partial, "qp_add": _qp_add, "fpt_add": _fpt_add,
+    "fpt_mul": _fpt_mul,
 }
 
 
@@ -594,28 +617,15 @@ class _Codegen:
             block = block.parent
         return None
 
-    def value(self, block, key, expr, deps=frozenset(), uses=(),
+    def value(self, block, key, code, deps=frozenset(), uses=(),
               cheap=True):
-        """A local holding expr, which reads the locals `uses`, computed
-        once where deps allow."""
+        """The local that the statement `code` assigns, its name filled
+        in for {r}: run once, reading the locals `uses`, in the block that
+        `hoist` picks for deps.  Field arithmetic is not cheap."""
         got = self.cached(block, key)
         if got is not None:
             return got
         target = self.hoist(block, deps, cheap, uses)
-        name = self.new("t")
-        target.lines.append("%s = %s" % (name, expr))
-        target.cache[key] = name
-        self.register(name, target)
-        return name
-
-    def form(self, block, key, code, uses):
-        """A form computed once, by the source `code` with the result's
-        name to fill in, in the outermost block that holds its operands.
-        Field arithmetic is not cheap."""
-        got = self.cached(block, key)
-        if got is not None:
-            return got
-        target = self.hoist(block, frozenset(), False, uses)
         name = self.new("t")
         target.lines.append(code.replace("{r}", name))
         target.cache[key] = name
@@ -684,29 +694,28 @@ class _Codegen:
                 square = self.op("MUL", square, square, block)
         raise AssertionError(node)
 
-    @staticmethod
-    def parts(a, b=None, constant=None):
-        """The format fields of the local forms a and b, or of a and the
-        constant held in the local `constant`."""
-        out = {"av": a + "v", "au": a + "u", "ak": a + "k"}
+    def arith(self, block, key, template, a, b=None, constant=None):
+        """The local form that a field template computes from the local
+        form a and the local form b or the constant in the local
+        `constant`, in the outermost block that holds its operands."""
+        parts = {"r": "{r}", "av": a + "v", "au": a + "u", "ak": a + "k"}
         if b is not None:
-            out.update(bv=b + "v", bu=b + "u", bk=b + "k")
-        else:
-            out.update(bv=constant + "[0]", bu=constant + "[1]",
-                       bk=constant + "[2]")
-        return out
+            parts.update(bv=b + "v", bu=b + "u", bk=b + "k")
+        elif constant is not None:
+            parts.update(bv=constant + "[0]", bu=constant + "[1]",
+                         bk=constant + "[2]")
+        return self.value(block, key, template.format(**parts),
+                          uses=(a,) if b is None else (a, b), cheap=False)
 
     def op(self, name, a, b, block):
         a, b = sorted((a, b))  # add and mul are symmetric in their forms
-        code = getattr(self.field, name).format(r="{r}", **self.parts(a, b))
-        return self.form(block, (name, a, b), code, (a, b))
+        return self.arith(block, (name, a, b), getattr(self.field, name),
+                          a, b)
 
     def neg(self, x, block):
         if x[0] == "c":
             return ("c", self.site("neg", x[1]))
-        code = self.field.NEG.format(r="{r}", av=x[1] + "v", au=x[1] + "u",
-                                     ak=x[1] + "k")
-        return ("f", self.form(block, ("neg", x[1]), code, (x[1],)))
+        return ("f", self.arith(block, ("neg", x[1]), self.field.NEG, x[1]))
 
     def add(self, a, b, block):
         if a[0] == "c" and b[0] == "c":
@@ -714,9 +723,10 @@ class _Codegen:
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("addk", c)
-            code = ("_cv, _cu, _ck = c%d[%sv + (%sk or 0)]\n" % (k, x, x)
-                    + self.field.ADD.format(r="{r}", **self.parts(x, "_c")))
-            return ("f", self.form(block, ("addk", x, k), code, (x,)))
+            # the constant's form at the box side's bound, then the sum
+            code = "_cv, _cu, _ck = c%d[{av} + ({ak} or 0)]\n" % k
+            return ("f", self.arith(block, ("addk", x, k),
+                                    code + self.field.ADD, x, "_c"))
         return ("f", self.op("ADD", a[1], b[1], block))
 
     def mul(self, a, b, block, node):
@@ -725,9 +735,8 @@ class _Codegen:
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("mulform", c, node)
-            code = self.field.MUL.format(r="{r}", **self.parts(
-                x, constant="c%d" % k))
-            return ("f", self.form(block, ("mulform", x, k), code, (x,)))
+            return ("f", self.arith(block, ("mulform", x, k), self.field.MUL,
+                                    x, constant="c%d" % k))
         return ("f", self.op("MUL", a[1], b[1], block))
 
     def bounds(self, x):
@@ -763,9 +772,9 @@ class _Codegen:
             x = self.vf(node.operand, block)
             if x[0] == "c":
                 return "c%d" % self.site("ac", x[1]), True, frozenset()
-            return self.value(block, ("ac", x[1]), self.field.AC.format(
-                u=x[1] + "u", k=x[1] + "k"), uses=(x[1],)), \
-                True, frozenset()
+            return self.value(block, ("ac", x[1]), "{r} = " + self.field.AC
+                              .format(u=x[1] + "u", k=x[1] + "k"),
+                              uses=(x[1],)), True, frozenset()
         if cls is RfNeg or cls is RfPow:
             a, null, deps = self.rf(node.operand if cls is RfNeg
                                     else node.base, block, scope)
@@ -773,18 +782,17 @@ class _Codegen:
                 else "pow(%s, %d, p)" % (a, node.exponent)
             expr = _unless_none(expr, "None", (a, null))
             return self.value(block, (cls, a, getattr(node, "exponent", 0)),
-                              expr, deps, (a,)), null, deps
+                              "{r} = " + expr, deps, (a,)), null, deps
         a, anull, adeps = self.rf(node.left, block, scope)
         b, bnull, bdeps = self.rf(node.right, block, scope)
         expr = _unless_none("(%s %s %s) %% p" % (a, _RF_OPS[cls], b), "None",
                             (a, anull), (b, bnull))
         deps = adeps | bdeps
-        return self.value(block, (cls, a, b), expr, deps, (a, b)), \
-            anull or bnull, deps
+        return self.value(block, (cls, a, b), "{r} = " + expr, deps,
+                          (a, b)), anull or bnull, deps
 
-    # value-group terms: ("lit", c) for a constant, ("pt", lo, hi) for
-    # bounds with a finite lower end and no -inf, ("iv", local) for an
-    # interval tuple of any kind
+    # value-group terms: ("lit", c) for a constant, ("iv", local) for an
+    # interval tuple (lower, upper)
 
     def zz(self, node, block):
         cls = type(node)
@@ -798,10 +806,8 @@ class _Codegen:
             x = self.vf(node.operand, block)
             if x[0] == "c":
                 return ("iv", "c%d" % self.site("ord", x[1]))
-            hi = self.value(block, ("hi", x[1]),
-                            "%sv if %sk else INF" % (x[1], x[1]),
-                            uses=(x[1],))
-            return ("pt", x[1] + "v", hi)
+            return self.zcall(block, "{r} = (%sv, %sv if %sk else INF)"
+                              % ((x[1],) * 3), x)
         if cls is ZzAdd or cls is ZzSub:
             a = self.zz(node.left, block)
             b = self.zz(node.right, block)
@@ -809,16 +815,8 @@ class _Codegen:
                 b = self.zneg(b, block)
             if a[0] == "lit" and b[0] == "lit":
                 return ("lit", a[1] + b[1])
-            if a[0] != "iv" and b[0] != "iv":
-                (alo, ahi), (blo, bhi) = self.ends(a), self.ends(b)
-                return ("pt", self.value(block, ("+", alo, blo),
-                                         "%s + %s" % (alo, blo),
-                                         uses=(alo, blo)),
-                        self.value(block, ("+", ahi, bhi),
-                                   "%s + %s" % (ahi, bhi), uses=(ahi, bhi)))
-            return ("iv", self.value(block, ("zi_add", a, b), "zi_add(%s, %s)"
-                                     % (self.tup(a), self.tup(b)),
-                                     uses=a[1:] + b[1:]))
+            return self.zcall(block, "{r} = zi_add(%s, %s)"
+                              % (self.tup(a), self.tup(b)), a, b)
         if cls is ZzNeg:
             return self.zneg(self.zz(node.operand, block), block)
         if cls is ZzScale:
@@ -826,28 +824,23 @@ class _Codegen:
             k = node.factor
             if k == 0 or a[0] == "lit":
                 return ("lit", k * a[1] if k else 0)
-            if k > 0 and a[0] == "pt":
-                return ("pt", self.value(block, ("*", k, a[1]),
-                                         "%d * %s" % (k, a[1]), uses=a[1:2]),
-                        self.value(block, ("*", k, a[2]),
-                                   "%d * %s" % (k, a[2]), uses=a[2:]))
-            return ("iv", self.value(block, ("zi_scale", k, a),
-                                     "zi_scale(%d, %s)" % (k, self.tup(a)),
-                                     uses=a[1:]))
+            return self.zcall(block, "{r} = zi_scale(%d, %s)"
+                              % (k, self.tup(a)), a)
         raise AssertionError(node)
 
     def zneg(self, a, block):
         if a[0] == "lit":
             return ("lit", -a[1])
-        return ("iv", self.value(block, ("zi_neg", a),
-                                 "zi_neg(%s)" % self.tup(a), uses=a[1:]))
+        return self.zcall(block, "{r} = zi_neg(%s)" % self.tup(a), a)
+
+    def zcall(self, block, code, *operands):
+        """("iv", the local that code assigns from the operands' locals)."""
+        return ("iv", self.value(block, code, code,
+                                 uses=tuple(a[1] for a in operands)))
 
     @staticmethod
-    def ends(a):
-        return (str(a[1]), str(a[1])) if a[0] == "lit" else (a[1], a[2])
-
-    def tup(self, a):
-        return a[1] if a[0] == "iv" else "(%s, %s)" % self.ends(a)
+    def tup(a):
+        return a[1] if a[0] == "iv" else "(%d, %d)" % (a[1], a[1])
 
     # formulas: a local or T/F/U holding the truth value
 
@@ -873,7 +866,7 @@ class _Codegen:
         if cls is Not:
             a = self.truth(node.operand, block, scope)
             return self.value(block, ("not", a),
-                              "F if %s is T else (T if %s is F else U)"
+                              "{r} = F if %s is T else (T if %s is F else U)"
                               % (a, a), self.deps(node, scope), (a,))
         if cls is Exists:
             return self.exists(node, block, scope)
@@ -908,35 +901,22 @@ class _Codegen:
             if w[0] == "c":
                 return "c%d" % self.site("eq", w[1])
             return self.value(block, ("eq", w[1]),
-                              "F if %sk else U" % w[1], uses=(w[1],))
+                              "{r} = F if %sk else U" % w[1], uses=(w[1],))
         if cls is RfEq or cls is RfNe:
             a, anull, _ = self.rf(node.left, block, scope)
             b, bnull, _ = self.rf(node.right, block, scope)
             yes, no = ("T", "F") if cls is RfEq else ("F", "T")
             expr = _unless_none("(%s if %s == %s else %s)" % (yes, a, b, no),
                                 "U", (a, anull), (b, bnull))
-            return self.value(block, (cls, a, b), expr, deps, (a, b))
+            return self.value(block, (cls, a, b), "{r} = " + expr, deps,
+                              (a, b))
         a = self.zz(node.left, block)
         b = self.zz(node.right, block)
-        if cls is ZzCong:
-            expr = "zz_cong(%s, %s, %d)" % (self.tup(a), self.tup(b),
-                                           node.modulus)
-        elif a[0] == "iv" or b[0] == "iv":
-            expr = "%s(%s, %s)" % (_ZZ_HELPERS[cls], self.tup(a),
-                                   self.tup(b))
-        else:
-            (alo, ahi), (blo, bhi) = self.ends(a), self.ends(b)
-            if cls is ZzLe:
-                expr = "T if %s <= %s else (F if %s < %s else U)" \
-                    % (ahi, blo, bhi, alo)
-            elif cls is ZzLt:
-                expr = "T if %s < %s else (F if %s <= %s else U)" \
-                    % (ahi, blo, bhi, alo)
-            else:
-                expr = "T if %s == %s == %s == %s else (F if %s < %s or " \
-                    "%s < %s else U)" % (alo, ahi, blo, bhi, ahi, blo, bhi,
-                                        alo)
-        return self.value(block, (cls, a, b), expr, deps, a[1:] + b[1:])
+        args = self.tup(a), self.tup(b)
+        expr = "zz_cong(%s, %s, %d)" % (args + (node.modulus,)) \
+            if cls is ZzCong else "%s(%s, %s)" % ((_ZZ_HELPERS[cls],) + args)
+        return self.value(block, (cls, a, b), "{r} = " + expr, deps,
+                          (a[1], b[1]))
 
 
 def _unless_none(expr, otherwise, *operands):

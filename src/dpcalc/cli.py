@@ -48,6 +48,7 @@ from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
                      UnsupportedZeroCell)
 from .formula import (Formula, Sort, eval_vf_term, free_vars, parse,
                       parse_term, pretty_print)
+from .formula.interpret import as_integer
 from .localfield import fpt, is_prime, qp
 from .motivic import (bad_primes, bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
@@ -376,19 +377,11 @@ def _compare_formula(args):
             "rows": rows}, failing
 
 
-def _json_int(value, what):
-    """value, if it is a JSON integer: a float or a bool is not one."""
-    if type(value) is not int:
-        raise ValueError("%s must be an integer, not %s"
-                         % (what, json.dumps(value)))
-    return value
-
-
 def _oracle_case(case, precision):
     """(params, precision, {name: term}) of one oracle case.  A bind is a
     field term in the case's parameters, which are JSON integers, and the
     uniformizer t, such as "acx * t^(3*k)"."""
-    params = {k: _json_int(v, k)
+    params = {k: as_integer(v, k)
               for k, v in (case.get("params") or {}).items()}
     binds = {}
     for name, text in (case.get("vf") or {}).items():
@@ -398,8 +391,8 @@ def _oracle_case(case, precision):
             raise ParseError("unknown name %r in the bind %r"
                              % (next(iter(loose)), text))
         binds[name] = term
-    return params, _json_int(case.get("precision", precision),
-                             "precision"), binds
+    return params, as_integer(case.get("precision", precision),
+                              "precision"), binds
 
 
 def _compare_cells(args):
@@ -414,8 +407,8 @@ def _compare_cells(args):
         phi = parse(block["domain"])
         spec_f = block.get("integrand") or {}
         if spec_f:
-            integrand = IntegrandSpec.abs_power(
-                spec_f["f"], _json_int(spec_f.get("e", 1), "e"))
+            integrand = IntegrandSpec.abs_power(spec_f["f"],
+                                                spec_f.get("e", 1))
         else:
             integrand = IntegrandSpec.one()
         cases = [_oracle_case(case, args.precision)

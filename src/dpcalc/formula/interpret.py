@@ -15,7 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from ..errors import PrecisionExhausted, UnboundVariable, UnsupportedFeature
+from ..errors import (InvalidArgument, PrecisionExhausted, UnboundVariable,
+                      UnsupportedFeature)
 from ..localfield import INF, LFElem, embed_rational, power
 # perfbench/spans.py traces from_digits under this module's name
 from ..localfield import from_digits  # noqa: F401
@@ -206,7 +207,7 @@ class _Evaluator:
         """Value-group interval (lower, upper) over Z with +-inf ends."""
         if isinstance(n, ZzVar):
             v = env[n.name]
-            return _PINF_POINT if v == INF else (int(v), int(v))
+            return _PINF_POINT if v == INF else (v, v)
         if isinstance(n, ZzConst):
             return (n.value, n.value)
         if isinstance(n, ZzInf):
@@ -289,6 +290,18 @@ class _Evaluator:
         return _U if saw_undecided else _F
 
 
+def as_integer(value, what):
+    """value, if it is an int: a float, a bool or a string is not one,
+    and none is truncated to one."""
+    if type(value) is not int:
+        # quoted as a cell file's oracle block gives it; imported here
+        # only, so that the oracle loads no JSON module
+        import json
+        raise InvalidArgument("%s must be an integer, not %s"
+                              % (what, json.dumps(value, default=repr)))
+    return value
+
+
 def bind_assignment(free, spec, assignment):
     """The values `interpret` evaluates with: for each (name, sort) in
     free, an LFElem of spec, a residue mod p, or an integer or INF
@@ -307,9 +320,9 @@ def bind_assignment(free, spec, assignment):
             else:
                 env[name] = embed_rational(Fraction(v), spec)
         elif sort is Sort.RF:
-            env[name] = int(v) % spec.prime
+            env[name] = as_integer(v, name) % spec.prime
         else:
-            env[name] = v if v == INF else int(v)
+            env[name] = v if v == INF else as_integer(v, name)
     return env
 
 

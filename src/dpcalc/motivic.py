@@ -39,7 +39,7 @@ from .formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                       ZzCong, ZzEq, ZzLe, ZzLt, free_vars, parse, parse_term,
                       pretty_print, walk)
 from .formula.count import count_rf_points
-from .formula.interpret import refuse_quantifier
+from .formula.interpret import as_integer, refuse_quantifier
 from .formula.nodes import conjuncts, substitute
 from .localfield import is_prime
 from .poly import evaluate, factor, interpolate
@@ -939,9 +939,10 @@ def specialize(value, q, assignment=None, budget=None):
     if missing:
         raise UnboundParameter("no value for parameter(s) %s"
                                % sorted(missing))
-    rf_consts = {n: RfConst(int(assignment[n]) % int(q))
+    rf_consts = {n: RfConst(as_integer(assignment[n], n) % int(q))
                  for n, s in fn.params if s is Sort.RF}
-    zz_env = {n: int(assignment[n]) for n, s in fn.params if s is Sort.ZZ}
+    zz_env = {n: as_integer(assignment[n], n)
+              for n, s in fn.params if s is Sort.ZZ}
 
     total = Fraction(0)
     for t in fn.terms:
@@ -1007,7 +1008,7 @@ def bind_parameters(value, assignment):
             bad_primes=value.bad_primes,
             derivation=tuple((cid, bind_parameters(fn, assignment), note)
                              for cid, fn, note in value.derivation))
-    env = {n: int(assignment[n]) for n, s in value.params
+    env = {n: as_integer(assignment[n], n) for n, s in value.params
            if s is Sort.ZZ and n in assignment}
     params = tuple((n, s) for n, s in value.params if n not in env)
     terms = []

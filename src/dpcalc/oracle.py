@@ -66,7 +66,7 @@ from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
 from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
-from .formula.interpret import (_PINF_POINT, bind_assignment,
+from .formula.interpret import (_PINF_POINT, as_integer, bind_assignment,
                                 refuse_quantifier)
 from .formula.nodes import rewrite
 from .localfield import INF, LFElem, embed_rational
@@ -156,11 +156,11 @@ class IntegrandSpec:
 
     @classmethod
     def abs_power(cls, f, e=1):
-        if int(e) < 1:
+        if as_integer(e, "e") < 1:
             raise InvalidArgument("exponent must be a positive integer")
         if isinstance(f, str):
             f = parse_term(f, Sort.VF)
-        return cls(f, int(e))
+        return cls(f, e)
 
     @property
     def is_one(self):
@@ -388,7 +388,7 @@ class _BoxWalk:
             return args[0] % self.p
         if op == "zz":
             v = env[args[0]]
-            return _PINF_POINT if v == INF else (int(v), int(v))
+            return _PINF_POINT if v == INF else (v, v)
         if op == "quantifier":
             refuse_quantifier(args[0])
         raise AssertionError(site)

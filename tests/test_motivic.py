@@ -7,11 +7,11 @@ from hypothesis import given, strategies as st
 
 import dpcalc.localfield as lf
 from dpcalc import oracle
-from dpcalc.errors import (BadPrime, DuplicateCenter, InvalidPrime,
-                           OverlapDetected, UnboundParameter,
+from dpcalc.errors import (BadPrime, DuplicateCenter, InvalidArgument,
+                           InvalidPrime, OverlapDetected, UnboundParameter,
                            UnsupportedFeature, UnsupportedZeroCell)
-from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, parse,
-                            parse_term)
+from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, interpret,
+                            parse, parse_term)
 from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             appendix2_steps, appendix2_symbolic,
                             appendix2_volume, bind_parameters,
@@ -311,6 +311,43 @@ def test_bind_parameters_outside_domain(cube_result):
     _, res = cube_result
     with pytest.raises(ValueError):
         bind_parameters(res, {"k": -1})
+
+
+# --- parameter values are integers, never truncated to one ---
+
+_FIELDS = [lf.qp, lf.fpt]
+
+
+@pytest.mark.parametrize("call, shown", [
+    *[pytest.param(lambda res, make=make: interpret(
+        parse("zz n; n == 2"), make(5, 4), {"n": 2.5}), "n ... 2.5",
+        id="interpret-zz-" + make.__name__) for make in _FIELDS],
+    *[pytest.param(lambda res, make=make: interpret(
+        parse("rf u; u == 1"), make(5, 4), {"u": 1.7}), "u ... 1.7",
+        id="interpret-rf-" + make.__name__) for make in _FIELDS],
+    *[pytest.param(lambda res, make=make: oracle.volume(
+        "vf x; zz n; ord(x) >= n", make(5, 2), assignment={"n": 0.5}),
+        "n ... 0.5", id="volume-" + make.__name__) for make in _FIELDS],
+    *[pytest.param(lambda res, make=make: oracle.volume(
+        "vf x; rf u; ac(x) == u", make(5, 2), assignment={"u": True}),
+        "u ... true", id="volume-bool-" + make.__name__) for make in _FIELDS],
+    pytest.param(lambda res: oracle.IntegrandSpec.abs_power("x", 1.5),
+                 "e ... 1.5", id="abs_power"),
+    pytest.param(lambda res: oracle.IntegrandSpec.abs_power("x", True),
+                 "e ... true", id="abs_power-bool"),
+    pytest.param(lambda res: specialize(res, 7, {"acx": 1, "k": 1.9}),
+                 "k ... 1.9", id="specialize-zz"),
+    pytest.param(lambda res: specialize(res, 7, {"acx": 1.5, "k": 1}),
+                 "acx ... 1.5", id="specialize-rf"),
+    pytest.param(lambda res: bind_parameters(res, {"k": 0.9}),
+                 "k ... 0.9", id="bind_parameters"),
+])
+def test_parameter_values_must_be_integers(cube_result, call, shown):
+    _, res = cube_result
+    name, value = shown.split(" ... ")
+    with pytest.raises(InvalidArgument) as info:
+        call(res)
+    assert str(info.value) == "%s must be an integer, not %s" % (name, value)
 
 
 # --- exact congruence-class evaluation ---

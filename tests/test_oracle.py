@@ -734,6 +734,37 @@ def test_many_box_variables_compile(make):
     assert iv.lower == iv.upper == 1
 
 
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_residue_loops_fill_the_nested_blocks(make):
+    """Fifteen nested residue loops inside the box loops leave five of
+    CPython's 20 statically nested blocks to six box variables: no
+    arithmetic template holds a loop of its own."""
+    names = ["x%d" % i for i in range(6)]
+    body = "ac(%s) == %s" % (" + ".join(names),
+                             " + ".join("s%d" % i for i in range(15)))
+    for i in reversed(range(15)):
+        body = "exists s%d:rf. %s" % (i, body)
+    iv = volume("vf %s; %s" % (", ".join(names), body), make(2, 1))
+    # ac of the sum is decided, and some residues add up to it, exactly
+    # where the sum of the first digits is odd
+    assert (iv.lower, iv.upper) == (F(1, 2), 1)
+
+
+@pytest.mark.parametrize("kind", list(lf.FieldKind), ids=["qp", "fpt"])
+def test_sweep_source_stays_small(kind):
+    """No arithmetic template holds a loop, a sum takes four lines at
+    most and a value-group term one interval local, so an integrand of a
+    dozen operations compiles to a sweep of at most 250 lines."""
+    phi = parse("vf x, y; ord(x - y) >= 1")
+    f = parse_term("(x - 2*t)*(x + 3*t^2)*(1 + t*(x^2 + 2*t - y)"
+                   "*(3 - 2*t*x))", Sort.VF)
+    names = ("x", "y")
+    derivatives = tuple(_derivative(f, name) for name in names)
+    source = boxcode._Codegen(names, boxcode._OPS[kind], phi.expr, f) \
+        .source(phi.expr, f, derivatives)
+    assert source.count("\n") <= 250
+
+
 # exact brackets recorded from the LFElem-per-box walk that preceded the
 # compiled integrand; (lower, upper, boxes_total, boxes_true,
 # boxes_undecided), the same in both characteristics.  The simple roots
