@@ -56,6 +56,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+from .errors import UnsupportedFeature
 from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
                                 _zi_scale, zz_cong, zz_eq, zz_le, zz_lt)
 from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
@@ -445,7 +446,12 @@ class _Codegen:
         # the loops that may nest, the rest share one loop over the
         # product of their digits
         order = sorted(range(len(names)), key=lambda i: -reads[names[i]])
-        cut = max(1, min(NESTED_LOOPS, _BOX_BLOCKS - _loop_depth(expr))) - 1
+        depth = _loop_depth(expr)
+        if depth >= _BOX_BLOCKS:
+            raise UnsupportedFeature(
+                "residue quantifiers nested %d deep; the box walk nests at "
+                "most %d" % (depth, _BOX_BLOCKS - 1))
+        cut = max(1, min(NESTED_LOOPS, _BOX_BLOCKS - depth)) - 1
         self.loops = [[i] for i in order[:cut]]
         if order[cut:]:
             self.loops.append(order[cut:])

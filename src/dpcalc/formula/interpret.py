@@ -290,16 +290,34 @@ class _Evaluator:
         return _U if saw_undecided else _F
 
 
+def _refuse(what, kind, value):
+    # quoted as a cell file's oracle block gives it; imported here only,
+    # so that the oracle loads no JSON module
+    import json
+    raise InvalidArgument("%s must be %s, not %s"
+                          % (what, kind, json.dumps(value, default=repr)))
+
+
 def as_integer(value, what):
     """value, if it is an int: a float, a bool or a string is not one,
     and none is truncated to one."""
     if type(value) is not int:
-        # quoted as a cell file's oracle block gives it; imported here
-        # only, so that the oracle loads no JSON module
-        import json
-        raise InvalidArgument("%s must be an integer, not %s"
-                              % (what, json.dumps(value, default=repr)))
+        _refuse(what, "an integer", value)
     return value
+
+
+def as_field_element(value, spec, what):
+    """value as an LFElem of spec: an LFElem of spec, or an int (not a
+    bool) or a Fraction embedded.  A float or a string is not one, and
+    none is rounded to one."""
+    if isinstance(value, LFElem):
+        if value.spec != spec:
+            raise ValueError(
+                "assignment for %r lives in a different field" % what)
+        return value
+    if type(value) is not int and not isinstance(value, Fraction):
+        _refuse(what, "a field element or a rational", value)
+    return embed_rational(Fraction(value), spec)
 
 
 def bind_assignment(free, spec, assignment):
@@ -312,13 +330,7 @@ def bind_assignment(free, spec, assignment):
             raise UnboundVariable("no value for %r" % name)
         v = assignment[name]
         if sort is Sort.VF:
-            if isinstance(v, LFElem):
-                if v.spec != spec:
-                    raise ValueError(
-                        "assignment for %r lives in a different field" % name)
-                env[name] = v
-            else:
-                env[name] = embed_rational(Fraction(v), spec)
+            env[name] = as_field_element(v, spec, name)
         elif sort is Sort.RF:
             env[name] = as_integer(v, name) % spec.prime
         else:

@@ -859,8 +859,8 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
     centers themselves as 0-cells.  Primes where the centers collide or
     fail to be integral are excluded and recorded."""
     centers = [Fraction(c) for c in centers]
-    mults = [int(m) for m in multiplicities]
-    e = int(exponent)
+    mults = [as_integer(m, "multiplicity") for m in multiplicities]
+    e = as_integer(exponent, "exponent")
     if len(mults) != len(centers):
         raise InvalidArgument("need one multiplicity per center")
     if any(m < 1 for m in mults):
@@ -946,18 +946,8 @@ def specialize(value, q, assignment=None, budget=None):
 
     total = Fraction(0)
     for t in fn.terms:
-        if t.domain.ranges:
-            point = {}
-            for r in t.domain.ranges:
-                if r.name not in zz_env:
-                    raise UnboundParameter("no value for parameter %r"
-                                           % r.name)
-                point[r.name] = zz_env[r.name]
-            if not t.domain.contains(point, env=zz_env):
-                raise InvalidArgument(
-                    "assignment %s leaves the residual domain %s"
-                    % (point, ", ".join(_render_range(r)
-                                        for r in t.domain.ranges)))
+        if t.domain.bind(zz_env) is None:
+            raise _outside(zz_env, t.domain)
         count = 1
         if t.rf_class is not None:
             inst = Formula(substitute(t.rf_class.expr, rf_consts))
@@ -970,29 +960,12 @@ def specialize(value, q, assignment=None, budget=None):
 # partial parameter binding and congruence-case evaluation
 
 
-def _bind_domain(domain, env):
-    """Residual domain under a partial integer assignment, or None when the
-    assignment falls outside the domain."""
-    kept = []
-    for r in domain.ranges:
-        lo = r.lower.bind(env) if r.lower is not None else None
-        up = r.upper.bind(env) if r.upper is not None else None
-        if r.name in env:
-            v = env[r.name]
-            if v % r.modulus != r.residue:
-                return None
-            for bound, is_upper in ((lo, False), (up, True)):
-                if bound is None:
-                    continue
-                if not bound.is_constant():
-                    raise UnsupportedFeature(
-                        "the range for %s still depends on %s"
-                        % (r.name, sorted(bound.variables())))
-                if v > bound.const if is_upper else v < bound.const:
-                    return None
-            continue
-        kept.append(VarRange(r.name, lo, up, r.modulus, r.residue))
-    return PresDomain(tuple(kept))
+def _outside(env, domain):
+    """The refusal of an integer assignment outside a term's residual
+    domain: the function is only represented there."""
+    return InvalidArgument(
+        "assignment %s leaves the residual domain %s"
+        % (env, ", ".join(_render_range(r) for r in domain.ranges)))
 
 
 def bind_parameters(value, assignment):
@@ -1013,11 +986,9 @@ def bind_parameters(value, assignment):
     params = tuple((n, s) for n, s in value.params if n not in env)
     terms = []
     for t in value.terms:
-        dom = _bind_domain(t.domain, env)
+        dom = t.domain.bind(env)
         if dom is None:
-            raise InvalidArgument(
-                "assignment %s leaves the residual domain %s"
-                % (env, ", ".join(_render_range(r) for r in t.domain.ranges)))
+            raise _outside(env, t.domain)
         terms.append((t.rf_class, dom, t.coeff.substitute(env)))
     return ConstructibleFn(terms, params)
 
@@ -1058,7 +1029,7 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None):
         if s is Sort.RF:
             if n not in rf_witness:
                 raise UnboundParameter("no witness for parameter %r" % n)
-            rf_env[n] = int(rf_witness[n])
+            rf_env[n] = as_integer(rf_witness[n], n)
 
     cases = []
     for residue in range(1, modulus):

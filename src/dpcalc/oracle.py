@@ -66,8 +66,8 @@ from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
 from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
-from .formula.interpret import (_PINF_POINT, as_integer, bind_assignment,
-                                refuse_quantifier)
+from .formula.interpret import (_PINF_POINT, as_field_element, as_integer,
+                                bind_assignment, refuse_quantifier)
 from .formula.nodes import rewrite
 from .localfield import INF, LFElem, embed_rational
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
@@ -325,9 +325,10 @@ class _BoxWalk:
             try:
                 # eval_vf_term converts every assigned value, used or not,
                 # so a value with no image in this field raises as it would
-                # there
-                vf_env = {n: embed_rational(Fraction(v), spec)
-                          if isinstance(v, (int, Fraction)) else v
+                # there; a residue or value-group value reaches it as
+                # given, INF included
+                other = {n for n, s in self.phi.free if s is not Sort.VF}
+                vf_env = {n: v if n in other else as_field_element(v, spec, n)
                           for n, v in self.assignment.items()}
                 for site in sites[member:]:
                     if site[0] == "d" and not integral:

@@ -2,10 +2,12 @@
 
 A domain is a triangular list of variable ranges: each variable gets a lower
 and upper bound (affine in outer variables, or infinite) plus an optional
-congruence restriction.  Summation runs innermost variable first; every ray
-is a geometric series in L and every finite range telescopes, so results stay
-exact elements of the coefficient ring, possibly with leftover parameters in
-the exponent.
+congruence restriction.  `PresDomain.bind` is the one place an integer
+assignment meets a domain: it checks the variables assigned, drops them and
+substitutes into the bounds of the rest.  Summation runs innermost variable
+first; every ray is a geometric series in L and every finite range
+telescopes, so results stay exact elements of the coefficient ring, possibly
+with leftover parameters in the exponent.
 """
 
 from __future__ import annotations
@@ -178,12 +180,6 @@ class VarRange:
         if not 0 <= self.residue < self.modulus:
             raise ValueError("residue must lie in [0, modulus)")
 
-    def bind(self, env):
-        return VarRange(self.name,
-                        self.lower.bind(env) if self.lower else None,
-                        self.upper.bind(env) if self.upper else None,
-                        self.modulus, self.residue)
-
 
 class PresDomain:
     """Triangular product of VarRanges, outermost first."""
@@ -230,21 +226,31 @@ class PresDomain:
         return hash(self.ranges)
 
     def bind(self, env):
-        return PresDomain(tuple(r.bind(env) for r in self.ranges))
+        """The residual domain under an integer assignment `env` of any
+        names, or None when `env` lies outside the domain.
 
-    def contains(self, point, env=None):
-        """Numeric membership check; point maps every domain variable."""
-        scope = dict(env or {})
+        Outermost first, each variable `env` assigns is checked against its
+        congruence, then its lower and its upper bound, and dropped; `env`
+        is substituted into the bounds of the rest.  A bound of an assigned
+        variable that still names an unassigned one is UnsupportedFeature."""
+        kept = []
         for r in self.ranges:
-            v = point[r.name]
+            lo = r.lower.bind(env) if r.lower is not None else None
+            up = r.upper.bind(env) if r.upper is not None else None
+            if r.name not in env:
+                kept.append(VarRange(r.name, lo, up, r.modulus, r.residue))
+                continue
+            v = env[r.name]
             if v % r.modulus != r.residue:
-                return False
-            if r.lower is not None and v < r.lower.evaluate(scope):
-                return False
-            if r.upper is not None and v > r.upper.evaluate(scope):
-                return False
-            scope[r.name] = v
-        return True
+                return None
+            for bound, sign in ((lo, 1), (up, -1)):
+                if bound is not None and not bound.is_constant():
+                    raise UnsupportedFeature(
+                        "the range for %s still depends on %s"
+                        % (r.name, sorted(bound.variables())))
+                if bound is not None and sign * (v - bound.const) < 0:
+                    return None
+        return PresDomain(kept)
 
 
 @dataclass(frozen=True)

@@ -341,13 +341,33 @@ _FIELDS = [lf.qp, lf.fpt]
                  "acx ... 1.5", id="specialize-rf"),
     pytest.param(lambda res: bind_parameters(res, {"k": 0.9}),
                  "k ... 0.9", id="bind_parameters"),
+    pytest.param(lambda res: integrate_linear_product([0], [1.5]),
+                 "multiplicity ... 1.5", id="linear_product-multiplicity"),
+    pytest.param(lambda res: integrate_linear_product([0], [1], 2.7),
+                 "exponent ... 2.7", id="linear_product-exponent"),
+    pytest.param(lambda res: integrate_linear_product([0], [1], True),
+                 "exponent ... true", id="linear_product-exponent-bool"),
+    pytest.param(lambda res: residue_cases(res, 3, {"acx": 1.9}, {"k": 0}),
+                 "acx ... 1.9", id="residue_cases-witness"),
+    *[pytest.param(lambda res, make=make, v=v: oracle.volume(
+        "vf x, a; ord(x - a) >= 1", make(5, 3), assignment={"a": v}),
+        "a ... %s ... a field element or a rational" % shown,
+        id="volume-vf-%s-%s" % (type(v).__name__, make.__name__))
+      for make in _FIELDS for v, shown in ((0.5, "0.5"), ("1/3", '"1/3"'))],
+    *[pytest.param(lambda res, make=make, v=v: oracle.integrate(
+        oracle.IntegrandSpec.abs_power("x - a"), "vf x; ord(x) >= 0",
+        make(5, 3), assignment={"a": v}),
+        "a ... %s ... a field element or a rational" % shown,
+        id="integrate-vf-%s-%s" % (type(v).__name__, make.__name__))
+      for make in _FIELDS for v, shown in ((0.5, "0.5"), ("1/3", '"1/3"'))],
 ])
 def test_parameter_values_must_be_integers(cube_result, call, shown):
     _, res = cube_result
-    name, value = shown.split(" ... ")
+    name, value, *kind = shown.split(" ... ")
     with pytest.raises(InvalidArgument) as info:
         call(res)
-    assert str(info.value) == "%s must be an integer, not %s" % (name, value)
+    assert str(info.value) == "%s must be %s, not %s" % (
+        name, kind[0] if kind else "an integer", value)
 
 
 # --- exact congruence-class evaluation ---

@@ -113,6 +113,18 @@ def test_value_group_quantifier_refused(make, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_twenty_nested_residue_quantifiers_refused(make):
+    """Each residue quantifier is a loop in the sweep, and CPython nests
+    at most 20 blocks, one of them a box loop: twenty are refused before
+    any code is compiled (interpret would enumerate 2^20 witnesses)."""
+    names = ["s%d" % i for i in range(20)]
+    phi = "vf x; %s ac(x) == %s" % (
+        " ".join("exists %s:rf." % n for n in names), " + ".join(names))
+    with pytest.raises(UnsupportedFeature, match="nested 20 deep"):
+        volume(phi, make(2, 1))
+
+
 # --- budget ---
 
 def test_budget_argument():

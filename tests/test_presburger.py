@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcalc import presburger as P
-from dpcalc.errors import NotSummable, ParseError
+from dpcalc.errors import NotSummable, ParseError, UnsupportedFeature
 from dpcalc.presburger import (AffineForm, PresDomain, PresTerm, SymSum,
                                VarRange, parse_affine)
 from dpcalc.symring import ONE, SymA
@@ -224,9 +224,39 @@ def test_iterate_and_contains():
                        VarRange("m", lower=var("k") + 1)))
     pts = list(iterate(dom2, 3))
     for pt in pts:
-        assert dom2.contains(pt)
+        assert dom2.bind(pt) == PresDomain(())
     assert {(p["k"], p["m"]) for p in pts} == \
         {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+
+
+# --- binding an assignment ---
+
+def test_bind_drops_assigned_variables():
+    assert PresDomain.single("k", lower=0).bind({"k": 2}) == PresDomain(())
+    assert PresDomain.single("k", lower=0).bind({}) == \
+        PresDomain.single("k", lower=0)
+
+
+def test_bind_substitutes_and_refuses_outside_points():
+    dom = PresDomain((VarRange("k", lower=const(0), upper=const(6),
+                               modulus=2, residue=0),
+                      VarRange("m", lower=var("k") + 1,
+                               upper=var("k").scale(2) + var("n"))))
+    # k is checked and dropped, and its value enters the bounds of m
+    assert dom.bind({"k": 2}) == PresDomain(
+        (VarRange("m", lower=const(3), upper=var("n") + 4),))
+    assert dom.bind({"k": 2, "n": 1, "m": 5}) == PresDomain(())
+    # a wrong residue, and past either bound of k or of m
+    for env in ({"k": 3}, {"k": -2}, {"k": 8},
+                {"k": 2, "n": 1, "m": 2}, {"k": 2, "n": 1, "m": 6}):
+        assert dom.bind(env) is None, env
+
+
+def test_bind_refuses_a_bound_on_an_unassigned_name():
+    dom = PresDomain((VarRange("k", lower=const(0)),
+                      VarRange("m", lower=var("k") + 1)))
+    with pytest.raises(UnsupportedFeature, match="range for m"):
+        dom.bind({"m": 3})
 
 
 # --- property tests ---
