@@ -854,12 +854,19 @@ class _Codegen:
         block = self.hoist(block, self.deps(node, scope))
         cls = type(node)
         if cls is And or cls is Or:
+            # a side that is the connective's unit (T for And, F for Or)
+            # drops out
+            unit = "T" if cls is And else "F"
             a = self.truth(node.left, block, scope)
+            if a == unit:
+                return self.truth(node.right, block, scope)
+            right = _Block(block)
+            b = self.truth(node.right, right, scope)
+            if b == unit and not right.lines:
+                return a
             r = self.new("r")
             block.lines.append("%s = %s" % (r, a))
             self.home[r] = block
-            right = _Block(block)
-            b = self.truth(node.right, right, scope)
             if cls is And:
                 right.lines.append("%s = %s if %s is T else (F if %s is F "
                                    "else U)" % (r, b, r, b))
@@ -901,6 +908,12 @@ class _Codegen:
             # reflexivity decides syntactically identical sides unevaluated
             return "F" if isinstance(node, (RfNe, ZzLt)) else "T"
         cls = type(node)
+        if cls is ZzLe and type(node.left) is ZzConst \
+                and node.left.value <= 0 and type(node.right) is ZzOrd \
+                and type(node.right.operand) is VfVar \
+                and node.right.operand.name in self.names:
+            # a box variable lies in O: its ord is >= 0, and INF at 0
+            return "T"
         deps = self.deps(node, scope)
         if cls is VfEq:
             w = self.vf(VfSub(node.left, node.right), block)

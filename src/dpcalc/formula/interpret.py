@@ -356,14 +356,11 @@ def interpret(phi, spec, assignment):
 def eval_vf_term(term, spec, assignment):
     """Evaluate a valued-field term at an assignment.
 
-    Values may be LFElem, int, or Fraction; returns an LFElem (possibly
-    only partially determined, matching the inputs)."""
-    env = {}
-    for name, v in assignment.items():
-        if isinstance(v, LFElem):
-            env[name] = v
-        elif isinstance(v, (int, Fraction)):
-            env[name] = embed_rational(Fraction(v), spec)
-        else:
-            env[name] = v
+    Values may be LFElem, int, or Fraction; INF, which a value-group name
+    of the caller's assignment may hold, passes as given, and any other
+    value raises InvalidArgument.  Returns an LFElem (possibly only
+    partially determined, matching the inputs)."""
+    env = {name: v if isinstance(v, LFElem) or v == INF
+           else as_field_element(v, spec, name)
+           for name, v in assignment.items()}
     return _Evaluator(spec).vf(term, env)

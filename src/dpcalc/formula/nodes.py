@@ -20,7 +20,18 @@ class Sort(Enum):
 
 
 class Node:
+    """A syntax tree node.  Every node class is a frozen dataclass whose
+    hash is computed once, on first use, and kept on the node, so that a
+    memo keyed by a tree costs O(1) per lookup rather than a walk of the
+    tree.  The kept hash is not pickled: string hashes are salted per
+    process."""
     __slots__ = ()
+    _hash = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 # valued-field terms
@@ -233,6 +244,21 @@ class Exists(Node):
     body: Node
 
 
+def _cache_hash(cls):
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = tree_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+
+
+for _cls in Node.__subclasses__():
+    _cache_hash(_cls)
+
 _VAR_SORT = {VfVar: Sort.VF, RfVar: Sort.RF, ZzVar: Sort.ZZ}
 
 
@@ -317,13 +343,23 @@ def substitute(node, mapping):
 
 
 class Formula:
-    """A parsed formula: expression tree plus its free variables."""
+    """A parsed formula: expression tree plus its free variables.  It is
+    immutable, because the parser hands one object to every caller that
+    parses the same text."""
+
+    __slots__ = ("expr", "free")
 
     def __init__(self, expr, free=None):
-        self.expr = expr
         if free is None:
             free = free_vars(expr).items()
-        self.free = tuple(free)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "free", tuple(free))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Formula is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("a Formula is immutable")
 
     def __eq__(self, other):
         if not isinstance(other, Formula):

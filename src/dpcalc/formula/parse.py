@@ -19,10 +19,19 @@ to !exists! while parsing.  '>' and '>=' are sugar for the flipped '<'/'<='.
 Variables may be declared up front or have their sort inferred from use;
 inference failures raise SortError at the offending position.  '#' comments
 run to end of line.
+
+Parsed trees are shared: `parse` and `parse_term` keep the tree of each
+(text, sort, values) key in one bounded LRU memo, so every caller that
+reads the same text gets the same object.  That is safe because the trees
+are immutable (frozen node dataclasses, and an immutable Formula).  The
+memo holds syntax only.  A ParseError or SortError is never memoized: a
+bad text is parsed again on every call and raises the same error, with
+the same message and position.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 
@@ -32,6 +41,9 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar)
+
+# distinct (text, sort, values) keys whose trees are kept
+MEMO_SIZE = 256
 
 _KEYWORDS = {"vf", "rf", "zz", "exists", "forall", "mod", "inf", "ord",
              "ac", "t"}
@@ -453,7 +465,7 @@ def _mentions_var(t):
 def parse(src, default_sort=None):
     """Parse a formula.  default_sort settles otherwise-ambiguous atoms
     (count_rf_points uses Sort.RF)."""
-    return _Parser(_lex(src), default_sort).parse_formula()
+    return _syntax(src, default_sort, None)
 
 
 def parse_term(src, sort, values=None):
@@ -461,7 +473,18 @@ def parse_term(src, sort, values=None):
     polynomial "y^3 - x" or a value-group form "2*k - 1".  Every
     variable takes that sort; the names in `values` are read as those
     integers instead.  A term of another sort raises SortError."""
-    parser = _Parser(_lex(src), values=values)
+    return _syntax(src, sort, tuple(sorted(values.items())) if values
+                   else ())
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _syntax(src, sort, values):
+    """The tree of one text: a Formula when values is None, else a term
+    built at sort with the names in values, a tuple of (name, integer)
+    pairs, read as constants.  A raised error is never kept."""
+    if values is None:
+        return _Parser(_lex(src), sort).parse_formula()
+    parser = _Parser(_lex(src), values=dict(values))
     tree = parser.parse_term()
     parser.end()
     if sort not in parser.possible(tree):

@@ -1106,13 +1106,6 @@ def appendix2_symbolic():
     return appendix2_steps()["total"]
 
 
-@functools.lru_cache(maxsize=64)
-def _appendix2_formula(text):
-    """The parsed appendix-2 formula for one text.  A Formula is not
-    frozen, so the cached object goes to count_rf_points only."""
-    return parse(text, default_sort=Sort.RF)
-
-
 def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
                      budget=None):
     """The same volume numerically, by counting over F_q at level zero.
@@ -1145,5 +1138,6 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
     else:
         raise ValueError("unknown eta_mode %r" % (eta_mode,))
 
-    count = count_rf_points(_appendix2_formula(text), q, budget=budget)
+    count = count_rf_points(parse(text, default_sort=Sort.RF), q,
+                            budget=budget)
     return Fraction(count, q ** 3)

@@ -1,5 +1,7 @@
 """Three-sorted formulas: parsing, printing, truth evaluation, counting."""
 
+import importlib
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -14,7 +16,7 @@ from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
                             RfVar, Sort, Truth3, VfAdd, VfConst, VfMul, VfPow,
-                            VfSub, VfUnif, VfVar, ZzOrd,
+                            VfSub, VfUnif, VfVar, ZzConst, ZzOrd, ZzVar,
                             count_rf_points, interpret, parse, parse_term,
                             pretty_print)
 from dpcalc.formula.count import _compile, _Plan
@@ -107,6 +109,106 @@ def test_substitute_replaces_free_variables_and_respects_shadowing():
                                            RfEq(RfVar("s"), RfConst(3)))))
     assert got.right.left is shadowed
     assert substitute(expr, {"y": RfConst(0)}) is expr
+
+
+# --- the parse memo ---
+
+parse_module = importlib.import_module("dpcalc.formula.parse")
+
+
+def test_the_same_text_returns_the_same_tree():
+    text = "vf x; rf u; ord(x - 1) >= 2 && ac(x) == u"
+    assert parse(text) is parse(text)
+    assert parse_term("y^3 - x", Sort.VF) is parse_term("y^3 - x", Sort.VF)
+    # values are keyed as sorted items, so their order does not matter
+    assert parse_term("a * t^(3*k)", Sort.VF, {"a": 2, "k": 1}) \
+        is parse_term("a * t^(3*k)", Sort.VF, {"k": 1, "a": 2})
+
+
+def test_sort_and_values_key_entries_of_their_own():
+    assert parse("x == 1", Sort.RF).free == (("x", Sort.RF),)
+    assert parse("x == 1", Sort.VF).free == (("x", Sort.VF),)
+    assert parse("x == 1", Sort.ZZ).free == (("x", Sort.ZZ),)
+    # the same text as a formula and as a term of each sort
+    assert parse_term("k + 1", Sort.ZZ) != parse_term("k + 1", Sort.RF)
+    assert parse_term("k + 1", Sort.ZZ).left == ZzVar("k")
+    assert parse_term("k + 1", Sort.ZZ, {"k": 1}).left == ZzConst(1)
+    assert parse_term("k + 1", Sort.ZZ, {"k": 2}).left == ZzConst(2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse("vf x; ord(x) >= && x == 0"),
+    lambda: parse("vf x; ac(x) == 1 && x != 0"),
+    lambda: parse_term("ord(x)", Sort.VF),
+    lambda: parse_term("x +", Sort.VF),
+])
+def test_a_bad_text_raises_afresh_on_every_call(monkeypatch, call):
+    lexed = []
+    lex = parse_module._lex
+    monkeypatch.setattr(parse_module, "_lex",
+                        lambda src: lexed.append(src) or lex(src))
+    seen = []
+    for _ in range(3):
+        with pytest.raises((ParseError, SortError)) as info:
+            call()
+        e = info.value
+        seen.append((type(e), str(e), e.line, e.column))
+    assert seen[0] == seen[1] == seen[2]
+    assert len(lexed) == 3
+
+
+def test_the_memo_is_bounded():
+    memo = parse_module._syntax
+    assert memo.cache_info().maxsize == parse_module.MEMO_SIZE
+    texts = ["vf x; ord(x) >= %d" % i
+             for i in range(parse_module.MEMO_SIZE + 1)]
+    first = parse(texts[0])
+    for text in texts[1:]:
+        parse(text)
+    assert memo.cache_info().currsize == parse_module.MEMO_SIZE
+    # the least recently used entry went, and parses again to an equal tree
+    again = parse(texts[0])
+    assert again == first and again is not first
+
+
+def test_a_formula_is_immutable():
+    phi = parse("vf x; ord(x) >= 0")
+    for name in ("expr", "free", "other"):
+        with pytest.raises(AttributeError):
+            setattr(phi, name, None)
+    with pytest.raises(AttributeError):
+        del phi.expr
+    assert phi == parse("vf x; ord(x) >= 0")
+
+
+def test_equal_trees_parsed_apart_hash_equal():
+    a = parse("vf x; ord(x^2 - t) >= 1 && ac(x) != 0")
+    b = parse("vf x;  ord(x^2 - t) >= 1 && ac(x) != 0")   # another key
+    assert a.expr is not b.expr
+    assert a.expr == b.expr and hash(a.expr) == hash(b.expr)
+    assert a == b and hash(a) == hash(b)
+    built = VfSub(VfPow(VfVar("x"), 2), VfUnif())
+    assert hash(built) == hash(a.expr.left.right.operand)
+    # the kept hash is not pickled: string hashes are salted per process
+    copy = pickle.loads(pickle.dumps(a.expr))
+    assert "_hash" in vars(a.expr) and "_hash" not in vars(copy)
+    assert copy == a.expr and hash(copy) == hash(a.expr)
+
+
+def test_a_repeated_compare_lexes_only_what_is_not_a_term(
+        monkeypatch, run_cli, fx):
+    """A second identical compare reads every formula and term from the
+    memo; only the named center root(x, eta2), which is not a term and
+    so raises, is lexed again."""
+    argv = ("compare", fx("cube.cells.json"), "--primes", "5")
+    first = run_cli(*argv)
+    lexed = []
+    lex = parse_module._lex
+    monkeypatch.setattr(parse_module, "_lex",
+                        lambda src: lexed.append(src) or lex(src))
+    assert run_cli(*argv) == first
+    assert first[0] == 0
+    assert lexed == ["root(x, eta2)"]
 
 
 # --- printing ---

@@ -360,6 +360,11 @@ _FIELDS = [lf.qp, lf.fpt]
         "a ... %s ... a field element or a rational" % shown,
         id="integrate-vf-%s-%s" % (type(v).__name__, make.__name__))
       for make in _FIELDS for v, shown in ((0.5, "0.5"), ("1/3", '"1/3"'))],
+    *[pytest.param(lambda res, make=make, v=v: oracle.eval_vf_term(
+        parse_term("x - a", Sort.VF), make(5, 3), {"x": 1, "a": v}),
+        "a ... %s ... a field element or a rational" % shown,
+        id="eval_vf_term-%s-%s" % (type(v).__name__, make.__name__))
+      for make in _FIELDS for v, shown in ((0.5, "0.5"), ("1/3", '"1/3"'))],
 ])
 def test_parameter_values_must_be_integers(cube_result, call, shown):
     _, res = cube_result

@@ -777,6 +777,26 @@ def test_sweep_source_stays_small(kind):
     assert source.count("\n") <= 250
 
 
+@pytest.mark.parametrize("kind", list(lf.FieldKind), ids=["qp", "fpt"])
+def test_a_box_ord_bound_at_or_below_zero_folds_when_compiled(kind):
+    """A box variable lies in O, so `c <= ord(y)` with c <= 0 is TRUE on
+    every box: it compiles to no comparison, and its conjunction to the
+    other side alone.  A bound above zero is still decided per child, and
+    so is one on a parameter, which need not lie in O."""
+    def source(text, names=("x", "y")):
+        expr = parse(text).expr
+        return boxcode._Codegen(names, boxcode._OPS[kind], expr, None) \
+            .source(expr, None, ())
+
+    for text in ("vf y; ord(y) >= 0", "vf y; -2 <= ord(y)"):
+        assert "zz_le" not in source(text)
+    both = source("vf x, y; ord(y) >= 0 && ord(x - y) >= 1")
+    assert both.count("zz_le") == 1 and " is not F:" not in both
+    assert "zz_le((1, 1)" in source("vf y; ord(y) >= 1")
+    assert "zz_le((0, 0)" in source("vf x, a; ord(a) >= 0 && ord(x) >= 1",
+                                    names=("x",))
+
+
 # exact brackets recorded from the LFElem-per-box walk that preceded the
 # compiled integrand; (lower, upper, boxes_total, boxes_true,
 # boxes_undecided), the same in both characteristics.  The simple roots
