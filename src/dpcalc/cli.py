@@ -304,7 +304,7 @@ def cmd_integrate(args):
         witness = {n: _CLASS_TOKENS[t][1] for n, t in tokens.items()}
         out["cases"] = [
             {"when": "q = %d (mod %d)" % (r, modulus), "value": v.render()}
-            for r, v in residue_cases(result, modulus, witness, numeric)]
+            for r, v in residue_cases(bound, modulus, witness)]
     _emit(args, out)
     return 0
 

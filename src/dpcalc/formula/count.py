@@ -1,15 +1,18 @@
 """Exact point counting over prime residue fields.
 
-A formula is compiled once, per (formula, free names), into the source of
-one Python function of q that runs a planned loop nest at interpreter
-speed:
+A formula is compiled once, per (formula, free variables, parameter
+names), into the source of one Python function count(q, g0, g1, ...) that
+runs a planned loop nest at interpreter speed.  The parameters are the
+free variables given values: each argument is reduced mod q when the
+function starts and is bound before any loop, like a constant, so one
+function serves every parameter value and every q:
 
 * The top-level conjunction is split into conjuncts.  Variables are looped
   over in greedy order: the conjunct with the fewest variables not yet
-  bound binds them next.  Each conjunct is tested in the outermost loop
-  where all its variables are bound, so a false test there skips every
-  loop inside it.  A free variable that no conjunct mentions gets no loop;
-  it multiplies the count by q.
+  bound binds them next; parameters are bound already.  Each conjunct is
+  tested in the outermost loop where all its variables are bound, so a
+  false test there skips every loop inside it.  A free variable that no
+  conjunct mentions gets no loop; it multiplies the count by q.
 * The innermost variable x is eliminated when an equation conjunct tested
   there has syntactic degree exactly 1 in x.  For f = lhs - rhs, f0 = f(0)
   and k = f(1) - f0 mod q, f(x) = f0 + k*x in F_q: when k != 0 the one root
@@ -18,23 +21,30 @@ speed:
   checked to be prime.
 * A quantifier `exists s. A == B(s) and C(s)`, in either orientation of
   the equation, where A does not mention s and B and every other conjunct
-  C mention no variable but s, is decided by one set lookup: A mod q is
-  tested for membership in the image {B(s) mod q : s in F_q, C(s)}.  The
-  image set is built once per call of the counting function, after the
-  constants and after any image set C itself uses; quantifiers whose
-  sets have the same source share one.  Sets are never memoized across
-  calls.
+  C mention no variable but s and the parameters (a name an enclosing
+  quantifier rebinds is no parameter there), is decided by one set
+  lookup: A mod q is tested for membership in the image
+  {B(s) mod q : s in F_q, C(s)}.  The image set is built once per call of
+  the counting function, after the parameters and constants and after any
+  image set C itself uses; quantifiers whose sets have the same source
+  share one.  Sets are never memoized across calls.
 * Inside any other quantifier tested outside the innermost loop, subterms
-  that do not involve the quantified variables are computed once, before
-  the quantifier's own loop.
+  that do not involve the quantified variables (they may involve
+  parameters and constants) are computed once, before the quantifier's
+  own loop.
 
 Arithmetic stays in Z and reduces mod q at each comparison; integer
 constants are reduced mod q when the function runs, so one compiled
-function serves every q.  The compiled functions are kept in a bounded LRU
-memo, which holds code and never a count.  The budget is the one
-enumeration budget of `dpcalc.budget`, shared with the oracle, and stays
-nominal: it bounds q^(free + quantified), the size of the plain
-enumeration, whatever the plan saves.
+function serves every q.  The counters are kept in a bounded LRU memo,
+keyed by (expression, free variables with their sorts, parameter names),
+which holds code and never a count.  An entry is made after the sorts and
+quantifiers have been checked, and keeps the nominal depth it found, so a
+warm count walks no tree; its code is generated on its first call.  The
+budget is the one enumeration budget of `dpcalc.budget`, shared with the
+oracle, and stays nominal: it bounds q^(free + quantified), the size of
+the plain enumeration, whatever the plan saves.  Parameters are not
+enumerated and are not counted in it.  It is checked after the sorts and
+quantifiers and before any code is generated.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ import functools
 from ..budget import check as check_budget
 from ..errors import InvalidPrime, UnsupportedFeature
 from ..localfield import is_prime
-from .interpret import refuse_quantifier
+from .interpret import as_integer, refuse_quantifier
 from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                     RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
                     conjuncts, free_vars, walk)
@@ -55,26 +65,41 @@ from .printer import pretty_print
 MEMO_SIZE = 256
 
 
-def count_rf_points(phi, q, budget=None):
-    """Number of solutions of phi in F_q^n, n = number of free variables.
+def count_rf_points(phi, q, budget=None, values=None):
+    """Number of solutions of phi in F_q^n, n = number of free variables
+    not bound by values.
 
     phi may be source text (parsed with residue-sort defaulting), a Formula,
-    or a bare expression node.  Only residue-sort formulas are countable;
-    q must be a rational prime.  Raises BudgetExceeded when
-    q^(free + quantified) exceeds `budget`, or when it is None the limit
-    `dpcalc.budget.resolve` reads from the environment or its default.
+    or a bare expression node.  values maps residue parameters, free
+    variables of phi, to integers, each read mod q; a name phi does not
+    mention is ignored.  Only residue-sort formulas are countable; q must
+    be a rational prime.  Raises BudgetExceeded when q^(free + quantified),
+    parameters not included, exceeds `budget`, or when it is None the
+    limit `dpcalc.budget.resolve` reads from the environment or its
+    default.
     """
     if isinstance(phi, str):
         phi = parse(phi, default_sort=Sort.RF)
-    if isinstance(phi, Formula):
-        expr = phi.expr
-        free = dict(phi.free)
-    else:
-        expr = phi
-        free = free_vars(phi)
+    elif not isinstance(phi, Formula):
+        phi = Formula(phi)
+    expr, free = phi.expr, phi.free
     if not is_prime(q):
         raise InvalidPrime("%r is not a rational prime" % (q,))
-    bad = [n for n, s in free.items() if s is not Sort.RF]
+    params = tuple(sorted(n for n, _ in free if n in values)) if values \
+        else ()
+    counter = _compile(expr, free, params)
+    check_budget(q, counter.depth, budget,
+                 "q^%d evaluations at q = %d" % (counter.depth, q))
+    return counter.count(q, *[as_integer(values[n], n) for n in params])
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _compile(expr, free, params):
+    """The counter of expr over the (name, sort) pairs free, of which the
+    names params are bound to its arguments.  The sorts and quantifiers
+    are checked here, once, and the code is generated on the counter's
+    first call, after the budget has passed its nominal depth."""
+    bad = [n for n, s in free if s is not Sort.RF]
     if bad:
         raise UnsupportedFeature(
             "free variables %s are not residue-sort" % sorted(bad))
@@ -84,22 +109,30 @@ def count_rf_points(phi, q, budget=None):
             if node.sort is not Sort.RF:
                 refuse_quantifier(node.sort)
             nquant += 1
-    names = tuple(sorted(free))
-    depth = len(names) + nquant
-    check_budget(q, depth, budget,
-                 "q^%d evaluations at q = %d" % (depth, q))
-    return _compile(expr, names)(q)
+    names = tuple(sorted(n for n, _ in free if n not in params))
+    return _Counter(expr, names, params, len(names) + nquant)
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
-def _compile(expr, names):
-    """The counting function of expr, a function of q."""
-    scope = {"__builtins__": {}, "range": range, "pow": pow, "any": any,
-             "sum": sum}
-    # a file name of its own per formula, so that profiles tell them apart
-    exec(compile(_Plan(expr, names).source(),
-                 "<count_rf_points:%s>" % pretty_print(expr), "exec"), scope)
-    return scope["count"]
+class _Counter:
+    """The nominal depth of a count and its counting function
+    count(q, *params), which replaces itself by the generated one on its
+    first call."""
+
+    def __init__(self, expr, names, params, depth):
+        self.depth = depth
+        self._plan = expr, names, params
+
+    def count(self, q, *values):
+        expr, names, params = self._plan
+        scope = {"__builtins__": {}, "range": range, "pow": pow, "any": any,
+                 "sum": sum}
+        # a file name of its own per formula, so that profiles tell them
+        # apart
+        exec(compile(_Plan(expr, names, params).source(),
+                     "<count_rf_points:%s>" % pretty_print(expr), "exec"),
+             scope)
+        self.count = scope["count"]
+        return self.count(q, *values)
 
 
 def _degree(n, x):
@@ -132,17 +165,21 @@ def _linear_in(n, x):
 
 
 class _Plan:
-    """The loop nest counting expr over the free variables names."""
+    """The loop nest counting expr over the free variables names, with the
+    names params bound before any loop."""
 
-    def __init__(self, expr, names):
+    def __init__(self, expr, names, params=()):
         self.env = {name: "v%d" % i for i, name in enumerate(names)}
+        self.args = ["g%d" % i for i in range(len(params))]
+        self.env.update(zip(params, self.args))
+        self.params = frozenset(params)
         self.fresh = len(names)
         self.consts = {}
         # image-set source -> name, in the order the sets are built
         self.images = {}
         self.hoisted = []
         parts = conjuncts(expr)
-        uses = [set(free_vars(c)) for c in parts]
+        uses = [set(free_vars(c)) - self.params for c in parts]
         self.order = []
         bound = set()
         while True:
@@ -182,7 +219,8 @@ class _Plan:
             body += [(depth + d, s) for d, s in self.innermost(self.order[-1])]
         else:
             body.append((depth, "n += 1"))
-        lines = ["def count(q):", "    n = 0"]
+        lines = ["def count(%s):" % ", ".join(["q"] + self.args), "    n = 0"]
+        lines += ["    %s %%= q" % g for g in self.args]
         lines += ["    %s = %d %% q" % (name, v)
                   for v, name in self.consts.items()]
         lines += ["    %s = %s" % (name, src)
@@ -245,7 +283,7 @@ class _Plan:
                 "%s = %s" % (name, self.translate(n, env, None)))
             return name
         if isinstance(n, Exists):
-            image = self.image(n)
+            image = self.image(n, env)
             if image is not None:
                 a, name = image
                 return "((%s) %% q in %s)" % (self.translate(a, env, inner),
@@ -269,13 +307,18 @@ class _Plan:
         return template % tuple(self.translate(c, env, inner)
                                 for c in children(n))
 
-    def image(self, n):
-        """(A, name of the image set) when the quantifier n is decided by
-        testing A mod q against an image set (see the module docstring),
-        else None."""
+    def image(self, n, env):
+        """(A, name of the image set) when the quantifier n, translated
+        in env, is decided by testing A mod q against an image set (see
+        the module docstring), else None."""
         parts = conjuncts(n.body)
-        only_s = [not free_vars(c).keys() - {n.var} for c in parts]
-        env = {n.var: "s"}
+        # a parameter counts only where no enclosing quantifier rebinds
+        # its name
+        params = {p: self.env[p] for p in self.params
+                  if env.get(p) == self.env[p]}
+        bound = params.keys() | {n.var}
+        only_s = [not free_vars(c).keys() - bound for c in parts]
+        env = {**params, n.var: "s"}
         for i, eq in enumerate(parts):
             rest = parts[:i] + parts[i + 1:]
             if not isinstance(eq, RfEq) \
@@ -283,7 +326,7 @@ class _Plan:
                 continue
             for a, b in ((eq.left, eq.right), (eq.right, eq.left)):
                 if n.var not in free_vars(a) \
-                        and not free_vars(b).keys() - {n.var}:
+                        and not free_vars(b).keys() - bound:
                     src = "{%s %% q for s in range(q)" \
                         % self.translate(b, env, None)
                     if rest:

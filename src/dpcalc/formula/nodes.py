@@ -21,16 +21,19 @@ class Sort(Enum):
 
 class Node:
     """A syntax tree node.  Every node class is a frozen dataclass whose
-    hash is computed once, on first use, and kept on the node, so that a
-    memo keyed by a tree costs O(1) per lookup rather than a walk of the
-    tree.  The kept hash is not pickled: string hashes are salted per
-    process."""
+    hash and free variables are computed once, on first use, and kept on
+    the node, so that a memo keyed by a tree, or a Formula built around
+    one, costs O(1) rather than a walk of the tree.  Neither is pickled:
+    string hashes are salted per process, and the free variables are read
+    again from the children."""
     __slots__ = ()
     _hash = None
+    _free = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_free", None)
         return state
 
 
@@ -284,24 +287,30 @@ def walk(node):
         yield from walk(c)
 
 
-def free_vars(node, bound=frozenset()):
+def free_vars(node):
     """Map of free variable name -> Sort, in first-occurrence order."""
-    out = {}
+    return dict(_free(node))
 
-    def rec(n, bound):
-        cls = type(n)
+
+def _free(node):
+    """The (name, sort) pairs of node's free variables, in first-occurrence
+    order, kept on the node: built from the children's pairs, with an
+    exists dropping its own variable, the first time they are asked for."""
+    free = node._free
+    if free is None:
+        cls = type(node)
         if cls in _VAR_SORT:
-            if n.name not in bound and n.name not in out:
-                out[n.name] = _VAR_SORT[cls]
-            return
-        if cls is Exists:
-            rec(n.body, bound | {n.var})
-            return
-        for c in children(n):
-            rec(c, bound)
-
-    rec(node, frozenset(bound))
-    return out
+            free = ((node.name, _VAR_SORT[cls]),)
+        elif cls is Exists:
+            free = tuple(p for p in _free(node.body) if p[0] != node.var)
+        else:
+            seen = {}
+            for c in children(node):
+                for name, sort in _free(c):
+                    seen.setdefault(name, sort)
+            free = tuple(seen.items())
+        node.__dict__["_free"] = free
+    return free
 
 
 def rewrite(node, replace):
@@ -324,24 +333,6 @@ def rewrite(node, replace):
     return cls(**kwargs) if changed else node
 
 
-def substitute(node, mapping):
-    """node with every free variable whose name is a key of mapping
-    replaced by the mapped node; an exists hides its own variable from
-    the mapping.  A name has one sort throughout a formula, so matching by
-    name alone is exact."""
-    def replace(n):
-        cls = type(n)
-        if cls in _VAR_SORT:
-            return mapping.get(n.name, n)
-        if cls is Exists and n.var in mapping:
-            body = substitute(n.body, {k: v for k, v in mapping.items()
-                                       if k != n.var})
-            return n if body is n.body else Exists(n.var, n.sort, body)
-        return None
-
-    return rewrite(node, replace)
-
-
 class Formula:
     """A parsed formula: expression tree plus its free variables.  It is
     immutable, because the parser hands one object to every caller that
@@ -351,7 +342,7 @@ class Formula:
 
     def __init__(self, expr, free=None):
         if free is None:
-            free = free_vars(expr).items()
+            free = _free(expr)
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "free", tuple(free))
 

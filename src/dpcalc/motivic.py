@@ -40,7 +40,7 @@ from .formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                       pretty_print, walk)
 from .formula.count import count_rf_points
 from .formula.interpret import as_integer, refuse_quantifier
-from .formula.nodes import conjuncts, substitute
+from .formula.nodes import conjuncts
 from .localfield import is_prime
 from .poly import evaluate, factor, interpolate
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
@@ -151,9 +151,17 @@ def parse_psi(text):
     return PresTerm(coeff, parse_affine(m.group("aff")))
 
 
+# a call of a name the term grammar does not know, such as root(x, eta2):
+# never a term, so it is not lexed
+_NAMED_CENTER_RE = re.compile(
+    r"\s*(?!(?:ord|ac)\b)[A-Za-z_][A-Za-z_0-9]*\s*\(")
+
+
 def _term_or_none(text, sort):
     """text as a term of the sort, or None when it is not one (a center
     such as root(x, eta2) is named, not written as a term)."""
+    if _NAMED_CENTER_RE.match(text):
+        return None
     try:
         return parse_term(text, sort)
     except ParseError:
@@ -939,7 +947,7 @@ def specialize(value, q, assignment=None, budget=None):
     if missing:
         raise UnboundParameter("no value for parameter(s) %s"
                                % sorted(missing))
-    rf_consts = {n: RfConst(as_integer(assignment[n], n) % int(q))
+    rf_values = {n: as_integer(assignment[n], n)
                  for n, s in fn.params if s is Sort.RF}
     zz_env = {n: as_integer(assignment[n], n)
               for n, s in fn.params if s is Sort.ZZ}
@@ -950,8 +958,8 @@ def specialize(value, q, assignment=None, budget=None):
             raise _outside(zz_env, t.domain)
         count = 1
         if t.rf_class is not None:
-            inst = Formula(substitute(t.rf_class.expr, rf_consts))
-            count = count_rf_points(inst, int(q), budget=budget)
+            count = count_rf_points(t.rf_class, int(q), budget=budget,
+                                    values=rf_values)
         total += count * t.coeff.nu(q, zz_env)
     return total
 
@@ -974,7 +982,11 @@ def bind_parameters(value, assignment):
     either a ConstructibleFn or a whole IntegrationResult.
 
     An assignment outside some term's residual domain is an error, exactly
-    as in specialize: the function is only represented there."""
+    as in specialize: the function is only represented there.  An
+    assignment that names no value-group parameter returns value itself."""
+    fn = value.value if isinstance(value, IntegrationResult) else value
+    if not any(s is Sort.ZZ and n in assignment for n, s in fn.params):
+        return value
     if isinstance(value, IntegrationResult):
         return IntegrationResult(
             value=bind_parameters(value.value, assignment),
@@ -1044,10 +1056,8 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None):
                               if n not in rf_env])
                 primes = _case_witnesses(residue, modulus, bad,
                                          degree + 1 + RESIDUE_FIT_CHECKS)
-                counts = [count_rf_points(Formula(substitute(
-                    t.rf_class.expr,
-                    {n: RfConst(v % q) for n, v in rf_env.items()})), q)
-                    for q in primes]
+                counts = [count_rf_points(t.rf_class, q, values=rf_env)
+                          for q in primes]
                 fit = interpolate(list(zip(primes, counts))[:degree + 1])
                 for q, c in zip(primes, counts):
                     if evaluate(fit, q) != c:

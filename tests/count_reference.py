@@ -3,7 +3,10 @@
 This is the earlier `count_rf_points`, kept verbatim: the whole formula is
 compiled to one flat generator expression over every free variable, with
 the quantifiers as `any(...)` loops inside it.  Counts are exact integers,
-so the planned counter must return exactly what this module returns.
+so the planned counter must return exactly what this module returns.  It
+takes no parameter values: a residue parameter is substituted as a
+constant first, with `substitute`, as the library once did before each
+count.
 """
 
 from __future__ import annotations
@@ -11,11 +14,29 @@ from __future__ import annotations
 from dpcalc.errors import BudgetExceeded, InvalidPrime, UnsupportedFeature
 from dpcalc.formula.nodes import (And, Exists, Formula, Not, Or, RfAdd,
                                   RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow,
-                                  RfSub, RfVar, Sort, free_vars, walk)
+                                  RfSub, RfVar, Sort, VfVar, ZzVar, free_vars,
+                                  rewrite, walk)
 from dpcalc.formula.parse import parse
 from dpcalc.localfield import is_prime
 
 DEFAULT_BUDGET = 10 ** 8
+
+
+def substitute(node, mapping):
+    """node with every free variable whose name is a key of mapping
+    replaced by the mapped node; an exists hides its own variable from
+    the mapping.  A name has one sort throughout a formula, so matching by
+    name alone is exact."""
+    def replace(n):
+        if isinstance(n, (VfVar, RfVar, ZzVar)):
+            return mapping.get(n.name, n)
+        if isinstance(n, Exists) and n.var in mapping:
+            body = substitute(n.body, {k: v for k, v in mapping.items()
+                                       if k != n.var})
+            return n if body is n.body else Exists(n.var, n.sort, body)
+        return None
+
+    return rewrite(node, replace)
 
 
 def count_rf_points(phi, q, budget=DEFAULT_BUDGET):

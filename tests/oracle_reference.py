@@ -10,10 +10,10 @@ the tests make of the walk's brackets."""
 import itertools
 from fractions import Fraction
 
+from count_reference import substitute
 from dpcalc.boxcode import _field_ops
 from dpcalc.formula import (Formula, Sort, Truth3, VfConst, VfEq, VfMul,
                             VfVar, interpret)
-from dpcalc.formula.nodes import substitute
 from dpcalc.localfield import INF, from_digits
 from dpcalc.oracle import (IntegrandSpec, _as_formula, _BoxWalk as _Walk,
                            volume)

@@ -3,6 +3,7 @@
 import importlib
 import pickle
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -11,18 +12,19 @@ from hypothesis import given, settings, strategies as st
 import count_reference
 import value_group_reference as zz_reference
 from dpcalc import localfield as lf, motivic
-from dpcalc.errors import (BudgetExceeded, InvalidPrime, ParseError,
-                           SortError, UnboundVariable, UnsupportedFeature)
+from dpcalc.errors import (BudgetExceeded, InvalidArgument, InvalidPrime,
+                           ParseError, SortError, UnboundVariable,
+                           UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
                             RfVar, Sort, Truth3, VfAdd, VfConst, VfMul, VfPow,
-                            VfSub, VfUnif, VfVar, ZzConst, ZzOrd, ZzVar,
-                            count_rf_points, interpret, parse, parse_term,
-                            pretty_print)
+                            VfSub, VfUnif, VfVar, ZzConst, ZzLe, ZzOrd,
+                            ZzVar, count_rf_points, free_vars, interpret,
+                            parse, parse_term, pretty_print)
 from dpcalc.formula.count import _compile, _Plan
 from dpcalc.formula.interpret import (NINF, _zi_add, _zi_neg, _zi_scale,
                                       zz_cong, zz_eq, zz_le, zz_lt)
-from dpcalc.formula.nodes import substitute
+from dpcalc.formula.nodes import children
 from dpcalc.motivic import appendix2_volume, bad_primes
 
 T, FL, U = Truth3.TRUE, Truth3.FALSE, Truth3.UNDECIDED
@@ -103,12 +105,12 @@ def test_substitute_replaces_free_variables_and_respects_shadowing():
     expr = And(RfEq(RfAc(VfVar("x")), RfVar("u")),
                And(shadowed, Exists("s", Sort.RF,
                                     RfEq(RfVar("s"), RfVar("u")))))
-    got = substitute(expr, {"x": scaled, "u": RfConst(3)})
+    got = count_reference.substitute(expr, {"x": scaled, "u": RfConst(3)})
     assert got == And(RfEq(RfAc(scaled), RfConst(3)),
                       And(shadowed, Exists("s", Sort.RF,
                                            RfEq(RfVar("s"), RfConst(3)))))
     assert got.right.left is shadowed
-    assert substitute(expr, {"y": RfConst(0)}) is expr
+    assert count_reference.substitute(expr, {"y": RfConst(0)}) is expr
 
 
 # --- the parse memo ---
@@ -195,11 +197,10 @@ def test_equal_trees_parsed_apart_hash_equal():
     assert copy == a.expr and hash(copy) == hash(a.expr)
 
 
-def test_a_repeated_compare_lexes_only_what_is_not_a_term(
-        monkeypatch, run_cli, fx):
+def test_a_repeated_compare_lexes_nothing(monkeypatch, run_cli, fx):
     """A second identical compare reads every formula and term from the
-    memo; only the named center root(x, eta2), which is not a term and
-    so raises, is lexed again."""
+    memo, and the named center root(x, eta2), which is not a term, is
+    not lexed again either."""
     argv = ("compare", fx("cube.cells.json"), "--primes", "5")
     first = run_cli(*argv)
     lexed = []
@@ -208,7 +209,7 @@ def test_a_repeated_compare_lexes_only_what_is_not_a_term(
                         lambda src: lexed.append(src) or lex(src))
     assert run_cli(*argv) == first
     assert first[0] == 0
-    assert lexed == ["root(x, eta2)"]
+    assert lexed == []
 
 
 # --- printing ---
@@ -385,8 +386,11 @@ def test_count_budget_environment_variable(monkeypatch):
 def test_each_counter_has_a_file_name_of_its_own():
     # profiles key functions by file name and line
     a, b = parse("rf u; u^2 == 2"), parse("rf u; u^3 == 2")
-    names = {_compile(phi.expr, ("u",)).__code__.co_filename
-             for phi in (a, b)}
+    names = set()
+    for phi in (a, b):
+        counter = _compile(phi.expr, phi.free, ())
+        counter.count(5)  # the code is generated on the first call
+        names.add(counter.count.__code__.co_filename)
     assert names == {"<count_rf_points:u^2 == 2>",
                      "<count_rf_points:u^3 == 2>"}
 
@@ -610,6 +614,192 @@ def test_near_misses_keep_the_scan(text, count):
     phi = parse(text, default_sort=Sort.RF)
     assert "any(" in _plan(phi)
     assert count_rf_points(phi, 7) == count
+
+
+# --- residue parameters ---
+
+@st.composite
+def parameter_classes(draw):
+    """(class, q, values): a residue class over x and y whose one or two
+    parameters stand alone in a conjunct, in a linear equation in x that
+    the plan eliminates, and inside a quantifier decided by an image
+    set, or scanned under one that rebinds a parameter's name, in any
+    order, with values that may be negative or multiples of q."""
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    params = ("a", "b")[:draw(st.integers(1, 2))]
+    parts = [draw(rf_formulas(q, params, 0))]
+    c = draw(st.sampled_from([1, -1, 2, q + 1]))
+    parts.append(RfEq(
+        RfAdd(RfMul(RfConst(c), RfVar("x")), draw(rf_terms(q, params, 1))),
+        draw(rf_terms(q, ("y",) + params, 1))))
+    power = RfPow(RfVar("w"), draw(st.integers(2, 3)))
+    image = RfEq(draw(rf_terms(q, ("y",) + params, 1)),
+                 RfMul(draw(rf_terms(q, params, 1)), power))
+    quantifier = Exists("w", Sort.RF, image)
+    if draw(st.booleans()):
+        # a quantifier that rebinds a parameter's name hides the parameter
+        quantifier = Exists(params[0], Sort.RF, quantifier)
+    parts.append(quantifier)
+    parts = draw(st.permutations(parts))
+    expr = parts[0]
+    for part in parts[1:]:
+        expr = And(expr, part)
+    values = {n: draw(st.one_of(st.integers(-30, 30),
+                                st.integers(-3, 3).map(lambda k: k * q)))
+              for n in params}
+    return expr, q, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=parameter_classes())
+def test_parameters_count_as_the_substituted_constants(case):
+    """A parameter bound to v counts exactly what the reference counts
+    with the constant v mod q written in its place."""
+    expr, q, values = case
+    budget = q ** 4
+    for shift in (0, 1):
+        moved = {n: v + shift for n, v in values.items()}
+        fixed = count_reference.substitute(
+            expr, {n: RfConst(v % q) for n, v in moved.items()})
+        want = count_reference.count_rf_points(fixed, q, budget)
+        hits = _compile.cache_info().hits
+        assert count_rf_points(expr, q, budget, values=moved) == want
+    # the counter made for the first values served the second
+    assert _compile.cache_info().hits == hits + 1
+
+
+def test_parameters_are_bound_before_any_loop():
+    phi = parse("rf x, y, a; (exists w:rf. w^3 == a) && a*x + y == 1 "
+                "&& (exists s:rf. y == a*s^2)", default_sort=Sort.RF)
+    source = _Plan(phi.expr, ("x", "y"), ("a",)).source()
+    assert source.startswith("def count(q, g0):\n    n = 0\n    g0 %= q\n")
+    # the first quantifier is decided outside every loop, the second by
+    # an image set whose source holds the parameter, and x is eliminated
+    assert "any(" not in source and "for v0" not in source
+    assert "S0 = {pow(s, 3, q) % q for s in range(q)}" in source
+    assert "S1 = {(g0 * (s * s)) % q for s in range(q)}" in source
+    assert "f0 = (((g0 * 0) + v1) - 1)" in source
+    for q in (5, 7, 13):
+        for a in (-q, -1, 0, 1, 2, q + 1):
+            fixed = count_reference.substitute(phi.expr, {"a": RfConst(a % q)})
+            assert count_rf_points(phi, q, values={"a": a}) == \
+                count_reference.count_rf_points(fixed, q)
+
+
+def test_a_quantifier_that_rebinds_a_parameter_hides_it():
+    # the inner quantifier reads the quantified acx, not the parameter:
+    # over F_q every y is acx * s^2 for some acx and s
+    phi = parse("(exists acx:rf. exists s:rf. y == acx*s^2) && acx != 0",
+                default_sort=Sort.RF)
+    for q in (5, 7, 11):
+        assert count_rf_points(phi, q, values={"acx": 2}) == q
+
+
+def test_parameter_values_are_checked_and_extra_names_ignored():
+    phi = parse("rf u, a; u^2 == a", default_sort=Sort.RF)
+    assert count_rf_points(phi, 7, values={"a": 2, "unused": 1.5}) == 2
+    with pytest.raises(InvalidArgument, match="a"):
+        count_rf_points(phi, 7, values={"a": 2.0})
+
+
+def test_the_budget_is_nominal_and_checked_before_translation():
+    # the parameter is not enumerated: q^1, not q^2
+    phi = parse("rf u, a; u == a", default_sort=Sort.RF)
+    assert count_rf_points(phi, 5, budget=5, values={"a": 3}) == 1
+    with pytest.raises(BudgetExceeded):
+        count_rf_points(phi, 7, budget=5, values={"a": 3})
+    # 1 <= 2 cannot be translated, and the budget stops it first, also
+    # once its counter is kept
+    text = "rf u; u == 0 && 1 <= 2"
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            count_rf_points(text, 5, budget=1)
+    with pytest.raises(UnsupportedFeature, match="ZzLe"):
+        count_rf_points(text, 5)
+
+
+def test_a_warm_count_walks_no_tree(monkeypatch, fx):
+    """A second specialize of the cube result, at another prime, reads
+    every counter, and every free-variable tuple, from what is kept."""
+    data = motivic.load_cells(fx("cube.cells.json"))
+    res = motivic.integrate_cell_data(data)
+    assignment = {"acx": 1, "k": 1}
+    motivic.specialize(res, 7, assignment)
+    calls = []
+    nodes = importlib.import_module("dpcalc.formula.nodes")
+    children = nodes.children
+    for module in list(sys.modules.values()):
+        if getattr(module, "children", None) is children:
+            monkeypatch.setattr(module, "children",
+                                lambda n: calls.append(n) or children(n))
+    got = motivic.specialize(res, 13, assignment)
+    assert calls == []
+    assert got == motivic.specialize(res, 13, {"acx": 14, "k": 1})
+
+
+# --- kept free variables ---
+
+def _free_reference(node, bound=frozenset(), out=None):
+    """The free variables of node by a walk of the whole tree, in
+    first-occurrence order."""
+    out = {} if out is None else out
+    sorts = {VfVar: Sort.VF, RfVar: Sort.RF, ZzVar: Sort.ZZ}
+    if type(node) in sorts:
+        if node.name not in bound:
+            out.setdefault(node.name, sorts[type(node)])
+    elif isinstance(node, Exists):
+        _free_reference(node.body, bound | {node.var}, out)
+    else:
+        for c in children(node):
+            _free_reference(c, bound, out)
+    return out
+
+
+@st.composite
+def shadowing_trees(draw, depth=3):
+    """Residue formulas whose quantifiers bind names that also occur
+    free, with field and value-group variables under ac and ord."""
+    names = st.sampled_from(["x", "y", "w"])
+    if depth == 0 or draw(st.booleans()):
+        kind = draw(st.sampled_from(["rf", "ac", "ord", "const"]))
+        if kind == "ac":
+            left = RfAc(VfVar(draw(st.sampled_from(["z", "v"]))))
+        elif kind == "ord":
+            return ZzLe(ZzVar("n"), ZzOrd(VfVar(draw(st.sampled_from(
+                ["z", "v"])))))
+        elif kind == "const":
+            left = RfConst(draw(st.integers(0, 3)))
+        else:
+            left = RfVar(draw(names))
+        return RfEq(left, RfVar(draw(names)))
+    kind = draw(st.sampled_from(["and", "or", "not", "exists"]))
+    if kind == "not":
+        return Not(draw(shadowing_trees(depth - 1)))
+    if kind == "exists":
+        return Exists(draw(names), Sort.RF, draw(shadowing_trees(depth - 1)))
+    return (And if kind == "and" else Or)(draw(shadowing_trees(depth - 1)),
+                                          draw(shadowing_trees(depth - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=shadowing_trees())
+def test_kept_free_variables_match_a_walk_of_the_tree(tree):
+    want = list(_free_reference(tree).items())
+    assert list(free_vars(tree).items()) == want
+    assert Formula(tree).free == tuple(want)
+    # asked again, and of a copy that was pickled without them
+    assert list(free_vars(tree).items()) == want
+    copy = pickle.loads(pickle.dumps(tree))
+    assert "_free" not in vars(copy)
+    assert list(free_vars(copy).items()) == want
+
+
+def test_an_exists_drops_only_its_own_variable():
+    inner = RfEq(RfVar("u"), RfVar("s"))
+    tree = And(RfEq(RfVar("s"), RfConst(1)), Exists("s", Sort.RF, inner))
+    assert free_vars(inner) == {"u": Sort.RF, "s": Sort.RF}
+    assert list(free_vars(tree)) == ["s", "u"]
+    assert free_vars(tree.right) == {"u": Sort.RF}
 
 
 # --- excluded primes ---

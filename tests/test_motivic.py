@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dpcalc.localfield as lf
-from dpcalc import oracle
+from dpcalc import motivic, oracle
 from dpcalc.errors import (BadPrime, DuplicateCenter, InvalidArgument,
-                           InvalidPrime, OverlapDetected, UnboundParameter,
-                           UnsupportedFeature, UnsupportedZeroCell)
+                           InvalidPrime, OverlapDetected, ParseError,
+                           UnboundParameter, UnsupportedFeature,
+                           UnsupportedZeroCell)
 from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, interpret,
                             parse, parse_term)
 from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
@@ -246,6 +247,20 @@ def test_near_root_pushforward():
     assert "eta3" not in str(t.rf_class.expr)
 
 
+@pytest.mark.parametrize("text", [
+    "root(x, eta2)", " root (x)", "acx(y)", "ac_1(x)", "t(x)", "inf(x)",
+    "x*(y)", "ac(x)", "ac (x) + 1", "(x)", "0", "x - 1", "x +",
+])
+@pytest.mark.parametrize("sort", [Sort.VF, Sort.RF])
+def test_a_named_center_is_what_the_parser_refuses(text, sort):
+    # the named-center check answers exactly as a parse would
+    try:
+        want = parse_term(text, sort)
+    except ParseError:
+        want = None
+    assert motivic._term_or_none(text, sort) == want
+
+
 # --- family hygiene ---
 
 def test_overlapping_cells_rejected():
@@ -305,6 +320,20 @@ def test_bind_parameters_trivial_and_partial(cube_result):
     assert bind_parameters(res.value, {}) == res.value
     bound = bind_parameters(res.value, {"k": 2, "ignored": 9})
     assert bound.params == (("acx", Sort.RF),)
+
+
+def test_bind_parameters_returns_its_input_when_it_binds_nothing(
+        cube_result):
+    _, res = cube_result
+    for assignment in ({}, {"acx": 1}, {"ignored": 9}):
+        assert bind_parameters(res, assignment) is res
+        assert bind_parameters(res.value, assignment) is res.value
+    bound = bind_parameters(res, {"k": 1})
+    assert bind_parameters(bound, {"k": 1}) is bound
+    # residue_cases binds what it is given, and a bound result needs no
+    # assignment
+    assert residue_cases(bound, 3, {"acx": 1}) == \
+        residue_cases(res, 3, {"acx": 1}, {"k": 1})
 
 
 def test_bind_parameters_outside_domain(cube_result):
