@@ -38,8 +38,6 @@ still undecided above it, which the walk sweeps in turn.  The code
 decides everything `interpret` decides on a box: And/Or/Not, value-group
 comparisons and congruences, residue (in)equalities over `ac` terms and
 bound residues, field equalities, and `exists x:rf` as a loop over F_p.
-A field or value-group quantifier is a site that the walk refuses as it
-folds.
 
 Subterms without a box variable are not in the code: each is a *site*,
 which the walk folds once through the reference semantics and passes in
@@ -60,10 +58,10 @@ from .errors import UnsupportedFeature
 from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
                                 _zi_scale, zz_cong, zz_eq, zz_le, zz_lt)
 from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
-                            RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
-                            VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
-                            VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
-                            ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
+                            RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, VfAdd,
+                            VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub, VfUnif,
+                            VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf, ZzLe,
+                            ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
                             children, free_vars, walk)
 from .formula.printer import _term, pretty_print
 from .localfield import INF, FieldKind
@@ -294,11 +292,10 @@ def closed_parts(term, excluded):
 
 
 def _loop_depth(node):
-    """The deepest nesting of residue quantifiers in node: each is a loop
-    in the sweep.  Any other quantifier is refused, its body not
-    compiled."""
+    """The deepest nesting of quantifiers in node: each is a loop in the
+    sweep."""
     if isinstance(node, Exists):
-        return 1 + _loop_depth(node.body) if node.sort is Sort.RF else 0
+        return 1 + _loop_depth(node.body)
     return max((_loop_depth(c) for c in children(node)), default=0)
 
 
@@ -886,10 +883,6 @@ class _Codegen:
         return self.atom(node, block, scope)
 
     def exists(self, node, block, scope):
-        if node.sort is not Sort.RF:
-            # refused as the walk folds it, where `interpret` would raise
-            self.site("quantifier", node.sort)
-            return "U"
         e = self.new("e")
         block.lines.append("%s = F" % e)
         self.home[e] = block

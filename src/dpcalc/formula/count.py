@@ -37,14 +37,14 @@ Arithmetic stays in Z and reduces mod q at each comparison; integer
 constants are reduced mod q when the function runs, so one compiled
 function serves every q.  The counters are kept in a bounded LRU memo,
 keyed by (expression, free variables with their sorts, parameter names),
-which holds code and never a count.  An entry is made after the sorts and
-quantifiers have been checked, and keeps the nominal depth it found, so a
-warm count walks no tree; its code is generated on its first call.  The
+which holds code and never a count.  An entry is made after the sorts
+have been checked, and keeps the nominal depth it found, so a warm count
+walks no tree; its code is generated on its first call.  The
 budget is the one enumeration budget of `dpcalc.budget`, shared with the
 oracle, and stays nominal: it bounds q^(free + quantified), the size of
 the plain enumeration, whatever the plan saves.  Parameters are not
 enumerated and are not counted in it.  It is checked after the sorts and
-quantifiers and before any code is generated.
+before any code is generated.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import functools
 from ..budget import check as check_budget
 from ..errors import InvalidPrime, UnsupportedFeature
 from ..localfield import is_prime
-from .interpret import as_integer, refuse_quantifier
+from .interpret import as_integer
 from .nodes import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                     RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, children,
                     conjuncts, free_vars, walk)
@@ -96,19 +96,14 @@ def count_rf_points(phi, q, budget=None, values=None):
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _compile(expr, free, params):
     """The counter of expr over the (name, sort) pairs free, of which the
-    names params are bound to its arguments.  The sorts and quantifiers
-    are checked here, once, and the code is generated on the counter's
-    first call, after the budget has passed its nominal depth."""
+    names params are bound to its arguments.  The sorts are checked
+    here, once, and the code is generated on the counter's first call,
+    after the budget has passed its nominal depth."""
     bad = [n for n, s in free if s is not Sort.RF]
     if bad:
         raise UnsupportedFeature(
             "free variables %s are not residue-sort" % sorted(bad))
-    nquant = 0
-    for node in walk(expr):
-        if isinstance(node, Exists):
-            if node.sort is not Sort.RF:
-                refuse_quantifier(node.sort)
-            nquant += 1
+    nquant = sum(isinstance(node, Exists) for node in walk(expr))
     names = tuple(sorted(n for n, _ in free if n not in params))
     return _Counter(expr, names, params, len(names) + nquant)
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from ..errors import (InvalidArgument, PrecisionExhausted, UnboundVariable,
-                      UnsupportedFeature)
+from ..errors import InvalidArgument, PrecisionExhausted, UnboundVariable
 from ..localfield import INF, LFElem, embed_rational, power
 # perfbench/spans.py traces from_digits under this module's name
 from ..localfield import from_digits  # noqa: F401
@@ -132,19 +131,6 @@ def zz_cong(A, B, modulus):
 
 
 _ZZ_ATOMS = {ZzLe: zz_le, ZzLt: zz_lt, ZzEq: zz_eq}
-
-
-def refuse_quantifier(sort):
-    """Field and value-group quantifiers lie outside the fragment: cell
-    decomposition eliminates the first (Pas 1989), and what it leaves of
-    the second is Presburger, which congruences make quantifier-free
-    (Cooper 1972), so no input needs either."""
-    if sort is Sort.VF:
-        raise UnsupportedFeature(
-            "field quantifiers (cell decomposition eliminates them)")
-    raise UnsupportedFeature(
-        "value-group quantifiers (write the condition with congruences, "
-        "such as ord(x) == 0 mod 2)")
 
 
 class _Evaluator:
@@ -278,8 +264,6 @@ class _Evaluator:
         return self.atom(n, env)
 
     def exists(self, n, env):
-        if n.sort is not Sort.RF:
-            refuse_quantifier(n.sort)
         saw_undecided = False
         for v in range(self.p):
             r = self.truth(n.body, {**env, n.var: v})
@@ -344,8 +328,7 @@ def interpret(phi, spec, assignment):
     VF values may be LFElem (matching spec), int, or Fraction; RF values are
     integers mod p; ZZ values are integers or INF.
     Returns Truth3; finite precision surfaces as UNDECIDED, never as a
-    wrong answer.  A field or value-group quantifier raises
-    UnsupportedFeature.
+    wrong answer.  A quantifier ranges over the residues mod p.
     """
     expr = phi.expr if isinstance(phi, Formula) else phi
     free = dict(phi.free) if isinstance(phi, Formula) else free_vars(expr)

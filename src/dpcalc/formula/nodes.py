@@ -242,8 +242,9 @@ class Not(Node):
 
 @dataclass(frozen=True)
 class Exists(Node):
+    """A residue quantifier, the only kind the language has: var ranges
+    over the residue field, and its nodes in body are RfVar."""
     var: str
-    sort: Sort
     body: Node
 
 

@@ -20,13 +20,22 @@ Variables may be declared up front or have their sort inferred from use;
 inference failures raise SortError at the offending position.  '#' comments
 run to end of line.
 
+Quantifiers range over the residue field, so `Exists` keeps no sort.  A
+quantifier may not reuse the name of an enclosing quantifier or of a free
+variable, wherever that is declared or used.  Once the whole text has
+parsed, and so after any syntax or sort error, a quantifier whose name is
+free raises ParseError, and then a field or value-group quantifier
+raises UnsupportedFeature: cell decomposition
+eliminates the first (Pas, J. reine angew. Math. 399, 1989), and
+congruences express the second (Cooper, Machine Intelligence 7, 1972).
+
 Parsed trees are shared: `parse` and `parse_term` keep the tree of each
 (text, sort, values) key in one bounded LRU memo, so every caller that
 reads the same text gets the same object.  That is safe because the trees
 are immutable (frozen node dataclasses, and an immutable Formula).  The
-memo holds syntax only.  A ParseError or SortError is never memoized: a
-bad text is parsed again on every call and raises the same error, with
-the same message and position.
+memo holds syntax only.  A raised ParseError, SortError or
+UnsupportedFeature is never memoized: a bad text is parsed again on every
+call and raises the same error, with the same message and position.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import functools
 import re
 from fractions import Fraction
 
-from ..errors import ParseError, SortError
+from ..errors import ParseError, SortError, UnsupportedFeature
 from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
@@ -112,6 +121,7 @@ class _Parser:
         self.env = {}        # name -> Sort (declared, quantified, inferred)
         self.declared = []   # declaration order
         self.inferred = []   # inference order
+        self.quantified = []  # (name token, Sort) of each quantifier
         self.default_sort = default_sort
 
     # token plumbing
@@ -151,10 +161,17 @@ class _Parser:
                 else:
                     break
             self.take(";")
-        expr = self.parse_or(set(self.env))
+        expr = self.parse_or()
         self.end()
-        free = [(n, self.env[n]) for n in self.declared + self.inferred]
-        return Formula(expr, free)
+        names = self.declared + self.inferred
+        for t, _ in self.quantified:
+            if t.value in names:
+                raise ParseError("quantifier shadows %r" % t.value,
+                                 t.line, t.col)
+        for _, sort in self.quantified:
+            if sort is not Sort.RF:
+                refuse_quantifier(sort)
+        return Formula(expr, [(n, self.env[n]) for n in names])
 
     def end(self):
         t = self.peek()
@@ -164,33 +181,33 @@ class _Parser:
 
     # boolean layer
 
-    def parse_or(self, scope):
-        v = self.parse_and(scope)
+    def parse_or(self):
+        v = self.parse_and()
         while self.at("||"):
             self.take()
-            v = Or(v, self.parse_and(scope))
+            v = Or(v, self.parse_and())
         return v
 
-    def parse_and(self, scope):
-        v = self.parse_not(scope)
+    def parse_and(self):
+        v = self.parse_not()
         while self.at("&&"):
             self.take()
-            v = And(v, self.parse_not(scope))
+            v = And(v, self.parse_not())
         return v
 
-    def parse_not(self, scope):
+    def parse_not(self):
         if self.at("!"):
             self.take()
-            return Not(self.parse_not(scope))
+            return Not(self.parse_not())
         if self.at("exists") or self.at("forall"):
-            return self.parse_quant(scope)
-        return self.parse_atom(scope)
+            return self.parse_quant()
+        return self.parse_atom()
 
-    def parse_quant(self, scope):
+    def parse_quant(self):
         kw = self.take()
         name_tok = self.take("ident")
         name = name_tok.value
-        if name in scope or name in self.env:
+        if name in self.env:
             raise ParseError("quantifier shadows %r" % name,
                              name_tok.line, name_tok.col)
         self.take(":")
@@ -201,14 +218,15 @@ class _Parser:
             raise ParseError("expected a sort after ':'", t.line, t.col)
         sort = _SORT_KW[self.take().kind]
         self.take(".")
+        self.quantified.append((name_tok, sort))
         self.env[name] = sort
-        body = self.parse_or(scope | {name})
+        body = self.parse_or()
         del self.env[name]
         if kw.kind == "forall":
-            return Not(Exists(name, sort, Not(body)))
-        return Exists(name, sort, body)
+            return Not(Exists(name, Not(body)))
+        return Exists(name, body)
 
-    def parse_atom(self, scope):
+    def parse_atom(self):
         # a parenthesis may open either a subformula or a term; try the
         # relational reading first and fall back when the input starts
         # with '(' (sort errors mean the structure was understood: no retry)
@@ -224,7 +242,7 @@ class _Parser:
                                  % t.value,
                                  t.line if t else None,
                                  t.col if t else None)
-            return self.parse_relation(lhs, scope)
+            return self.parse_relation(lhs)
         except SortError:
             raise
         except ParseError:
@@ -232,11 +250,11 @@ class _Parser:
                 raise
         self.i = mark
         self.take("(")
-        v = self.parse_or(scope)
+        v = self.parse_or()
         self.take(")")
         return v
 
-    def parse_relation(self, lhs, scope):
+    def parse_relation(self, lhs):
         op_tok = self.take()
         op = op_tok.kind
         rhs = self.parse_term()
@@ -439,6 +457,16 @@ class _Parser:
         raise AssertionError(tag)
 
 
+def refuse_quantifier(sort):
+    """Raise UnsupportedFeature for a quantifier of sort VF or ZZ."""
+    if sort is Sort.VF:
+        raise UnsupportedFeature(
+            "field quantifiers (cell decomposition eliminates them)")
+    raise UnsupportedFeature(
+        "value-group quantifiers (write the condition with congruences, "
+        "such as ord(x) == 0 mod 2)")
+
+
 def _fold(t):
     """The integer a term tree of integers, sums, differences and
     products stands for, or None when it has anything else."""
@@ -464,7 +492,8 @@ def _mentions_var(t):
 
 def parse(src, default_sort=None):
     """Parse a formula.  default_sort settles otherwise-ambiguous atoms
-    (count_rf_points uses Sort.RF)."""
+    (count_rf_points uses Sort.RF).  A field or value-group quantifier
+    raises UnsupportedFeature."""
     return _syntax(src, default_sort, None)
 
 

@@ -71,8 +71,8 @@ def _expr(n, prec=0):
         return "!%s" % _expr(n.operand, 4)
     if isinstance(n, Exists):
         # the dot swallows everything rightward, so wrap except at the root
-        return _wrap("exists %s:%s. %s"
-                     % (n.var, n.sort.value, _expr(n.body, 1)), prec > 0)
+        return _wrap("exists %s:rf. %s" % (n.var, _expr(n.body, 1)),
+                     prec > 0)
     if isinstance(n, VfEq):
         return "%s == %s" % (_term(n.left), _term(n.right))
     if isinstance(n, RfEq):

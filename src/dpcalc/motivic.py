@@ -39,7 +39,7 @@ from .formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                       ZzCong, ZzEq, ZzLe, ZzLt, free_vars, parse, parse_term,
                       pretty_print, walk)
 from .formula.count import count_rf_points
-from .formula.interpret import as_integer, refuse_quantifier
+from .formula.interpret import as_integer
 from .formula.nodes import conjuncts
 from .localfield import is_prime
 from .poly import evaluate, factor, interpolate
@@ -58,8 +58,7 @@ RESIDUE_FIT_CHECKS = 2
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
 # what a cell's residue class may be built from, since count_rf_points
-# counts it: residue terms and atoms, connectives, and quantifiers, of
-# which only residue ones pass
+# counts it: residue terms and atoms, connectives and (residue) quantifiers
 _CLASS_NODES = (And, Or, Not, Exists, RfEq, RfNe, RfVar, RfConst, RfAdd,
                 RfSub, RfMul, RfNeg, RfPow)
 
@@ -304,8 +303,6 @@ def _build_cell(raw, index, param_names, zz_params):
 
     for c in leftover:
         for node in walk(c):
-            if isinstance(node, Exists) and node.sort is not Sort.RF:
-                refuse_quantifier(node.sort)
             if not isinstance(node, _CLASS_NODES):
                 raise UnsupportedFeature(
                     "cell %s: constraint %s is neither a summation range "

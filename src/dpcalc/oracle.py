@@ -17,14 +17,9 @@ in one loop nest and classifies each in place: the three-valued
 membership, the valuation bounds of f and the least Hensel valuation,
 each subterm computed in the loop of the last variable it reads.  It
 decides everything `interpret` decides on the corresponding
-`from_digits` box, residue quantifiers included, and no walk calls
-`interpret`.  A field or value-group quantifier is refused with
-UnsupportedFeature, as `interpret` refuses it: cell decomposition
-eliminates field quantifiers (Pas, J. reine angew. Math. 399, 1989), and
-the value-group conditions it leaves are Presburger formulas, which need
-no quantifier once congruences are allowed (Cooper, Machine Intelligence
-7, 1972), so no input needs one.  Subterms without a box variable are
-folded once per walk through `eval_vf_term`, so they raise its errors:
+`from_digits` box, residue quantifiers included (`parse` refuses any
+other), and no walk calls `interpret`.  Subterms without a box variable
+are folded once per walk through `eval_vf_term`, so they raise its errors:
 those of the domain before the first box, those of the integrand at the
 first box that needs it.  `interpret`, `eval_vf_term` and `LFElem`
 arithmetic stay the reference semantics, and the tests hold the sweep to
@@ -67,7 +62,7 @@ from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
 from .formula.interpret import (_PINF_POINT, as_field_element, as_integer,
-                                bind_assignment, refuse_quantifier)
+                                bind_assignment)
 from .formula.nodes import rewrite
 from .localfield import INF, LFElem, embed_rational
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
@@ -390,8 +385,6 @@ class _BoxWalk:
         if op == "zz":
             v = env[args[0]]
             return _PINF_POINT if v == INF else (v, v)
-        if op == "quantifier":
-            refuse_quantifier(args[0])
         raise AssertionError(site)
 
 
@@ -423,8 +416,8 @@ def volume(phi, spec, *, assignment=None, budget=None):
 
     Free field variables range over the valuation ring; residue and
     value-group parameters must be pre-bound through `assignment`.
-    Residue quantifiers are decided on each box as `interpret` decides
-    them; a field or value-group quantifier raises UnsupportedFeature.
+    Residue quantifiers, the only ones `parse` allows, are decided on
+    each box as `interpret` decides them.
     """
     return _prepare(phi, spec, IntegrandSpec.one(), assignment,
                     budget).run()

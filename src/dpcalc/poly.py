@@ -19,6 +19,9 @@ from .budget import resolve as resolve_budget
 from .errors import BudgetExceeded, InvalidArgument
 from .localfield import is_prime
 
+# the divisors trial division tests before Pollard's rho takes over
+TRIAL_DIVISORS = 1000
+
 
 def trim(a):
     """Drop a's trailing zeros in place; returns a."""
@@ -169,8 +172,10 @@ def _variations(values):
 def factor(n, budget=None):
     """The prime factorization of |n| as {p: e}, primes ascending.
 
-    Trial division stops once the cofactor is prime, and raises
-    BudgetExceeded when its failed divisions pass `budget.resolve(budget)`."""
+    Trial division stops once the cofactor is prime, and past
+    TRIAL_DIVISORS once `is_prime` calls it composite: Pollard's rho
+    splits what is left.  The trial divisions that fail and the rho steps
+    raise BudgetExceeded once together they pass `budget.resolve(budget)`."""
     n = abs(n)
     out = {}
     limit = resolve_budget(budget)
@@ -179,9 +184,10 @@ def factor(n, budget=None):
         try:
             if is_prime(n):
                 break
+            top = min(math.isqrt(n), TRIAL_DIVISORS)
         except InvalidArgument:
-            pass  # undecided above 3.3e24: trial division goes on
-        top = math.isqrt(n)
+            # undecided above 3.3e24: trial division goes on
+            top = math.isqrt(n)
         while n % d and d <= top:
             tries += 1
             if tries > limit:
@@ -195,9 +201,39 @@ def factor(n, budget=None):
         while n % d == 0:
             n //= d
             out[d] += 1
-    if n > 1:
-        out[n] = 1
-    return out
+    # no prime below d divides what is left, so an m < d^2 is prime
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if d * d > m or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f, tries = _rho(m, tries, limit)
+            rest += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _rho(n, tries, limit):
+    """(a proper divisor of the composite n, tries), by Pollard's rho on
+    x -> x^2 + c with Floyd's cycle finding, for c = 1, 2, ... until a
+    walk splits n; each step is charged to tries."""
+    c = 1
+    while True:
+        x = y = 2
+        g = 1
+        while g == 1:
+            tries += 1
+            if tries > limit:
+                raise BudgetExceeded(
+                    "trial divisions and rho steps factoring %d exceed the "
+                    "budget of %d" % (n, limit))
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g, tries
+        c += 1
 
 
 # The ring factors only its denominator indices, each the length of a

@@ -54,6 +54,35 @@ def test_parse_error_reports_position(run_cli, fx):
     assert "line 1" in err
 
 
+_FIELD = ("outside the supported fragment: field quantifiers (cell "
+          "decomposition eliminates them)")
+_VALUE_GROUP = ("outside the supported fragment: value-group quantifiers "
+                "(write the condition with congruences, such as "
+                "ord(x) == 0 mod 2)")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("vf x; exists y:vf. x*y == 1", 3, _FIELD),
+    ("vf x; exists m:zz. ord(x) == 2*m", 3, _VALUE_GROUP),
+    ("(exists y:rf. y == 1) && y != 0", 2,
+     "line 1, column 9: quantifier shadows 'y'"),
+])
+def test_parse_refuses_quantifiers_outside_the_fragment(run_cli, tmp_path,
+                                                        text, code, message):
+    path = tmp_path / "quantifier.dp"
+    path.write_text(text + "\n")
+    assert run_cli("parse", path) == (code, "", "dpcalc: %s\n" % message)
+
+
+def test_a_field_quantifier_is_refused_before_the_missing_directive(
+        run_cli, tmp_path):
+    # the text is read before the directives are
+    path = tmp_path / "quantifier.dp"
+    path.write_text("vf x; exists y:vf. x*y == 1\n")
+    assert run_cli("compare", path, "--primes", "5") == \
+        (3, "", "dpcalc: %s\n" % _FIELD)
+
+
 def test_missing_file(run_cli):
     rc, _, err = run_cli("parse", "no_such_file.dp")
     assert rc == 2
@@ -543,15 +572,24 @@ def test_smooth_center_is_factored():
     assert list(out_json(proc.stdout)["bad_primes"]) == ["2", "5"]
 
 
-def test_semiprime_center_stops_at_the_budget():
+def test_semiprime_center_is_factored_by_rho():
     # 1000000007 * 1000000009: trial division would pass 5 * 10^8
-    # divisions; the budget stops it after 10^6
+    # divisions; Pollard's rho splits it in a few ten thousand steps
     proc = _run_apart("integrate", "--linear-product",
-                      "0:1,1000000016000000063:1", budget=10 ** 6)
+                      "0:1,1000000016000000063:1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert list(out_json(proc.stdout)["bad_primes"]) == ["1000000007",
+                                                         "1000000009"]
+
+
+def test_semiprime_center_stops_at_the_budget():
+    # the trial divisions fit in 10^4 steps, and the rho walk does not
+    proc = _run_apart("integrate", "--linear-product",
+                      "0:1,1000000016000000063:1", budget=10 ** 4)
     assert (proc.returncode, proc.stdout) == (5, "")
-    assert proc.stderr == ("dpcalc: trial divisions factoring "
-                           "1000000016000000063 exceed the budget of "
-                           "1000000\n")
+    assert proc.stderr == ("dpcalc: trial divisions and rho steps "
+                           "factoring 1000000016000000063 exceed the "
+                           "budget of 10000\n")
 
 
 def test_compare_budget_reaches_the_symbolic_factoring(tmp_path):

@@ -51,8 +51,61 @@ def test_integer_sort_is_linear():
     "vf x; x == ",                    # dangling comparison
     "vf x; rf x; x == 0",             # duplicate declaration
     "vf x; exists x:rf. x == 0",      # shadowing
+    # shadowing a name used free after the quantifier, declared or not
+    "rf y; (exists y:rf. y == 1) && y != 0",
+    "(exists y:rf. y == 1) && y != 0",
 ])
 def test_parse_errors(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+@pytest.mark.parametrize("header", ["", "rf y, acx; "])
+def test_shadowing_is_refused_at_the_quantifier_whatever_the_header(header):
+    with pytest.raises(ParseError) as raised:
+        parse(header + "(exists acx:rf. acx == y) && acx != 0")
+    assert str(raised.value) == ("line 1, column %d: quantifier shadows "
+                                 "'acx'" % (len(header) + 9))
+
+
+_FIELD = "field quantifiers (cell decomposition eliminates them)"
+_VALUE_GROUP = ("value-group quantifiers (write the condition with "
+                "congruences, such as ord(x) == 0 mod 2)")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vf x; forall y:vf. ord(x*y) <= ord(x)", _FIELD),
+    ("vf x; forall m:zz. ord(x) <= m", _VALUE_GROUP),
+    # nested inside a residue quantifier
+    ("vf x; exists u:rf. u == ac(x) && exists y:vf. y*y == x", _FIELD),
+    ("vf x; forall u:rf. u == ac(x) || exists m:zz. ord(x) == m",
+     _VALUE_GROUP),
+    # the first one in the text names the message
+    ("vf x; (exists m:zz. ord(x) == m) || exists y:vf. y == x", _VALUE_GROUP),
+    ("rf u; u == 0 && exists n:zz. n == 0", _VALUE_GROUP),
+])
+def test_parse_refuses_field_and_value_group_quantifiers(text, message):
+    syntax = parse_module._syntax
+    for _ in range(2):
+        misses = syntax.cache_info().misses
+        with pytest.raises(UnsupportedFeature) as raised:
+            parse(text)
+        assert str(raised.value) == message
+        # the refusal is never memoized: each call parses the text again
+        assert syntax.cache_info().misses == misses + 1
+    # every path that parses the text raises the parser's refusal
+    with pytest.raises(UnsupportedFeature, match=re.escape(message)):
+        count_rf_points(text, 5)
+
+
+@pytest.mark.parametrize("text", [
+    "vf x; exists y:vf. x*y == 1 &&",           # syntax
+    "vf x; exists m:zz. ord(x) == m)",          # trailing input
+    "vf x; exists y:vf. ac(y) == 1 && y != 0",  # sort
+    "vf x; exists y:vf. exists y:vf. y == x",   # nested shadowing
+    "(exists y:vf. y == 1) && y == t",          # shadowing a free name
+])
+def test_syntax_and_sort_errors_come_before_the_refusal(text):
     with pytest.raises(ParseError):
         parse(text)
 
@@ -101,14 +154,12 @@ def test_parenthesized_exponents_fold_to_integers():
 
 def test_substitute_replaces_free_variables_and_respects_shadowing():
     scaled = VfMul(VfConst(F(1, 2)), VfVar("x"))
-    shadowed = Exists("u", Sort.RF, RfEq(RfVar("u"), RfConst(1)))
+    shadowed = Exists("u", RfEq(RfVar("u"), RfConst(1)))
     expr = And(RfEq(RfAc(VfVar("x")), RfVar("u")),
-               And(shadowed, Exists("s", Sort.RF,
-                                    RfEq(RfVar("s"), RfVar("u")))))
+               And(shadowed, Exists("s", RfEq(RfVar("s"), RfVar("u")))))
     got = count_reference.substitute(expr, {"x": scaled, "u": RfConst(3)})
     assert got == And(RfEq(RfAc(scaled), RfConst(3)),
-                      And(shadowed, Exists("s", Sort.RF,
-                                           RfEq(RfVar("s"), RfConst(3)))))
+                      And(shadowed, Exists("s", RfEq(RfVar("s"), RfConst(3)))))
     assert got.right.left is shadowed
     assert count_reference.substitute(expr, {"y": RfConst(0)}) is expr
 
@@ -223,7 +274,7 @@ ROUND_TRIP_CORPUS = [
     "vf x,y; forall w:rf. w == 0 || exists v:rf. v*v == w*ac(x*y)",
     "vf x; ord(x - 3) == 2 mod 2 && ord(x) < inf",
     "rf u; (u == 0 || u != 1) && !(u^2 == 2)",
-    "vf x; exists n:zz. 0 <= n && n <= 5 && ord(x) == 2*n",
+    "vf x; exists n:rf. n != 0 && ac(x) == n^2 && ord(x) <= 5",
     "vf x; -3*x == t - 1",
     "zz n; -n <= -2 && 1 - n == 0 mod 2",
 ]
@@ -281,18 +332,11 @@ def test_kleene_absorption():
 
 
 def test_value_group_quantifier_refused():
-    # congruences say what a value-group quantifier would, so none is
-    # searched
-    f_quant = parse("vf x; exists n:zz. 0 <= n && n <= 4 && ord(x) == 2*n")
-    for spec in (Q7, lf.fpt(7, 12)):
-        with pytest.raises(UnsupportedFeature) as raised:
-            interpret(f_quant, spec, {"x": 1})
-        assert "\n" not in str(raised.value)
-        assert "ord(x) == 0 mod 2" in str(raised.value)
-    # the point counter refuses it with the same message
-    with pytest.raises(UnsupportedFeature) as counted:
-        count_rf_points("rf u; u == 0 && exists n:zz. n == 0", 5)
-    assert str(counted.value) == str(raised.value)
+    # congruences say what a value-group quantifier would, so the parser
+    # refuses one, with a message that shows the congruence
+    with pytest.raises(UnsupportedFeature) as raised:
+        parse("vf x; exists n:zz. 0 <= n && n <= 4 && ord(x) == 2*n")
+    assert str(raised.value) == _VALUE_GROUP
     f_even = parse("vf x; ord(x) == 0 mod 2 && ord(x) <= 8")
     assert interpret(f_even, Q7, {"x": 49}) is T
     assert interpret(f_even, Q7, {"x": 7 ** 3}) is FL
@@ -322,22 +366,18 @@ def test_unbound_variable():
         interpret(F_ORD, Q7, {})
 
 
+def test_vf_quantifier_refused():
+    # cell decomposition eliminates field quantifiers, so the parser
+    # refuses one and no witness is searched
+    with pytest.raises(UnsupportedFeature) as raised:
+        parse("vf x; exists w:vf. w*w == x")
+    assert str(raised.value) == _FIELD
+
+
 def test_equal_characteristic_values():
     f3 = lf.fpt(3, 10)
     x = f3.uniformizer() * f3.uniformizer()
     assert interpret(F_ORD, f3, {"x": x}) is T
-
-
-# --- field quantifiers ---
-
-def test_vf_quantifier_refused():
-    # cell decomposition eliminates field quantifiers, so none is searched
-    f_sq = parse("vf x; exists w:vf. w*w == x")
-    for spec in (lf.qp(5, 4), lf.fpt(5, 4)):
-        with pytest.raises(UnsupportedFeature) as raised:
-            interpret(f_sq, spec, {"x": lf.embed_rational(4, spec)})
-        assert "\n" not in str(raised.value)
-        assert "witness" not in str(raised.value)
 
 
 # --- residue point counting ---
@@ -492,8 +532,7 @@ def rf_formulas(draw, q, scope, depth):
         return Not(draw(rf_formulas(q, scope, depth - 1)))
     if kind == "exists":
         var = "e%d" % depth  # depth-indexed so nested quantifiers never shadow
-        return Exists(var, Sort.RF,
-                      draw(rf_formulas(q, scope + (var,), depth - 1)))
+        return Exists(var, draw(rf_formulas(q, scope + (var,), depth - 1)))
     a = draw(rf_formulas(q, scope, depth - 1))
     b = draw(rf_formulas(q, scope, depth - 1))
     return (And if kind == "and" else Or)(a, b)
@@ -554,7 +593,7 @@ def image_quantifiers(draw, q, outer, var, depth):
     body = parts[0]
     for c in parts[1:]:
         body = (Or if miss == "or" else And)(body, c)
-    quantifier = Exists(var, Sort.RF, body)
+    quantifier = Exists(var, body)
     return Not(quantifier) if draw(st.booleans()) else quantifier
 
 
@@ -635,10 +674,10 @@ def parameter_classes(draw):
     power = RfPow(RfVar("w"), draw(st.integers(2, 3)))
     image = RfEq(draw(rf_terms(q, ("y",) + params, 1)),
                  RfMul(draw(rf_terms(q, params, 1)), power))
-    quantifier = Exists("w", Sort.RF, image)
+    quantifier = Exists("w", image)
     if draw(st.booleans()):
         # a quantifier that rebinds a parameter's name hides the parameter
-        quantifier = Exists(params[0], Sort.RF, quantifier)
+        quantifier = Exists(params[0], quantifier)
     parts.append(quantifier)
     parts = draw(st.permutations(parts))
     expr = parts[0]
@@ -688,9 +727,11 @@ def test_parameters_are_bound_before_any_loop():
 
 def test_a_quantifier_that_rebinds_a_parameter_hides_it():
     # the inner quantifier reads the quantified acx, not the parameter:
-    # over F_q every y is acx * s^2 for some acx and s
-    phi = parse("(exists acx:rf. exists s:rf. y == acx*s^2) && acx != 0",
-                default_sort=Sort.RF)
+    # over F_q every y is acx * s^2 for some acx and s.  The parser
+    # refuses this shadowing, so the tree is built by hand
+    image = RfEq(RfVar("y"), RfMul(RfVar("acx"), RfPow(RfVar("s"), 2)))
+    phi = And(Exists("acx", Exists("s", image)),
+              RfNe(RfVar("acx"), RfConst(0)))
     for q in (5, 7, 11):
         assert count_rf_points(phi, q, values={"acx": 2}) == q
 
@@ -776,7 +817,7 @@ def shadowing_trees(draw, depth=3):
     if kind == "not":
         return Not(draw(shadowing_trees(depth - 1)))
     if kind == "exists":
-        return Exists(draw(names), Sort.RF, draw(shadowing_trees(depth - 1)))
+        return Exists(draw(names), draw(shadowing_trees(depth - 1)))
     return (And if kind == "and" else Or)(draw(shadowing_trees(depth - 1)),
                                           draw(shadowing_trees(depth - 1)))
 
@@ -796,7 +837,7 @@ def test_kept_free_variables_match_a_walk_of_the_tree(tree):
 
 def test_an_exists_drops_only_its_own_variable():
     inner = RfEq(RfVar("u"), RfVar("s"))
-    tree = And(RfEq(RfVar("s"), RfConst(1)), Exists("s", Sort.RF, inner))
+    tree = And(RfEq(RfVar("s"), RfConst(1)), Exists("s", inner))
     assert free_vars(inner) == {"u": Sort.RF, "s": Sort.RF}
     assert list(free_vars(tree)) == ["s", "u"]
     assert free_vars(tree.right) == {"u": Sort.RF}
@@ -834,13 +875,52 @@ def zz_expressions(draw, depth=2):
         return "!(%s)" % a
     if op == "exists":
         j = "j%d" % depth  # depth-indexed so nested quantifiers never shadow
-        return "exists %s:zz. 0 <= %s && %s <= 2 && (%s)" % (j, j, j, a)
+        return "exists %s:rf. %s != 0 && (%s)" % (j, j, a)
     return "(%s) %s (%s)" % (a, op, b)
 
 
 @given(expr=zz_expressions())
 def test_round_trip_property(expr):
     phi = parse("zz n, m; " + expr)
+    assert parse(pretty_print(phi)) == phi
+
+
+_TEXT_NAMES = {"vf": ["x", "y", "z"], "rf": ["u", "s", "w"],
+               "zz": ["n", "m", "k"]}
+
+
+@st.composite
+def formula_texts(draw, depth=3):
+    """Texts over a few names of each sort, with quantifiers of every sort
+    that may shadow a name or take one of another sort's: some parse and
+    some raise."""
+    def name(sort):
+        return draw(st.sampled_from(_TEXT_NAMES[sort]))
+    if depth == 0 or draw(st.booleans()):
+        atom = draw(st.sampled_from([
+            "ord({vf}) <= {zz}", "ac({vf}) == {rf}^2", "{vf}*{vf} == t - 1",
+            "{rf} != 2", "{zz} == 1 mod 3", "ord({vf}) == 2*{zz}",
+            "-{rf} + {rf} == 0"]))
+        return atom.format(vf=name("vf"), rf=name("rf"), zz=name("zz"))
+    op = draw(st.sampled_from(["&&", "||", "!", "exists", "forall"]))
+    a = draw(formula_texts(depth - 1))
+    if op == "!":
+        return "!(%s)" % a
+    if op in ("exists", "forall"):
+        sort = draw(st.sampled_from(["rf", "rf", "rf", "vf", "zz"]))
+        return "%s %s:%s. %s" % (op, name(draw(st.sampled_from(
+            [sort, sort, sort, "rf"]))), sort, a)
+    return "(%s) %s (%s)" % (a, op, draw(formula_texts(depth - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.sampled_from(["", "vf x; ", "vf x; rf u, s; ", "zz n; "]),
+       body=formula_texts())
+def test_whatever_parses_prints_back(header, body):
+    try:
+        phi = parse(header + body)
+    except (ParseError, UnsupportedFeature):
+        return
     assert parse(pretty_print(phi)) == phi
 
 

@@ -72,6 +72,55 @@ def test_divisors_and_totient(n):
                                   if F(k, n).denominator == n)
 
 
+def _trial_factor(n):
+    """The factorization of n >= 1 by trial division up to its root."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _prime_from(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(
+    st.integers(1, 10 ** 9),
+    # past the trial divisors: left to Pollard's rho
+    st.tuples(st.integers(1001, 50000), st.integers(1001, 50000),
+              st.integers(1, 6)).map(
+        lambda t: _prime_from(t[0]) * _prime_from(t[1]) * t[2]),
+    # two primes of about 20 bits
+    st.tuples(st.integers(2 ** 19, 2 ** 20),
+              st.integers(2 ** 19, 2 ** 20)).map(
+        lambda t: _prime_from(t[0]) * _prime_from(t[1]))))
+def test_factor_matches_trial_division(n):
+    # the primes come in ascending order
+    assert list(poly.factor(n, 10 ** 8).items()) == \
+        sorted(_trial_factor(n).items())
+
+
+def test_rho_steps_are_charged_to_the_budget():
+    n = 1000000007 * 1000000009
+    assert poly.factor(n, 10 ** 5) == {1000000007: 1, 1000000009: 1}
+    with pytest.raises(BudgetExceeded,
+                       match="^trial divisions and rho steps factoring "
+                             "%d exceed the budget of 10000$" % n):
+        poly.factor(n, 10 ** 4)
+    # within the trial divisors the trial message stands
+    with pytest.raises(BudgetExceeded,
+                       match="^trial divisions factoring %d exceed" % n):
+        poly.factor(n, 100)
+
+
 def test_factor_stops_at_a_prime_cofactor(monkeypatch):
     monkeypatch.delenv("DPCALC_BOX_BUDGET", raising=False)
     p = 999999999999999989
