@@ -50,7 +50,8 @@ from .formula import (Formula, Sort, eval_vf_term, free_vars, parse,
                       parse_term, pretty_print)
 from .formula.interpret import as_integer
 from .localfield import fpt, is_prime, qp
-from .motivic import (bad_primes, bind_parameters, integrate_cell_data,
+from .motivic import (ConstructibleFn, IntegrationResult, bad_primes,
+                      bind_parameters, integrate_cell_data,
                       integrate_linear_product, load_cells, residue_cases,
                       specialize)
 from .motivic import appendix2_symbolic, appendix2_volume, nonsquares
@@ -313,23 +314,6 @@ def cmd_integrate(args):
 # compare
 
 
-def _oracle_rows(primes, skipped, per_prime):
-    """Run `per_prime` at each non-skipped prime; collect rows/failures."""
-    rows = []
-    failing = []
-    for p in primes:
-        if p in skipped:
-            rows.append({"prime": p,
-                         "skipped": "bad prime (%s)"
-                                    % "; ".join(skipped[p])})
-            continue
-        row, ok = per_prime(p)
-        rows.append(row)
-        if not ok:
-            failing.append(p)
-    return rows, failing
-
-
 def _bracket(args, row, sym, integrand, phi, p, precision, binds):
     """Put the oracle's bracket at p into row for each field args asks
     for, the binds evaluated in that field; whether all contain sym."""
@@ -346,7 +330,10 @@ def _bracket(args, row, sym, integrand, phi, p, precision, binds):
     return ok
 
 
-def _compare_formula(args):
+def _read_formula(args):
+    """(value text, result, domain, integrand, cases) of a .dp fixture:
+    its value comes from a directive, and its one case has no
+    parameters."""
     body, directives = _read_dp(args.path)
     phi = parse(body)
     if "linear-product" in directives:
@@ -356,25 +343,16 @@ def _compare_formula(args):
             _integer(directives.get("exponent", "1"), "exponent"),
             budget=args.budget)
         value = result.as_syma()
-        skipped = result.bad_primes
     elif "expect" in directives:
         value = SymA.parse(directives["expect"])
-        skipped = bad_primes(phi, budget=args.budget)
+        result = IntegrationResult(ConstructibleFn.constant(value),
+                                   bad_primes(phi, budget=args.budget), ())
     else:
         raise ParseError(
             "%s carries no symbolic value: add a '#! expect:' or "
             "'#! linear-product:' directive" % args.path)
-    integrand = _integrand_from(directives)
-
-    def per_prime(p):
-        sym = value.nu(p)
-        row = {"prime": p, "symbolic": fraction_str(sym)}
-        return row, _bracket(args, row, sym, integrand, phi, p,
-                             args.precision, {})
-
-    rows, failing = _oracle_rows(args.primes, skipped, per_prime)
-    return {"file": args.path, "value": value.render(),
-            "rows": rows}, failing
+    return (value.render(), result, phi, _integrand_from(directives),
+            [(None, args.precision, {})])
 
 
 def _oracle_case(case, precision):
@@ -395,7 +373,9 @@ def _oracle_case(case, precision):
                               "precision"), binds
 
 
-def _compare_cells(args):
+def _read_cells(args):
+    """(value text, result, domain, integrand, cases) of a cell-data
+    file: the file is integrated, then its oracle block is read."""
     data = _load_cells_path(args.path)
     result = integrate_cell_data(data, budget=args.budget)
     block = data.oracle
@@ -416,46 +396,40 @@ def _compare_cells(args):
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ParseError("malformed oracle block in %s: %s"
                          % (args.path, e)) from None
-
-    rf_params = {n for n, s in data.parameters if s is Sort.RF}
-    all_rows = []
-    all_failing = []
-    for params, precision, binds in cases:
-        def degenerate_at(p):
-            """Residue-class parameters name unit residues; a value that
-            vanishes mod p does not define one there."""
-            for name in sorted(rf_params & set(params)):
-                if params[name] % p == 0:
-                    return "parameter %s = %d vanishes mod %d" \
-                        % (name, params[name], p)
-            return None
-
-        def per_prime(p):
-            reason = degenerate_at(p)
-            if reason is not None:
-                return {"prime": p,
-                        "case": {k: v for k, v in sorted(params.items())},
-                        "skipped": reason}, True
-            sym = specialize(result, p, params, budget=args.budget)
-            row = {"prime": p,
-                   "case": {k: v for k, v in sorted(params.items())},
-                   "symbolic": fraction_str(sym)}
-            return row, _bracket(args, row, sym, integrand, phi, p, precision,
-                                 binds)
-
-        rows, failing = _oracle_rows(args.primes, result.bad_primes, per_prime)
-        all_rows.extend(rows)
-        all_failing.extend(failing)
-    return {"file": args.path, "value": result.value.render(),
-            "rows": all_rows}, all_failing
+    return result.value.render(), result, phi, integrand, cases
 
 
 def cmd_compare(args):
-    if args.path.endswith(".json"):
-        out, failing = _compare_cells(args)
-    else:
-        out, failing = _compare_formula(args)
-    out["ok"] = not failing
+    read = _read_cells if args.path.endswith(".json") else _read_formula
+    value, result, phi, integrand, cases = read(args)
+    rf_params = {n for n, s in result.value.params if s is Sort.RF}
+    rows = []
+    failing = []
+    for params, precision, binds in cases:
+        for p in args.primes:
+            row = {"prime": p}
+            rows.append(row)
+            if p in result.bad_primes:
+                row["skipped"] = ("bad prime (%s)"
+                                  % "; ".join(result.bad_primes[p]))
+                continue
+            if params is not None:
+                row["case"] = dict(sorted(params.items()))
+                # a residue parameter names a unit residue, which a value
+                # that vanishes mod p does not
+                zero = [n for n in sorted(rf_params & set(params))
+                        if params[n] % p == 0]
+                if zero:
+                    row["skipped"] = ("parameter %s = %d vanishes mod %d"
+                                      % (zero[0], params[zero[0]], p))
+                    continue
+            sym = specialize(result, p, params, budget=args.budget)
+            row["symbolic"] = fraction_str(sym)
+            if not _bracket(args, row, sym, integrand, phi, p, precision,
+                            binds):
+                failing.append(p)
+    out = {"file": args.path, "value": value, "rows": rows,
+           "ok": not failing}
     if failing:
         out["failing_primes"] = sorted(set(failing))
     _emit(args, out)

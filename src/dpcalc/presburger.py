@@ -5,8 +5,11 @@ and upper bound (affine in outer variables, or infinite) plus an optional
 congruence restriction.  `PresDomain.bind` is the one place an integer
 assignment meets a domain: it checks the variables assigned, drops them and
 substitutes into the bounds of the rest.  Summation runs innermost variable
-first; every ray is a geometric series in L and every finite range
-telescopes, so results stay exact elements of the coefficient ring, possibly
+first, by one rule: the ray v = s, s + d, ... sums c * L^(a*v) to
+c * L^(a*s) / (1 - L^(a*d)), and a range with a lower bound is the ray from
+its first point less the ray from its first point past the upper bound (so
+an empty range sums to 0).  A range with only an upper bound is the upward
+ray of -v.  Results stay exact elements of the coefficient ring, possibly
 with leftover parameters in the exponent.
 """
 
@@ -368,79 +371,55 @@ def _inv_one_minus_lpow(m):
     return SymA.l_power(-m) * SymA.geom(m) * (-1)
 
 
-def _finite_geom(step, n):
-    """Sum of L^(step*j) for j = 0..n-1."""
-    if n <= 0:
-        return SymA.from_int(0)
-    if step == 0:
-        return SymA.from_int(n)
-    return SymA({0: 1, step * n: -1}) * _inv_one_minus_lpow(step)
+def _ray(term, name, step, start):
+    """The sum of term over name = start, start + step, ...: the term at
+    start over 1 - L^(a*step), for a the coefficient of name."""
+    a = term.exponent.coeff(name)
+    return PresTerm(term.coefficient * _inv_one_minus_lpow(a * step),
+                    term.exponent.substitute(name, start))
 
 
 def _sum_over(term, rng):
-    """Sum one PresTerm over one VarRange; returns a list of PresTerms."""
-    a = term.exponent.coeff(rng.name)
-    coeff = term.coefficient
-    lo, up = rng.lower, rng.upper
+    """Sum one PresTerm over one VarRange; returns a tuple of PresTerms."""
+    name, lo, up = rng.name, rng.lower, rng.upper
     d, c = rng.modulus, rng.residue
-
-    def subst(v):
-        if isinstance(v, int):
-            v = AffineForm.constant(v)
-        return term.exponent.substitute(rng.name, v)
-
-    lo_num = lo.const if lo is not None and lo.is_constant() else None
-    up_num = up.const if up is not None and up.is_constant() else None
-
+    a = term.exponent.coeff(name)
     if lo is None and up is None:
-        raise NotSummable("variable %r ranges over all of Z" % rng.name)
-
-    if up is None:
-        # upward ray
-        if a >= 0:
-            raise NotSummable(
-                "exponent coefficient %d on unbounded variable %r"
-                % (a, rng.name))
-        if lo_num is not None:
-            v0 = lo_num + ((c - lo_num) % d)
-            return [PresTerm(coeff * SymA.geom(-a * d), subst(v0))]
-        if d != 1:
-            raise UnsupportedFeature(
-                "congruence with a symbolic bound on %r" % rng.name)
-        return [PresTerm(coeff * SymA.geom(-a), subst(lo))]
-
+        raise NotSummable("variable %r ranges over all of Z" % name)
+    if (lo is None or up is None) and a * (1 if up is None else -1) >= 0:
+        raise NotSummable("exponent coefficient %d on unbounded variable %r"
+                          % (a, name))
     if lo is None:
-        # downward ray
-        if a <= 0:
-            raise NotSummable(
-                "exponent coefficient %d on unbounded variable %r"
-                % (a, rng.name))
-        if up_num is not None:
-            v1 = up_num - ((up_num - c) % d)
-            return [PresTerm(coeff * SymA.geom(a * d), subst(v1))]
-        if d != 1:
-            raise UnsupportedFeature(
-                "congruence with a symbolic bound on %r" % rng.name)
-        return [PresTerm(coeff * SymA.geom(a), subst(up))]
-
-    # both ends finite
-    if lo_num is not None and up_num is not None:
-        v0 = lo_num + ((c - lo_num) % d)
-        if v0 > up_num:
-            return []
-        n = (up_num - v0) // d + 1
-        return [PresTerm(coeff * _finite_geom(a * d, n), subst(v0))]
-    if d != 1:
+        term = PresTerm(term.coefficient, term.exponent.substitute(
+            name, -AffineForm.var(name)))
+        lo, up, c = -up, None, -c % d
+    if lo.is_constant():
+        first = AffineForm.constant(lo.const + (c - lo.const) % d)
+    elif d != 1:
         raise UnsupportedFeature(
-            "congruence with a symbolic bound on %r" % rng.name)
-    if a == 0:
+            "congruence with a symbolic bound on %r" % name)
+    else:
+        first = lo
+    if up is None:
+        return (_ray(term, name, d, first),)
+    if lo.is_constant() and up.is_constant():
+        n = max(0, (up.const - first.const) // d + 1)
+        if a == 0:
+            return SymSum((PresTerm(term.coefficient * n,
+                                    term.exponent),)).terms
+        past = first + n * d
+    elif d != 1:
+        raise UnsupportedFeature(
+            "congruence with a symbolic bound on %r" % name)
+    elif a == 0:
         raise UnsupportedFeature(
             "cardinality of a symbolic range is not an L-exponential "
-            "(exponent does not involve %r)" % rng.name)
-    # telescoping: sum_{v=lo}^{up} L^(a v) = (L^(a lo) - L^(a (up+1)))/(1-L^a)
-    inv = _inv_one_minus_lpow(a)
-    return [PresTerm(coeff * inv, subst(lo)),
-            PresTerm(coeff * inv * SymA.l_power(a) * (-1), subst(up))]
+            "(exponent does not involve %r)" % name)
+    else:
+        past = up + 1
+    back = PresTerm(-term.coefficient, term.exponent)
+    return SymSum((_ray(term, name, d, first),
+                   _ray(back, name, d, past))).terms
 
 
 def sum(domain, term):
@@ -454,8 +433,5 @@ def sum(domain, term):
         term = PresTerm(*term)
     terms = [term]
     for rng in reversed(domain.ranges):
-        nxt = []
-        for t in terms:
-            nxt.extend(_sum_over(t, rng))
-        terms = nxt
+        terms = [s for t in terms for s in _sum_over(t, rng)]
     return SymSum(tuple(terms))
