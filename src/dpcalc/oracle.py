@@ -61,8 +61,8 @@ from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
 from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
-from .formula.interpret import (_PINF_POINT, as_field_element, as_integer,
-                                bind_assignment)
+from .formula.interpret import (_PINF_POINT, _refuse, as_field_element,
+                                as_integer, bind_assignment)
 from .formula.nodes import rewrite
 from .localfield import INF, LFElem, embed_rational
 from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
@@ -155,6 +155,8 @@ class IntegrandSpec:
             raise InvalidArgument("exponent must be a positive integer")
         if isinstance(f, str):
             f = parse_term(f, Sort.VF)
+        elif not isinstance(f, Node):
+            _refuse("f", "a term", f)
         return cls(f, e)
 
     @property

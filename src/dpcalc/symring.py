@@ -377,13 +377,16 @@ def _reduce(prim, den):
     for d in sorted(set().union(*(poly.divisors(i) for i, _ in den)),
                     reverse=True):
         e = sum(m for i, m in den if i % d == 0)
-        phi = cyclotomic(d)
-        while e:
-            q, r = poly.divmod(prim, phi)
-            if r:
-                break
-            prim = q
-            e -= 1
+        # Phi_d has degree totient(d): past prim's degree it cannot divide
+        # prim, and is left over without being built
+        if poly.totient(d) < len(prim):
+            phi = cyclotomic(d)
+            while e:
+                q, r = poly.divmod(prim, phi)
+                if r:
+                    break
+                prim = q
+                e -= 1
         if e:
             left[d] = e
     cover = _cover(left)

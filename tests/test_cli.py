@@ -478,6 +478,7 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
     ("linear_m1.dp", "#! integrand: z", "#! integrand: inf",
      ["oracle", "--prime", "5"]),
     ("cube.cells.json", '"f": "y^3 - x"', '"f": "ord(y)"', ["compare"]),
+    ("cube.cells.json", '"f": "y^3 - x"', '"f": 3', ["compare"]),
     ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}',
      '"vf": {"x": "acx * y"}', ["compare"]),
     ("cube.cells.json", '"vf": {"x": "acx * t^(3*k)"}',
@@ -491,6 +492,7 @@ def test_out_of_range_input_exits_2(run_cli, fx, argv):
         "case-not-object", "bind-not-text", "bad-primes-not-object",
         "exponent-directive-x", "exponent-directive-0", "integrand-ord",
         "integrand-ac", "integrand-inf", "oracle-integrand-ord",
+        "oracle-integrand-not-text",
         "bind-unknown-name", "bind-division", "bind-pi", "param-float",
         "precision-float", "integrand-exponent-float"])
 def test_malformed_input_files_exit_2(run_cli, fx, tmp_path, name, old, new,
@@ -580,6 +582,14 @@ def test_semiprime_center_is_factored_by_rho():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert list(out_json(proc.stdout)["bad_primes"]) == ["1000000007",
                                                          "1000000009"]
+
+
+def test_a_long_denominator_builds_no_cyclotomic():
+    # the shell sum is 1/(1 - L^-300001) with numerator 1: no Phi_d that
+    # divides 300001 is shorter than that numerator, so none is built
+    proc = _run_apart("integrate", "--linear-product", "0:300000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out_json(proc.stdout)["value"] == "(1 - L^-1)/(1 - L^-300001)"
 
 
 def test_semiprime_center_stops_at_the_budget():

@@ -624,10 +624,14 @@ def _appendix2_plan(monkeypatch, eta_mode, variant):
     """The plan source of the formula appendix2_volume counts at q = 7."""
     seen = []
     monkeypatch.setattr(motivic, "count_rf_points",
-                        lambda phi, q, budget: seen.append(phi) or 0)
+                        lambda phi, q, budget, values: seen.append(
+                            (phi, values)) or 0)
     appendix2_volume(eta_mode, 7, variant=variant)
-    (phi,) = seen
-    return _plan(phi)
+    ((phi, values),) = seen
+    values = values or {}
+    params = tuple(sorted(n for n, _ in phi.free if n in values))
+    names = tuple(sorted(n for n, _ in phi.free if n not in values))
+    return _Plan(phi.expr, names, params).source()
 
 
 @pytest.mark.parametrize("variant", ["b2_minus_d2", "d2_minus_b2"])

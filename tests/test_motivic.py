@@ -378,6 +378,10 @@ _FIELDS = [lf.qp, lf.fpt]
                  "exponent ... true", id="linear_product-exponent-bool"),
     pytest.param(lambda res: residue_cases(res, 3, {"acx": 1.9}, {"k": 0}),
                  "acx ... 1.9", id="residue_cases-witness"),
+    pytest.param(lambda res: appendix2_volume("per_eta", 7, eta=3.7),
+                 "eta ... 3.7", id="appendix2_volume-eta-float"),
+    pytest.param(lambda res: appendix2_volume("per_eta", 7, eta="3"),
+                 'eta ... "3"', id="appendix2_volume-eta-text"),
     *[pytest.param(lambda res, make=make, v=v: oracle.volume(
         "vf x, a; ord(x - a) >= 1", make(5, 3), assignment={"a": v}),
         "a ... %s ... a field element or a rational" % shown,
