@@ -29,6 +29,13 @@ raises UnsupportedFeature: cell decomposition
 eliminates the first (Pas, J. reine angew. Math. 399, 1989), and
 congruences express the second (Cooper, Machine Intelligence 7, 1972).
 
+The text nests at most 2 * MAX_DEPTH levels (parentheses, '!', unary
+'-', quantifiers, ord, ac and '^('), counted as the parser recurses, and
+the tree it builds is at most MAX_DEPTH deep, counted once it is built;
+past either bound the parser raises UnsupportedFeature.  The printer
+spends at most two levels on a node, so every parsed tree prints to text
+that parses again.
+
 Parsed trees are shared: `parse` and `parse_term` keep the tree of each
 (text, sort, values) key in one bounded LRU memo, so every caller that
 reads the same text gets the same object.  That is safe because the trees
@@ -49,10 +56,17 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
-                    ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar)
+                    ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
+                    children)
 
 # distinct (text, sort, values) keys whose trees are kept
 MEMO_SIZE = 256
+# the deepest tree the parser builds, a leaf counting one: every walk of
+# a parsed tree recurses, and this keeps each one far inside the
+# interpreter's recursion limit.  The text may nest (parentheses, ord and
+# ac, '!', unary '-', '^(' and quantifiers) twice as deep, since the
+# printer may spend two levels on one node, as in !(exists s:rf. ...)
+MAX_DEPTH = 50
 
 _KEYWORDS = {"vf", "rf", "zz", "exists", "forall", "mod", "inf", "ord",
              "ac", "t"}
@@ -123,6 +137,7 @@ class _Parser:
         self.inferred = []   # inference order
         self.quantified = []  # (name token, Sort) of each quantifier
         self.default_sort = default_sort
+        self.depth = 0       # the levels open
 
     # token plumbing
 
@@ -163,6 +178,8 @@ class _Parser:
             self.take(";")
         expr = self.parse_or()
         self.end()
+        if _depth(expr, children) > MAX_DEPTH:
+            raise _too_deep()
         names = self.declared + self.inferred
         for t, _ in self.quantified:
             if t.value in names:
@@ -198,7 +215,7 @@ class _Parser:
     def parse_not(self):
         if self.at("!"):
             self.take()
-            return Not(self.parse_not())
+            return Not(nested(self, self.parse_not))
         if self.at("exists") or self.at("forall"):
             return self.parse_quant()
         return self.parse_atom()
@@ -220,7 +237,7 @@ class _Parser:
         self.take(".")
         self.quantified.append((name_tok, sort))
         self.env[name] = sort
-        body = self.parse_or()
+        body = nested(self, self.parse_or)
         del self.env[name]
         if kw.kind == "forall":
             return Not(Exists(name, Not(body)))
@@ -250,7 +267,7 @@ class _Parser:
                 raise
         self.i = mark
         self.take("(")
-        v = self.parse_or()
+        v = nested(self, self.parse_or)
         self.take(")")
         return v
 
@@ -278,6 +295,9 @@ class _Parser:
             op = self.take().kind
             w = self.parse_tprod()
             v = ("add", v, w) if op == "+" else ("sub", v, w)
+        # every walk of a term tree below recurses
+        if _depth(v, _tuple_children) > MAX_DEPTH:
+            raise _too_deep()
         return v
 
     def parse_tprod(self):
@@ -290,7 +310,7 @@ class _Parser:
     def parse_tunary(self):
         if self.at("-"):
             tok = self.take()
-            sub = self.parse_tunary()
+            sub = nested(self, self.parse_tunary)
             if sub[0] == "int":
                 return ("int", -sub[1], sub[2])
             return ("neg", sub, (tok.line, tok.col))
@@ -305,7 +325,7 @@ class _Parser:
             e = self.take("int")
             return ("pow", base, e.value, (e.line, e.col))
         e = self.take("(")
-        n = _fold(self.parse_term())
+        n = _fold(nested(self, self.parse_term))
         self.take(")")
         if n is None or n < 0:
             raise ParseError("an exponent must fold to an integer >= 0",
@@ -327,11 +347,11 @@ class _Parser:
             return ("inf", pos)
         if t.kind in ("ord", "ac"):
             self.take("(")
-            sub = self.parse_term()
+            sub = nested(self, self.parse_term)
             self.take(")")
             return (t.kind, sub, pos)
         if t.kind == "(":
-            sub = self.parse_term()
+            sub = nested(self, self.parse_term)
             self.take(")")
             return sub
         raise ParseError("expected a term, got %r" % t.value, t.line, t.col)
@@ -465,6 +485,41 @@ def refuse_quantifier(sort):
     raise UnsupportedFeature(
         "value-group quantifiers (write the condition with congruences, "
         "such as ord(x) == 0 mod 2)")
+
+
+def nested(parser, rule):
+    """rule() with parser.depth, the levels open, one deeper: the text of
+    a formula or a ring value nests at most 2 * MAX_DEPTH levels."""
+    if parser.depth == 2 * MAX_DEPTH:
+        raise UnsupportedFeature("more than %d nested levels"
+                                 % (2 * MAX_DEPTH))
+    parser.depth += 1
+    try:
+        return rule()
+    finally:
+        parser.depth -= 1
+
+
+def _too_deep():
+    return UnsupportedFeature("a tree more than %d deep" % MAX_DEPTH)
+
+
+def _depth(tree, kids):
+    """The depth of a tree, a leaf counting one, found without recursion."""
+    deepest = 0
+    stack = [(tree, 1)]
+    while stack:
+        t, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in kids(t))
+    return deepest
+
+
+def _tuple_children(t):
+    """The subterms of a term tree: the tuples in it, past its tag, that
+    are not a (line, column) position."""
+    return [c for c in t[1:]
+            if isinstance(c, tuple) and isinstance(c[0], str)]
 
 
 def _fold(t):

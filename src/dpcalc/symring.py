@@ -39,6 +39,7 @@ from fractions import Fraction
 
 from . import poly
 from .errors import NotInvertibleInA, ParseError
+from .formula.parse import nested
 from .localfield import is_prime
 
 F0 = Fraction(0)
@@ -536,6 +537,7 @@ class _SymAParser:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.depth = 0  # the parentheses and unary minuses open
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -575,7 +577,7 @@ class _SymAParser:
     def unary(self):
         if self.peek() == "-":
             self.take()
-            return -self.unary()
+            return -nested(self, self.unary)
         return self.power()
 
     def power(self):
@@ -600,7 +602,7 @@ class _SymAParser:
     def atom(self):
         t = self.take()
         if t == "(":
-            v = self.expr()
+            v = nested(self, self.expr)
             if self.take() != ")":
                 raise ParseError("expected ')' in ring expression")
             return v

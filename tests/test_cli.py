@@ -15,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from dpcalc import cli
 from dpcalc.boxcode import compile_walk
-from dpcalc.formula import VfAdd, VfConst, VfMul, VfPow, VfUnif, parse
+from dpcalc.errors import BudgetExceeded, UnsupportedFeature
+from dpcalc.formula import (VfAdd, VfConst, VfMul, VfPow, VfUnif,
+                            count_rf_points, parse, pretty_print)
+from dpcalc.formula.parse import MAX_DEPTH
 from dpcalc.symring import SymA
 
 
@@ -712,6 +715,96 @@ def test_internal_error_exits_1(run_cli, fx, monkeypatch):
     assert err == "dpcalc: internal error: RuntimeError: broken parser\n"
     with pytest.raises(RuntimeError):
         run_cli("parse", fx("ball.dp"), "--debug")
+
+
+# --- deep or long input exits 3 ---
+
+# an atom, and a term context, each one nested level and three nodes deep,
+# in the field and in the residue field
+_ATOM = {"vf": "ord(x) >= 0", "rf": "(x^2) == 1"}
+_IN_TERM = {"vf": "ord(%s) >= 0", "rf": "(%s)^2 == 1"}
+# (shape, its body at n, the largest n within the bounds): the text nests
+# at most 2 * MAX_DEPTH levels and the tree is at most MAX_DEPTH deep
+_DEEP = [
+    ("parentheses", lambda n, s: "(" * n + _ATOM[s] + ")" * n,
+     2 * MAX_DEPTH - 1),
+    ("conjunction", lambda n, s: " && ".join([_ATOM[s]] * n),
+     MAX_DEPTH - 2),
+    ("negation", lambda n, s: "!" * n + _ATOM[s], MAX_DEPTH - 3),
+    ("quantifiers", lambda n, s: "".join(
+        "exists s%d:rf. " % i for i in range(n)) + _ATOM[s], MAX_DEPTH - 3),
+    ("term-parentheses", lambda n, s: _IN_TERM[s] % (
+        "(" * n + "x" + ")" * n), 2 * MAX_DEPTH - 1),
+    ("sum", lambda n, s: _IN_TERM[s] % " + ".join(["x"] * n),
+     MAX_DEPTH - 2),
+    ("unary-minus", lambda n, s: _IN_TERM[s] % ("-" * n + "x"),
+     MAX_DEPTH - 3),
+]
+
+
+def _compare_and_oracle(run_cli, path):
+    rc, out, err = run_cli("compare", path, "--primes", "5", "--precision",
+                           "2", "--both-characteristics")
+    rows = out_json(out)["rows"] if out else None
+    oracle = [run_cli("oracle", path, "--prime", "5", "--precision", "2",
+                      "--field", field) for field in ("qp", "fpt")]
+    return (rc, rows, err), [(o[0], out_json(o[1])["interval"] if o[1]
+                              else None, o[2]) for o in oracle]
+
+
+@pytest.mark.parametrize("shape, body, top", _DEEP,
+                         ids=[d[0] for d in _DEEP])
+def test_deep_input_runs_to_the_bound_and_exits_3_past_it(
+        run_cli, tmp_path, shape, body, top):
+    """At the bound every command runs as on the shallowest text of the
+    same shape and parity; one level past it is refused."""
+    shallow = 2 - top % 2
+    for sort in ("vf", "rf"):
+        phi = parse("%s x; %s" % (sort, body(top, sort)))
+        assert parse(pretty_print(phi)) == phi
+    rf, low = ("rf x; " + body(n, "rf") for n in (top, shallow))
+    if shape == "quantifiers":
+        # q^(1 + n) evaluations
+        with pytest.raises(BudgetExceeded):
+            count_rf_points(rf, 5)
+    else:
+        assert count_rf_points(rf, 5) == count_rf_points(low, 5)
+    deep, low = (tmp_path / "deep.dp", tmp_path / "low.dp")
+    for path, n in ((deep, top), (low, shallow)):
+        path.write_text("#! expect: 1\nvf x; %s\n" % body(n, "vf"))
+    assert run_cli("parse", deep)[0] == 0
+    if shape == "quantifiers":
+        # the box walk nests 19 residue quantifiers at most
+        (rc, _, err), oracle = _compare_and_oracle(run_cli, deep)
+        assert rc == 3 and "nested %d deep" % top in err
+        assert all(o[0] == 3 for o in oracle)
+    else:
+        assert _compare_and_oracle(run_cli, deep) == \
+            _compare_and_oracle(run_cli, low)
+    deep.write_text("#! expect: 1\nvf x; %s\n" % body(top + 1, "vf"))
+    for argv in (("parse", deep), ("compare", deep, "--primes", "5"),
+                 ("oracle", deep, "--prime", "5")):
+        rc, out, err = run_cli(*argv)
+        assert (rc, out) == (3, "")
+        assert err.startswith("dpcalc: outside the supported fragment: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    with pytest.raises(UnsupportedFeature):
+        parse("rf x; " + body(top + 1, "rf"))
+
+
+@pytest.mark.parametrize("value", [
+    lambda n: "(" * n + "1" + ")" * n,
+    lambda n: "-" * n + "1",
+], ids=["parentheses", "unary-minus"])
+def test_deep_expected_values_exit_3_past_the_bound(run_cli, tmp_path,
+                                                    value):
+    path = tmp_path / "deep.dp"
+    for n, want in ((2 * MAX_DEPTH, 0), (2 * MAX_DEPTH + 1, 3)):
+        path.write_text("#! expect: %s\nvf x; ord(x) >= 0\n" % value(n))
+        rc, out, err = run_cli("compare", path, "--primes", "5")
+        assert rc == want, err
+    assert err == ("dpcalc: outside the supported fragment: more than %d "
+                   "nested levels\n" % (2 * MAX_DEPTH))
 
 
 
