@@ -512,6 +512,60 @@ def test_malformed_input_files_exit_2(run_cli, fx, tmp_path, name, old, new,
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def _set(path, value):
+    """An edit of cell data that sets the key at `path` (None deletes)."""
+    def edit(data):
+        *outer, key = path
+        for step in outer:
+            data = data[step]
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+    return edit
+
+
+_ZZ_BASIS = "rf u; zz g; u != 0 && 0 <= g && %s"
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_set(("cells", 0), 7), 2, "cell 0 is not an object"),
+    (_set(("cells", 0, "center"), None), 2, "cell shells has no center"),
+    (_set(("cells", 0, "psi"), None), 2,
+     "cell shells has no psi coefficient"),
+    (_set(("cells", 0, "basis"), "vf z; rf u; u != 0 && ord(z) >= 0"), 3,
+     "outside the supported fragment: cell shells: basis formulas range "
+     "over residue and value-group variables only"),
+    (_set(("cells", 1, "xi"), "u"), 2,
+     "cell origin: a 0-cell has no alpha or xi"),
+    (_set(("cells", 1, "basis"), "zz g; 0 <= g"), 2,
+     "cell origin: a 0-cell has no extra value-group variables"),
+    (_set(("cells", 0, "xi"), None), 2,
+     "cell shells: a 1-cell needs alpha and xi"),
+    (_set(("cells", 0, "alpha"), "g + m"), 2,
+     "cell shells: alpha uses undeclared ['m']"),
+    (_set(("cells",), None), 2,
+     "cell data must be an object with a 'cells' list"),
+    (_set(("parameters",), [{"name": "k", "sort": "qq"}]), 2,
+     "bad parameter entry {'name': 'k', 'sort': 'qq'}"),
+    (_set(("cells", 0, "basis"), _ZZ_BASIS % "1 <= g"), 3,
+     "outside the supported fragment: two lower bounds for 'g'"),
+    (_set(("cells", 0, "basis"), _ZZ_BASIS % "2*g <= 5"), 3,
+     "outside the supported fragment: cannot solve for 'g' with "
+     "coefficient 2"),
+], ids=["cell-not-object", "no-center", "no-psi", "vf-basis",
+        "zero-cell-xi", "zero-cell-ranges", "one-cell-no-xi",
+        "alpha-undeclared", "no-cells", "bad-parameter", "two-lower-bounds",
+        "coefficient-2"])
+def test_cell_loader_refusals(run_cli, fx, tmp_path, edit, code, message):
+    with open(fx("punctured_ball.cells.json")) as fh:
+        data = json.load(fh)
+    edit(data)
+    path = tmp_path / "cells.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("integrate", path) == (code, "", "dpcalc: %s\n" % message)
+
+
 def test_appendix2_huge_prime_stops_at_the_budget(run_cli):
     start = time.monotonic()
     rc, out, err = run_cli("appendix2", "--primes", "99999999977",

@@ -21,6 +21,7 @@ from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             residue_cases, specialize)
 from dpcalc.presburger import AffineForm, PresDomain, PresTerm, SymSum
 from dpcalc.symring import ONE, L, SymA
+from presburger_reference import evaluate_truncated
 
 parse_a = SymA.parse
 
@@ -118,6 +119,44 @@ def test_punctured_ball_integrates_to_one():
 
 def test_empty_family_is_zero():
     assert integrate_cells([]).value == ConstructibleFn.zero()
+
+
+def _shells(basis):
+    return {"cells": [{"kind": "OneCell", "id": "shells", "center": "0",
+                       "basis": basis, "alpha": "g", "xi": "u",
+                       "psi": "1"}]}
+
+
+def test_a_basis_without_the_unit_atom_gains_it_from_xi():
+    (bare,) = load_cells(_shells("rf u; zz g; 0 <= g")).cells
+    (written,) = load_cells(_shells("rf u; zz g; u != 0 && 0 <= g")).cells
+    assert bare.class_formula == Formula(RfNe(RfVar("u"), RfConst(0)))
+    assert bare == written
+
+
+def test_a_pinned_and_congruent_cell_sums_as_the_reference():
+    """g is pinned to the parameter k and h runs over the odd values in
+    [1, 7]: the integral is the class size L - 1 times the sum of
+    L^(-g - h - 1), which the reference sums point by point."""
+    data = load_cells({
+        "parameters": [{"name": "k", "sort": "zz"}],
+        "cells": [{"kind": "OneCell", "id": "pinned", "center": "0",
+                   "basis": "rf u; zz g, h, k; u != 0 && 0 <= k && g == k "
+                            "&& 1 <= h && h <= 7 && h == 1 mod 2",
+                   "alpha": "g + h", "xi": "u", "psi": "1"}]})
+    (cell,) = data.cells
+    assert [(r.name, str(r.lower), str(r.upper), r.modulus, r.residue)
+            for r in cell.z_domain.ranges] == [("g", "k", "k", 1, 0),
+                                               ("h", "1", "7", 2, 1)]
+    result = integrate_cell_data(data)
+    term = PresTerm(cell.psi.coefficient,
+                    cell.psi.exponent - cell.alpha - 1)
+    for q in (2, 3, 5):
+        for k in range(4):
+            partial, tail = evaluate_truncated(cell.z_domain, term, q, 12,
+                                               {"k": k})
+            assert tail == 0
+            assert specialize(result, q, {"k": k}) == (q - 1) * partial
 
 
 # --- the worked parametric family ---

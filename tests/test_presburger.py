@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dpcalc import presburger as P
 from dpcalc.errors import NotSummable, ParseError, UnsupportedFeature
@@ -303,3 +303,72 @@ def test_truncation_bound_property(lower, coeff, offset, q, depth):
     partial, tail = evaluate_truncated(dom, term, q, depth)
     closed = P.sum(dom, term).as_syma().nu(q)
     assert abs(closed - partial) <= tail
+
+
+# --- the one summation rule against the numeric reference ---
+
+_ENDS = st.one_of(st.none(), st.integers(-4, 4).map(const),
+                  st.integers(-3, 3).map(lambda c: var("k") + c))
+
+
+@st.composite
+def _single_ranges(draw):
+    """(domain, term, k): one range whose ends are each absent, numeric
+    or symbolic in the parameter k, with a modulus of 1-3, and a term
+    L^(a*i + b*k + c) with a in -3..3.  A symbolic range is summed by
+    telescoping, which counts its points only while lo <= up + 1, so k
+    keeps it there."""
+    lo, up = draw(_ENDS), draw(_ENDS)
+    d = draw(st.integers(1, 3))
+    c = draw(st.integers(0, d - 1))
+    k = draw(st.integers(-3, 3))
+    if lo is not None and up is not None:
+        assume(lo.bind({"k": k}).const <= up.bind({"k": k}).const + 1)
+    domain = PresDomain((VarRange("i", lo, up, d, c),))
+    term = PresTerm(ONE, af({"i": draw(st.integers(-3, 3)),
+                             "k": draw(st.integers(-2, 2))},
+                            draw(st.integers(-2, 2))))
+    return domain, term, k
+
+
+def _one(lo, up, d, c, exponent, k):
+    return (PresDomain((VarRange("i", lo, up, d, c),)),
+            PresTerm(ONE, exponent), k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_single_ranges(), q=st.sampled_from([2, 3, F(7, 2)]))
+# a downward ray, reflected with its residue, and a symbolic one
+@example(case=_one(None, const(2), 3, 1, af({"i": 1}), 0), q=2)
+@example(case=_one(None, var("k") + 1, 1, 0, af({"i": 2, "k": 1}), 1), q=3)
+# a finite range with a > 0, an empty one, and one with a = 0
+@example(case=_one(const(-2), const(3), 2, 1, af({"i": 3}), 0), q=2)
+@example(case=_one(const(3), const(1), 1, 0, af({"i": -1}), 0), q=2)
+@example(case=_one(const(-1), const(4), 2, 0, af({"k": 1}), 2), q=2)
+def test_single_ranges_match_the_reference(case, q):
+    """The closed form equals the reference's window sum plus its exact
+    remainder, or both sides refuse a divergent sum; the engine alone
+    refuses a congruence with a symbolic bound and the cardinality of a
+    symbolic range."""
+    domain, term, k = case
+    (rng,) = domain.ranges
+    symbolic = any(b is not None and not b.is_constant()
+                   for b in (rng.lower, rng.upper))
+    try:
+        want = evaluate_truncated(domain, term, q, 12, {"k": k})
+    except NotSummable:
+        want = NotSummable
+    try:
+        got = P.sum(domain, term).nu(q, {"k": k})
+    except NotSummable:
+        got = NotSummable
+    except UnsupportedFeature:
+        assert symbolic and want is not NotSummable
+        assert rng.modulus > 1 or (term.exponent.coeff("i") == 0
+                                   and None not in (rng.lower, rng.upper))
+        return
+    if want is NotSummable:
+        assert got is NotSummable
+    else:
+        partial, tail = want
+        assert got == partial + tail
