@@ -236,10 +236,9 @@ def _rho(n, tries, limit):
         c += 1
 
 
-# The ring factors only its denominator indices, each the length of a
-# dense coefficient list that already exists; the sqrt(n) trial divisions
-# cost less than that list, so a limit of n, which they never reach,
-# leaves them unbudgeted.
+# The ring factors only its denominator indices, each an exponent the
+# input wrote; the trial divisions and rho steps on n stay far below n, so
+# a limit of n, which they never reach, leaves them unbudgeted.
 
 @functools.lru_cache(maxsize=1024)
 def divisors(n):
