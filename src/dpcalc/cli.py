@@ -331,9 +331,8 @@ def _bracket(args, row, sym, integrand, phi, p, precision, binds):
 
 
 def _read_formula(args):
-    """(value text, result, domain, integrand, cases) of a .dp fixture:
-    its value comes from a directive, and its one case has no
-    parameters."""
+    """(value text, result, domain, integrand, cases) of a .dp fixture,
+    whose value a directive gives and whose one case has no parameters."""
     body, directives = _read_dp(args.path)
     phi = parse(body)
     if "linear-product" in directives:

@@ -29,12 +29,10 @@ raises UnsupportedFeature: cell decomposition
 eliminates the first (Pas, J. reine angew. Math. 399, 1989), and
 congruences express the second (Cooper, Machine Intelligence 7, 1972).
 
-The text nests at most 2 * MAX_DEPTH levels (parentheses, '!', unary
-'-', quantifiers, ord, ac and '^('), counted as the parser recurses, and
-the tree it builds is at most MAX_DEPTH deep, counted once it is built;
-past either bound the parser raises UnsupportedFeature.  The printer
-spends at most two levels on a node, so every parsed tree prints to text
-that parses again.
+Past MAX_DEPTH levels of tree, or twice that of nesting in the text
+(parentheses, '!', unary '-', quantifiers, ord, ac and '^('), the parser
+raises UnsupportedFeature.  The printer spends at most two levels of
+nesting on a node, so every parsed tree prints to text that parses.
 
 Parsed trees are shared: `parse` and `parse_term` keep the tree of each
 (text, sort, values) key in one bounded LRU memo, so every caller that
@@ -57,15 +55,12 @@ from .nodes import (And, Exists, Formula, Not, Or, RfAc, RfAdd, RfConst,
                     VfAdd, VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub,
                     VfUnif, VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf,
                     ZzLe, ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
-                    children)
+                    Node, children)
 
 # distinct (text, sort, values) keys whose trees are kept
 MEMO_SIZE = 256
-# the deepest tree the parser builds, a leaf counting one: every walk of
-# a parsed tree recurses, and this keeps each one far inside the
-# interpreter's recursion limit.  The text may nest (parentheses, ord and
-# ac, '!', unary '-', '^(' and quantifiers) twice as deep, since the
-# printer may spend two levels on one node, as in !(exists s:rf. ...)
+# the deepest tree the parser builds, a leaf counting one, which keeps
+# every recursive walk of a tree far inside the interpreter's limit
 MAX_DEPTH = 50
 
 _KEYWORDS = {"vf", "rf", "zz", "exists", "forall", "mod", "inf", "ord",
@@ -178,8 +173,7 @@ class _Parser:
             self.take(";")
         expr = self.parse_or()
         self.end()
-        if _depth(expr, children) > MAX_DEPTH:
-            raise _too_deep()
+        _check_depth(expr)
         names = self.declared + self.inferred
         for t, _ in self.quantified:
             if t.value in names:
@@ -295,9 +289,7 @@ class _Parser:
             op = self.take().kind
             w = self.parse_tprod()
             v = ("add", v, w) if op == "+" else ("sub", v, w)
-        # every walk of a term tree below recurses
-        if _depth(v, _tuple_children) > MAX_DEPTH:
-            raise _too_deep()
+        _check_depth(v)
         return v
 
     def parse_tprod(self):
@@ -500,26 +492,18 @@ def nested(parser, rule):
         parser.depth -= 1
 
 
-def _too_deep():
-    return UnsupportedFeature("a tree more than %d deep" % MAX_DEPTH)
-
-
-def _depth(tree, kids):
-    """The depth of a tree, a leaf counting one, found without recursion."""
-    deepest = 0
+def _check_depth(tree):
+    """Refuse a tree, of nodes or of the parser's term tuples, deeper than
+    MAX_DEPTH, found without recursion."""
     stack = [(tree, 1)]
     while stack:
         t, d = stack.pop()
-        deepest = max(deepest, d)
-        stack.extend((c, d + 1) for c in kids(t))
-    return deepest
-
-
-def _tuple_children(t):
-    """The subterms of a term tree: the tuples in it, past its tag, that
-    are not a (line, column) position."""
-    return [c for c in t[1:]
-            if isinstance(c, tuple) and isinstance(c[0], str)]
+        if d > MAX_DEPTH:
+            raise UnsupportedFeature("a tree more than %d deep" % MAX_DEPTH)
+        # a tuple's subterms are the tuples past its tag but its position
+        kids = children(t) if isinstance(t, Node) else [
+            c for c in t[1:] if isinstance(c, tuple) and isinstance(c[0], str)]
+        stack.extend((c, d + 1) for c in kids)
 
 
 def _fold(t):

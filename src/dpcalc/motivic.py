@@ -1118,8 +1118,8 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
     """The same volume numerically, by counting over F_q at level zero.
 
     eta_mode 'per_eta' counts {ad - bc = 1 and b^2 - d^2*eta a square} for
-    one non-square eta, an integer (the smallest when not given), and
-    divides by q^3;
+    one non-square integer eta (the smallest when not given) and divides
+    by q^3;
     'summed_over_nonsquares' lets eta range over all non-squares.  variant
     'd2_minus_b2' tests d^2 - b^2*eta for a nonzero square instead; the
     two variants agree (the quadratic form is anisotropic either way)."""
@@ -1140,14 +1140,12 @@ def appendix2_volume(eta_mode, q, eta=None, variant="b2_minus_d2",
         if eta == 0 or pow(eta, (q - 1) // 2, q) != q - 1:
             raise ValueError("%d is not a non-square mod %d" % (eta, q))
         text = ("rf a, b, c, d, eta; a*d - b*c == 1 && " + tmpl % "eta")
-        values = {"eta": eta}
     elif eta_mode == "summed_over_nonsquares":
         text = ("rf a, b, c, d, h; a*d - b*c == 1 && "
                 "!(exists r:rf. h == r^2) && " + tmpl % "h")
-        values = None
     else:
         raise ValueError("unknown eta_mode %r" % (eta_mode,))
 
     count = count_rf_points(parse(text, default_sort=Sort.RF), q,
-                            budget=budget, values=values)
+                            budget=budget, values={"eta": eta})
     return Fraction(count, q ** 3)

@@ -628,7 +628,6 @@ def _appendix2_plan(monkeypatch, eta_mode, variant):
                             (phi, values)) or 0)
     appendix2_volume(eta_mode, 7, variant=variant)
     ((phi, values),) = seen
-    values = values or {}
     params = tuple(sorted(n for n, _ in phi.free if n in values))
     names = tuple(sorted(n for n, _ in phi.free if n not in values))
     return _Plan(phi.expr, names, params).source()
