@@ -389,28 +389,23 @@ def _sum_over(term, rng):
     if (lo is None or up is None) and a * (1 if up is None else -1) >= 0:
         raise NotSummable("exponent coefficient %d on unbounded variable %r"
                           % (a, name))
+    symbolic = any(b is not None and not b.is_constant() for b in (lo, up))
+    if symbolic and d != 1:
+        raise UnsupportedFeature(
+            "congruence with a symbolic bound on %r" % name)
     if lo is None:
         term = PresTerm(term.coefficient, term.exponent.substitute(
             name, -AffineForm.var(name)))
         lo, up, c = -up, None, -c % d
-    if lo.is_constant():
-        first = AffineForm.constant(lo.const + (c - lo.const) % d)
-    elif d != 1:
-        raise UnsupportedFeature(
-            "congruence with a symbolic bound on %r" % name)
-    else:
-        first = lo
+    first = lo + (c - lo.const) % d
     if up is None:
         return (_ray(term, name, d, first),)
-    if lo.is_constant() and up.is_constant():
+    if not symbolic:
         n = max(0, (up.const - first.const) // d + 1)
         if a == 0:
-            return SymSum((PresTerm(term.coefficient * n,
-                                    term.exponent),)).terms
+            return (PresTerm(term.coefficient * n, term.exponent),) if n \
+                else ()
         past = first + n * d
-    elif d != 1:
-        raise UnsupportedFeature(
-            "congruence with a symbolic bound on %r" % name)
     elif a == 0:
         raise UnsupportedFeature(
             "cardinality of a symbolic range is not an L-exponential "
