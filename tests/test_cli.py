@@ -816,13 +816,13 @@ def test_deep_input_runs_to_the_bound_and_exits_3_past_it(
     for sort in ("vf", "rf"):
         phi = parse("%s x; %s" % (sort, body(top, sort)))
         assert parse(pretty_print(phi)) == phi
-    rf, low = ("rf x; " + body(n, "rf") for n in (top, shallow))
+    rf_deep, rf_low = ("rf x; " + body(n, "rf") for n in (top, shallow))
     if shape == "quantifiers":
         # q^(1 + n) evaluations
         with pytest.raises(BudgetExceeded):
-            count_rf_points(rf, 5)
+            count_rf_points(rf_deep, 5)
     else:
-        assert count_rf_points(rf, 5) == count_rf_points(low, 5)
+        assert count_rf_points(rf_deep, 5) == count_rf_points(rf_low, 5)
     deep, low = (tmp_path / "deep.dp", tmp_path / "low.dp")
     for path, n in ((deep, top), (low, shallow)):
         path.write_text("#! expect: 1\nvf x; %s\n" % body(n, "vf"))
