@@ -39,13 +39,20 @@ decides everything `interpret` decides on a box: And/Or/Not, value-group
 comparisons and congruences, residue (in)equalities over `ac` terms and
 bound residues, field equalities, and `exists x:rf` as a loop over F_p.
 
-Subterms without a box variable are not in the code: each is a *site*,
-which the walk folds once through the reference semantics and passes in
-as an argument, so the source depends on structure only and never on the
-prime or on bound constants.  The sites are listed in the order in which
-`interpret` would evaluate them, by section: "m" for membership, "f" for
-the integrand, "d" for its derivatives.  The compiled functions are kept
-in a bounded LRU memo that holds code, never a value.
+Whatever does not depend on the box is not in the code: a *site* is a
+maximal subterm or subformula that reads no box variable outside a zero
+power (the exact 1) and no residue bound by an enclosing quantifier.
+The walk folds each site once by the reference semantics and passes its
+value in as an argument, so the source depends on structure only and
+never on the prime or on bound constants.  A site is ("vf", term),
+folded by `eval_vf_term`; ("rf", term), ("zz", term) or ("truth",
+formula), folded by `interpret`'s evaluator; or ("ord", i), ("addk", i)
+or ("mulform", i, product): the valuation bounds of the "vf" site i, or
+its form as a summand or a factor of a box form.  The sites are listed
+in the order in which `interpret` would evaluate them, by section: "m"
+for membership, "f" for the integrand, "d" for its derivatives.  The
+compiled functions are kept in a bounded LRU memo that holds code, never
+a value.
 """
 
 from __future__ import annotations
@@ -57,12 +64,12 @@ from fractions import Fraction
 from .errors import UnsupportedFeature
 from .formula.interpret import (_PINF_POINT, Truth3, _zi_add, _zi_neg,
                                 _zi_scale, zz_cong, zz_eq, zz_le, zz_lt)
-from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfConst, RfEq,
-                            RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, VfAdd,
-                            VfConst, VfEq, VfMul, VfNeg, VfPow, VfSub, VfUnif,
-                            VfVar, ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf, ZzLe,
-                            ZzLt, ZzNeg, ZzOrd, ZzScale, ZzSub, ZzVar,
-                            children, free_vars, walk)
+from .formula.nodes import (And, Exists, Not, Or, RfAc, RfAdd, RfEq, RfMul,
+                            RfNe, RfNeg, RfPow, RfSub, RfVar, VfAdd, VfConst,
+                            VfEq, VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar,
+                            ZzAdd, ZzCong, ZzConst, ZzEq, ZzInf, ZzLe, ZzLt,
+                            ZzNeg, ZzOrd, ZzScale, ZzSub, children, free_vars,
+                            walk)
 from .formula.printer import _term, pretty_print
 from .localfield import INF, FieldKind
 
@@ -370,7 +377,7 @@ class _Block:
 
 class Plan:
     """One walk structure compiled: `sites` in binding order, each
-    (section, op, *args) with args naming earlier sites by index; the
+    (section, kind, *args) as the module docstring lists them; the
     partial `derivatives` of the integrand it computes; and
     `make(values, p, depth, integral, f_err, e, exact, open_, hensel)`,
     which returns the sweep
@@ -650,43 +657,45 @@ class _Codegen:
     # for a form held in the locals local+"v", local+"u", local+"k"
 
     def boxed(self, node):
+        """Whether node reads a box variable outside a zero power."""
         got = self._boxed.get(node)
         if got is None:
-            got = self._boxed[node] = any(
-                isinstance(n, VfVar) and n.name in self.names
-                for n in walk(node))
+            cls = type(node)
+            if cls is VfVar:
+                got = node.name in self.names
+            else:
+                got = not (cls is VfPow and node.exponent == 0) and any(
+                    self.boxed(c) for c in children(node))
+            self._boxed[node] = got
         return got
+
+    def closed(self, node, scope):
+        """Whether node's value does not depend on the box: it reads no
+        box variable outside a zero power and no residue bound in scope."""
+        return not self.boxed(node) and scope.keys().isdisjoint(
+            free_vars(node))
 
     def vf(self, node, block):
         if not self.boxed(node):
-            return ("c", self.site("eval", node))
+            return ("c", self.site("vf", node))
         cls = type(node)
         if cls is VfVar:
             return ("f", self.local[node.name])
         if cls is VfAdd or cls is VfSub:
             a = self.vf(node.left, block)
-            b = self.vf(node.right, block)
-            if cls is VfSub:
-                b = self.neg(b, block)
+            b = self.vf(node.right if cls is VfAdd else VfNeg(node.right),
+                        block)
             return self.add(a, b, block)
         if cls is VfMul:
             a = self.vf(node.left, block)
             b = self.vf(node.right, block)
             return self.mul(a, b, block, node)
         if cls is VfNeg:
-            return self.neg(self.vf(node.operand, block), block)
+            x = self.vf(node.operand, block)[1]
+            return ("f", self.arith(block, ("neg", x), self.field.NEG, x))
         if cls is VfPow:
-            if node.exponent == 0:
-                # the base is evaluated, and its constants folded, for
-                # nothing but their errors
-                for part in closed_parts(node.base, self.names):
-                    self.site("eval", part)
-                return ("c", self.site("one"))
-            base = self.vf(node.base, block)
-            if base[0] == "c":
-                return ("c", self.site("pow", base[1], node.exponent))
             # repeated squaring, as in localfield.power
-            out, square, n = None, base[1], node.exponent
+            out, square, n = None, self.vf(node.base, block)[1], node.exponent
             while True:
                 if n & 1:
                     out = square if out is None \
@@ -715,14 +724,7 @@ class _Codegen:
         return self.arith(block, (name, a, b), getattr(self.field, name),
                           a, b)
 
-    def neg(self, x, block):
-        if x[0] == "c":
-            return ("c", self.site("neg", x[1]))
-        return ("f", self.arith(block, ("neg", x[1]), self.field.NEG, x[1]))
-
     def add(self, a, b, block):
-        if a[0] == "c" and b[0] == "c":
-            return ("c", self.site("add", a[1], b[1]))
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("addk", c)
@@ -733,8 +735,6 @@ class _Codegen:
         return ("f", self.op("ADD", a[1], b[1], block))
 
     def mul(self, a, b, block, node):
-        if a[0] == "c" and b[0] == "c":
-            return ("c", self.site("mul", a[1], b[1]))
         if a[0] == "c" or b[0] == "c":
             c, x = (a[1], b[1]) if a[0] == "c" else (b[1], a[1])
             k = self.site("mulform", c, node)
@@ -763,18 +763,16 @@ class _Codegen:
     # residue terms: (source, may be None, deps)
 
     def rf(self, node, block, scope):
+        if self.closed(node, scope):
+            # None where an angular component is undetermined
+            return "c%d" % self.site("rf", node), any(
+                type(n) is RfAc for n in walk(node)), frozenset()
         cls = type(node)
         if cls is RfVar:
-            local = scope.get(node.name)
-            if local is not None:
-                return local, False, frozenset([local])
-            return "c%d" % self.site("rf", node.name), False, frozenset()
-        if cls is RfConst:
-            return "c%d" % self.site("rfc", node.value), False, frozenset()
+            local = scope[node.name]
+            return local, False, frozenset([local])
         if cls is RfAc:
             x = self.vf(node.operand, block)
-            if x[0] == "c":
-                return "c%d" % self.site("ac", x[1]), True, frozenset()
             return self.value(block, ("ac", x[1]), "{r} = " + self.field.AC
                               .format(u=x[1] + "u", k=x[1] + "k"),
                               uses=(x[1],)), True, frozenset()
@@ -803,12 +801,10 @@ class _Codegen:
             return ("lit", node.value)
         if cls is ZzInf:
             return ("iv", "PINF")
-        if cls is ZzVar:
-            return ("iv", "c%d" % self.site("zz", node.name))
+        if self.closed(node, {}):
+            return ("iv", "c%d" % self.site("zz", node))
         if cls is ZzOrd:
             x = self.vf(node.operand, block)
-            if x[0] == "c":
-                return ("iv", "c%d" % self.site("ord", x[1]))
             return self.zcall(block, "{r} = (%sv, %sv if %sk else INF)"
                               % ((x[1],) * 3), x)
         if cls is ZzAdd or cls is ZzSub:
@@ -816,19 +812,16 @@ class _Codegen:
             b = self.zz(node.right, block)
             if cls is ZzSub:
                 b = self.zneg(b, block)
-            if a[0] == "lit" and b[0] == "lit":
-                return ("lit", a[1] + b[1])
             return self.zcall(block, "{r} = zi_add(%s, %s)"
                               % (self.tup(a), self.tup(b)), a, b)
         if cls is ZzNeg:
             return self.zneg(self.zz(node.operand, block), block)
         if cls is ZzScale:
             a = self.zz(node.operand, block)
-            k = node.factor
-            if k == 0 or a[0] == "lit":
-                return ("lit", k * a[1] if k else 0)
+            if node.factor == 0:
+                return ("lit", 0)
             return self.zcall(block, "{r} = zi_scale(%d, %s)"
-                              % (k, self.tup(a)), a)
+                              % (node.factor, self.tup(a)), a)
         raise AssertionError(node)
 
     def zneg(self, a, block):
@@ -848,6 +841,8 @@ class _Codegen:
     # formulas: a local or T/F/U holding the truth value
 
     def truth(self, node, block, scope):
+        if self.closed(node, scope):
+            return "c%d" % self.site("truth", node)
         block = self.hoist(block, self.deps(node, scope))
         cls = type(node)
         if cls is And or cls is Or:
@@ -910,8 +905,6 @@ class _Codegen:
         deps = self.deps(node, scope)
         if cls is VfEq:
             w = self.vf(VfSub(node.left, node.right), block)
-            if w[0] == "c":
-                return "c%d" % self.site("eq", w[1])
             return self.value(block, ("eq", w[1]),
                               "{r} = F if %sk else U" % w[1], uses=(w[1],))
         if cls is RfEq or cls is RfNe:

@@ -18,12 +18,14 @@ membership, the valuation bounds of f and the least Hensel valuation,
 each subterm computed in the loop of the last variable it reads.  It
 decides everything `interpret` decides on the corresponding
 `from_digits` box, residue quantifiers included (`parse` refuses any
-other), and no walk calls `interpret`.  Subterms without a box variable
-are folded once per walk through `eval_vf_term`, so they raise its errors:
-those of the domain before the first box, those of the integrand at the
-first box that needs it.  `interpret`, `eval_vf_term` and `LFElem`
-arithmetic stay the reference semantics, and the tests hold the sweep to
-them on random formulas, terms and boxes.  The children of a TRUE box
+other), and no walk calls `interpret`.  What does not depend on the box
+is folded once per walk by the reference semantics, a field term through
+`eval_vf_term` and anything else through `interpret`'s evaluator, so it
+raises their errors: those of the domain before the first box, those of
+the integrand at the first box that needs it.  `interpret`,
+`eval_vf_term` and `LFElem` arithmetic stay the reference semantics,
+and the tests hold the sweep to them on random formulas, terms and
+boxes.  The children of a TRUE box
 inherit it, and a FALSE box is pruned.  A box at depth d with integrand
 valuation v contributes p^-(d*m + e*v), so the sweep counts the boxes it
 decides per exponent, the walk sweeps the children of those it leaves
@@ -56,19 +58,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .budget import check as check_budget
-from .errors import (BadPrime, InvalidArgument, PrecisionExhausted,
-                     UnboundVariable, UnsupportedFeature)
+from .errors import (BadPrime, InvalidArgument, UnboundVariable,
+                     UnsupportedFeature)
 from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
                       ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
-from .formula.interpret import (_PINF_POINT, _refuse, as_field_element,
+from .formula.interpret import (_Evaluator, _refuse, as_field_element,
                                 as_integer, bind_assignment)
 from .formula.nodes import rewrite
-from .localfield import INF, LFElem, embed_rational
-from .localfield import add as lf_add, mul as lf_mul, neg as lf_neg, power
-# perfbench/spans.py traces these two under this module's names
+from .localfield import LFElem, add as lf_add, mul as lf_mul
+# perfbench/spans.py traces these two under this module's names; the walk
+# calls from_digits for the box its sites are folded on
 from .formula import interpret  # noqa: F401
-from .localfield import from_digits  # noqa: F401
+from .localfield import from_digits
 
 
 def fraction_str(x):
@@ -194,9 +196,6 @@ def _integral(term, spec, names):
     return all(v.exact and v.ord() >= 0 for v in values)
 
 
-_LF_OPS = {"add": lf_add, "mul": lf_mul, "addk": lf_add, "mulform": lf_mul}
-
-
 class _BoxWalk:
     """Depth-first refinement of the residue-box tree for one bracket.
 
@@ -307,12 +306,16 @@ class _BoxWalk:
     def _fold(self, sites):
         """(the value of each site, {section: products with a constant that
         is the exact 0}, the integrand's error or None, whether every
-        folded constant of the integrand is exact and integral)."""
+        folded constant of the integrand is exact and integral).  A site
+        reads a box variable only under a zero power, the exact 1 on any
+        box, so the root box stands in for each box variable."""
         values, zeros = [], {}
         member = sum(1 for site in sites if site[0] == "m")
+        box = dict.fromkeys(self.names, from_digits(self.spec, 0, ()))
         env = bind_assignment(
             [(n, s) for n, s in self.phi.free if n not in self.names],
             self.spec, self.assignment)
+        env.update(box)
         vf_env = {n: v for n, v in env.items() if isinstance(v, LFElem)}
         for site in sites[:member]:
             values.append(self._site(site, values, env, vf_env, zeros))
@@ -327,11 +330,12 @@ class _BoxWalk:
                 other = {n for n, s in self.phi.free if s is not Sort.VF}
                 vf_env = {n: v if n in other else as_field_element(v, spec, n)
                           for n, v in self.assignment.items()}
+                vf_env.update(box)
                 for site in sites[member:]:
                     if site[0] == "d" and not integral:
                         break
                     value = self._site(site, values, env, vf_env, zeros)
-                    if site[:2] == ("f", "eval"):
+                    if site[:2] == ("f", "vf"):
                         integral = integral and value.exact \
                             and value.ord() >= 0
                     values.append(value)
@@ -341,53 +345,27 @@ class _BoxWalk:
         return values, zeros, f_err, integral
 
     def _site(self, site, values, env, vf_env, zeros):
-        """Fold one site by the reference semantics."""
+        """Fold one site, of a kind the boxcode docstring lists, by the
+        reference semantics."""
         spec = self.spec
-        op, args = site[1], site[2:]
-        if op == "eval":
-            return eval_vf_term(args[0], spec, vf_env)
-        if op == "one":
-            return embed_rational(1, spec)
-        if op in ("add", "mul"):
-            return _LF_OPS[op](values[args[0]], values[args[1]])
-        if op == "neg":
-            return lf_neg(values[args[0]])
-        if op == "pow":
-            return power(values[args[0]], args[1])
-        if op in ("addk", "mulform"):
-            c = values[args[0]]
-            if c.spec != spec:
-                # a constant from another field: the reference operation
-                # raises its own error, the box side stood in by a zero
-                _LF_OPS[op](c, spec.zero())
-            if op == "addk":
-                return self.ops.summand(c)
-            if c.is_exact_zero():
-                zeros.setdefault(site[0], set()).add(args[1])
-                return None
-            return self.ops.factor(c)
+        op, arg = site[1], site[2]
+        if op == "vf":
+            return eval_vf_term(arg, spec, vf_env)
+        if op in ("rf", "zz", "truth"):
+            return getattr(_Evaluator(spec), op)(arg, env)
+        c = values[arg]
         if op == "ord":
-            return values[args[0]].ord_bounds()
-        if op == "ac":
-            try:
-                return values[args[0]].ac() % self.p
-            except PrecisionExhausted:
-                return None
-        if op == "eq":
-            w = values[args[0]]
-            if w.is_exact_zero():
-                return Truth3.TRUE
-            if w.exact or not w.is_indeterminate():
-                return Truth3.FALSE
-            return Truth3.UNDECIDED
-        if op == "rf":
-            return env[args[0]] % self.p
-        if op == "rfc":
-            return args[0] % self.p
-        if op == "zz":
-            v = env[args[0]]
-            return _PINF_POINT if v == INF else (v, v)
-        raise AssertionError(site)
+            return c.ord_bounds()
+        if c.spec != spec:
+            # a constant from another field: the reference operation
+            # raises its own error, the box side stood in by a zero
+            (lf_add if op == "addk" else lf_mul)(c, spec.zero())
+        if op == "addk":
+            return self.ops.summand(c)
+        if c.is_exact_zero():
+            zeros.setdefault(site[0], set()).add(site[3])
+            return None
+        return self.ops.factor(c)
 
 
 def _prepare(phi, spec, integrand, assignment, budget):

@@ -777,8 +777,8 @@ def test_sweep_source_stays_small(kind):
 def test_a_box_ord_bound_at_or_below_zero_folds_when_compiled(kind):
     """A box variable lies in O, so `c <= ord(y)` with c <= 0 is TRUE on
     every box: it compiles to no comparison, and its conjunction to the
-    other side alone.  A bound above zero is still decided per child, and
-    so is one on a parameter, which need not lie in O."""
+    other side alone.  A bound above zero is still decided per child.  A
+    bound on a parameter, which need not lie in O, is a folded site."""
     def source(text, names=("x", "y")):
         expr = parse(text).expr
         return boxcode._Codegen(names, boxcode._OPS[kind], expr, None) \
@@ -789,8 +789,45 @@ def test_a_box_ord_bound_at_or_below_zero_folds_when_compiled(kind):
     both = source("vf x, y; ord(y) >= 0 && ord(x - y) >= 1")
     assert both.count("zz_le") == 1 and " is not F:" not in both
     assert "zz_le((1, 1)" in source("vf y; ord(y) >= 1")
-    assert "zz_le((0, 0)" in source("vf x, a; ord(a) >= 0 && ord(x) >= 1",
-                                    names=("x",))
+    spec = (lf.qp if kind is lf.FieldKind.CHAR_ZERO else lf.fpt)(5, 3)
+    a = F(1, 5) if kind is lf.FieldKind.CHAR_ZERO \
+        else lf.from_digits(spec, -1, (1,))
+    iv = volume("vf x, a; ord(a) >= 0 && ord(x) >= 1", spec,
+                assignment={"a": a})
+    assert (iv.lower, iv.upper) == (0, 0)
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_what_does_not_depend_on_the_box_is_folded_once(make):
+    """A maximal subformula that reads no box variable outside a zero
+    power, and no residue bound around it, is one site that the walk
+    folds once by the reference semantics: the quantifier on the
+    parameter compiles to no loop, and x^0 folds to the exact 1."""
+    phi = parse("vf x; rf a; (exists s:rf. s^2 == a) && ord(x^0 * x - 1) "
+                ">= 1")
+    kind = make(5, 3).kind
+    source = boxcode._Codegen(("x",), boxcode._OPS[kind], phi.expr, None) \
+        .source(phi.expr, None, ())
+    assert "range(p)" not in source
+    for p in (5, 7):
+        spec = make(p, 3)
+        squares = {v * v % p for v in range(1, p)}
+        nonsquare = min(set(range(1, p)) - squares)
+        for a in (4, nonsquare):
+            iv = volume(phi, spec, assignment={"a": a})
+            assert (iv.lower, iv.upper) == reference.integrate(
+                None, phi, spec, assignment={"a": a})
+            assert iv.lower == iv.upper == (F(1, p) if a in squares else 0)
+
+
+def test_a_zero_power_leaves_the_integrand_integral():
+    """A zero power is the exact 1 whatever its base holds, so a base
+    with a constant that is not integral at p leaves the integrand a
+    polynomial over the valuation ring, which Hensel's lemma settles."""
+    for f in ("(x + a)^0 * (x - 1)", "x - 1"):
+        iv = integrate(IntegrandSpec.abs_power(f), "vf x, a; ord(x) >= 0",
+                       lf.qp(5, 3), assignment={"a": F(1, 5)})
+        assert (iv.lower, iv.upper, iv.boxes_hensel) == (F(5, 6), F(5, 6), 25)
 
 
 # exact brackets recorded from the LFElem-per-box walk that preceded the
