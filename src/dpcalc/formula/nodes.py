@@ -12,6 +12,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
+from ..errors import SortError
+
 
 class Sort(Enum):
     VF = "vf"
@@ -296,19 +298,30 @@ def free_vars(node):
 def _free(node):
     """The (name, sort) pairs of node's free variables, in first-occurrence
     order, kept on the node: built from the children's pairs, with an
-    exists dropping its own variable, the first time they are asked for."""
+    exists dropping its own variable, the first time they are asked for.
+    A name used at two sorts, or an exists whose variable its body uses
+    at a sort other than the residue field's, raises SortError."""
     free = node._free
     if free is None:
         cls = type(node)
         if cls in _VAR_SORT:
             free = ((node.name, _VAR_SORT[cls]),)
         elif cls is Exists:
-            free = tuple(p for p in _free(node.body) if p[0] != node.var)
+            free = _free(node.body)
+            sort = dict(free).get(node.var, Sort.RF)
+            if sort is not Sort.RF:
+                raise SortError("exists %s ranges over the residue field, "
+                                "but its body uses %s at sort %s"
+                                % (node.var, node.var, sort.value))
+            free = tuple(p for p in free if p[0] != node.var)
         else:
             seen = {}
             for c in children(node):
                 for name, sort in _free(c):
-                    seen.setdefault(name, sort)
+                    if seen.setdefault(name, sort) is not sort:
+                        raise SortError("%s is used at sorts %s and %s"
+                                        % (name, seen[name].value,
+                                           sort.value))
             free = tuple(seen.items())
         node.__dict__["_free"] = free
     return free

@@ -775,6 +775,34 @@ def _center_notes(cell, bad, budget):
                       % cell.center_text)
 
 
+def _check_room(cell):
+    """Refuse a summation range of the 1-cell with a symbolic bound unless
+    lower <= upper + 1 wherever the cell's parameters and outer variables
+    lie in their ranges, since telescoping sums it right only there.  The
+    least value of upper + 1 - lower takes each variable at its numeric
+    lower bound where its coefficient is positive, at its upper one where
+    negative."""
+    ranges = {r.name: r for r in cell.param_domain.ranges}
+    for r in cell.z_domain.ranges:
+        if r.lower is not None and r.upper is not None and not (
+                r.lower.is_constant() and r.upper.is_constant()):
+            room = r.upper + 1 - r.lower
+            least = room.const
+            for name, c in room.coeffs:
+                outer = ranges.get(name)
+                bound = None if outer is None \
+                    else outer.lower if c > 0 else outer.upper
+                if bound is None or not bound.is_constant():
+                    least = None
+                    break
+                least += c * bound.const
+            if least is None or least < 0:
+                raise UnsupportedFeature(
+                    "cell %s: cannot show lower <= upper + 1 on the range %s"
+                    % (cell.cell_id, _render_range(r)))
+        ranges[r.name] = r
+
+
 def integrate_cells(cells, params=(), budget=None):
     """Integrate the coefficients over a disjoint family of cells.
 
@@ -810,6 +838,7 @@ def integrate_cells(cells, params=(), budget=None):
             note = ("measure zero; counting term %s recorded only"
                     % counting.render())
         else:
+            _check_room(cell)
             psi = cell.psi
             summed = pres_sum(cell.z_domain, PresTerm(
                 psi.coefficient, psi.exponent - cell.alpha - 1))

@@ -566,6 +566,33 @@ def test_cell_loader_refusals(run_cli, fx, tmp_path, edit, code, message):
     assert run_cli("integrate", path) == (code, "", "dpcalc: %s\n" % message)
 
 
+def _one_range_cells(basis):
+    return {"parameters": [{"name": "k", "sort": "zz"}],
+            "cells": [{"kind": "OneCell", "id": "c", "center": "0",
+                       "basis": basis, "alpha": "j", "xi": "u", "psi": "1"}]}
+
+
+def test_a_range_that_may_be_over_empty_is_refused(run_cli, fx, tmp_path):
+    """Telescoping sums a range right only where lower <= upper + 1.  At
+    k = 0 the range 0 <= j <= k - 2 is empty by two points, and summed to
+    the negative measure 1 - L: a range whose upper + 1 - lower may be
+    negative on its cell's domain is refused.  Under 1 <= k it is not,
+    and the cell files still integrate."""
+    path = tmp_path / "cells.json"
+    basis = "rf u; zz j, k; u != 0 && 0 <= j && j <= k - 2 && %s <= k"
+    path.write_text(json.dumps(_one_range_cells(basis % 0)))
+    refusal = ("dpcalc: outside the supported fragment: cell c: cannot "
+               "show lower <= upper + 1 on the range 0 <= j && j <= k - 2\n")
+    for extra in ((), ("--param", "k=0")):
+        assert run_cli("integrate", path, *extra) == (3, "", refusal)
+    path.write_text(json.dumps(_one_range_cells(basis % 1)))
+    for k, value in ((1, "0"), (3, "[1] (x) 1 - L^-2")):
+        rc, out, _ = run_cli("integrate", path, "--param", "k=%d" % k)
+        assert rc == 0 and json.loads(out)["value"] == value
+    for name in ("cube", "cube_level", "punctured_ball"):
+        assert run_cli("integrate", fx(name + ".cells.json"))[0] == 0
+
+
 def test_appendix2_huge_prime_stops_at_the_budget(run_cli):
     start = time.monotonic()
     rc, out, err = run_cli("appendix2", "--primes", "99999999977",

@@ -17,8 +17,8 @@ from dpcalc.errors import (BudgetExceeded, InvalidArgument, InvalidPrime,
                            UnsupportedFeature)
 from dpcalc.formula import (And, Exists, Formula, Not, Or, RfAc, RfAdd,
                             RfConst, RfEq, RfMul, RfNe, RfNeg, RfPow, RfSub,
-                            RfVar, Sort, Truth3, VfAdd, VfConst, VfMul, VfPow,
-                            VfSub, VfUnif, VfVar, ZzConst, ZzLe, ZzOrd,
+                            RfVar, Sort, Truth3, VfAdd, VfConst, VfEq, VfMul,
+                            VfPow, VfSub, VfUnif, VfVar, ZzConst, ZzLe, ZzOrd,
                             ZzVar, count_rf_points, free_vars, interpret,
                             parse, parse_term, pretty_print)
 from dpcalc.formula.count import _compile, _Plan
@@ -26,6 +26,7 @@ from dpcalc.formula.interpret import (NINF, _zi_add, _zi_neg, _zi_scale,
                                       zz_cong, zz_eq, zz_le, zz_lt)
 from dpcalc.formula.nodes import children
 from dpcalc.motivic import appendix2_volume, bad_primes
+from dpcalc.oracle import volume
 
 T, FL, U = Truth3.TRUE, Truth3.FALSE, Truth3.UNDECIDED
 
@@ -844,6 +845,29 @@ def test_an_exists_drops_only_its_own_variable():
     assert free_vars(inner) == {"u": Sort.RF, "s": Sort.RF}
     assert list(free_vars(tree)) == ["s", "u"]
     assert free_vars(tree.right) == {"u": Sort.RF}
+
+
+@pytest.mark.parametrize("tree, message", [
+    (Exists("y", VfEq(VfVar("y"), VfVar("x"))),
+     "exists y ranges over the residue field, but its body uses y at sort "
+     "vf"),
+    (Exists("y", ZzLe(ZzConst(0), ZzVar("y"))),
+     "exists y ranges over the residue field, but its body uses y at sort "
+     "zz"),
+    (Exists("y", And(RfEq(RfVar("y"), RfConst(1)),
+                     VfEq(VfVar("y"), VfVar("x")))),
+     "y is used at sorts rf and vf"),
+], ids=["vf", "zz", "rf-and-vf"])
+def test_an_exists_over_another_sort_is_a_sort_error(tree, message):
+    """A quantifier ranges over the residue field: a hand-built tree whose
+    body uses its variable at a field or value-group sort is refused when
+    its free variables are read, each time they are asked for."""
+    spec = lf.qp(5, 4)
+    for _ in range(2):
+        with pytest.raises(SortError, match="^%s$" % message):
+            interpret(Formula(tree), spec, {"x": 3})
+        with pytest.raises(SortError, match="^%s$" % message):
+            volume(tree, spec)
 
 
 # --- excluded primes ---
