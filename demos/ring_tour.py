@@ -16,7 +16,7 @@ def main():
     # Elements of Z[L, L^-1, (1 - L^-i)^-1] have a canonical form, so
     # equality is plain ==.
     a = SymA.parse("(1 - L^-1)/(1 - L^-4)")
-    b = SymA.one_minus_l_inv(1) * SymA.geom(4)
+    b = (SymA.from_int(1) - SymA.l_power(-1)) * SymA.geom(4)
     print("parse and rebuild agree:", a == b)
     print("canonical render:       ", a.render())
 
@@ -32,7 +32,7 @@ def main():
     # Geometric sums over integer cones come out in closed form.  Here:
     # sum over m >= k+1 of (1 - L^-1) L^(-2m - 2k).
     dom = PresDomain.single("m", lower=AffineForm.var("k") + 1)
-    term = PresTerm(SymA.one_minus_l_inv(1),
+    term = PresTerm(SymA.from_int(1) - SymA.l_power(-1),
                     AffineForm.make({"m": -2, "k": -2}))
     s = P.sum(dom, term)
     print("shell sum:", s.render())

@@ -289,7 +289,11 @@ def _field_ops(spec):
 
 def closed_parts(term, excluded):
     """The maximal subterms of the field term that mention no variable in
-    `excluded`, left to right."""
+    `excluded`, left to right.  A zero power is the exact 1 whatever its
+    base holds, as `_Codegen.boxed` reads it."""
+    if isinstance(term, VfPow) and term.exponent == 0:
+        yield _ONE
+        return
     if not any(isinstance(n, VfVar) and n.name in excluded
                for n in walk(term)):
         yield term

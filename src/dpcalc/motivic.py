@@ -18,6 +18,11 @@ to any concrete residue characteristic by point counting and L -> q.
 Automatic decomposition is provided only for products of linear factors
 |t - c_j| over the valuation ring; everything else enters as caller-built
 cells or cell-data files.
+
+Memos hold syntax, never values or counts.  A cell file is read on every
+`load_cells` and parsed once per text (`CELL_MEMO`); the integer
+constants whose primes `bad_primes` excludes are read once per tree.  The
+value is integrated, and those primes factored, on every request.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import functools
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -52,6 +57,12 @@ EMPTY_DOMAIN = PresDomain(())
 # distinct (class, domain) pairs whose term order is kept; the acceptance
 # corpus meets five
 TERM_KEY_MEMO = 1024
+# distinct cell-file texts whose parsed cells are kept; the acceptance
+# corpus has three
+CELL_MEMO = 32
+# distinct trees whose coefficient constants are kept, some 2 KB each; the
+# acceptance corpus meets eleven
+CONSTANTS_MEMO = 64
 # witness primes past an interpolation's degree + 1 that confirm its fit
 RESIDUE_FIT_CHECKS = 2
 
@@ -329,14 +340,52 @@ def load_cells(source):
     Format: {"cells": [{kind, basis, center, alpha, xi, psi, id?,
     presentation?}], "parameters": [{name, sort}], "bad_primes"?:
     {prime: reason(s)}, "oracle"?: anything}.  Sorts are vf/rf/zz.
+
+    A path is read on every call, and its text parsed once: every load
+    of the same text returns one `CellData`, whose `bad_primes` and
+    `oracle` refuse writes.  A malformed text raises on every load.
     """
     if isinstance(source, dict):
-        data = source
-    elif hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(os.fspath(source)) as fh:
-            data = json.load(fh)
+        return _cell_data(source)
+    if hasattr(source, "read"):
+        return _cell_data(json.load(source))
+    with open(os.fspath(source)) as fh:
+        text = fh.read()
+    return _load_text(text)
+
+
+@functools.lru_cache(maxsize=CELL_MEMO)
+def _load_text(text):
+    """The cell data of a file's text, shared by every load of it."""
+    data = _cell_data(json.loads(text))
+    return replace(data, bad_primes=_frozen(data.bad_primes),
+                   oracle=_frozen(data.oracle))
+
+
+class _Frozen(dict):
+    """A dict that refuses every write: the memo shares one per text."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("loaded cell data cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        # copy and pickle would refill a dict subclass item by item
+        return dict, (dict(self),)
+
+
+def _frozen(value):
+    """A JSON value with every dict frozen and every list a tuple."""
+    if isinstance(value, dict):
+        return _Frozen((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _cell_data(data):
     if not isinstance(data, dict) or "cells" not in data:
         raise ParseError("cell data must be an object with a 'cells' list")
 
@@ -736,23 +785,18 @@ def _has_nonconstant(node):
     return any(isinstance(n, (VfVar, VfUnif, RfVar)) for n in walk(node))
 
 
-def bad_primes(phi, budget=None):
-    """Primes the symbolic treatment of phi excludes, with reasons.
-
-    Collected from coefficient denominators and from multiplicative
-    integer coefficients (normalizing them divides by the coefficient).
-    Returns {prime: (reason, ...)} sorted by prime.
-    """
-    bad = {}
-
-    def note(value, reason):
-        for p in factor(value, budget):
-            _note(bad, p, reason)
-
-    for n in walk(phi.expr):
+@functools.lru_cache(maxsize=CONSTANTS_MEMO)
+def _constants(node):
+    """What the symbolic treatment of node divides by, in the order of a
+    walk: ("denominator", c) for each coefficient c that is not an
+    integer, and ("coefficient", c) for each integer coefficient |c| > 1
+    of a product whose other factor is not constant.  Kept per tree, so
+    a warm request walks none; the factoring, which the budget charges,
+    runs on every request."""
+    out = []
+    for n in walk(node):
         if isinstance(n, VfConst) and n.value.denominator != 1:
-            note(n.value.denominator,
-                 "denominator of coefficient %s" % n.value)
+            out.append(("denominator", n.value))
         elif isinstance(n, (VfMul, RfMul)):
             for side, other in ((n.left, n.right), (n.right, n.left)):
                 c = None
@@ -761,18 +805,35 @@ def bad_primes(phi, budget=None):
                 elif isinstance(side, RfConst):
                     c = side.value
                 if c is not None and abs(c) > 1 and _has_nonconstant(other):
-                    note(c, "coefficient %d not invertible" % c)
+                    out.append(("coefficient", c))
+    return tuple(out)
+
+
+def bad_primes(phi, budget=None):
+    """Primes the symbolic treatment of phi excludes, with reasons.
+
+    Collected from coefficient denominators and from multiplicative
+    integer coefficients (normalizing them divides by the coefficient).
+    Returns {prime: (reason, ...)} sorted by prime.
+    """
+    bad = {}
+    for kind, c in _constants(phi.expr):
+        if kind == "denominator":
+            value, reason = c.denominator, "denominator of coefficient %s" % c
+        else:
+            value, reason = c, "coefficient %d not invertible" % c
+        for p in factor(value, budget):
+            _note(bad, p, reason)
     return _freeze_bad(bad)
 
 
 def _center_notes(cell, bad, budget):
     if cell.center_term is None:
         return
-    for node in walk(cell.center_term):
-        if isinstance(node, VfConst) and node.value.denominator != 1:
-            for p in factor(node.value.denominator, budget):
-                _note(bad, p, "center %s is not integral"
-                      % cell.center_text)
+    for kind, c in _constants(cell.center_term):
+        if kind == "denominator":
+            for p in factor(c.denominator, budget):
+                _note(bad, p, "center %s is not integral" % cell.center_text)
 
 
 def _check_room(cell):
@@ -818,7 +879,7 @@ def integrate_cells(cells, params=(), budget=None):
     param_names = {n for n, _ in params}
     bad = {}
     derivation = []
-    total = ConstructibleFn.zero(params)
+    terms = []
 
     for cell in cells:
         _center_notes(cell, bad, budget)
@@ -865,9 +926,10 @@ def integrate_cells(cells, params=(), budget=None):
             contribution = ConstructibleFn(
                 ((cls, cell.param_domain, summed),), params)
         derivation.append((cell.cell_id, contribution, note))
-        total = total + contribution
+        terms.extend(contribution.terms)
 
-    return IntegrationResult(value=total, bad_primes=_freeze_bad(bad),
+    return IntegrationResult(value=ConstructibleFn(terms, params),
+                             bad_primes=_freeze_bad(bad),
                              derivation=tuple(derivation))
 
 

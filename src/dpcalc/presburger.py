@@ -321,12 +321,14 @@ class SymSum:
                             for t in self.terms))
 
     def nu(self, q, env=None):
-        q = Fraction(q)
-        acc = Fraction(0)
+        """The value at L = q under the integer assignment env, summed as
+        one fraction (in integers at an int q)."""
+        env = env or {}
+        top, bottom = 0, 1
         for t in self.terms:
-            e = t.exponent.evaluate(env or {})
-            acc += t.coefficient.nu(q) * q ** e
-        return acc
+            n, d = t.coefficient.nu_parts(q, t.exponent.evaluate(env))
+            top, bottom = top * d + n * bottom, bottom * d
+        return Fraction(top, bottom)
 
     def __add__(self, other):
         if isinstance(other, SymA):

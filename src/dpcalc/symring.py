@@ -24,10 +24,11 @@ so it is one function, `_reduce`, memoized on that pair: the values of an
 integration meet a few hundred distinct pairs over and over.  Every
 division in it is by a monic cyclotomic, so it runs in integer
 arithmetic.  Only the views `numerator` and `nu` turn coefficients into
-Fractions; `render` reduces each coefficient of content * prim in
-integers.  Division by a unit peels its factors L^i - 1 by sparse
-division, then reads the cyclotomics left over off roots of unity modulo
-primes.
+Fractions: `nu` evaluates content * prim and the factors q^i - 1 at q,
+in integers when q is an int, and builds one Fraction; `render` reduces
+each coefficient of content * prim in integers.
+Division by a unit peels its factors L^i - 1 by sparse division, then
+reads the cyclotomics left over off roots of unity modulo primes.
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class SymA:
         if i <= 0:
             raise ValueError("geometric factor index must be positive")
         return _reduced(0, F1, (1,), ((i, 1),))
-
-    @classmethod
-    def one_minus_l_inv(cls, i):
-        return cls({0: F1, -i: -F1})
 
     # -- views --
 
@@ -272,20 +269,27 @@ class SymA:
                                tuple(sorted(cover.items())))
 
     def nu(self, q):
-        """Exact specialization L -> q (q rational, q > 1 for the order)."""
-        q = Fraction(q)
+        """Exact specialization L -> q (q rational, q > 1 for the order).
+        At an int q it runs in integers and builds one Fraction."""
+        return Fraction(*self.nu_parts(q))
+
+    def nu_parts(self, q, shift=0):
+        """(n, d) with n / d = q^shift * nu(q), at a rational q: each
+        factor 1 / (1 - q^-i)^m is q^(i*m) / (q^i - 1)^m.  At an int q
+        both are integers."""
         if q == 0:
             raise ZeroDivisionError("nu at q = 0")
         if not self._prim:
-            return F0
-        x = q.numerator if q.denominator == 1 else q
-        acc = self._content * q ** self._shift * poly.evaluate(self._prim, x)
+            return 0, 1
+        top = self._content.numerator * poly.evaluate(self._prim, q)
+        bottom = self._content.denominator
+        shift += self._shift
         for i, m in self._den:
-            f = 1 - q ** (-i)
-            if f == 0:
-                raise ZeroDivisionError("denominator vanishes at q = %s" % q)
-            acc /= f ** m
-        return acc
+            shift += i * m
+            bottom *= (q ** i - 1) ** m
+        if shift < 0:
+            return top, bottom * q ** -shift
+        return top * q ** shift, bottom
 
     def is_nonneg(self):
         """True iff nu_q(self) >= 0 for every real q > 1.

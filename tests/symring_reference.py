@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from dpcalc.errors import NotInvertibleInA
+from dpcalc.symring import SymA
 
 F0 = Fraction(0)
 
@@ -236,3 +237,20 @@ def _unit_factorization(d):
                 "%s is not a signed product of L-powers and (1 - L^-i)"
                 % d.render())
     return sign, shift, factors
+
+
+# --- specialization and a value the tests build often ---
+
+def nu(numerator, denominator, q):
+    """The value of a form {degree: Fraction} / prod (1 - L^-i)^m at
+    L = q, in Fractions throughout (the earlier route of `SymA.nu`)."""
+    q = Fraction(q)
+    acc = sum((c * q ** d for d, c in numerator.items()), F0)
+    for i, m in denominator:
+        acc /= (1 - q ** -i) ** m
+    return acc
+
+
+def one_minus_l_inv(i):
+    """1 - L^-i as a ring value."""
+    return SymA({0: 1, -i: -1})

@@ -1,9 +1,14 @@
 """Cell-by-cell symbolic integration and its specializations."""
 
+import copy
+import importlib
+import json
+import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import dpcalc.localfield as lf
 from dpcalc import motivic, oracle
@@ -298,6 +303,151 @@ def test_a_named_center_is_what_the_parser_refuses(text, sort):
     except ParseError:
         want = None
     assert motivic._term_or_none(text, sort) == want
+
+
+# --- the cell-file memo ---
+
+def _copy_cube(fx, tmp_path, name="cube.cells.json", edit=None):
+    data = json.loads(open(fx("cube.cells.json")).read())
+    if edit:
+        edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_the_same_text_loads_as_one_object(fx, tmp_path):
+    """The memo is keyed by the text: another path with the same bytes
+    gets the same CellData, and a dict source is read afresh."""
+    first = load_cells(fx("cube.cells.json"))
+    assert load_cells(fx("cube.cells.json")) is first
+    copy = tmp_path / "copy.json"
+    copy.write_text(open(fx("cube.cells.json")).read())
+    assert load_cells(str(copy)) is first
+    as_dict = json.loads(copy.read_text())
+    assert load_cells(as_dict) is not load_cells(as_dict)
+    assert load_cells(as_dict).cells == first.cells
+
+
+def test_an_edited_file_is_read_again(fx, tmp_path):
+    path = _copy_cube(fx, tmp_path)
+    before = integrate_cell_data(load_cells(path)).value
+
+    def edit(data):
+        data["cells"][1]["psi"] = "L^(-2*k)"
+    _copy_cube(fx, tmp_path, edit=edit)
+    after = integrate_cell_data(load_cells(path)).value
+    assert after != before
+    with open(path) as fh:
+        assert after == integrate_cell_data(load_cells(fh)).value
+
+
+@pytest.mark.parametrize("text", [
+    '{"cells": [{"kind": "OneCell", "psi": "1"}]}',
+    '{"cells": [',
+    '{"cells": [], "parameters": [{"name": "k"}]}',
+])
+def test_a_malformed_file_fails_on_every_load(run_cli, tmp_path, text):
+    path = tmp_path / "bad.cells.json"
+    path.write_text(text)
+    motivic._load_text.cache_clear()
+    cold = run_cli("integrate", path)
+    assert cold[0] == 2 and cold[2]
+    assert run_cli("integrate", path) == cold
+
+
+def test_the_memo_keeps_at_most_its_size(tmp_path):
+    motivic._load_text.cache_clear()
+    for i in range(motivic.CELL_MEMO + 5):
+        path = tmp_path / ("c%d.json" % i)
+        path.write_text(json.dumps({"cells": [], "bad_primes": {"7": "r%d"
+                                                                % i}}))
+        assert load_cells(str(path)).bad_primes == {7: ("r%d" % i,)}
+    info = motivic._load_text.cache_info()
+    assert info.maxsize == motivic.CELL_MEMO
+    assert info.currsize == motivic.CELL_MEMO
+
+
+def test_a_loaded_file_cannot_be_changed(fx):
+    data = load_cells(fx("cube.cells.json"))
+    with pytest.raises(TypeError):
+        data.bad_primes[2] = ("two",)
+    with pytest.raises(TypeError):
+        data.bad_primes.pop(3)
+    with pytest.raises(TypeError):
+        data.oracle["domain"] = "vf x; ord(x) >= 0"
+    with pytest.raises(TypeError):
+        data.oracle["cases"][0]["params"].update(k=5)
+    with pytest.raises(AttributeError):
+        data.oracle["cases"].append({})
+    again = load_cells(fx("cube.cells.json"))
+    with open(fx("cube.cells.json")) as fh:
+        fresh = load_cells(fh)
+    assert again.bad_primes == fresh.bad_primes == {
+        3: ("the cube map degenerates on units in characteristic 3",)}
+    assert json.dumps(again.oracle) == json.dumps(fresh.oracle)
+    assert isinstance(again.oracle, dict)
+
+
+def test_a_loaded_file_copies_and_pickles_as_plain_dicts(fx):
+    """The refusing dicts of a path load copy and pickle into plain
+    dicts holding the same values; the shared load is left as it was."""
+    data = load_cells(fx("cube.cells.json"))
+    assert copy.copy(data) == data
+    for part in (data.bad_primes, data.oracle):
+        for twin in (copy.copy(part), copy.deepcopy(part),
+                     pickle.loads(pickle.dumps(part))):
+            assert type(twin) is dict and twin == part
+    mine = copy.deepcopy(data.oracle)
+    mine["cases"] = []
+    assert load_cells(fx("cube.cells.json")).oracle["cases"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers=st.lists(st.fractions(min_value=-6, max_value=6,
+                                     max_denominator=3),
+                        min_size=0, max_size=3, unique=True),
+       data=st.data())
+def test_one_merge_equals_the_cell_by_cell_fold(centers, data):
+    """The total of integrate_cells, merged once, is the left fold of
+    its per-cell contributions."""
+    mults = [data.draw(st.integers(1, 3)) for _ in centers]
+    result = integrate_linear_product(centers, mults,
+                                      data.draw(st.integers(1, 2)))
+    fold = ConstructibleFn.zero()
+    for _, contribution, _ in result.derivation:
+        fold = fold + contribution
+    assert result.value == fold
+    assert result.value.render() == fold.render()
+
+
+def test_a_warm_compare_walks_no_tree_for_its_primes(monkeypatch, fx,
+                                                     run_cli):
+    """The constants bad_primes and the center notes read are kept per
+    tree: a second compare of linear_triple.dp walks none, though its
+    cells are built afresh."""
+    nodes = importlib.import_module("dpcalc.formula.nodes")
+    children = nodes.children
+    calls = []
+
+    def counted(node):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_name in ("bad_primes", "_center_notes"):
+                calls.append(node)
+                break
+            frame = frame.f_back
+        return children(node)
+    for module in list(sys.modules.values()):
+        if getattr(module, "children", None) is children:
+            monkeypatch.setattr(module, "children", counted)
+    argv = ("compare", fx("linear_triple.dp"), "--primes", "5")
+    motivic._constants.cache_clear()
+    cold = run_cli(*argv)
+    assert cold[0] == 0 and calls
+    del calls[:]
+    assert run_cli(*argv) == cold
+    assert calls == []
 
 
 # --- family hygiene ---

@@ -193,6 +193,16 @@ def test_point_count():
     assert [serre_oesterle_count("x", 0, q5, N) for N in (1, 2, 3)] == [1, 1, 1]
 
 
+def test_a_zero_power_is_integral_in_a_count():
+    """A zero power is the exact 1, so a base that is not integral at p
+    leaves the polynomial integral, as the walk reads it."""
+    q5 = lf.qp(5, 3)
+    f = VfMul(VfVar("x"), VfPow(VfAdd(VfVar("x"), VfConst(F(1, 5))), 0))
+    assert [serre_oesterle_count([f], 0, q5, N) for N in (1, 2)] == [1, 1]
+    with pytest.raises(BadPrime):
+        serre_oesterle_count([VfMul(VfVar("x"), VfConst(F(1, 5)))], 0, q5, 1)
+
+
 def test_nodal_curve_does_not_stabilize():
     q5 = lf.qp(5, 3)
     vals = [serre_oesterle_count("x*y", 1, q5, N) for N in (1, 2, 3)]
@@ -593,6 +603,10 @@ def test_compiled_integrand_matches_reference(term, make, p, precision, data):
     # exact zero absorbs a box; z^0 is the exact one
     ("x*0 + y", lf.qp(5, 3), (0, 0, 1), (2, 0, 0), (0, 3, 0)),
     ("x^0*a - a", lf.fpt(2, 3), (1, 1, 1), (1, 0, 0), (0, 0, 0)),
+    # a zero power is integral whatever its base holds, so Hensel may
+    # settle the child
+    (VfMul(VfVar("x"), VfPow(VfAdd(VfVar("x"), VfConst(F(1, 5))), 0)),
+     lf.qp(5, 1), (0, 0, 0), (0,), (0,)),
     # indeterminate boxes
     ("x*y + a", lf.qp(7, 3), (1, 1, 0), (0, 0, 0), (0, 0, 0)),
     # a constant with no residue image in F_p((t))
@@ -600,7 +614,7 @@ def test_compiled_integrand_matches_reference(term, make, p, precision, data):
      (0, 0)),
 ], ids=["multidigit-constant", "fpt-truncation", "qp-truncation",
         "cancellation", "fpt-cancellation", "zero-absorbs", "power-zero",
-        "indeterminate", "no-residue-image"])
+        "power-zero-hensel", "indeterminate", "no-residue-image"])
 def test_compiled_integrand_edge_cases(term, spec, a, x, y):
     if isinstance(term, str):
         term = parse_term(term, Sort.VF)

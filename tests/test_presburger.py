@@ -11,6 +11,7 @@ from dpcalc.presburger import (AffineForm, PresDomain, PresTerm, SymSum,
                                VarRange, parse_affine)
 from dpcalc.symring import ONE, SymA
 from presburger_reference import evaluate_truncated, iterate
+from symring_reference import nu as reference_nu, one_minus_l_inv
 
 af = AffineForm.make
 var = AffineForm.var
@@ -21,7 +22,7 @@ TERM = PresTerm(ONE, af({"i": -1}))
 
 # the inner sum of the two-level shell family: m >= k+1 of L^(-2m-2k)
 DOM_B = PresDomain.single("m", lower=var("k") + 1)
-TERM_B = PresTerm(SymA.one_minus_l_inv(1), af({"m": -2, "k": -2}))
+TERM_B = PresTerm(one_minus_l_inv(1), af({"m": -2, "k": -2}))
 
 DOM_RECT = PresDomain((VarRange("a", lower=const(0)),
                        VarRange("b", lower=const(2))))
@@ -95,11 +96,11 @@ def test_downward_ray():
 
 def test_shell_family_inner_sum():
     s = P.sum(DOM_B, TERM_B)
-    expect = SymSum((PresTerm(SymA.one_minus_l_inv(1) * SymA.geom(2)
+    expect = SymSum((PresTerm(one_minus_l_inv(1) * SymA.geom(2)
                               * SymA.l_power(-2), af({"k": -4})),))
     assert s == expect
     assert s.substitute({"k": 0}).as_syma() == \
-        SymA.one_minus_l_inv(1) * SymA.l_power(-2) * SymA.geom(2)
+        one_minus_l_inv(1) * SymA.l_power(-2) * SymA.geom(2)
 
 
 def test_finite_symbolic_telescoping():
@@ -135,7 +136,7 @@ def test_triangular_domain():
     dom2 = PresDomain((VarRange("k", lower=const(0)),
                        VarRange("m", lower=var("k") + 1)))
     closed = P.sum(dom2, TERM_B).as_syma()
-    want = SymA.one_minus_l_inv(1) * SymA.l_power(-2) \
+    want = one_minus_l_inv(1) * SymA.l_power(-2) \
         * SymA.geom(2) * SymA.geom(4)
     assert closed == want
 
@@ -372,3 +373,40 @@ def test_single_ranges_match_the_reference(case, q):
     else:
         partial, tail = want
         assert got == partial + tail
+
+
+# --- specialization at an integer ---
+
+_coefficients = st.builds(
+    SymA,
+    st.dictionaries(st.integers(-6, 4),
+                    st.fractions(min_value=-9, max_value=9,
+                                 max_denominator=6), max_size=4),
+    st.dictionaries(st.integers(1, 6), st.integers(0, 3), max_size=3))
+_exponents = st.builds(
+    af, st.dictionaries(st.sampled_from(["k", "g"]), st.integers(-3, 3),
+                        max_size=2), st.integers(-6, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.builds(PresTerm, _coefficients, _exponents),
+                      max_size=4),
+       q=st.integers(2, 11), k=st.integers(-5, 5), g=st.integers(-5, 5))
+def test_sum_nu_at_an_integer_is_the_fraction_path(terms, q, k, g):
+    """SymSum.nu at an int q > 1 sums in integers; it equals the
+    Fraction path and the reference's term-by-term evaluation, with
+    exponents that run negative under the assignment, and so does the
+    same code at the rational q + 1/2."""
+    s = SymSum(tuple(terms))
+    env = {"k": k, "g": g}
+    want = sum((reference_nu(t.coefficient.numerator,
+                             t.coefficient.denominator, q)
+                * F(q) ** t.exponent.evaluate(env) for t in s.terms), F(0))
+    got = s.nu(q, env)
+    assert type(got) is F
+    assert got == s.nu(F(q), env) == want
+    half = F(2 * q + 1, 2)
+    assert s.nu(half, env) == sum(
+        (reference_nu(t.coefficient.numerator, t.coefficient.denominator,
+                      half) * half ** t.exponent.evaluate(env)
+         for t in s.terms), F(0))

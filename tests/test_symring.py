@@ -13,10 +13,11 @@ import symring_reference as reference
 from dpcalc import poly, symring
 from dpcalc.errors import NotInvertibleInA
 from dpcalc.symring import ONE, ZERO, L, SymA
+from symring_reference import one_minus_l_inv
 
 parse_a = SymA.parse
 
-FLAG = SymA.one_minus_l_inv(1) * SymA.geom(4)
+FLAG = one_minus_l_inv(1) * SymA.geom(4)
 HALF_CUBE = SymA({3: F(1, 2), 1: F(-1, 2)})
 
 
@@ -55,8 +56,8 @@ def test_flagship_normal_form():
 def test_telescoped_partial_sum():
     acc = ZERO
     for k in range(4):
-        acc = acc + SymA.one_minus_l_inv(1) * SymA.l_power(-4 * k)
-    tail = SymA.one_minus_l_inv(1) * SymA.l_power(-16) * SymA.geom(4)
+        acc = acc + one_minus_l_inv(1) * SymA.l_power(-4 * k)
+    tail = one_minus_l_inv(1) * SymA.l_power(-16) * SymA.geom(4)
     assert acc + tail == FLAG
 
 
@@ -67,15 +68,15 @@ def test_canonicalization_idempotent():
 
 
 def test_hash_follows_canonical_form():
-    assert hash(FLAG) == hash(SymA.one_minus_l_inv(1) * SymA.geom(4))
+    assert hash(FLAG) == hash(one_minus_l_inv(1) * SymA.geom(4))
 
 
 # --- unit division ---
 
 def test_div_by_unit_basic():
-    w = SymA.one_minus_l_inv(1).div_by_unit(SymA.one_minus_l_inv(4))
+    w = one_minus_l_inv(1).div_by_unit(one_minus_l_inv(4))
     assert w == FLAG
-    u = SymA.one_minus_l_inv(2).div_by_unit(SymA.one_minus_l_inv(1))
+    u = one_minus_l_inv(2).div_by_unit(one_minus_l_inv(1))
     assert u.render() == "1 + L^-1"
     assert ONE.div_by_unit(L) == SymA.l_power(-1)
 
@@ -83,7 +84,7 @@ def test_div_by_unit_basic():
 def test_div_by_unit_with_denominator_divisor():
     # d has its own denominator; x/d = x * (1 - L^-4)/(1 - L^-1)
     r = ONE.div_by_unit(FLAG)
-    assert r == SymA.one_minus_l_inv(4).div_by_unit(SymA.one_minus_l_inv(1))
+    assert r == one_minus_l_inv(4).div_by_unit(one_minus_l_inv(1))
 
 
 @pytest.mark.parametrize("bad", [SymA.from_int(2), L + 2])
@@ -99,14 +100,14 @@ def test_div_by_unit_accepts_cyclotomic_units():
     assert SymA.parse("1/(L + 1)") == inverse
     assert inverse * (L + 1) == ONE
     # and so is 1 + L^-1, which div_by_unit itself prints
-    u = SymA.one_minus_l_inv(2).div_by_unit(SymA.one_minus_l_inv(1))
+    u = one_minus_l_inv(2).div_by_unit(one_minus_l_inv(1))
     assert u.div_by_unit(u) == ONE
 
 
 # --- arithmetic identities ---
 
 def test_geom_identities():
-    assert SymA.geom(1) * SymA.one_minus_l_inv(1) == ONE
+    assert SymA.geom(1) * one_minus_l_inv(1) == ONE
     assert SymA.geom(1) - ONE == SymA.l_power(-1) * SymA.geom(1)
     assert (L - 1) * SymA.geom(1) == L
 
@@ -150,11 +151,11 @@ SAMPLES = [
     FLAG,
     HALF_CUBE,
     SymA.geom(2),
-    SymA.one_minus_l_inv(2).div_by_unit(SymA.one_minus_l_inv(1)),
+    one_minus_l_inv(2).div_by_unit(one_minus_l_inv(1)),
     ZERO,
     ONE,
     -FLAG,
-    SymA.one_minus_l_inv(1) * SymA.l_power(-6) * SymA.geom(2),
+    one_minus_l_inv(1) * SymA.l_power(-6) * SymA.geom(2),
     SymA({0: F(1), -1: F(-4)}) * SymA.geom(2) * SymA.geom(2),
     SymA({2: F(3, 7)}),
 ]
@@ -170,11 +171,11 @@ def test_parse_handwritten_forms():
     assert parse_a("1/2*L^3 - 1/2*L") == HALF_CUBE
     assert parse_a("L^2 - 2*L + 1") == (L - 1) ** 2
     assert parse_a("(1 - L^-1)^2/(1 - L^-2)^2") == \
-        (SymA.one_minus_l_inv(1) * SymA.geom(2)) ** 2
+        (one_minus_l_inv(1) * SymA.geom(2)) ** 2
 
 
 def test_truncated_level_sum_render():
-    piece = SymA.one_minus_l_inv(1) * SymA.l_power(-6) * SymA.geom(2)
+    piece = one_minus_l_inv(1) * SymA.l_power(-6) * SymA.geom(2)
     assert piece.render() == "(L^-6 - L^-7)/(1 - L^-2)"
 
 
@@ -260,6 +261,23 @@ def test_canonical_form_matches_reference(form):
         reference._canonicalize(dict(num), dict(den))
 
 
+@settings(max_examples=200, deadline=None)
+@given(form=raw_forms(), q=st.integers(2, 13))
+def test_nu_at_an_integer_is_the_fraction_path(form, q):
+    """At an int q > 1, nu runs in integers: it equals nu at the
+    Fraction q and the reference's evaluation of the canonical form,
+    whose shifts run negative and whose denominators hold several
+    factors.  The same code at the rational q + 1/2 agrees too."""
+    elem = SymA(*form)
+    got = elem.nu(q)
+    assert type(got) is F
+    assert got == elem.nu(F(q)) == reference.nu(elem.numerator,
+                                                elem.denominator, q)
+    half = F(2 * q + 1, 2)
+    assert elem.nu(half) == reference.nu(elem.numerator, elem.denominator,
+                                         half)
+
+
 _unit_shapes = st.tuples(
     st.integers(-5, 5),
     st.lists(st.tuples(st.integers(1, 12), st.sampled_from([1, -1])),
@@ -292,7 +310,7 @@ def test_unit_division_matches_reference(shape):
     k, factors, extra = shape
     d = SymA.l_power(k) * extra
     for i, sign in factors:
-        d = d * (SymA.one_minus_l_inv(i) if sign > 0 else SymA.geom(i))
+        d = d * (one_minus_l_inv(i) if sign > 0 else SymA.geom(i))
     if extra in (SymA.from_int(2), SymA.from_fraction(F(1, 2))):
         for factor in (reference._unit_factorization,
                        symring._unit_factorization, ONE.div_by_unit):
@@ -413,7 +431,7 @@ def test_large_unit_is_peeled_at_once():
     value = SymA.parse("1/(1 - L^-2000)")
     assert time.perf_counter() - start < 0.5
     assert value == SymA.geom(2000)
-    assert value * SymA.one_minus_l_inv(2000) == ONE
+    assert value * one_minus_l_inv(2000) == ONE
     # no product of cyclotomics has coefficients that are not symmetric
     start = time.perf_counter()
     with pytest.raises(NotInvertibleInA):
