@@ -366,6 +366,10 @@ class Formula:
     def __delattr__(self, name):
         raise AttributeError("a Formula is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return Formula, (self.expr, self.free)
+
     def __eq__(self, other):
         if not isinstance(other, Formula):
             return NotImplemented

@@ -21,8 +21,10 @@ cells or cell-data files.
 
 Memos hold syntax, never values or counts.  A cell file is read on every
 `load_cells` and parsed once per text (`CELL_MEMO`); the integer
-constants whose primes `bad_primes` excludes are read once per tree.  The
-value is integrated, and those primes factored, on every request.
+constants whose primes `bad_primes` excludes are read once per tree; a
+family of cells is checked and planned once (`PLAN_MEMO`), and a linear
+product's cells are built and planned once (`LINEAR_MEMO`).  The value
+is integrated, and every prime factored, on every request.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ import functools
 import json
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd
 
-from .errors import (BadPrime, DuplicateCenter, InvalidArgument, InvalidPrime,
-                     OverlapDetected, ParseError, UnboundParameter,
-                     UnsupportedFeature, UnsupportedZeroCell)
+from .budget import DEFAULT as DEFAULT_BUDGET, resolve as resolve_budget
+from .errors import (BadPrime, BudgetExceeded, DuplicateCenter,
+                     InvalidArgument, InvalidPrime, OverlapDetected,
+                     ParseError, UnboundParameter, UnsupportedFeature,
+                     UnsupportedZeroCell)
 from .formula import (And, Exists, Formula, Not, Or, RfAdd, RfConst, RfEq,
                       RfMul, RfNe, RfNeg, RfPow, RfSub, RfVar, Sort, VfAdd,
                       VfConst, VfMul, VfNeg, VfPow, VfSub, VfUnif, VfVar,
@@ -63,6 +67,12 @@ CELL_MEMO = 32
 # distinct trees whose coefficient constants are kept, some 2 KB each; the
 # acceptance corpus meets eleven
 CONSTANTS_MEMO = 64
+# distinct cell families whose plan is kept; the acceptance corpus meets
+# three
+PLAN_MEMO = 16
+# distinct linear products whose cells and plan are kept; the acceptance
+# corpus meets three
+LINEAR_MEMO = 16
 # witness primes past an interpolation's degree + 1 that confirm its fit
 RESIDUE_FIT_CHECKS = 2
 
@@ -233,6 +243,22 @@ class Cell:
             if self.z_domain.ranges:
                 raise ValueError(
                     "a 0-cell has no extra value-group variables")
+
+    def __hash__(self):
+        # kept once computed, as formula nodes keep theirs: the plan memo
+        # is keyed by a tuple of cells
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                tuple(getattr(self, f.name) for f in fields(self)))
+        return h
+
+    def __getstate__(self):
+        # string hashes are salted per process, so the kept one is not
+        # pickled
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -615,19 +641,22 @@ def _split_components(phi):
     return groups
 
 
-def _class_size(phi, reserved, budget):
-    """Exact class size for a conjunction of linear disequalities over
-    non-parameter residue variables: each variable contributes L minus its
-    number of excluded residues.  Returns (SymA, notes) or None when the
-    class has to stay a formula.  notes lists (prime, reason) pairs for
-    primes where the excluded residues degenerate."""
+def _class_factor(phi, reserved):
+    """The syntax of an exact class size, for a conjunction of linear
+    disequalities over non-parameter residue variables: each variable
+    contributes L minus its number of excluded residues.  Returns (counts,
+    pairs), or None when the class has to stay a formula.  counts holds
+    the number of excluded residues of each free variable in order, or is
+    None when a conjunct is false; pairs lists, in the order they are to
+    be factored, the (integer, reason) pairs whose primes are where the
+    excluded residues degenerate."""
     names = [n for n, _ in phi.free]
     if any(n in reserved for n in names):
         return None
     if any(s is not Sort.RF for _, s in phi.free):
         return None
     excluded = {n: set() for n in names}
-    notes = []
+    pairs = []
     for conj in conjuncts(phi.expr):
         if not isinstance(conj, RfNe):
             return None
@@ -642,31 +671,27 @@ def _class_size(phi, reserved, budget):
         const = left[1] - right[1]
         if not coeffs:
             if const == 0:
-                return ZERO, notes
+                return None, tuple(pairs)
             continue
         if len(coeffs) != 1:
             return None
         (v, c), = coeffs.items()
         value = Fraction(-const, c)
         if abs(c) != 1:
-            for p in factor(c, budget):
-                notes.append((p, "coefficient %d on %s is not invertible"
-                              % (c, v)))
+            pairs.append((c, "coefficient %d on %s is not invertible"
+                          % (c, v)))
         if value.denominator != 1:
-            for p in factor(value.denominator, budget):
-                notes.append((p, "excluded residue %s is not integral"
-                              % value))
+            pairs.append((value.denominator,
+                          "excluded residue %s is not integral" % value))
         excluded[v].add(value)
-    size = ONE
     for v in names:
         vals = sorted(excluded[v])
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                for p in factor((vals[j] - vals[i]).numerator, budget):
-                    notes.append((p, "residues %s and %s of %s collide"
-                                  % (vals[i], vals[j], v)))
-        size = size * (L - SymA.from_int(len(vals)))
-    return size, notes
+                pairs.append(((vals[j] - vals[i]).numerator,
+                              "residues %s and %s of %s collide"
+                              % (vals[i], vals[j], v)))
+    return tuple(len(excluded[v]) for v in names), tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -864,6 +889,49 @@ def _check_room(cell):
         ranges[r.name] = r
 
 
+def _plan_cells(cells, reserved):
+    """The syntax work of integrating a family of cells, given the names
+    of its parameters: the disjointness, room and 0-cell checks, and per
+    cell (cell, summand, class, factors).  A 0-cell has no summand.  A
+    1-cell sums psi * L^(-alpha - 1); its class is what stays a formula;
+    and factors holds (text, counts, pairs) for each component that
+    collapses to its size (see `_class_factor`).  No value is built, and
+    nothing is factored."""
+    _check_disjoint(cells)
+    out = []
+    for cell in cells:
+        if cell.kind == ZERO_CELL:
+            if cell.center_term is None or _vf_degree(cell.center_term) > 1:
+                raise UnsupportedZeroCell(
+                    "cell %s: only affine centers are supported, got %s"
+                    % (cell.cell_id, cell.center_text))
+            out.append((cell, None, None, ()))
+            continue
+        _check_room(cell)
+        psi = cell.psi
+        summand = PresTerm(psi.coefficient, psi.exponent - cell.alpha - 1)
+        cls = cell.class_formula
+        factors = []
+        if cls is not None:
+            kept = []
+            for _, nodes in _split_components(cls):
+                sub = Formula(_fold_and(nodes))
+                found = _class_factor(sub, reserved)
+                if found is None:
+                    kept.extend(nodes)
+                else:
+                    factors.append((pretty_print(sub),) + found)
+            if factors:
+                cls = Formula(_fold_and(kept)) if kept else None
+        out.append((cell, summand, cls, tuple(factors)))
+    return tuple(out)
+
+
+# a family's plan, kept per family and names of parameters; a family that
+# fails a check raises on every call, since a memo keeps no exception
+_plan = functools.lru_cache(maxsize=PLAN_MEMO)(_plan_cells)
+
+
 def integrate_cells(cells, params=(), budget=None):
     """Integrate the coefficients over a disjoint family of cells.
 
@@ -872,16 +940,20 @@ def integrate_cells(cells, params=(), budget=None):
     parameter-free classes cut out by linear disequalities collapse to
     their ring cardinality.  0-cells contribute nothing to the value; their
     counting terms go to the derivation log, and non-affine centers are
-    rejected."""
-    cells = tuple(cells)
-    _check_disjoint(cells)
+    rejected.  The checks and the class syntax come from the family's
+    plan; the sums, the class sizes and the factoring of every excluded
+    prime run on each call."""
+    return _integrate(_plan(tuple(cells), frozenset(n for n, _ in params)),
+                      params, budget)
 
-    param_names = {n for n, _ in params}
+
+def _integrate(plan, params, budget):
+    """The value, excluded primes and derivation of a planned family."""
     bad = {}
     derivation = []
     terms = []
 
-    for cell in cells:
+    for cell, summand, cls, factors in plan:
         _center_notes(cell, bad, budget)
         if cell.class_formula is not None:
             for p, reasons in bad_primes(cell.class_formula,
@@ -889,40 +961,27 @@ def integrate_cells(cells, params=(), budget=None):
                 for r in reasons:
                     _note(bad, p, r)
 
-        if cell.kind == ZERO_CELL:
-            if cell.center_term is None or _vf_degree(cell.center_term) > 1:
-                raise UnsupportedZeroCell(
-                    "cell %s: only affine centers are supported, got %s"
-                    % (cell.cell_id, cell.center_text))
+        if summand is None:
             counting = SymSum((cell.psi,))
             contribution = ConstructibleFn.zero(params)
             note = ("measure zero; counting term %s recorded only"
                     % counting.render())
         else:
-            _check_room(cell)
-            psi = cell.psi
-            summed = pres_sum(cell.z_domain, PresTerm(
-                psi.coefficient, psi.exponent - cell.alpha - 1))
-            cls = cell.class_formula
-            note = ""
-            if cls is not None:
-                kept = []
-                sized = []
-                for _, nodes in _split_components(cls):
-                    sub = Formula(_fold_and(nodes))
-                    collapsed = _class_size(sub, param_names, budget)
-                    if collapsed is None:
-                        kept.extend(nodes)
-                        continue
-                    size, notes = collapsed
-                    for p, r in notes:
-                        _note(bad, p, r)
-                    summed = summed * size
-                    sized.append((pretty_print(sub), size.render()))
-                if sized:
-                    note = "; ".join("class factor [%s] collapsed to %s"
-                                     % pair for pair in sized)
-                    cls = Formula(_fold_and(kept)) if kept else None
+            summed = pres_sum(cell.z_domain, summand)
+            sized = []
+            for text, counts, pairs in factors:
+                for n, reason in pairs:
+                    for p in factor(n, budget):
+                        _note(bad, p, reason)
+                size = ZERO
+                if counts is not None:
+                    size = ONE
+                    for count in counts:
+                        size = size * (L - SymA.from_int(count))
+                summed = summed * size
+                sized.append("class factor [%s] collapsed to %s"
+                             % (text, size.render()))
+            note = "; ".join(sized)
             contribution = ConstructibleFn(
                 ((cls, cell.param_domain, summed),), params)
         derivation.append((cell.cell_id, contribution, note))
@@ -953,9 +1012,15 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
     The decomposition is built automatically: one cell for the residues
     away from every center, one shell family around each center, and the
     centers themselves as 0-cells.  Primes where the centers collide or
-    fail to be integral are excluded and recorded."""
-    centers = [Fraction(c) for c in centers]
-    mults = [as_integer(m, "multiplicity") for m in multiplicities]
+    fail to be integral are excluded and recorded.
+
+    The shell sum around a center of multiplicity m has the ring index
+    1 + e*m, the length of a coefficient list the ring builds.  An index
+    past the budget raises BudgetExceeded, though a budget below the
+    default stops no index the default allows: such a budget bounds
+    enumerations, and the ring's work is linear in the index."""
+    centers = tuple(Fraction(c) for c in centers)
+    mults = tuple(as_integer(m, "multiplicity") for m in multiplicities)
     e = as_integer(exponent, "exponent")
     if len(mults) != len(centers):
         raise InvalidArgument("need one multiplicity per center")
@@ -968,7 +1033,23 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
             if centers[i] == centers[j]:
                 raise DuplicateCenter("centers %s and %s coincide"
                                       % (centers[i], centers[j]))
+    index = 1 + e * max(mults, default=0)
+    limit = max(resolve_budget(budget), DEFAULT_BUDGET)
+    if index > limit:
+        raise BudgetExceeded("the ring index %d of a shell sum exceeds the "
+                             "budget of %d" % (index, limit))
+    return _integrate(_linear_plan(centers, mults, e), (), budget)
 
+
+@functools.lru_cache(maxsize=LINEAR_MEMO)
+def _linear_plan(centers, mults, e):
+    """The plan of a linear product's cells, built once per product and
+    kept under the product, so that a fresh product hashes no cell."""
+    return _plan_cells(_linear_cells(centers, mults, e), frozenset())
+
+
+def _linear_cells(centers, mults, e):
+    """The cells of prod_j |t - c_j|^(e*m_j)."""
     u, g = "u", "g"
     one_term = PresTerm(ONE, AffineForm.constant(0))
     cells = []
@@ -1006,7 +1087,7 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
             cells.append(Cell(kind=ZERO_CELL, cell_id="point_%d" % j,
                               center_text=str(cj), center_term=VfConst(cj),
                               psi=PresTerm(ZERO, AffineForm.constant(0))))
-    return integrate_cells(cells, budget=budget)
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -721,6 +721,19 @@ def test_ring_indices_take_no_budget(tmp_path):
     assert out_json(proc.stdout)["value"] == "(1 - L^-1)/(1 - L^-35)"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--linear-product", "0:100000000000"),
+    ("--linear-product", "0:1", "--exponent", "100000000000"),
+])
+def test_a_huge_ring_index_is_over_the_budget(argv):
+    # the shell sum's denominator 1 - L^-(10^11 + 1) would need a
+    # coefficient list of that length: refused before it is built
+    proc = _run_apart("integrate", *argv)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == ("dpcalc: the ring index 100000000001 of a shell "
+                           "sum exceeds the budget of 100000000\n")
+
+
 @pytest.mark.parametrize("field", ["qp", "fpt"])
 def test_huge_powers_compile_to_a_squaring_chain(tmp_path, field):
     path = tmp_path / "huge_power.dp"

@@ -1,8 +1,10 @@
 """Cell-by-cell symbolic integration and its specializations."""
 
 import copy
+import glob
 import importlib
 import json
+import os
 import pickle
 import sys
 from fractions import Fraction as F
@@ -26,6 +28,7 @@ from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             residue_cases, specialize)
 from dpcalc.presburger import AffineForm, PresDomain, PresTerm, SymSum
 from dpcalc.symring import ONE, L, SymA
+import motivic_reference
 from presburger_reference import evaluate_truncated
 
 parse_a = SymA.parse
@@ -448,6 +451,164 @@ def test_a_warm_compare_walks_no_tree_for_its_primes(monkeypatch, fx,
     del calls[:]
     assert run_cli(*argv) == cold
     assert calls == []
+
+
+# --- the plan of a family ---
+
+CELL_FILES = sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures",
+    "*.cells.json")))
+
+
+def _loadable(path):
+    try:
+        return load_cells(path)
+    except ParseError:
+        return None
+
+
+def _summary(result):
+    return (result.value.render(), result.bad_primes,
+            [(cid, fn.render(), note) for cid, fn, note in result.derivation])
+
+
+def _clear_plans():
+    motivic._plan.cache_clear()
+    motivic._linear_plan.cache_clear()
+
+
+def test_shared_cells_deep_copy_and_pickle():
+    """The plan hands out shared cells, so a caller that wants its own
+    copies deep-copies them: every loaded cell file and a linear product's
+    result copy and pickle into equal values with equal hashes."""
+    loaded = [data for data in map(_loadable, CELL_FILES) if data]
+    assert len(loaded) == 3
+    result = integrate_linear_product([0, F(1, 2), 3], [1, 2, 1], 2)
+    for data in loaded:
+        for twin in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert twin == data
+            assert twin.cells == data.cells
+            assert hash(twin.cells) == hash(data.cells)
+    for twin in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+        assert _summary(twin) == _summary(result)
+        assert twin.value == result.value
+        assert twin.derivation == result.derivation
+        assert hash((twin.value, twin.derivation)) == \
+            hash((result.value, result.derivation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(centers=st.lists(st.fractions(min_value=-8, max_value=8,
+                                     max_denominator=3),
+                        min_size=1, max_size=4, unique=True),
+       data=st.data())
+def test_the_plan_integrates_as_the_reference(centers, data):
+    """A linear product integrates, cold and then warm, exactly as the
+    earlier integrator does on the same cells."""
+    mults = [data.draw(st.integers(1, 4)) for _ in centers]
+    e = data.draw(st.integers(1, 3))
+    cells = motivic._linear_cells(tuple(centers), tuple(mults), e)
+    want = _summary(motivic_reference.integrate_cells(cells))
+    _clear_plans()
+    assert _summary(integrate_linear_product(centers, mults, e)) == want
+    assert _summary(integrate_linear_product(centers, mults, e)) == want
+
+
+@pytest.mark.parametrize("path", CELL_FILES, ids=os.path.basename)
+def test_every_cell_file_integrates_as_the_reference(path, run_cli,
+                                                     monkeypatch):
+    """Every cell file, plain, with acx:cube and at k = 0..3, prints the
+    same cold, warm, and through the earlier integrator."""
+    argvs = [("integrate", path)] + [
+        ("integrate", path, "--param", "k=%d" % k) + cube
+        for k in range(4) for cube in ((), ("--param", "acx:cube"))]
+    argvs.append(("integrate", path, "--param", "acx:cube"))
+    data = _loadable(path)
+    if data:
+        _clear_plans()
+        got = _summary(integrate_cell_data(data))
+        assert _summary(integrate_cell_data(data)) == got
+        with monkeypatch.context() as m:
+            m.setattr(motivic, "integrate_cells",
+                      motivic_reference.integrate_cells)
+            assert _summary(integrate_cell_data(data)) == got
+    for argv in argvs:
+        _clear_plans()
+        cold = run_cli(*argv)
+        assert run_cli(*argv) == cold
+        with monkeypatch.context() as m:
+            m.setattr(motivic, "integrate_cells",
+                      motivic_reference.integrate_cells)
+            assert run_cli(*argv) == cold
+
+
+def test_a_family_that_fails_a_check_fails_on_every_call(fx):
+    """The plan keeps no refusal: an overlapping family and a non-affine
+    0-cell raise on every call."""
+    raw = json.loads(open(fx("cube.cells.json")).read())
+    raw["cells"].append(dict(raw["cells"][0], id="below_again"))
+    overlapping = load_cells(raw)
+    point = [Cell(kind="ZeroCell", cell_id="bad", center_text="x^2",
+                  psi=PresTerm(ONE, AffineForm.constant(0)))]
+    for _ in range(3):
+        with pytest.raises(OverlapDetected, match="below_again"):
+            integrate_cell_data(overlapping)
+        with pytest.raises(UnsupportedZeroCell):
+            integrate_cells(point)
+
+
+def test_a_warm_product_is_still_charged_its_factoring(run_cli,
+                                                      monkeypatch):
+    argv = ("integrate", "--linear-product", "0:1,35:1")
+    assert run_cli(*argv)[0] == 0
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "1")
+    rc, out, err = run_cli(*argv)
+    assert (rc, out) == (5, "")
+    assert err == ("dpcalc: trial divisions factoring 35 exceed the budget "
+                   "of 1\n")
+
+
+def test_the_plan_memos_keep_at_most_their_size():
+    """Distinct families fill the plan memo and distinct products the
+    product memo, each to its size; a product plans no family."""
+    _clear_plans()
+    for i in range(motivic.PLAN_MEMO + 5):
+        integrate_cell_data(load_cells(_shells("rf u; zz g; %d <= g" % i)))
+    for i in range(motivic.LINEAR_MEMO + 5):
+        integrate_linear_product([0, i + 1], [1, 1])
+    for memo, bound in ((motivic._plan, motivic.PLAN_MEMO),
+                        (motivic._linear_plan, motivic.LINEAR_MEMO)):
+        info = memo.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize == bound
+    assert motivic._plan.cache_info().misses == motivic.PLAN_MEMO + 5
+
+
+@pytest.mark.parametrize("name", ["linear_triple.dp", "cube.cells.json"])
+def test_a_warm_compare_plans_nothing(monkeypatch, fx, run_cli, name):
+    """A second compare splits, sizes and checks no cell, and factors as
+    often as the first: the budget still charges every factorisation."""
+    calls = {}
+
+    def counted(fn):
+        def spy(*args, **kwargs):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return spy
+    for fn in ("_split_components", "_check_disjoint",
+               "_linear_residue_parts", "_check_room", "factor"):
+        monkeypatch.setattr(motivic, fn, counted(getattr(motivic, fn)))
+    argv = ("compare", fx(name), "--primes", "5", "--budget", str(10 ** 18))
+    _clear_plans()
+    cold = run_cli(*argv)
+    assert cold[0] == 0
+    assert calls["_split_components"] and calls["_check_disjoint"]
+    assert calls["_check_room"]
+    cold_factor = calls.get("factor", 0)
+    calls.clear()
+    assert run_cli(*argv) == cold
+    assert calls.get("factor", 0) == cold_factor
+    assert set(calls) <= {"factor"}
 
 
 # --- family hygiene ---
