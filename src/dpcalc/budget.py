@@ -5,6 +5,10 @@ same limit: an explicit `budget` argument when given, else the integer in
 the environment variable named by ENV, else DEFAULT.  The nominal size
 of an enumeration is a power base^exponent; it is compared with the limit
 without building a power much larger than the limit.
+
+A ring index, the length of a coefficient list the exact ring would build,
+is held to DEFAULT by `check_index` whatever the budget says: the ring's
+work is linear in it and enumerates nothing.
 """
 
 from __future__ import annotations
@@ -40,3 +44,10 @@ def check(base, exponent, budget, what):
     if (base.bit_length() - 1) * exponent >= limit.bit_length() \
             or base ** exponent > limit:
         raise BudgetExceeded("%s exceed the budget of %d" % (what, limit))
+
+
+def check_index(index, what):
+    """Raise BudgetExceeded("<what> exceeds the budget of <DEFAULT>") when
+    the ring index is past DEFAULT."""
+    if index > DEFAULT:
+        raise BudgetExceeded("%s exceeds the budget of %d" % (what, DEFAULT))

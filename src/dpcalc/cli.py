@@ -303,9 +303,15 @@ def cmd_integrate(args):
             raise UnsupportedFeature("mixed class tokens are not supported")
         modulus = moduli.pop()
         witness = {n: _CLASS_TOKENS[t][1] for n, t in tokens.items()}
+        fitted = {}
         out["cases"] = [
             {"when": "q = %d (mod %d)" % (r, modulus), "value": v.render()}
-            for r, v in residue_cases(bound, modulus, witness)]
+            for r, v in residue_cases(bound, modulus, witness,
+                                      fitted=fitted)]
+        if fitted:
+            out["fitted_classes"] = [
+                {"class": c, "witness_primes": primes}
+                for c, primes in fitted.items()]
     _emit(args, out)
     return 0
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import gcd
 
-from .budget import DEFAULT as DEFAULT_BUDGET, resolve as resolve_budget
-from .errors import (BadPrime, BudgetExceeded, DuplicateCenter,
+from .budget import check as check_budget, check_index
+from .errors import (BadPrime, DuplicateCenter,
                      InvalidArgument, InvalidPrime, OverlapDetected,
                      ParseError, UnboundParameter, UnsupportedFeature,
                      UnsupportedZeroCell)
@@ -51,7 +51,8 @@ from .formula.count import count_rf_points
 from .formula.interpret import as_integer
 from .formula.nodes import conjuncts
 from .localfield import is_prime
-from .poly import evaluate, factor, interpolate
+from .poly import add as poly_add, divisors, evaluate, factor, interpolate
+from .poly import mul as poly_mul, totient
 from .presburger import (AffineForm, PresDomain, PresTerm, SymSum, VarRange,
                          parse_affine, zz_affine)
 from .presburger import sum as pres_sum
@@ -1016,9 +1017,8 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
 
     The shell sum around a center of multiplicity m has the ring index
     1 + e*m, the length of a coefficient list the ring builds.  An index
-    past the budget raises BudgetExceeded, though a budget below the
-    default stops no index the default allows: such a budget bounds
-    enumerations, and the ring's work is linear in the index."""
+    past the default budget raises BudgetExceeded before any cell is
+    built, whatever `budget` says (see `dpcalc.budget.check_index`)."""
     centers = tuple(Fraction(c) for c in centers)
     mults = tuple(as_integer(m, "multiplicity") for m in multiplicities)
     e = as_integer(exponent, "exponent")
@@ -1034,10 +1034,7 @@ def integrate_linear_product(centers, multiplicities, exponent=1,
                 raise DuplicateCenter("centers %s and %s coincide"
                                       % (centers[i], centers[j]))
     index = 1 + e * max(mults, default=0)
-    limit = max(resolve_budget(budget), DEFAULT_BUDGET)
-    if index > limit:
-        raise BudgetExceeded("the ring index %d of a shell sum exceeds the "
-                             "budget of %d" % (index, limit))
+    check_index(index, "the ring index %d of a shell sum" % index)
     return _integrate(_linear_plan(centers, mults, e), (), budget)
 
 
@@ -1148,53 +1145,63 @@ def _outside(env, domain):
 def bind_parameters(value, assignment):
     """Substitute integers for value-group parameters, keeping everything
     else symbolic.  Residue-sort parameters stay free.  Accepts and returns
-    either a ConstructibleFn or a whole IntegrationResult.
+    either a ConstructibleFn or a whole IntegrationResult; of a result only
+    the value is bound, and its derivation, the audit trail of what each
+    cell gave, is kept as integrated.
 
     An assignment outside some term's residual domain is an error, exactly
-    as in specialize: the function is only represented there.  An
-    assignment that names no value-group parameter returns value itself."""
-    fn = value.value if isinstance(value, IntegrationResult) else value
-    if not any(s is Sort.ZZ and n in assignment for n, s in fn.params):
-        return value
+    as in specialize: the function is only represented there.  A result's
+    derivation entries are checked so too, after its value.  An assignment
+    that names no value-group parameter returns value itself."""
     if isinstance(value, IntegrationResult):
-        return IntegrationResult(
-            value=bind_parameters(value.value, assignment),
-            bad_primes=value.bad_primes,
-            derivation=tuple((cid, bind_parameters(fn, assignment), note)
-                             for cid, fn, note in value.derivation))
-    env = {n: as_integer(assignment[n], n) for n, s in value.params
-           if s is Sort.ZZ and n in assignment}
+        bound = bind_parameters(value.value, assignment)
+        if bound is value.value:
+            return value
+        for _, fn, _ in value.derivation:
+            _bound_domains(fn, assignment)
+        return replace(value, value=bound)
+    if not any(s is Sort.ZZ and n in assignment for n, s in value.params):
+        return value
+    env, domains = _bound_domains(value, assignment)
     params = tuple((n, s) for n, s in value.params if n not in env)
-    terms = []
-    for t in value.terms:
+    return ConstructibleFn(
+        [(t.rf_class, dom, t.coeff.substitute(env))
+         for t, dom in zip(value.terms, domains)], params)
+
+
+def _bound_domains(fn, assignment):
+    """The integers `assignment` gives fn's value-group parameters, and
+    each term's residual domain under them; an assignment outside one
+    raises."""
+    env = {n: as_integer(assignment[n], n) for n, s in fn.params
+           if s is Sort.ZZ and n in assignment}
+    domains = []
+    for t in fn.terms:
         dom = t.domain.bind(env)
         if dom is None:
             raise _outside(env, t.domain)
-        terms.append((t.rf_class, dom, t.coeff.substitute(env)))
-    return ConstructibleFn(terms, params)
+        domains.append(dom)
+    return env, domains
 
 
-def _case_witnesses(residue, modulus, avoid, need):
-    out = []
-    n = 5
-    while len(out) < need:
-        if is_prime(n) and n % modulus == residue and n not in avoid:
-            out.append(n)
-        n += 1
-    return out
-
-
-def residue_cases(value, modulus, rf_witness, zz_assignment=None):
+def residue_cases(value, modulus, rf_witness, zz_assignment=None,
+                  fitted=None):
     """Evaluate a constructible function as an exact ring element on each
     invertible congruence class of q mod `modulus`.
 
-    Residue-class point counts are quasi-polynomial in q; on each fixed
-    congruence class the counts are interpolated from witness primes as
-    exact polynomials in L, and the fit is confirmed on RESIDUE_FIT_CHECKS
-    further witnesses (a mismatch raises UnsupportedFeature).  rf_witness
-    binds each residue-sort parameter to an integer that lands in the
-    intended class at every witness prime (1 for "a nonzero cube").
+    rf_witness binds each residue-sort parameter to an integer that lands
+    in the intended class at every prime (1 for "a nonzero cube").
     Value-group parameters must all be bound by zz_assignment.
+
+    A class in the binomial fragment (see `_binomial_atoms`) is counted
+    exactly, as a polynomial in q on each congruence class.  Any other
+    class is fitted: its counts at witness primes of the congruence class
+    are interpolated as a polynomial in L, and the fit is confirmed on
+    RESIDUE_FIT_CHECKS further witnesses (a mismatch raises
+    UnsupportedFeature).  Point counts of residue classes are not
+    polynomial in q in general, so a fit is trusted, not proved: when
+    `fitted` is a dict, each fitted class's text is entered in it, mapped
+    to the witness primes of its fits in increasing order.
 
     Returns [(residue, SymA)] sorted by residue.
     """
@@ -1212,32 +1219,186 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None):
                 raise UnboundParameter("no witness for parameter %r" % n)
             rf_env[n] = as_integer(rf_witness[n], n)
 
-    cases = []
-    for residue in range(1, modulus):
-        if gcd(residue, modulus) != 1:
+    residues = [r for r in range(1, modulus) if gcd(r, modulus) == 1]
+    totals = dict.fromkeys(residues, ZERO)
+    for t in fn.terms:
+        coeff = t.coeff.as_syma()
+        if t.rf_class is None:
+            for residue in residues:
+                totals[residue] = totals[residue] + coeff
             continue
-        total = ZERO
-        for t in fn.terms:
-            if t.rf_class is None:
-                count = ONE
-            else:
-                degree = len([n for n, _ in t.rf_class.free
-                              if n not in rf_env])
-                primes = _case_witnesses(residue, modulus, bad,
-                                         degree + 1 + RESIDUE_FIT_CHECKS)
-                counts = [count_rf_points(t.rf_class, q, values=rf_env)
-                          for q in primes]
-                fit = interpolate(list(zip(primes, counts))[:degree + 1])
-                for q, c in zip(primes, counts):
-                    if evaluate(fit, q) != c:
-                        raise UnsupportedFeature(
-                            "the point count of [%s] is not polynomial "
-                            "over q = %d mod %d" % (pretty_print(t.rf_class),
-                                                    residue, modulus))
-                count = SymA(dict(enumerate(fit)))
-            total = total + count * t.coeff.as_syma()
-        cases.append((residue, total))
-    return cases
+        atoms = _binomial_atoms(t.rf_class, rf_env)
+        for residue in residues:
+            count = None
+            if atoms is not None:
+                count = _binomial_count(atoms, residue, modulus, bad)
+            if count is None:
+                count, primes = _fit_count(t.rf_class, rf_env, residue,
+                                           modulus, bad)
+                if fitted is not None:
+                    fitted.setdefault(pretty_print(t.rf_class),
+                                      []).extend(primes)
+            totals[residue] = totals[residue] + \
+                SymA(dict(enumerate(count))) * coeff
+    if fitted is not None:
+        for primes in fitted.values():
+            primes.sort()
+    return sorted(totals.items())
+
+
+def _fit_count(phi, rf_env, residue, modulus, bad):
+    """The point count of phi on the primes q = residue (mod modulus) as
+    the polynomial in q that its counts at witness primes fit, and those
+    primes."""
+    degree = len([n for n, _ in phi.free if n not in rf_env])
+    primes = _case_witnesses(residue, modulus, bad,
+                             degree + 1 + RESIDUE_FIT_CHECKS)
+    counts = [count_rf_points(phi, q, values=rf_env) for q in primes]
+    fit = interpolate(list(zip(primes, counts))[:degree + 1])
+    for q, c in zip(primes, counts):
+        if evaluate(fit, q) != c:
+            raise UnsupportedFeature(
+                "the point count of [%s] is not polynomial over q = %d "
+                "mod %d" % (pretty_print(phi), residue, modulus))
+    return fit, primes
+
+
+def _case_witnesses(residue, modulus, avoid, need):
+    out = []
+    n = 5
+    while len(out) < need:
+        if is_prime(n) and n % modulus == residue and n not in avoid:
+            out.append(n)
+        n += 1
+    return out
+
+
+def _binomial_atoms(phi, rf_env):
+    """phi's conjuncts as {x: [(n, level, equal)]}, each the atom
+    x^n == level (or != level when equal is False), n >= 1, for every
+    free variable x that rf_env does not bind; a variable without an atom
+    maps to []. False when a closed conjunct is false at every q, and None
+    when some conjunct lies outside the binomial fragment.
+
+    A level is 0 or 1: a constant, or a residue parameter whose witness is
+    one of them, the same residue at every q.  The fragment is the
+    one-variable atoms x^n ==/!= level, in either orientation, and the
+    closed atoms that no q decides differently: level ==/!= level, and
+    `exists w. w^n == level` (true, with w = level) and its negation.
+    This reads syntax only."""
+    atoms = {n: [] for n, _ in phi.free if n not in rf_env}
+    for c in conjuncts(phi.expr):
+        negated = isinstance(c, Not)
+        if negated:
+            c = c.operand
+        if isinstance(c, Exists):
+            atom = None if c.var in rf_env else _binomial_atom(c.body,
+                                                               rf_env)
+            if atom is None or atom[0] != c.var or not atom[3]:
+                return None
+            if negated:
+                return False
+            continue
+        if negated or not isinstance(c, (RfEq, RfNe)):
+            return None
+        left, right = _level(c.left, rf_env), _level(c.right, rf_env)
+        if left is not None and right is not None:
+            if (left == right) != isinstance(c, RfEq):
+                return False
+            continue
+        atom = _binomial_atom(c, rf_env)
+        if atom is None:
+            return None
+        atoms[atom[0]].append(atom[1:])
+    return atoms
+
+
+def _binomial_atom(node, rf_env):
+    """(x, n, level, equal) when node is x^n == level or x^n != level, in
+    either orientation, for a variable x that rf_env does not bind."""
+    if not isinstance(node, (RfEq, RfNe)):
+        return None
+    for power, other in ((node.left, node.right), (node.right, node.left)):
+        n = 1
+        if isinstance(power, RfPow):
+            power, n = power.base, power.exponent
+        level = _level(other, rf_env)
+        if isinstance(power, RfVar) and power.name not in rf_env \
+                and n >= 1 and level is not None:
+            return power.name, n, level, isinstance(node, RfEq)
+    return None
+
+
+def _level(node, rf_env):
+    """0 or 1 when node is that constant or a parameter witnessed by it."""
+    if isinstance(node, RfConst):
+        value = node.value
+    elif isinstance(node, RfVar) and node.name in rf_env:
+        value = rf_env[node.name]
+    else:
+        return None
+    return value if value in (0, 1) else None
+
+
+def _binomial_count(atoms, residue, modulus, bad):
+    """The point count of a class that `_binomial_atoms` read, as a
+    polynomial in q on the primes q = residue (mod modulus), or None where
+    some gcd(k, q - 1) it needs is not one number there.
+
+    The count is a product over the variables.  For one variable x, the
+    point 0 meets x^n == 0 and x^n != 1 only.  The units meet no atom
+    x^n == 0, and the others cut a group out of F_q^*, which is cyclic of
+    order q - 1: its elements with x^a == 1 for each root atom form the
+    group of order d = gcd(a, q - 1), a the gcd of those n (d = q - 1
+    when there is none).  From it each atom x^n != 1 takes away the
+    group of order gcd(n, d), and their union has totient(e) elements of
+    each order e that divides one of those orders."""
+    if atoms is False:
+        return []
+    out = [1]
+    for found in atoms.values():
+        zero = int(all((level == 0) == equal for _, level, equal in found))
+        roots = [n for n, level, equal in found if level and equal]
+        avoid = [n for n, level, equal in found if level and not equal]
+        if any(not level and equal for _, level, equal in found):
+            units = [0]
+        elif roots:
+            d = _gcd_on_class(gcd(*roots), residue, modulus, bad)
+            if d is None:
+                return None
+            units = [d - _union_order([gcd(n, d) for n in avoid])]
+        else:
+            orders = [_gcd_on_class(n, residue, modulus, bad) for n in avoid]
+            if None in orders:
+                return None
+            units = [-1 - _union_order(orders), 1]
+        out = poly_mul(out, poly_add(units, [zero]))
+    return out
+
+
+def _union_order(orders):
+    """The size of the union of the subgroups of those orders in a cyclic
+    group: totient(e) for each e that divides one of them."""
+    return sum(map(totient, set().union(*map(divisors, orders))))
+
+
+def _gcd_on_class(k, residue, modulus, bad):
+    """gcd(k, q - 1) when it is one number at every prime q = residue
+    (mod modulus) that bad does not exclude, else None.
+
+    It depends on q mod k alone.  By Dirichlet's theorem the primes of the
+    class meet every unit mod lcm(k, modulus) that is residue mod modulus,
+    and the only other primes of the class divide k.  Those units are
+    k / gcd(k, modulus) classes, charged to the one budget."""
+    step = k // gcd(k, modulus)
+    check_budget(step, 1, None, "the %d classes of q mod %d"
+                 % (step, step * modulus))
+    seen = {gcd(k, u - 1)
+            for u in range(residue, residue + step * modulus, modulus)
+            if gcd(u, k) == 1}
+    seen.update(gcd(k, p - 1) for p in divisors(k)
+                if p % modulus == residue and p not in bad and is_prime(p))
+    return seen.pop() if len(seen) == 1 else None
 
 
 # ---------------------------------------------------------------------------

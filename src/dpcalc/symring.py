@@ -39,6 +39,7 @@ import re
 from fractions import Fraction
 
 from . import poly
+from .budget import check_index
 from .errors import NotInvertibleInA, ParseError
 from .formula.parse import nested
 from .localfield import is_prime
@@ -518,6 +519,7 @@ def _fmt_lpow(d):
 # --- tiny expression parser for the rendering grammar ---
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(L)|(\^)|(\*)|(/)|(\+)|(-)|(\()|(\)))")
+_EXPONENT = re.compile(r"\^\s*-?\s*(\d+)")
 
 
 def _tokenize_syma(text):
@@ -626,6 +628,12 @@ def _divide(v, w):
 
 
 def _parse_syma(text):
+    """text in the rendering grammar as a ring value.  Every exponent in
+    it, an L-power, a geometric index or a power of a sum, is held to the
+    ring index limit before anything is built."""
+    for m in _EXPONENT.finditer(text):
+        check_index(int(m.group(1)),
+                    "the ring index %s in a ring expression" % m.group(1))
     return _SymAParser(_tokenize_syma(text)).parse()
 
 

@@ -130,16 +130,55 @@ def test_integrate_congruence_cases(run_cli, fx):
     assert cases["q = 2 (mod 3)"] == SymA.parse("(1 - L^-1)/(1 - L^-2)")
 
 
-def test_integrate_congruence_cases_honour_budget_env(run_cli, fx,
+def _one_level_cell_file(tmp_path, cls):
+    """A cell file with one level cell at k whose class is cls."""
+    path = tmp_path / "one_level.cells.json"
+    path.write_text(json.dumps({
+        "parameters": [{"name": "acx", "sort": "rf"},
+                       {"name": "k", "sort": "zz"}],
+        "cells": [{"kind": "OneCell", "id": "level", "center": "0",
+                   "basis": "rf eta, acx; zz k; %s && 0 <= k" % cls,
+                   "alpha": "k", "xi": "eta", "psi": "L^(-3*k)"}]}))
+    return str(path)
+
+
+def test_integrate_congruence_cases_honour_budget_env(run_cli, fx, tmp_path,
                                                      monkeypatch):
-    # the witness-prime point counts run under the one enumeration budget
+    # a class outside the binomial fragment is fitted, and the point counts
+    # at its witness primes run under the one enumeration budget
+    path = _one_level_cell_file(tmp_path, "eta^2 == acx + 1")
     monkeypatch.setenv("DPCALC_BOX_BUDGET", "10")
-    rc, out, err = run_cli("integrate", fx("cube.cells.json"),
+    rc, out, err = run_cli("integrate", path,
                            "--param", "acx:cube", "--param", "k=1")
     assert rc == 5
     assert out == ""
     assert err == \
         "dpcalc: q^1 evaluations at q = 13 exceed the budget of 10\n"
+    # the cube classes are counted exactly, with no enumeration, so the
+    # same budget stops nothing
+    rc, out, err = run_cli("integrate", fx("cube.cells.json"),
+                           "--param", "acx:cube", "--param", "k=1")
+    assert (rc, err) == (0, "")
+    with open(os.path.join(os.path.dirname(__file__),
+                           "golden_renderings.json")) as fh:
+        (golden,) = [row for row in json.load(fh) if row["argv"][1:] == [
+            "cube.cells.json", "--param", "acx:cube", "--param", "k=1"]]
+    assert {c["when"]: c["value"] for c in out_json(out)["cases"]} == \
+        golden["cases"]
+
+
+def test_integrate_reports_fitted_classes(run_cli, tmp_path):
+    # eta^2 == acx*eta has the roots 0 and 1, and it is not binomial: its
+    # count is fitted from the witness primes, and reported as trusted
+    path = _one_level_cell_file(tmp_path, "eta^2 == acx*eta")
+    rc, out, err = run_cli("integrate", path,
+                           "--param", "acx:cube", "--param", "k=1")
+    assert (rc, err) == (0, "")
+    payload = out_json(out)
+    assert [c["value"] for c in payload["cases"]] == ["L^-5", "L^-5"]
+    assert payload["fitted_classes"] == [{
+        "class": "rf acx,eta; eta^2 == acx*eta && eta != 0",
+        "witness_primes": [5, 7, 11, 13, 17, 19, 23, 31]}]
 
 
 def test_integrate_rejects_numeric_residue_parameter(run_cli, fx):
@@ -732,6 +771,27 @@ def test_a_huge_ring_index_is_over_the_budget(argv):
     assert (proc.returncode, proc.stdout) == (5, "")
     assert proc.stderr == ("dpcalc: the ring index 100000000001 of a shell "
                            "sum exceeds the budget of 100000000\n")
+
+
+@pytest.mark.parametrize("directive, budget, message", [
+    ("expect: 1/(1 - L^-100000000000)", None,
+     "the ring index 100000000000 in a ring expression"),
+    ("linear-product: 0:100000000000", 10 ** 18,
+     "the ring index 100000000001 of a shell sum"),
+])
+def test_a_compare_holds_ring_indices_to_the_default_budget(
+        tmp_path, directive, budget, message):
+    # neither `#! expect:` text nor a --budget above the default lets the
+    # ring build a coefficient list of 10^11 entries
+    path = tmp_path / "huge_index.dp"
+    path.write_text("#! %s\nvf z; ord(z) >= 0\n" % directive)
+    argv = ["compare", str(path), "--primes", "5"]
+    if budget is not None:
+        argv += ["--budget", str(budget)]
+    proc = _run_apart(*argv)
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == \
+        "dpcalc: %s exceeds the budget of 100000000\n" % message
 
 
 @pytest.mark.parametrize("field", ["qp", "fpt"])

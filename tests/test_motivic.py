@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpcalc.localfield as lf
-from dpcalc import motivic, oracle
-from dpcalc.errors import (BadPrime, DuplicateCenter, InvalidArgument,
-                           InvalidPrime, OverlapDetected, ParseError,
-                           UnboundParameter, UnsupportedFeature,
+from dpcalc import motivic, oracle, poly
+from dpcalc.errors import (BadPrime, BudgetExceeded, DuplicateCenter,
+                           InvalidArgument, InvalidPrime, OverlapDetected,
+                           ParseError, UnboundParameter, UnsupportedFeature,
                            UnsupportedZeroCell)
 from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, interpret,
                             parse, parse_term)
@@ -28,6 +28,7 @@ from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             residue_cases, specialize)
 from dpcalc.presburger import AffineForm, PresDomain, PresTerm, SymSum
 from dpcalc.symring import ONE, L, SymA
+import count_reference
 import motivic_reference
 from presburger_reference import evaluate_truncated
 
@@ -692,6 +693,29 @@ def test_bind_parameters_outside_domain(cube_result):
         bind_parameters(res, {"k": -1})
 
 
+def test_bind_parameters_binds_a_result_s_value_and_checks_its_derivation(
+        cube_result):
+    _, res = cube_result
+    bound = bind_parameters(res, {"k": 2})
+    assert bound.value == bind_parameters(res.value, {"k": 2})
+    assert bound.derivation is res.derivation
+    assert bound.bad_primes is res.bad_primes
+    # a derivation entry outside its domain is refused though the value,
+    # where the entries cancel, has no term left to refuse it
+    params = (("k", Sort.ZZ),)
+    entry = ConstructibleFn(
+        ((None, PresDomain.single("k", lower=AffineForm.constant(0)), ONE),),
+        params)
+    cancelled = motivic.IntegrationResult(
+        ConstructibleFn.zero(params), {}, (("c", entry, ""),))
+    with pytest.raises(InvalidArgument) as info:
+        bind_parameters(cancelled, {"k": -1})
+    assert str(info.value) == \
+        "assignment {'k': -1} leaves the residual domain 0 <= k"
+    assert bind_parameters(cancelled, {"k": 0}).derivation == \
+        cancelled.derivation
+
+
 # --- parameter values are integers, never truncated to one ---
 
 _FIELDS = [lf.qp, lf.fpt]
@@ -790,6 +814,154 @@ def test_residue_cases_requires_all_bindings(cube_result):
         residue_cases(res, 3, {"acx": 1})  # k unbound
     with pytest.raises(UnboundParameter):
         residue_cases(res, 3, {}, {"k": 0})  # acx has no witness
+
+
+# --- congruence cases by exact count ---
+
+def _one_atom(var, n, level, op, flip):
+    power = var if n == 1 else "%s^%d" % (var, n)
+    sides = (level, power) if flip else (power, level)
+    return "%s %s %s" % (sides[0], op, sides[1])
+
+
+# z is the residue parameter, witnessed by 1
+_LEVELS = st.sampled_from(["0", "1", "z"])
+_OPS = st.sampled_from(["==", "!="])
+_CLOSED = st.one_of(
+    st.builds("(exists w:rf. {}) ".format,
+              st.builds(_one_atom, st.just("w"), st.integers(1, 6), _LEVELS,
+                        st.just("=="), st.booleans())),
+    st.builds("!(exists w:rf. {})".format,
+              st.builds(_one_atom, st.just("w"), st.integers(1, 6), _LEVELS,
+                        st.just("=="), st.booleans())),
+    st.builds(_one_atom, st.just("z"), st.just(1), st.sampled_from("01"),
+              _OPS, st.booleans()))
+
+
+@st.composite
+def _binomial_classes(draw):
+    names = ["x", "y"][:draw(st.integers(1, 2))]
+    atoms = draw(st.lists(
+        st.builds(_one_atom, st.sampled_from(names), st.integers(1, 6),
+                  _LEVELS, _OPS, st.booleans()), min_size=1, max_size=3))
+    # one closed atom at most, so that the reference's enumeration stays
+    # small
+    closed = draw(st.lists(_CLOSED, max_size=1))
+    i = draw(st.integers(0, len(atoms)))
+    atoms[i:i] = closed
+    return parse("rf %s, z; %s" % (", ".join(names), " && ".join(atoms)),
+                 default_sort=Sort.RF)
+
+
+def _brute(phi, q, env):
+    """The count of count_reference, with each parameter substituted."""
+    expr = count_reference.substitute(
+        phi.expr, {n: RfConst(v) for n, v in env.items()})
+    free = [(n, s) for n, s in phi.free if n not in env]
+    return count_reference.count_rf_points(Formula(expr, free), q)
+
+
+_SMALL_PRIMES = [q for q in range(2, 61) if lf.is_prime(q)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(phi=_binomial_classes(), modulus=st.integers(2, 12))
+def test_the_exact_count_is_the_brute_count_and_the_fit(phi, modulus):
+    env = {"z": 1}
+    atoms = motivic._binomial_atoms(phi, env)
+    assert atoms is not None
+    for residue in range(1, modulus):
+        if F(residue, modulus).denominator != modulus:
+            continue
+        count = motivic._binomial_count(atoms, residue, modulus, {})
+        if count is None:
+            continue
+        # exact at every prime of the class, the smallest ones included
+        for q in _SMALL_PRIMES:
+            if q % modulus == residue:
+                assert poly.evaluate(count, q) == _brute(phi, q, env), q
+        try:
+            fit, _ = motivic._fit_count(phi, env, residue, modulus, {})
+        except UnsupportedFeature:
+            continue
+        assert SymA(dict(enumerate(fit))) == SymA(dict(enumerate(count)))
+
+
+def _counted(monkeypatch):
+    calls = []
+    count = motivic.count_rf_points
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return count(*args, **kwargs)
+    monkeypatch.setattr(motivic, "count_rf_points", counting)
+    return calls
+
+
+def _single_class(text, params=(("z", Sort.RF),)):
+    phi = parse(text, default_sort=Sort.RF)
+    return ConstructibleFn(((phi, EMPTY_DOMAIN, ONE),), params)
+
+
+def test_near_misses_of_the_fragment_reach_the_fit(monkeypatch):
+    calls = _counted(monkeypatch)
+    # not binomial: fitted, and reported as such
+    fitted = {}
+    cases = residue_cases(_single_class("rf x; x^2 == x + 1", ()), 5, {},
+                          fitted=fitted)
+    assert [c.nu(11) for _, c in cases] == [2, 0, 0, 2]
+    assert list(fitted) == ["rf x; x^2 == x + 1"]
+    assert fitted["rf x; x^2 == x + 1"] == sorted(calls)
+    # a witness of 2, which is a cube at some primes of the class only
+    del calls[:]
+    with pytest.raises(UnsupportedFeature):
+        residue_cases(_single_class("rf x, z; x^3 == z"), 3, {"z": 2})
+    assert calls
+    # gcd(4, q - 1) is 2 or 4 on each class of q mod 3
+    del calls[:]
+    phi = parse("rf x, z; x^4 == z", default_sort=Sort.RF)
+    atoms = motivic._binomial_atoms(phi, {"z": 1})
+    assert atoms == {"x": [(4, 1, True)]}
+    assert motivic._binomial_count(atoms, 1, 3, {}) is None
+    assert motivic._binomial_count(atoms, 2, 3, {}) is None
+    with pytest.raises(UnsupportedFeature):
+        residue_cases(_single_class("rf x, z; x^4 == z"), 3, {"z": 1})
+    assert calls
+
+
+def test_a_bad_prime_is_not_asked_to_meet_the_rule():
+    # 2 = 2 mod 3 divides 2, and gcd(2, 2 - 1) = 1 where the other primes
+    # of the class give 2; excluding 2 leaves one number
+    atoms = motivic._binomial_atoms(
+        parse("rf x, z; x^2 == z", default_sort=Sort.RF), {"z": 1})
+    assert motivic._binomial_count(atoms, 2, 3, {}) is None
+    assert motivic._binomial_count(atoms, 2, 3, {2: ("even",)}) == [2]
+
+
+def test_the_classes_the_rule_scans_are_charged_to_the_budget(monkeypatch):
+    # gcd(n, q - 1) is read off the n / gcd(n, 3) units mod lcm(n, 3)
+    # above each class, and that scan is an enumeration like any other
+    with pytest.raises(BudgetExceeded) as info:
+        residue_cases(_single_class("rf x, z; x^1000000007 == z"), 3,
+                      {"z": 1})
+    assert str(info.value) == ("the 1000000007 classes of q mod 3000000021 "
+                               "exceed the budget of 100000000")
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "10")
+    with pytest.raises(BudgetExceeded) as info:
+        residue_cases(_single_class("rf x, z; x^33 == z"), 3, {"z": 1})
+    assert str(info.value) == \
+        "the 11 classes of q mod 33 exceed the budget of 10"
+
+
+def test_cube_cases_count_no_points(monkeypatch, fx, capsys):
+    from dpcalc.cli import main
+    calls = _counted(monkeypatch)
+    for name in ("cube.cells.json", "cube_level.cells.json"):
+        for k in range(4):
+            assert main(["integrate", fx(name), "--param", "acx:cube",
+                         "--param", "k=%d" % k]) == 0
+            assert "fitted_classes" not in json.loads(capsys.readouterr().out)
+    assert calls == []
 
 
 # --- split-torus volume ---

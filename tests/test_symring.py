@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import symring_reference as reference
 from dpcalc import poly, symring
-from dpcalc.errors import NotInvertibleInA
+from dpcalc.errors import BudgetExceeded, NotInvertibleInA
 from dpcalc.symring import ONE, ZERO, L, SymA
 from symring_reference import one_minus_l_inv
 
@@ -172,6 +172,29 @@ def test_parse_handwritten_forms():
     assert parse_a("L^2 - 2*L + 1") == (L - 1) ** 2
     assert parse_a("(1 - L^-1)^2/(1 - L^-2)^2") == \
         (one_minus_l_inv(1) * SymA.geom(2)) ** 2
+
+
+@pytest.mark.parametrize("text, index", [
+    ("1/(1 - L^-100000000000)", "100000000000"),
+    ("L^100000001", "100000001"),
+    ("(1 + L)^ 100000001", "100000001"),
+    ("1 - L^ - 123456789012345", "123456789012345"),
+])
+def test_parse_holds_every_exponent_to_the_ring_index_limit(monkeypatch,
+                                                            text, index):
+    # checked before anything is built, and no budget lifts the limit
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", str(10 ** 18))
+    with pytest.raises(BudgetExceeded) as info:
+        parse_a(text)
+    assert str(info.value) == ("the ring index %s in a ring expression "
+                               "exceeds the budget of 100000000" % index)
+
+
+def test_parse_takes_indices_up_to_the_limit_under_any_budget(monkeypatch):
+    monkeypatch.setenv("DPCALC_BOX_BUDGET", "1")
+    assert parse_a("L^100000000 * L^-100000000") == ONE
+    assert parse_a("(1 - L^-1)/(1 - L^-35)") == \
+        one_minus_l_inv(1) * SymA.geom(35)
 
 
 def test_truncated_level_sum_render():
