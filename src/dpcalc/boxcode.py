@@ -89,16 +89,15 @@ _BOX_BLOCKS = 20
 class _Summand(dict):
     """A constant as it enters a sum with a box, by the box side's
     absolute precision: an exact one, 0 included, is known up to that
-    bound, its unit digits expanded through LFElem.digits once per
-    length; a truncated one keeps its own window."""
+    bound, its unit packed once per length; a truncated one keeps its own
+    window."""
 
-    __slots__ = ("_val", "_elem", "_pack", "_fixed")
+    __slots__ = ("_val", "_elem", "_fixed")
 
-    def __init__(self, elem, pack, fixed=None):
+    def __init__(self, elem, val, fixed=None):
         super().__init__()
-        self._val = None if elem is None else elem.ord()
+        self._val = val
         self._elem = elem
-        self._pack = pack
         self._fixed = fixed
 
     def __missing__(self, bound):
@@ -108,8 +107,7 @@ class _Summand(dict):
         elif val >= bound:
             form = (bound, 0, None)
         else:
-            form = (val, self._pack(self._elem.digits(bound - val)),
-                    bound - val)
+            form = (val, self._elem.packed(bound - val, val), bound - val)
         self[bound] = form
         return form
 
@@ -135,17 +133,18 @@ class _FieldOps:
             return (elem.val, 0, None)
         return (elem.val, self.pack(elem.known), len(elem.known))
 
-    def summand(self, c):
-        """The constant c as it enters a sum with a box."""
-        return _Summand(c, self.pack) if c.exact \
-            else _Summand(None, None, self.form(c))
+    def summand(self, c, v):
+        """The constant c as it enters a sum with a box; v is its
+        valuation when c is exact."""
+        return _Summand(c, v) if c.exact else _Summand(None, None, self.form(c))
 
-    def factor(self, c):
-        """A constant c other than the exact 0 as it enters a product:
-        it keeps at most `precision` digits of either factor."""
+    def factor(self, c, v):
+        """A constant c other than the exact 0 as it enters a product, v
+        its valuation when c is exact: it keeps at most `precision`
+        digits of either factor."""
         if not c.exact:
             return self.form(c)
-        return (c.ord(), self.pack(c.digits(self.precision)), self.precision)
+        return (v, c.packed(self.precision, v), self.precision)
 
 
 class _QpOps(_FieldOps):

@@ -330,9 +330,10 @@ def _bracket(args, row, sym, integrand, phi, p, precision, binds):
                       for name, term in binds.items()}
         iv = oracle_integrate(integrand, phi, spec, assignment=assignment,
                               budget=args.budget)
+        contained = iv.contains(sym)
         row[kind] = [fraction_str(iv.lower), fraction_str(iv.upper)]
-        row[kind + "_contained"] = iv.contains(sym)
-        ok = ok and iv.contains(sym)
+        row[kind + "_contained"] = contained
+        ok = ok and contained
     return ok
 
 

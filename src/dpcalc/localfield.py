@@ -338,6 +338,14 @@ class LFElem:
                 "only %d digit(s) determined" % len(self.known))
         return self.known[:n]
 
+    def packed(self, n, v):
+        """The first n significant digits of an exact nonzero element of
+        valuation v, packed as a box form keeps them: in Q_p the integer
+        they spell, the unit part mod p^n; in F_p((t)) their tuple."""
+        if isinstance(self.payload, Fpt):
+            return self.payload.digits(n)
+        return _unit_mod(self.payload, self.spec.prime, v, n)
+
     def __repr__(self):
         k = "Qp" if self.spec.kind is FieldKind.CHAR_ZERO else "Fpt"
         if self.exact:

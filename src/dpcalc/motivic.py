@@ -568,17 +568,61 @@ class ConstructibleFn:
         return "ConstructibleFn(%s)" % self.render()
 
 
-@dataclass(frozen=True, eq=False)
 class IntegrationResult:
     """The value of a cell integration, the primes it excludes (with the
-    recorded reasons), and the per-cell audit trail."""
+    recorded reasons), and the per-cell audit trail `derivation`: one
+    (cell id, contribution, note) entry per cell, a tuple.
 
-    value: ConstructibleFn
-    bad_primes: dict
-    derivation: tuple
+    An integration keeps only the parts of each entry that it computes
+    anyway (see `_integrate`).  The entries and their notes are built the
+    first time `derivation` is read and kept, so a caller that never
+    reads the trail, such as `compare`, never builds it.  A result built
+    from a given trail holds that tuple."""
+
+    __slots__ = ("value", "bad_primes", "_trail")
+
+    def __init__(self, value, bad_primes, derivation=()):
+        self.value = value
+        self.bad_primes = bad_primes
+        self._trail = derivation if isinstance(derivation, _Parts) \
+            else tuple(derivation)
+
+    @property
+    def derivation(self):
+        if isinstance(self._trail, _Parts):
+            self._trail = self._trail.entries()
+        return self._trail
 
     def as_syma(self):
         return self.value.as_syma()
+
+
+class _Parts:
+    """What a trail is built from: the parameters of the integration and,
+    per cell, (cell id, class, domain, summed, detail).  A 1-cell's summed
+    is its sum, class factors included, and its detail the (text, size)
+    of each collapsed class factor; a 0-cell has summed None and its
+    counting term psi as detail."""
+
+    __slots__ = ("params", "cells")
+
+    def __init__(self, params, cells):
+        self.params = params
+        self.cells = cells
+
+    def entries(self):
+        out = []
+        for cell_id, cls, domain, summed, detail in self.cells:
+            if summed is None:
+                out.append((cell_id, ConstructibleFn.zero(self.params),
+                            "measure zero; counting term %s recorded only"
+                            % SymSum((detail,)).render()))
+                continue
+            note = "; ".join("class factor [%s] collapsed to %s"
+                             % (text, size.render()) for text, size in detail)
+            out.append((cell_id, ConstructibleFn(((cls, domain, summed),),
+                                                 self.params), note))
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -949,9 +993,15 @@ def integrate_cells(cells, params=(), budget=None):
 
 
 def _integrate(plan, params, budget):
-    """The value, excluded primes and derivation of a planned family."""
+    """The value, excluded primes and derivation of a planned family.
+
+    Each cell keeps the parts of its derivation entry that the value
+    needs anyway: its id, its class and domain, its sum with the class
+    factors multiplied in and each factor's size, or for a 0-cell its
+    counting term.  The value's terms are merged from them in one
+    `ConstructibleFn`; the entries are built only when read."""
     bad = {}
-    derivation = []
+    parts = []
     terms = []
 
     for cell, summand, cls, factors in plan:
@@ -963,34 +1013,27 @@ def _integrate(plan, params, budget):
                     _note(bad, p, r)
 
         if summand is None:
-            counting = SymSum((cell.psi,))
-            contribution = ConstructibleFn.zero(params)
-            note = ("measure zero; counting term %s recorded only"
-                    % counting.render())
-        else:
-            summed = pres_sum(cell.z_domain, summand)
-            sized = []
-            for text, counts, pairs in factors:
-                for n, reason in pairs:
-                    for p in factor(n, budget):
-                        _note(bad, p, reason)
-                size = ZERO
-                if counts is not None:
-                    size = ONE
-                    for count in counts:
-                        size = size * (L - SymA.from_int(count))
-                summed = summed * size
-                sized.append("class factor [%s] collapsed to %s"
-                             % (text, size.render()))
-            note = "; ".join(sized)
-            contribution = ConstructibleFn(
-                ((cls, cell.param_domain, summed),), params)
-        derivation.append((cell.cell_id, contribution, note))
-        terms.extend(contribution.terms)
+            parts.append((cell.cell_id, None, None, None, cell.psi))
+            continue
+        summed = pres_sum(cell.z_domain, summand)
+        sizes = []
+        for text, counts, pairs in factors:
+            for n, reason in pairs:
+                for p in factor(n, budget):
+                    _note(bad, p, reason)
+            size = ZERO
+            if counts is not None:
+                size = ONE
+                for count in counts:
+                    size = size * (L - SymA.from_int(count))
+            summed = summed * size
+            sizes.append((text, size))
+        terms.append((cls, cell.param_domain, summed))
+        parts.append((cell.cell_id, cls, cell.param_domain, summed,
+                      tuple(sizes)))
 
-    return IntegrationResult(value=ConstructibleFn(terms, params),
-                             bad_primes=_freeze_bad(bad),
-                             derivation=tuple(derivation))
+    return IntegrationResult(ConstructibleFn(terms, params), _freeze_bad(bad),
+                             _Parts(params, tuple(parts)))
 
 
 def integrate_cell_data(data, budget=None):
@@ -1002,8 +1045,7 @@ def integrate_cell_data(data, budget=None):
     for p, reasons in data.bad_primes.items():
         for r in reasons:
             _note(bad, p, r)
-    return IntegrationResult(value=result.value, bad_primes=_freeze_bad(bad),
-                             derivation=result.derivation)
+    return IntegrationResult(result.value, _freeze_bad(bad), result._trail)
 
 
 def integrate_linear_product(centers, multiplicities, exponent=1,
@@ -1118,16 +1160,17 @@ def specialize(value, q, assignment=None, budget=None):
     zz_env = {n: as_integer(assignment[n], n)
               for n, s in fn.params if s is Sort.ZZ}
 
-    total = Fraction(0)
+    top, bottom = 0, 1
     for t in fn.terms:
-        if t.domain.bind(zz_env) is None:
+        if not t.domain.admits(zz_env):
             raise _outside(zz_env, t.domain)
         count = 1
         if t.rf_class is not None:
             count = count_rf_points(t.rf_class, int(q), budget=budget,
                                     values=rf_values)
-        total += count * t.coeff.nu(q, zz_env)
-    return total
+        n, d = t.coeff.nu_parts(q, zz_env)
+        top, bottom = top * d + count * n * bottom, bottom * d
+    return Fraction(top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -1159,7 +1202,7 @@ def bind_parameters(value, assignment):
             return value
         for _, fn, _ in value.derivation:
             _bound_domains(fn, assignment)
-        return replace(value, value=bound)
+        return IntegrationResult(bound, value.bad_primes, value.derivation)
     if not any(s is Sort.ZZ and n in assignment for n, s in value.params):
         return value
     env, domains = _bound_domains(value, assignment)

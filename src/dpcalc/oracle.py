@@ -66,7 +66,7 @@ from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
 from .formula.interpret import (_Evaluator, _refuse, as_field_element,
                                 as_integer, bind_assignment)
 from .formula.nodes import rewrite
-from .localfield import LFElem, add as lf_add, mul as lf_mul
+from .localfield import INF, LFElem, add as lf_add, mul as lf_mul
 # perfbench/spans.py traces these two under this module's names; the walk
 # calls from_digits for the box its sites are folded on
 from .formula import interpret  # noqa: F401
@@ -75,8 +75,9 @@ from .localfield import from_digits
 
 def fraction_str(x):
     """Unambiguous "numerator/denominator" rendering, denominator always
-    present."""
-    x = Fraction(x)
+    present.  A Fraction is read as it is."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator)
 
 
@@ -281,11 +282,16 @@ class _BoxWalk:
         # the walk compiler is imported by the first walk, not with dpcalc
         from .boxcode import _field_ops, compile_walk
         self.ops = _field_ops(self.spec)
+        self.evaluator = _Evaluator(self.spec)
         expr, f, derivs = self.phi.expr, self.integrand.f, None
-        integral = None
+        integral = envs = None
         while True:
             plan = compile_walk(expr, f, self.names, self.spec.kind, derivs)
-            values, zeros, f_err, folded_integral = self._fold(plan.sites)
+            # bound after the first compile, as the reference binds them
+            # on the first box
+            envs = envs or self._envs()
+            values, zeros, f_err, folded_integral = self._fold(plan.sites,
+                                                               *envs)
             if integral is None:
                 # the integrand's own constants, before any is replaced
                 integral = folded_integral
@@ -299,73 +305,103 @@ class _BoxWalk:
                                for d in plan.derivatives)
         if f_err is not None:
             plan = compile_walk(expr, None, self.names, self.spec.kind)
-            values = self._fold(plan.sites)[0]
+            values = self._fold(plan.sites, *envs)[0]
         return plan.make(values, self.p, self.depth, integral, f_err,
                          self.integrand.e, exact, open_, hensel)
 
-    def _fold(self, sites):
-        """(the value of each site, {section: products with a constant that
-        is the exact 0}, the integrand's error or None, whether every
-        folded constant of the integrand is exact and integral).  A site
-        reads a box variable only under a zero power, the exact 1 on any
-        box, so the root box stands in for each box variable."""
-        values, zeros = [], {}
-        member = sum(1 for site in sites if site[0] == "m")
-        box = dict.fromkeys(self.names, from_digits(self.spec, 0, ()))
+    def _envs(self):
+        """The environments the sites are folded in, converted once per
+        walk: the membership's, as `interpret` binds it, its field values
+        alone, and the integrand's, as `eval_vf_term` converts the
+        assignment, or the error that conversion raises.  A site reads a
+        box variable only under a zero power, the exact 1 on any box, so
+        the root box stands in for each box variable."""
+        spec = self.spec
+        box = dict.fromkeys(self.names, from_digits(spec, 0, ()))
         env = bind_assignment(
             [(n, s) for n, s in self.phi.free if n not in self.names],
-            self.spec, self.assignment)
+            spec, self.assignment)
         env.update(box)
-        vf_env = {n: v for n, v in env.items() if isinstance(v, LFElem)}
+        member = {n: v for n, v in env.items() if isinstance(v, LFElem)}
+        if self.integrand.is_one:
+            return env, member, None
+        try:
+            # eval_vf_term converts every assigned value, used or not, so a
+            # value with no image in this field raises as it would there; a
+            # residue or value-group value is embedded as an integer, and
+            # INF passes as given
+            other = {n for n, s in self.phi.free if s is not Sort.VF}
+            field = {n: v if v == INF and n in other
+                     else as_field_element(v, spec, n)
+                     for n, v in self.assignment.items()}
+        except Exception as error:  # whatever the reference raises
+            return env, member, error
+        field.update(box)
+        return env, member, field
+
+    def _fold(self, sites, env, member_env, field_env):
+        """(the value of each site, {section: products with a constant that
+        is the exact 0}, the integrand's error or None, whether every
+        folded constant of the integrand is exact and integral), in the
+        environments of `_envs`.  Each exact constant's valuation is taken
+        once."""
+        values, zeros, ords = [], {}, {}
+        member = sum(1 for site in sites if site[0] == "m")
         for site in sites[:member]:
-            values.append(self._site(site, values, env, vf_env, zeros))
+            values.append(self._site(site, values, ords, env, member_env,
+                                     zeros))
         f_err, integral = None, True
-        if not self.integrand.is_one:
-            spec = self.spec
+        if isinstance(field_env, Exception):
+            f_err = field_env
+        elif field_env is not None:
             try:
-                # eval_vf_term converts every assigned value, used or not,
-                # so a value with no image in this field raises as it would
-                # there; a residue or value-group value reaches it as
-                # given, INF included
-                other = {n for n, s in self.phi.free if s is not Sort.VF}
-                vf_env = {n: v if n in other else as_field_element(v, spec, n)
-                          for n, v in self.assignment.items()}
-                vf_env.update(box)
                 for site in sites[member:]:
                     if site[0] == "d" and not integral:
                         break
-                    value = self._site(site, values, env, vf_env, zeros)
+                    value = self._site(site, values, ords, env, field_env,
+                                       zeros)
                     if site[:2] == ("f", "vf"):
                         integral = integral and value.exact \
-                            and value.ord() >= 0
+                            and self._ord(ords, len(values), value) >= 0
                     values.append(value)
             except Exception as error:  # whatever the reference raises
                 f_err = error
         values += [None] * (len(sites) - len(values))
         return values, zeros, f_err, integral
 
-    def _site(self, site, values, env, vf_env, zeros):
+    @staticmethod
+    def _ord(ords, i, c):
+        """The valuation of the exact constant c, the value of site i."""
+        v = ords.get(i)
+        if v is None:
+            v = ords[i] = c.ord()
+        return v
+
+    def _site(self, site, values, ords, env, vf_env, zeros):
         """Fold one site, of a kind the boxcode docstring lists, by the
-        reference semantics."""
+        reference semantics: a field term as `eval_vf_term` evaluates it
+        in the converted vf_env, anything else as `interpret` does."""
         spec = self.spec
         op, arg = site[1], site[2]
         if op == "vf":
-            return eval_vf_term(arg, spec, vf_env)
+            return self.evaluator.vf(arg, vf_env)
         if op in ("rf", "zz", "truth"):
-            return getattr(_Evaluator(spec), op)(arg, env)
+            return getattr(self.evaluator, op)(arg, env)
         c = values[arg]
         if op == "ord":
-            return c.ord_bounds()
+            return (c.ord_bounds() if not c.exact
+                    else (self._ord(ords, arg, c),) * 2)
         if c.spec != spec:
             # a constant from another field: the reference operation
             # raises its own error, the box side stood in by a zero
             (lf_add if op == "addk" else lf_mul)(c, spec.zero())
+        v = self._ord(ords, arg, c) if c.exact else None
         if op == "addk":
-            return self.ops.summand(c)
-        if c.is_exact_zero():
+            return self.ops.summand(c, v)
+        if v == INF:
             zeros.setdefault(site[0], set()).add(site[3])
             return None
-        return self.ops.factor(c)
+        return self.ops.factor(c, v)
 
 
 def _prepare(phi, spec, integrand, assignment, budget):

@@ -230,30 +230,40 @@ class PresDomain:
 
     def bind(self, env):
         """The residual domain under an integer assignment `env` of any
-        names, or None when `env` lies outside the domain.
+        names, or None when `env` lies outside the domain (see `admits`).
+        The variables `env` assigns are dropped, and `env` is substituted
+        into the bounds of the rest."""
+        if not self.admits(env):
+            return None
+        def bound(b):
+            return None if b is None else b.bind(env)
+        return PresDomain(VarRange(r.name, bound(r.lower), bound(r.upper),
+                                   r.modulus, r.residue)
+                          for r in self.ranges if r.name not in env)
 
-        Outermost first, each variable `env` assigns is checked against its
-        congruence, then its lower and its upper bound, and dropped; `env`
-        is substituted into the bounds of the rest.  A bound of an assigned
-        variable that still names an unassigned one is UnsupportedFeature."""
-        kept = []
+    def admits(self, env):
+        """Whether the integer assignment `env` of any names lies inside
+        the domain, building nothing.  Outermost first, each variable `env`
+        assigns is checked against its congruence, then its lower and its
+        upper bound.  A bound of an assigned variable that still names an
+        unassigned one is UnsupportedFeature."""
         for r in self.ranges:
-            lo = r.lower.bind(env) if r.lower is not None else None
-            up = r.upper.bind(env) if r.upper is not None else None
             if r.name not in env:
-                kept.append(VarRange(r.name, lo, up, r.modulus, r.residue))
                 continue
             v = env[r.name]
             if v % r.modulus != r.residue:
-                return None
-            for bound, sign in ((lo, 1), (up, -1)):
-                if bound is not None and not bound.is_constant():
+                return False
+            for bound, sign in ((r.lower, 1), (r.upper, -1)):
+                if bound is None:
+                    continue
+                loose = [n for n, _ in bound.coeffs if n not in env]
+                if loose:
                     raise UnsupportedFeature(
                         "the range for %s still depends on %s"
-                        % (r.name, sorted(bound.variables())))
-                if bound is not None and sign * (v - bound.const) < 0:
-                    return None
-        return PresDomain(kept)
+                        % (r.name, sorted(loose)))
+                if sign * (v - bound.evaluate(env)) < 0:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -323,12 +333,17 @@ class SymSum:
     def nu(self, q, env=None):
         """The value at L = q under the integer assignment env, summed as
         one fraction (in integers at an int q)."""
+        return Fraction(*self.nu_parts(q, env))
+
+    def nu_parts(self, q, env=None):
+        """(n, d) with n / d = nu(q, env), unreduced: integers at an int
+        q."""
         env = env or {}
         top, bottom = 0, 1
         for t in self.terms:
             n, d = t.coefficient.nu_parts(q, t.exponent.evaluate(env))
             top, bottom = top * d + n * bottom, bottom * d
-        return Fraction(top, bottom)
+        return top, bottom
 
     def __add__(self, other):
         if isinstance(other, SymA):

@@ -210,6 +210,12 @@ class SymA:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product.  A factor c * L^k, prim (1,) with no denominator,
+        multiplies the other's content by c and adds k to its shift, which
+        keeps the form canonical; such products (a constant exponent
+        folded into a coefficient, a geometric ray) are most of those an
+        integration takes.  Any other product multiplies the prims and
+        reduces them against the merged denominator."""
         if isinstance(other, (int, Fraction)):
             if not other or not self._prim:
                 return ZERO
@@ -219,6 +225,14 @@ class SymA:
             return NotImplemented
         if not self._prim or not other._prim:
             return ZERO
+        if other._prim == (1,) and not other._den:
+            return _new(self._shift + other._shift,
+                        self._content * other._content, self._prim,
+                        self._den)
+        if self._prim == (1,) and not self._den:
+            return _new(self._shift + other._shift,
+                        self._content * other._content, other._prim,
+                        other._den)
         den = self._den
         if other._den:
             if den:

@@ -54,8 +54,8 @@ class _Unsettled(_Walk):
     """The walk with Hensel's lemma off: its sweep credits a TRUE child
     at the integrand's valuation, or leaves it open or undecided."""
 
-    def _fold(self, sites):
-        return super()._fold(sites)[:3] + (False,)
+    def _fold(self, *args):
+        return super()._fold(*args)[:3] + (False,)
 
 
 class _BoxWalk:
