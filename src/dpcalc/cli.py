@@ -303,11 +303,18 @@ def cmd_integrate(args):
             raise UnsupportedFeature("mixed class tokens are not supported")
         modulus = moduli.pop()
         witness = {n: _CLASS_TOKENS[t][1] for n, t in tokens.items()}
-        fitted = {}
-        out["cases"] = [
-            {"when": "q = %d (mod %d)" % (r, modulus), "value": v.render()}
-            for r, v in residue_cases(bound, modulus, witness,
-                                      fitted=fitted)]
+        fitted, exceptions = {}, {}
+        out["cases"] = []
+        for r, v in residue_cases(bound, modulus, witness, fitted=fitted,
+                                  exceptions=exceptions):
+            # a prime of the class where the fit is off has its own case
+            off = [q for q in exceptions if q % modulus == r]
+            out["cases"].append({
+                "when": "q = %d (mod %d)" % (r, modulus)
+                + "".join(", q != %d" % q for q in off),
+                "value": v.render()})
+            out["cases"] += [{"when": "q = %d" % q,
+                              "value": exceptions[q].render()} for q in off]
         if fitted:
             out["fitted_classes"] = [
                 {"class": c, "witness_primes": primes}

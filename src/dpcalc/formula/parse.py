@@ -86,6 +86,17 @@ class _Tok:
         self.col = col
 
 
+def integer_literal(digits, line=None, column=None):
+    """The value of a literal of decimal digits.  One longer than the
+    interpreter converts (`sys.get_int_max_str_digits()`, 4,300 by
+    default) raises ParseError with its digit count."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("an integer literal of %d digits is too long"
+                         % len(digits), line, column) from None
+
+
 def _lex(src):
     toks = []
     line, col = 1, 1
@@ -102,7 +113,8 @@ def _lex(src):
         elif kind in ("ws", "comment"):
             col += len(text)
         elif kind == "int":
-            toks.append(_Tok("int", int(text), line, col))
+            toks.append(_Tok("int", integer_literal(text, line, col), line,
+                             col))
             col += len(text)
         elif kind == "ident":
             k = text if text in _KEYWORDS else "ident"

@@ -76,6 +76,9 @@ PLAN_MEMO = 16
 LINEAR_MEMO = 16
 # witness primes past an interpolation's degree + 1 that confirm its fit
 RESIDUE_FIT_CHECKS = 2
+# the first prime a fit is read at; the primes of a class below it are
+# counted one by one
+FIRST_WITNESS = 5
 
 ZERO_CELL = "ZeroCell"
 ONE_CELL = "OneCell"
@@ -1228,7 +1231,7 @@ def _bound_domains(fn, assignment):
 
 
 def residue_cases(value, modulus, rf_witness, zz_assignment=None,
-                  fitted=None):
+                  fitted=None, exceptions=None):
     """Evaluate a constructible function as an exact ring element on each
     invertible congruence class of q mod `modulus`.
 
@@ -1244,7 +1247,12 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
     UnsupportedFeature).  Point counts of residue classes are not
     polynomial in q in general, so a fit is trusted, not proved: when
     `fitted` is a dict, each fitted class's text is entered in it, mapped
-    to the witness primes of its fits in increasing order.
+    to the witness primes of its fits in increasing order.  A fit is also
+    counted at each prime of its class below the first witness (2 and 3,
+    unless excluded).  Where such a count differs from the fit, the
+    prime's value is counted exactly, every term at that prime, and
+    entered in `exceptions` (when a dict) under the prime; the class's
+    value then holds at its other primes.
 
     Returns [(residue, SymA)] sorted by residue.
     """
@@ -1264,6 +1272,7 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
 
     residues = [r for r in range(1, modulus) if gcd(r, modulus) == 1]
     totals = dict.fromkeys(residues, ZERO)
+    off = set()
     for t in fn.terms:
         coeff = t.coeff.as_syma()
         if t.rf_class is None:
@@ -1281,12 +1290,36 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
                 if fitted is not None:
                     fitted.setdefault(pretty_print(t.rf_class),
                                       []).extend(primes)
+                off.update(_off_fit(t.rf_class, rf_env, count, residue,
+                                    modulus, bad))
             totals[residue] = totals[residue] + \
                 SymA(dict(enumerate(count))) * coeff
     if fitted is not None:
         for primes in fitted.values():
             primes.sort()
+    if exceptions is not None:
+        for q in sorted(off):
+            exceptions[q] = _case_at(fn, q, rf_env)
     return sorted(totals.items())
+
+
+def _off_fit(phi, rf_env, fit, residue, modulus, bad):
+    """The primes q = residue (mod modulus) below the first witness, bad
+    ones aside, where phi's point count is not the fit's value."""
+    return [q for q in range(2, FIRST_WITNESS)
+            if q % modulus == residue and q not in bad and is_prime(q)
+            and count_rf_points(phi, q, values=rf_env) != evaluate(fit, q)]
+
+
+def _case_at(fn, q, rf_env):
+    """fn's value at the one prime q, a ring value: each class counted at
+    q."""
+    total = ZERO
+    for t in fn.terms:
+        count = 1 if t.rf_class is None else count_rf_points(
+            t.rf_class, q, values=rf_env)
+        total = total + t.coeff.as_syma() * count
+    return total
 
 
 def _fit_count(phi, rf_env, residue, modulus, bad):
@@ -1308,7 +1341,7 @@ def _fit_count(phi, rf_env, residue, modulus, bad):
 
 def _case_witnesses(residue, modulus, avoid, need):
     out = []
-    n = 5
+    n = FIRST_WITNESS
     while len(out) < need:
         if is_prime(n) and n % modulus == residue and n not in avoid:
             out.append(n)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from . import poly
 from .budget import check_index
 from .errors import NotInvertibleInA, ParseError
-from .formula.parse import nested
+from .formula.parse import integer_literal, nested
 from .localfield import is_prime
 
 F0 = Fraction(0)
@@ -611,7 +611,7 @@ class _SymAParser:
             t = self.take()
             if not t.isdigit():
                 raise ParseError("exponent must be an integer, got %r" % t)
-            e = int(t)
+            e = integer_literal(t)
             if neg:
                 e = -e
             if e >= 0:
@@ -629,7 +629,7 @@ class _SymAParser:
         if t == "L":
             return SymA.l_power(1)
         if t.isdigit():
-            return SymA.from_int(int(t))
+            return SymA.from_int(integer_literal(t))
         raise ParseError("unexpected token %r in ring expression" % t)
 
 
@@ -646,7 +646,7 @@ def _parse_syma(text):
     it, an L-power, a geometric index or a power of a sum, is held to the
     ring index limit before anything is built."""
     for m in _EXPONENT.finditer(text):
-        check_index(int(m.group(1)),
+        check_index(integer_literal(m.group(1)),
                     "the ring index %s in a ring expression" % m.group(1))
     return _SymAParser(_tokenize_syma(text)).parse()
 

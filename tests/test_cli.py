@@ -181,6 +181,42 @@ def test_integrate_reports_fitted_classes(run_cli, tmp_path):
         "witness_primes": [5, 7, 11, 13, 17, 19, 23, 31]}]
 
 
+def test_integrate_gives_a_prime_off_the_fit_its_own_case(run_cli,
+                                                          tmp_path):
+    # eta^2 == acx has two roots at every prime of q = 2 (mod 3) but 2,
+    # which the fit from 5, 11, 17, 23 does not see: 2 is counted too, and
+    # the class's case names it as the exception
+    path = _one_level_cell_file(tmp_path, "eta^2 == acx")
+    rc, out, err = run_cli("integrate", path,
+                           "--param", "acx:cube", "--param", "k=0")
+    assert (rc, err) == (0, "")
+    payload = out_json(out)
+    assert payload["cases"] == [
+        {"when": "q = 1 (mod 3)", "value": "2*L^-1"},
+        {"when": "q = 2 (mod 3), q != 2", "value": "2*L^-1"},
+        {"when": "q = 2", "value": "L^-1"}]
+    assert payload["fitted_classes"] == [{
+        "class": "rf acx,eta; eta^2 == acx && eta != 0",
+        "witness_primes": [5, 11, 17, 23]}]
+
+
+@pytest.mark.parametrize("lines", [
+    ("#! expect: %s", "vf x; ord(x) >= 0"),
+    ("#! expect: 1", "vf x; ord(x - %s) >= 0"),
+    ("#! expect: L^-%s", "vf x; ord(x) >= 0"),
+], ids=["expect", "formula", "exponent"])
+def test_an_over_long_integer_literal_is_malformed_input(run_cli, tmp_path,
+                                                         lines):
+    # past the interpreter's 4,300-digit conversion limit: exit 2 with one
+    # line that gives the digit count, not an internal error
+    path = tmp_path / "long_literal.dp"
+    path.write_text("\n".join(lines).replace("%s", "1" * 5000) + "\n")
+    rc, out, err = run_cli("compare", str(path), "--primes", "5")
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "an integer literal of 5000 digits is too long" in err
+
+
 def test_integrate_rejects_numeric_residue_parameter(run_cli, fx):
     rc, _, err = run_cli("integrate", fx("cube.cells.json"),
                          "--param", "acx=1")

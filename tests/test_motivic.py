@@ -19,7 +19,7 @@ from dpcalc.errors import (BadPrime, BudgetExceeded, DuplicateCenter,
                            ParseError, UnboundParameter, UnsupportedFeature,
                            UnsupportedZeroCell)
 from dpcalc.formula import (Formula, RfConst, RfNe, RfVar, Sort, interpret,
-                            parse, parse_term)
+                            parse, parse_term, pretty_print)
 from dpcalc.motivic import (Cell, ConstructibleFn, EMPTY_DOMAIN,
                             appendix2_steps, appendix2_symbolic,
                             appendix2_volume, bind_parameters,
@@ -505,14 +505,46 @@ def test_shared_cells_deep_copy_and_pickle():
        data=st.data())
 def test_the_plan_integrates_as_the_reference(centers, data):
     """A linear product integrates, cold and then warm, exactly as the
-    earlier integrator does on the same cells."""
+    earlier integrator does on the same cells, derivation included; so
+    does a result pickled before its derivation is read, which carries
+    the trail's parts."""
     mults = [data.draw(st.integers(1, 4)) for _ in centers]
     e = data.draw(st.integers(1, 3))
     cells = motivic._linear_cells(tuple(centers), tuple(mults), e)
-    want = _summary(motivic_reference.integrate_cells(cells))
+    reference = motivic_reference.integrate_cells(cells)
+    want = _summary(reference)
     _clear_plans()
     assert _summary(integrate_linear_product(centers, mults, e)) == want
-    assert _summary(integrate_linear_product(centers, mults, e)) == want
+    warm = integrate_linear_product(centers, mults, e)
+    twin = pickle.loads(pickle.dumps(warm))
+    assert _summary(warm) == _summary(twin) == want
+    assert twin.derivation == warm.derivation == reference.derivation
+    assert hash(twin.derivation) == hash(reference.derivation)
+
+
+def test_a_warm_compare_builds_no_derivation_entry(monkeypatch, fx,
+                                                   run_cli):
+    """compare never prints the audit trail, so it never builds it: a
+    cold and a warm compare of a linear product and of a cell file build
+    no derivation entry, while integrate, which prints the trail, builds
+    it once."""
+    built = []
+    entries = motivic._Parts.entries
+
+    def counted(parts):
+        built.append(parts)
+        return entries(parts)
+    monkeypatch.setattr(motivic._Parts, "entries", counted)
+    for name in ("linear_triple.dp", "cube.cells.json"):
+        argv = ("compare", fx(name), "--primes", "5,7",
+                "--both-characteristics")
+        cold = run_cli(*argv)
+        assert cold[0] == 0
+        assert run_cli(*argv) == cold
+    assert built == []
+    assert run_cli("integrate", fx("cube.cells.json"), "--param", "k=1")[0] \
+        == 0
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("path", CELL_FILES, ids=os.path.basename)
@@ -911,7 +943,9 @@ def test_near_misses_of_the_fragment_reach_the_fit(monkeypatch):
                           fitted=fitted)
     assert [c.nu(11) for _, c in cases] == [2, 0, 0, 2]
     assert list(fitted) == ["rf x; x^2 == x + 1"]
-    assert fitted["rf x; x^2 == x + 1"] == sorted(calls)
+    # the witnesses, and the primes of the classes below the first one,
+    # where the fit holds (no root at 2 or 3)
+    assert sorted(calls) == sorted(fitted["rf x; x^2 == x + 1"] + [2, 3])
     # a witness of 2, which is a cube at some primes of the class only
     del calls[:]
     with pytest.raises(UnsupportedFeature):
@@ -927,6 +961,29 @@ def test_near_misses_of_the_fragment_reach_the_fit(monkeypatch):
     with pytest.raises(UnsupportedFeature):
         residue_cases(_single_class("rf x, z; x^4 == z"), 3, {"z": 1})
     assert calls
+
+
+def test_a_fit_off_at_a_prime_below_the_witnesses_gives_it_a_case(
+        monkeypatch):
+    # eta^2 == 1 has two roots at every prime of q = 2 (mod 3) but 2,
+    # where it has one: the fit is read at 5, 11, 17, 23 and checked at 2
+    phi = parse("rf eta, z; eta^2 == z && eta != 0", default_sort=Sort.RF)
+    fn = ConstructibleFn(((phi, EMPTY_DOMAIN, L ** 2),), (("z", Sort.RF),))
+    calls = _counted(monkeypatch)
+    fitted, exceptions = {}, {}
+    cases = residue_cases(fn, 3, {"z": 1}, fitted=fitted,
+                          exceptions=exceptions)
+    assert cases == [(1, 2 * L ** 2), (2, 2 * L ** 2)]
+    assert exceptions == {2: L ** 2}
+    assert fitted == {pretty_print(phi): [5, 11, 17, 23]}
+    # the check at 2, then the exact case's count at 2
+    assert calls == [5, 11, 17, 23, 2, 2]
+    # a bad prime is neither checked nor given a case
+    del calls[:]
+    exceptions = {}
+    bad = motivic.IntegrationResult(fn, {2: ("even",)})
+    assert residue_cases(bad, 3, {"z": 1}, exceptions=exceptions) == cases
+    assert exceptions == {} and 2 not in calls
 
 
 def test_a_bad_prime_is_not_asked_to_meet_the_rule():

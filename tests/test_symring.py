@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import symring_reference as reference
 from dpcalc import poly, symring
-from dpcalc.errors import BudgetExceeded, NotInvertibleInA
+from dpcalc.errors import BudgetExceeded, NotInvertibleInA, ParseError
 from dpcalc.symring import ONE, ZERO, L, SymA
 from symring_reference import one_minus_l_inv
 
@@ -197,6 +197,15 @@ def test_parse_takes_indices_up_to_the_limit_under_any_budget(monkeypatch):
         one_minus_l_inv(1) * SymA.geom(35)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "L^" + "1" * 5000,
+                                  "(L + 1)^" + "2" * 5000,
+                                  "1/(1 - L^-%s)" % ("3" * 5000)])
+def test_parse_refuses_an_over_long_literal(text):
+    with pytest.raises(ParseError) as info:
+        SymA.parse(text)
+    assert str(info.value) == "an integer literal of 5000 digits is too long"
+
+
 def test_truncated_level_sum_render():
     piece = one_minus_l_inv(1) * SymA.l_power(-6) * SymA.geom(2)
     assert piece.render() == "(L^-6 - L^-7)/(1 - L^-2)"
@@ -243,6 +252,22 @@ def test_additive_inverse(a):
     assert (a - a).is_zero()
     assert a + ZERO == a
     assert a * ONE == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ring_elements(),
+       c=st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(
+           bool),
+       k=st.integers(-8, 8))
+def test_an_l_power_product_is_the_dense_product(a, c, k):
+    """c * L^k times a value, on either side, only scales and shifts it:
+    the product is the value built afresh from the scaled, shifted
+    numerator over the same denominator."""
+    dense = SymA({d + k: c * x for d, x in a.numerator.items()},
+                 dict(a.denominator))
+    factor = SymA({k: c})
+    assert a * factor == factor * a == dense
+    assert (a * factor).render() == dense.render()
 
 
 # --- differential tests against the reference canonicalisation ---
