@@ -45,10 +45,10 @@ power (the exact 1) and no residue bound by an enclosing quantifier.
 The walk folds each site once by the reference semantics and passes its
 value in as an argument, so the source depends on structure only and
 never on the prime or on bound constants.  A site is ("vf", term),
-folded by `eval_vf_term`; ("rf", term), ("zz", term) or ("truth",
-formula), folded by `interpret`'s evaluator; or ("ord", i), ("addk", i)
-or ("mulform", i, product): the valuation bounds of the "vf" site i, or
-its form as a summand or a factor of a box form.  The sites are listed
+folded as `eval_vf_term` evaluates it; ("rf", term), ("zz", term) or
+("truth", formula), folded by `interpret`'s evaluator; or ("ord", i),
+("addk", i) or ("mulform", i, product): the valuation bounds of the "vf"
+site i, or its form as a summand or a factor of a box form.  The sites are listed
 in the order in which `interpret` would evaluate them, by section: "m"
 for membership, "f" for the integrand, "d" for its derivatives.  The
 compiled functions are kept in a bounded LRU memo that holds code, never
@@ -136,7 +136,9 @@ class _FieldOps:
     def summand(self, c, v):
         """The constant c as it enters a sum with a box; v is its
         valuation when c is exact."""
-        return _Summand(c, v) if c.exact else _Summand(None, None, self.form(c))
+        if not c.exact:
+            return _Summand(None, None, self.form(c))
+        return _Summand(c, v)
 
     def factor(self, c, v):
         """A constant c other than the exact 0 as it enters a product, v

@@ -1142,8 +1142,9 @@ def specialize(value, q, assignment=None, budget=None):
 
     Residue-sort parameters take integer representatives; value-group
     parameters take integers.  Classes become point counts over F_q and
-    ring coefficients evaluate at L = q.  The point counts are held to
-    `budget` (see `dpcalc.budget`)."""
+    ring coefficients evaluate at L = q, every term summed into one
+    integer fraction.  The point counts are held to `budget` (see
+    `dpcalc.budget`)."""
     if isinstance(value, IntegrationResult):
         if int(q) in value.bad_primes:
             raise BadPrime("%d is excluded: %s"

@@ -19,10 +19,13 @@ each subterm computed in the loop of the last variable it reads.  It
 decides everything `interpret` decides on the corresponding
 `from_digits` box, residue quantifiers included (`parse` refuses any
 other), and no walk calls `interpret`.  What does not depend on the box
-is folded once per walk by the reference semantics, a field term through
-`eval_vf_term` and anything else through `interpret`'s evaluator, so it
-raises their errors: those of the domain before the first box, those of
-the integrand at the first box that needs it.  `interpret`,
+is folded once per walk by the reference semantics: one `interpret`
+evaluator per walk reads every site in environments converted once, the
+integrand's as `eval_vf_term` converts an assignment, so a site raises
+their errors: those of the domain before the first box, those of the
+integrand at the first box that needs it.  Each exact constant's
+valuation is taken once, and its unit digits come from `LFElem.packed`
+in the form a box keeps them.  `interpret`,
 `eval_vf_term` and `LFElem` arithmetic stay the reference semantics,
 and the tests hold the sweep to them on random formulas, terms and
 boxes.  The children of a TRUE box

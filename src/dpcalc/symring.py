@@ -16,7 +16,8 @@ index first), whose extra cyclotomics multiply prim.  Two values are equal
 iff their forms coincide, which makes equality decidable and hashable.
 
 The arithmetic stays in integers.  A product multiplies the contents and
-the prims, whose product is again primitive by Gauss's lemma; a sum lifts
+the prims, whose product is again primitive by Gauss's lemma, except that
+a factor c * L^k only scales the content and shifts; a sum lifts
 both prims to the merged denominator, scales them to the lcm of the two
 content denominators and takes one integer gcd.  Negation and scaling by
 a rational never reduce.  The cancellation depends on prim and den only,
@@ -225,14 +226,12 @@ class SymA:
             return NotImplemented
         if not self._prim or not other._prim:
             return ZERO
+        if self._prim == (1,) and not self._den:
+            self, other = other, self
         if other._prim == (1,) and not other._den:
             return _new(self._shift + other._shift,
                         self._content * other._content, self._prim,
                         self._den)
-        if self._prim == (1,) and not self._den:
-            return _new(self._shift + other._shift,
-                        self._content * other._content, other._prim,
-                        other._den)
         den = self._den
         if other._den:
             if den:
