@@ -41,6 +41,7 @@ import re
 import sys
 from dataclasses import fields as dataclass_fields, is_dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .budget import ENV as BUDGET_ENV
 from .errors import (BudgetExceeded, DpcalcError, InvalidPrime, NotSummable,
@@ -65,13 +66,89 @@ from .symring import SymA
 # small shared helpers
 
 
-def _emit(args, payload):
-    text = json.dumps(payload, indent=2) + "\n"
+class _Unwritten(Exception):
+    """A value `_json_chunks` leaves to json.dumps."""
+
+
+def _json_chunks(obj, newline, out):
+    """Append to out the text of obj as json.dumps(obj, indent=2) lays it
+    out, `newline` being the line break and indent obj starts after."""
+    if isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _json_key(key) + ": ")
+            _json_chunks(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise _Unwritten
+
+
+def _json_key(key):
+    """A dict key as json.dumps writes it: a str as it is, a bool, None or
+    an int converted first."""
+    if isinstance(key, str):
+        return _json_str(key)
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return '"%s"' % int.__repr__(key)
+    raise _Unwritten
+
+
+def _json_text(obj):
+    """json.dumps(obj, indent=2).  CPython serves an indented dump with
+    its pure-Python encoder, so the layout is written here, every string
+    through the C string encoder; a value or key of any type but str,
+    int, bool, None, list, tuple and dict leaves the whole dump to
+    json.dumps, which raises its own error for one it cannot encode."""
+    out = []
+    try:
+        _json_chunks(obj, "\n", out)
+    except _Unwritten:
+        return json.dumps(obj, indent=2)
+    return "".join(out)
+
+
+def _write(args, text):
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload):
+    _write(args, _json_text(payload) + "\n")
 
 
 def _say(msg):
@@ -222,7 +299,7 @@ def cmd_parse(args):
     if parse(pretty) != phi:
         raise AssertionError("pretty text failed to round-trip")
     if args.emit == "pretty":
-        sys.stdout.write(pretty + "\n")
+        _write(args, pretty + "\n")
         return 0
     _emit(args, {
         "file": args.path,
@@ -556,14 +633,20 @@ def cmd_oracle(args):
 
 def _add_common(p):
     p.add_argument("-o", "--output", metavar="PATH",
-                   help="write the JSON report here instead of stdout")
+                   help="write the report here instead of stdout")
     p.add_argument("--debug", action="store_true",
                    help="let an internal error raise with its traceback "
                         "instead of exiting 1")
 
 
-@functools.cache
 def build_parser():
+    """The top-level parser, whose subparsers parse each command."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(the top-level parser, {command: its parser})."""
     ap = argparse.ArgumentParser(
         prog="dpcalc",
         description="symbolic integration over complete discretely valued "
@@ -620,7 +703,7 @@ def build_parser():
                    help="box budget override (or %s)" % BUDGET_ENV)
     _add_common(p)
 
-    return ap
+    return ap, sub.choices
 
 
 _COMMANDS = {
@@ -646,10 +729,25 @@ def _attach_negative_values(argv):
     return out
 
 
+def _parse_args(argv):
+    """build_parser().parse_args(argv) in one argparse pass: the
+    arguments of a command go straight to its own parser, and what that
+    leaves over is refused by the top-level parser, as it refuses it."""
+    top, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return top.parse_args(argv)
+    args, extra = command.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        top.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    args = _parse_args(_attach_negative_values(argv))
     try:
         if "primes" in args:
             args.primes = _parse_primes(args.primes)

@@ -295,7 +295,7 @@ def as_field_element(value, spec, what):
     bool) or a Fraction embedded.  A float or a string is not one, and
     none is rounded to one."""
     if isinstance(value, LFElem):
-        if value.spec != spec:
+        if value.spec is not spec and value.spec != spec:
             raise ValueError(
                 "assignment for %r lives in a different field" % what)
         return value

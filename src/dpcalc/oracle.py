@@ -63,8 +63,8 @@ from fractions import Fraction
 from .budget import check as check_budget
 from .errors import (BadPrime, InvalidArgument, UnboundVariable,
                      UnsupportedFeature)
-from .formula import (And, Formula, Node, Sort, Truth3, VfConst, ZzConst,
-                      ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
+from .formula import (And, Formula, Node, Sort, Truth3, VfConst, VfNeg,
+                      ZzConst, ZzLe, ZzOrd, eval_vf_term, free_vars, parse,
                       parse_term)
 from .formula.interpret import (_Evaluator, _refuse, as_field_element,
                                 as_integer, bind_assignment)
@@ -74,6 +74,8 @@ from .localfield import INF, LFElem, add as lf_add, mul as lf_mul
 # calls from_digits for the box its sites are folded on
 from .formula import interpret  # noqa: F401
 from .localfield import from_digits
+# it traces embed_rational in localfield, where the fold calls it
+from . import localfield
 
 
 def fraction_str(x):
@@ -190,13 +192,19 @@ def _zeroed(node, targets):
     return rewrite(node, lambda n: _ZERO if n in targets else None)
 
 
+@functools.cache
+def _boxcode():
+    """The walk compiler, imported by the first walk, not with dpcalc."""
+    from . import boxcode
+    return boxcode
+
+
 def _integral(term, spec, names):
     """Whether every subterm of term without a variable in `names` folds
     to an exact integral constant, so that term is a polynomial over the
     valuation ring in them."""
-    from .boxcode import closed_parts
     values = [eval_vf_term(part, spec, {})
-              for part in closed_parts(term, frozenset(names))]
+              for part in _boxcode().closed_parts(term, frozenset(names))]
     return all(v.exact and v.ord() >= 0 for v in values)
 
 
@@ -282,9 +290,9 @@ class _BoxWalk:
         integrand's raise, the walk compiles its domain alone, and the
         sweep raises that error at the first box that needs the
         integrand."""
-        # the walk compiler is imported by the first walk, not with dpcalc
-        from .boxcode import _field_ops, compile_walk
-        self.ops = _field_ops(self.spec)
+        boxcode = _boxcode()
+        compile_walk = boxcode.compile_walk
+        self.ops = boxcode._field_ops(self.spec)
         self.evaluator = _Evaluator(self.spec)
         expr, f, derivs = self.phi.expr, self.integrand.f, None
         integral = envs = None
@@ -321,6 +329,9 @@ class _BoxWalk:
         the root box stands in for each box variable."""
         spec = self.spec
         box = dict.fromkeys(self.names, from_digits(spec, 0, ()))
+        if not self.assignment and self.m == len(self.phi.free):
+            # every free name is a box variable: there is nothing to convert
+            return box, box, None if self.integrand.is_one else box
         env = bind_assignment(
             [(n, s) for n, s in self.phi.free if n not in self.names],
             spec, self.assignment)
@@ -334,7 +345,7 @@ class _BoxWalk:
             # residue or value-group value is embedded as an integer, and
             # INF passes as given
             other = {n for n, s in self.phi.free if s is not Sort.VF}
-            field = {n: v if v == INF and n in other
+            field = {n: v if n in other and v == INF
                      else as_field_element(v, spec, n)
                      for n, v in self.assignment.items()}
         except Exception as error:  # whatever the reference raises
@@ -347,7 +358,8 @@ class _BoxWalk:
         is the exact 0}, the integrand's error or None, whether every
         folded constant of the integrand is exact and integral), in the
         environments of `_envs`.  Each exact constant's valuation is taken
-        once."""
+        once, and a field term that the derivatives repeat from the
+        integrand is folded once, in the same environment."""
         values, zeros, ords = [], {}, {}
         member = sum(1 for site in sites if site[0] == "m")
         for site in sites[:member]:
@@ -357,15 +369,22 @@ class _BoxWalk:
         if isinstance(field_env, Exception):
             f_err = field_env
         elif field_env is not None:
+            terms = {}
             try:
                 for site in sites[member:]:
                     if site[0] == "d" and not integral:
                         break
-                    value = self._site(site, values, ords, env, field_env,
-                                       zeros)
-                    if site[:2] == ("f", "vf"):
-                        integral = integral and value.exact \
-                            and self._ord(ords, len(values), value) >= 0
+                    if site[1] != "vf":
+                        value = self._site(site, values, ords, env,
+                                           field_env, zeros)
+                    else:
+                        value = terms.get(site[2])
+                        if value is None:
+                            value = terms[site[2]] = self._site(
+                                site, values, ords, env, field_env, zeros)
+                        if site[0] == "f":
+                            integral = integral and value.exact \
+                                and self._ord(ords, value) >= 0
                     values.append(value)
             except Exception as error:  # whatever the reference raises
                 f_err = error
@@ -373,11 +392,11 @@ class _BoxWalk:
         return values, zeros, f_err, integral
 
     @staticmethod
-    def _ord(ords, i, c):
-        """The valuation of the exact constant c, the value of site i."""
-        v = ords.get(i)
+    def _ord(ords, c):
+        """The valuation of the exact constant c, a site's value."""
+        v = ords.get(id(c))
         if v is None:
-            v = ords[i] = c.ord()
+            v = ords[id(c)] = c.ord()
         return v
 
     def _site(self, site, values, ords, env, vf_env, zeros):
@@ -387,18 +406,24 @@ class _BoxWalk:
         spec = self.spec
         op, arg = site[1], site[2]
         if op == "vf":
+            if type(arg) is VfNeg and type(arg.operand) is VfConst \
+                    and arg.operand.value.denominator % self.p:
+                # the image of -c, which negating the image of c gives; in
+                # F_p((t)) a c whose denominator p divides has no image,
+                # and the evaluator raises that error naming c
+                return localfield.embed_rational(-arg.operand.value, spec)
             return self.evaluator.vf(arg, vf_env)
         if op in ("rf", "zz", "truth"):
             return getattr(self.evaluator, op)(arg, env)
         c = values[arg]
         if op == "ord":
             return (c.ord_bounds() if not c.exact
-                    else (self._ord(ords, arg, c),) * 2)
-        if c.spec != spec:
+                    else (self._ord(ords, c),) * 2)
+        if c.spec is not spec and c.spec != spec:
             # a constant from another field: the reference operation
             # raises its own error, the box side stood in by a zero
             (lf_add if op == "addk" else lf_mul)(c, spec.zero())
-        v = self._ord(ords, arg, c) if c.exact else None
+        v = self._ord(ords, c) if c.exact else None
         if op == "addk":
             return self.ops.summand(c, v)
         if v == INF:

@@ -878,6 +878,12 @@ def test_output_flag_writes_file(run_cli, fx, tmp_path):
     assert rc == 0
     assert out == ""
     assert json.loads(target.read_text())["pretty"] == "vf x; 2 <= ord(x)"
+    # the pretty text is a report too
+    target = tmp_path / "report.txt"
+    rc, out, _ = run_cli("parse", fx("ball.dp"), "--emit", "pretty", "-o",
+                         str(target))
+    assert (rc, out) == (0, "")
+    assert target.read_text() == "vf x; 2 <= ord(x)\n"
 
 
 def test_repeated_main_calls_share_no_state(run_cli, fx, tmp_path):
@@ -891,6 +897,71 @@ def test_repeated_main_calls_share_no_state(run_cli, fx, tmp_path):
     assert rc == 0
     assert out_json(out)["assigned"] == {}
     assert not target.exists()
+
+
+# --- the report writer and the command line parser ---
+
+_JSON_SCALARS = st.one_of(
+    st.text(), st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u00e9\u2028",
+                                "\U0001f600", "\ud800"]),
+    st.integers(), st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+    st.none())
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_KEYS, inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_reports_are_laid_out_as_json_dumps_lays_them(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_the_report_writer_leaves_other_types_to_json_dumps():
+    for obj in ([1.5, {"x": float("nan")}], {2.5: [float("-inf")]}):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+    for obj in (F(1, 2), {"rows": [1, F(1, 2)]}, {F(1, 2): 1}, {(1,): 2}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == str(want.value)
+
+
+def test_one_argparse_pass_reads_argv_as_two_did(fx, monkeypatch):
+    """A command's arguments go straight to its own parser; every argv
+    ends as the top-level parser's two passes end it: the same exit code,
+    output and arguments handed to the command."""
+    ball = fx("ball.dp")
+    argvs = [[], ["bogus"], ["-h"], ["compare", "-h"], ["compare"],
+             ["compare", ball, "--bogus"], ["compare", ball, "extra"],
+             ["compare", ball, "--both"], ["compare", ball, "--", "x"],
+             ["integrate", "--linear-product", "-3:2"],
+             ["compare", ball, "--primes", "4"],
+             ["compare", ball, "--budget", "-1"]]
+    seen = []
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args: seen.append(vars(args)) or 0)
+
+    def run(argv):
+        del seen[:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                rc = e.code
+        return rc, out.getvalue(), err.getvalue(), list(seen)
+
+    once = [run(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: cli.build_parser().parse_args(argv))
+    for argv, got in zip(argvs, once):
+        assert got == run(argv), argv
+    assert [rc for rc, *_ in once] == [2, 2, 0, 0, 2, 2, 2, 0, 2, 0, 2, 0]
 
 
 # --- internal faults exit 1 with one line ---

@@ -834,6 +834,56 @@ def test_what_does_not_depend_on_the_box_is_folded_once(make):
             assert iv.lower == iv.upper == (F(1, p) if a in squares else 0)
 
 
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_a_negated_constant_folds_to_its_negative(make):
+    """x - c folds -c as one constant: x - 1 and x + 4 meet mod 5, as do
+    x - 1/2 and x + 2, and the integrands repeat their constants in the
+    derivatives.  In F_5((t)) -1/5 has no image, and the walk raises the
+    evaluator's error, which names 1/5."""
+    spec = make(5, 3)
+    x = VfVar("x")
+
+    def less(c):
+        return VfSub(x, VfConst(c))
+
+    def near(*terms):
+        return Formula(And(*(ZzLe(ZzConst(1), ZzOrd(t)) for t in terms)),
+                       [("x", Sort.VF)])
+
+    plus = parse_term("x + 4", Sort.VF), parse_term("x + 2", Sort.VF)
+    for phi in (near(less(F(1)), plus[0]), near(less(F(1, 2)), plus[1])):
+        iv = volume(phi, spec)
+        assert iv.lower == iv.upper == F(1, 5)
+    for f in (VfMul(less(F(1)), plus[0]),
+              VfMul(VfMul(less(F(1, 2)), less(F(3))), plus[1])):
+        integrand = IntegrandSpec.abs_power(f)
+        iv = integrate(integrand, "vf x; ord(x) >= 0", spec)
+        lower, upper = reference.integrate(integrand, "vf x; ord(x) >= 0",
+                                           spec)
+        assert lower <= iv.lower <= iv.upper <= upper
+    if make is lf.fpt:
+        with pytest.raises(lf.InvalidPrime) as error:
+            volume(Formula(ZzLe(ZzConst(0), ZzOrd(less(F(1, 5)))),
+                           [("x", Sort.VF)]), spec)
+        assert str(error.value) == \
+            "denominator of 1/5 vanishes mod 5; no residue image"
+
+
+@pytest.mark.parametrize("make", [lf.qp, lf.fpt], ids=["qp", "fpt"])
+def test_an_inexact_constant_of_the_integrand_turns_hensel_off(make):
+    """Hensel's lemma needs every folded constant of f itself exact and
+    integral: a known only to 1 + O(p) leaves x^2 - a undecided near its
+    roots, though its derivative 2x has none but exact ones."""
+    spec = make(5, 3)
+    a = lf.from_digits(spec, 0, (1,))
+    integrand = IntegrandSpec.abs_power("x^2 - a")
+    iv = integrate(integrand, "vf x, a; ord(x) >= 0", spec,
+                   assignment={"a": a})
+    assert iv.boxes_hensel == 0 and iv.lower < iv.upper
+    assert (iv.lower, iv.upper) == reference.integrate(
+        integrand, "vf x, a; ord(x) >= 0", spec, assignment={"a": a})
+
+
 def test_a_zero_power_leaves_the_integrand_integral():
     """A zero power is the exact 1 whatever its base holds, so a base
     with a constant that is not integral at p leaves the integrand a
