@@ -384,7 +384,8 @@ def cmd_integrate(args):
         out["cases"] = []
         for r, v in residue_cases(bound, modulus, witness, fitted=fitted,
                                   exceptions=exceptions):
-            # a prime of the class where the fit is off has its own case
+            # a prime of the class where the fit is off, or where the
+            # exact count degenerates, has its own case
             off = [q for q in exceptions if q % modulus == r]
             out["cases"].append({
                 "when": "q = %d (mod %d)" % (r, modulus)

@@ -15,6 +15,11 @@ affine centers are accepted.  Results are constructible functions: finite
 sums of residue classes tensored with exact ring values, which specialize
 to any concrete residue characteristic by point counting and L -> q.
 
+One exact counter sizes residue classes, `_read_class` and
+`_count_class`: `integrate` collapses a parameter-free class it counts
+at every prime, and `residue_cases` counts on each class of q.  Any
+other class stays a formula, counted at a chosen prime or fitted.
+
 Automatic decomposition is provided only for products of linear factors
 |t - c_j| over the valuation ring; everything else enters as caller-built
 cells or cell-data files.
@@ -629,41 +634,7 @@ class _Parts:
 
 
 # ---------------------------------------------------------------------------
-# class-size collapse (conjunctions of linear disequalities)
-
-
-def _linear_residue_parts(node):
-    """node as ({var: int coeff}, int const), or None if not linear."""
-    if isinstance(node, RfConst):
-        return {}, node.value
-    if isinstance(node, RfVar):
-        return {node.name: 1}, 0
-    if isinstance(node, RfNeg):
-        r = _linear_residue_parts(node.operand)
-        if r is None:
-            return None
-        return {v: -c for v, c in r[0].items()}, -r[1]
-    if isinstance(node, (RfAdd, RfSub)):
-        a = _linear_residue_parts(node.left)
-        b = _linear_residue_parts(node.right)
-        if a is None or b is None:
-            return None
-        sign = 1 if isinstance(node, RfAdd) else -1
-        coeffs = dict(a[0])
-        for v, c in b[0].items():
-            coeffs[v] = coeffs.get(v, 0) + sign * c
-        return coeffs, a[1] + sign * b[1]
-    if isinstance(node, RfMul):
-        for const, other in ((node.left, node.right),
-                             (node.right, node.left)):
-            if isinstance(const, RfConst):
-                r = _linear_residue_parts(other)
-                if r is None:
-                    return None
-                return ({v: c * const.value for v, c in r[0].items()},
-                        r[1] * const.value)
-        return None
-    return None
+# residue classes counted exactly
 
 
 def _split_components(phi):
@@ -689,57 +660,187 @@ def _split_components(phi):
     return groups
 
 
-def _class_factor(phi, reserved):
-    """The syntax of an exact class size, for a conjunction of linear
-    disequalities over non-parameter residue variables: each variable
-    contributes L minus its number of excluded residues.  Returns (counts,
-    pairs), or None when the class has to stay a formula.  counts holds
-    the number of excluded residues of each free variable in order, or is
-    None when a conjunct is false; pairs lists, in the order they are to
-    be factored, the (integer, reason) pairs whose primes are where the
-    excluded residues degenerate."""
-    names = [n for n, _ in phi.free]
-    if any(n in reserved for n in names):
+def _linear_form(node, rf_env):
+    """node as ({(x, n): coefficient}, constant), a linear form in the
+    monomials x^n, n >= 1, of variables x that rf_env does not bind, or
+    None.  A parameter that rf_env binds reads as its witness."""
+    if isinstance(node, RfConst):
+        return {}, node.value
+    if isinstance(node, RfVar):
+        if node.name in rf_env:
+            return {}, rf_env[node.name]
+        return {(node.name, 1): 1}, 0
+    if isinstance(node, RfPow):
+        x = node.base
+        if isinstance(x, RfVar) and x.name not in rf_env \
+                and node.exponent >= 1:
+            return {(x.name, node.exponent): 1}, 0
         return None
-    if any(s is not Sort.RF for _, s in phi.free):
+    if isinstance(node, RfNeg):
+        return _sum(({}, 0), _linear_form(node.operand, rf_env), -1)
+    if not isinstance(node, (RfAdd, RfSub, RfMul)):
         return None
-    excluded = {n: set() for n in names}
+    a, b = _linear_form(node.left, rf_env), _linear_form(node.right, rf_env)
+    if not isinstance(node, RfMul):
+        return _sum(a, b, 1 if isinstance(node, RfAdd) else -1)
+    # a product is linear when a side is constant
+    if a is None or b is None or a[0] and b[0]:
+        return None
+    return _sum(({}, 0), a, b[1]) if a[0] else _sum(({}, 0), b, a[1])
+
+
+def _sum(a, b, k):
+    """The linear form a + k*b, or None when a or b is None."""
+    if a is None or b is None:
+        return None
+    coeffs = dict(a[0])
+    for m, c in b[0].items():
+        coeffs[m] = coeffs.get(m, 0) + k * c
+    return coeffs, a[1] + k * b[1]
+
+
+def _read_class(phi, rf_env):
+    """(atoms, pairs) of phi's conjuncts, or None when one lies outside
+    the fragment.  This reads syntax only.
+
+    A conjunct a == b or a != b, or its negation, whose sides differ by
+    k*x^n + c reads as the atom x^n == level (or != level), level = -c/k,
+    when n = 1 or level is 0 or 1, for a free x that rf_env does not
+    bind.  Sides that differ by a constant are decided by it, and
+    `exists w. w^n == level`, level 0 or 1, holds with w = level.  atoms
+    maps each such x, in order, to its atoms (n, level, equal), or is
+    False once a conjunct is false.  pairs lists, in the order they are
+    factored, the (integer, reason) pairs whose primes are where a
+    coefficient k is not invertible, a level is not integral, a constant
+    vanishes or two levels of one variable collide."""
+    atoms = {n: [] for n, _ in phi.free if n not in rf_env}
     pairs = []
-    for conj in conjuncts(phi.expr):
-        if not isinstance(conj, RfNe):
+    for c in conjuncts(phi.expr):
+        negated = isinstance(c, Not)
+        if negated:
+            c = c.operand
+        bound = None
+        if isinstance(c, Exists) and c.var not in rf_env:
+            bound, c = c.var, c.body
+        form = isinstance(c, (RfEq, RfNe)) and _sum(
+            _linear_form(c.left, rf_env), _linear_form(c.right, rf_env), -1)
+        if not form:
             return None
-        left = _linear_residue_parts(conj.left)
-        right = _linear_residue_parts(conj.right)
-        if left is None or right is None:
+        coeffs = [(m, k) for m, k in form[0].items() if k]
+        equal = isinstance(c, RfEq)
+        if len(coeffs) == 1:
+            ((x, n), k), = coeffs
+            level = Fraction(-form[1], k) if form[1] % k else -form[1] // k
+            atom = (n, level, equal != negated)
+            if n > 1 and level not in (0, 1):
+                return None
+        if bound is not None:
+            if not (len(coeffs) == 1 and x == bound and equal
+                    and level in (0, 1)):
+                return None
+            if negated:
+                return False, tuple(pairs)
+        elif not coeffs:
+            if form[1]:
+                pairs.append((form[1], "constant %d vanishes" % form[1]))
+            if (form[1] == 0) != (equal != negated):
+                return False, tuple(pairs)
+        elif len(coeffs) > 1:
             return None
-        coeffs = dict(left[0])
-        for v, c in right[0].items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        coeffs = {v: c for v, c in coeffs.items() if c}
-        const = left[1] - right[1]
-        if not coeffs:
-            if const == 0:
-                return None, tuple(pairs)
-            continue
-        if len(coeffs) != 1:
-            return None
-        (v, c), = coeffs.items()
-        value = Fraction(-const, c)
-        if abs(c) != 1:
-            pairs.append((c, "coefficient %d on %s is not invertible"
-                          % (c, v)))
-        if value.denominator != 1:
-            pairs.append((value.denominator,
-                          "excluded residue %s is not integral" % value))
-        excluded[v].add(value)
-    for v in names:
-        vals = sorted(excluded[v])
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                pairs.append(((vals[j] - vals[i]).numerator,
-                              "residues %s and %s of %s collide"
-                              % (vals[i], vals[j], v)))
-    return tuple(len(excluded[v]) for v in names), tuple(pairs)
+        else:
+            if abs(k) != 1:
+                pairs.append((k, "coefficient %d on %s is not invertible"
+                              % (k, x)))
+            if level.denominator != 1:
+                pairs.append((level.denominator, "%s %s is not integral" % (
+                    "residue" if atom[2] else "excluded residue", level)))
+            atoms[x].append(atom)
+    for x, found in atoms.items():
+        levels = sorted({level for _, level, _ in found})
+        pairs += [((b - a).numerator, "residues %s and %s of %s collide"
+                   % (a, b, x))
+                  for i, a in enumerate(levels) for b in levels[i + 1:]]
+    return atoms, tuple(pairs)
+
+
+def _count_class(atoms, residue, modulus, bad):
+    """(count, pairs) of a class `_read_class` read: its point count as a
+    polynomial in q on the primes q = residue (mod modulus) away from the
+    primes of both reads' pairs.  None where a gcd(k, q - 1) it needs is
+    not one number there, or a level is a root of 1 at every q.
+
+    The count is a product over the variables.  For one variable x, the
+    point 0 meets x^n == 0, x^n != 1 and x != c only.  The units meet no
+    atom x^n == 0, and the atoms x^n == 1 cut a group out of F_q^*, which
+    is cyclic of order q - 1: the group of order d = gcd(a, q - 1), a the
+    gcd of their n (d = q - 1 when there is none).  From it each atom
+    x^n != 1 takes away the group of order gcd(n, d), and their union has
+    totient(e) elements of each order e that divides one of those orders.
+    A level c other than 0 and 1 is one more unit, outside the group and
+    each group taken away but at the primes of c^m - 1, m their orders."""
+    if atoms is False:
+        return [], ()
+    out, pairs = [1], []
+    for x, found in atoms.items():
+        zero = int(all((level == 0) == equal for _, level, equal in found))
+        roots = [n for n, level, equal in found if level == 1 and equal]
+        avoid = [n for n, level, equal in found if level == 1 and not equal]
+        same = {level for _, level, equal in found
+                if equal and level not in (0, 1)}
+        apart = {level for _, level, equal in found
+                 if not equal and level not in (0, 1)}
+        orders = []
+        if any(level == 0 and equal for _, level, equal in found):
+            units = [0]
+        elif roots:
+            d = _gcd_on_class(gcd(*roots), residue, modulus, bad)
+            if d is None:
+                return None
+            orders = [d]
+            units = [0 if same else
+                     d - _union_order([gcd(n, d) for n in avoid])]
+        else:
+            orders = [_gcd_on_class(n, residue, modulus, bad) for n in avoid]
+            if None in orders:
+                return None
+            units = [int(len(same) == 1 and not same & apart)] if same else \
+                [-1 - _union_order(orders) - len(apart), 1]
+        pairs += [((c ** m - 1).numerator, "residue %s of %s has order "
+                   "dividing %d" % (c, x, m))
+                  for c in sorted(same | apart) for m in orders if m > 1]
+        out = poly_mul(out, poly_add(units, [zero]))
+    if not all(n for n, _ in pairs):
+        return None
+    return out, tuple(pairs)
+
+
+def _union_order(orders):
+    """The size of the union of the subgroups of those orders in a cyclic
+    group: totient(e) for each e that divides one of them."""
+    return sum(map(totient, set().union(*map(divisors, orders))))
+
+
+def _gcd_on_class(k, residue, modulus, bad):
+    """gcd(k, q - 1) when it is one number at every prime q = residue
+    (mod modulus) that bad does not exclude, else None.
+
+    It depends on q mod k alone.  By Dirichlet's theorem the primes of the
+    class meet every unit mod lcm(k, modulus) that is residue mod modulus,
+    and the only other primes of the class divide k.  Those units are
+    k / gcd(k, modulus) classes, charged to the one budget.  Over all
+    primes (modulus 1) no class is scanned: q = 2 gives 1, and a prime
+    q = 1 (mod k) gives k."""
+    if modulus == 1 and 2 not in bad:
+        return 1 if k == 1 else None
+    step = k // gcd(k, modulus)
+    check_budget(step, 1, None, "the %d classes of q mod %d"
+                 % (step, step * modulus))
+    seen = {gcd(k, u - 1)
+            for u in range(residue, residue + step * modulus, modulus)
+            if gcd(u, k) == 1}
+    seen.update(gcd(k, p - 1) for p in divisors(k)
+                if p % modulus == residue and p not in bad and is_prime(p))
+    return seen.pop() if len(seen) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -942,9 +1043,10 @@ def _plan_cells(cells, reserved):
     of its parameters: the disjointness, room and 0-cell checks, and per
     cell (cell, summand, class, factors).  A 0-cell has no summand.  A
     1-cell sums psi * L^(-alpha - 1); its class is what stays a formula;
-    and factors holds (text, counts, pairs) for each component that
-    collapses to its size (see `_class_factor`).  No value is built, and
-    nothing is factored."""
+    and factors holds (text, count, pairs) for each component free of
+    parameters whose count is one polynomial in q at every prime away
+    from the primes of pairs (see `_read_class` and `_count_class`).  No
+    value is built, and nothing is factored."""
     _check_disjoint(cells)
     out = []
     for cell in cells:
@@ -962,13 +1064,15 @@ def _plan_cells(cells, reserved):
         factors = []
         if cls is not None:
             kept = []
-            for _, nodes in _split_components(cls):
+            for names, nodes in _split_components(cls):
                 sub = Formula(_fold_and(nodes))
-                found = _class_factor(sub, reserved)
-                if found is None:
-                    kept.extend(nodes)
+                read = None if names & reserved else _read_class(sub, {})
+                counted = read and _count_class(read[0], 0, 1, {})
+                if counted:
+                    factors.append((pretty_print(sub), counted[0],
+                                    read[1] + counted[1]))
                 else:
-                    factors.append((pretty_print(sub),) + found)
+                    kept.extend(nodes)
             if factors:
                 cls = Formula(_fold_and(kept)) if kept else None
         out.append((cell, summand, cls, tuple(factors)))
@@ -985,8 +1089,8 @@ def integrate_cells(cells, params=(), budget=None):
 
     Every 1-cell contributes its residue class tensored with the
     exact sum of psi * L^(-alpha - 1) over its value-group variables;
-    parameter-free classes cut out by linear disequalities collapse to
-    their ring cardinality.  0-cells contribute nothing to the value; their
+    a parameter-free class that `_count_class` counts at every prime
+    collapses to its size.  0-cells contribute nothing to the value; their
     counting terms go to the derivation log, and non-affine centers are
     rejected.  The checks and the class syntax come from the family's
     plan; the sums, the class sizes and the factoring of every excluded
@@ -1020,15 +1124,11 @@ def _integrate(plan, params, budget):
             continue
         summed = pres_sum(cell.z_domain, summand)
         sizes = []
-        for text, counts, pairs in factors:
+        for text, count, pairs in factors:
             for n, reason in pairs:
                 for p in factor(n, budget):
                     _note(bad, p, reason)
-            size = ZERO
-            if counts is not None:
-                size = ONE
-                for count in counts:
-                    size = size * (L - SymA.from_int(count))
+            size = SymA(dict(enumerate(count)))
             summed = summed * size
             sizes.append((text, size))
         terms.append((cls, cell.param_domain, summed))
@@ -1240,8 +1340,9 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
     in the intended class at every prime (1 for "a nonzero cube").
     Value-group parameters must all be bound by zz_assignment.
 
-    A class in the binomial fragment (see `_binomial_atoms`) is counted
-    exactly, as a polynomial in q on each congruence class.  Any other
+    A class that `_read_class` reads is counted exactly, as a polynomial
+    in q on each congruence class where `_count_class` gives one; the
+    primes of its degeneracy pairs are counted too, as below.  Any other
     class is fitted: its counts at witness primes of the congruence class
     are interpolated as a polynomial in L, and the fit is confirmed on
     RESIDUE_FIT_CHECKS further witnesses (a mismatch raises
@@ -1250,8 +1351,8 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
     `fitted` is a dict, each fitted class's text is entered in it, mapped
     to the witness primes of its fits in increasing order.  A fit is also
     counted at each prime of its class below the first witness (2 and 3,
-    unless excluded).  Where such a count differs from the fit, the
-    prime's value is counted exactly, every term at that prime, and
+    unless excluded).  Where such a count differs from the count or fit,
+    the prime's value is counted exactly, every term at that prime, and
     entered in `exceptions` (when a dict) under the prime; the class's
     value then holds at its other primes.
 
@@ -1280,36 +1381,35 @@ def residue_cases(value, modulus, rf_witness, zz_assignment=None,
             for residue in residues:
                 totals[residue] = totals[residue] + coeff
             continue
-        atoms = _binomial_atoms(t.rf_class, rf_env)
+        read = _read_class(t.rf_class, rf_env)
         for residue in residues:
-            count = None
-            if atoms is not None:
-                count = _binomial_count(atoms, residue, modulus, bad)
-            if count is None:
+            counted = read and _count_class(read[0], residue, modulus, bad)
+            if counted:
+                count, pairs = counted
+                near = {p for n, _ in read[1] + pairs for p in factor(n)}
+            else:
                 count, primes = _fit_count(t.rf_class, rf_env, residue,
                                            modulus, bad)
                 if fitted is not None:
-                    fitted.setdefault(pretty_print(t.rf_class),
-                                      []).extend(primes)
-                off.update(_off_fit(t.rf_class, rf_env, count, residue,
-                                    modulus, bad))
+                    text = pretty_print(t.rf_class)
+                    fitted[text] = sorted(fitted.get(text, []) + primes)
+                near = range(2, FIRST_WITNESS)
+            off.update(_off(t.rf_class, rf_env, count, residue, modulus,
+                            bad, near))
             totals[residue] = totals[residue] + \
                 SymA(dict(enumerate(count))) * coeff
-    if fitted is not None:
-        for primes in fitted.values():
-            primes.sort()
     if exceptions is not None:
         for q in sorted(off):
             exceptions[q] = _case_at(fn, q, rf_env)
     return sorted(totals.items())
 
 
-def _off_fit(phi, rf_env, fit, residue, modulus, bad):
-    """The primes q = residue (mod modulus) below the first witness, bad
-    ones aside, where phi's point count is not the fit's value."""
-    return [q for q in range(2, FIRST_WITNESS)
+def _off(phi, rf_env, count, residue, modulus, bad, near):
+    """The primes q = residue (mod modulus) among near, bad ones aside,
+    where phi's point count is not count's value."""
+    return [q for q in sorted(near)
             if q % modulus == residue and q not in bad and is_prime(q)
-            and count_rf_points(phi, q, values=rf_env) != evaluate(fit, q)]
+            and count_rf_points(phi, q, values=rf_env) != evaluate(count, q)]
 
 
 def _case_at(fn, q, rf_env):
@@ -1328,8 +1428,11 @@ def _fit_count(phi, rf_env, residue, modulus, bad):
     the polynomial in q that its counts at witness primes fit, and those
     primes."""
     degree = len([n for n, _ in phi.free if n not in rf_env])
-    primes = _case_witnesses(residue, modulus, bad,
-                             degree + 1 + RESIDUE_FIT_CHECKS)
+    primes, n = [], FIRST_WITNESS
+    while len(primes) < degree + 1 + RESIDUE_FIT_CHECKS:
+        if is_prime(n) and n % modulus == residue and n not in bad:
+            primes.append(n)
+        n += 1
     counts = [count_rf_points(phi, q, values=rf_env) for q in primes]
     fit = interpolate(list(zip(primes, counts))[:degree + 1])
     for q, c in zip(primes, counts):
@@ -1338,144 +1441,6 @@ def _fit_count(phi, rf_env, residue, modulus, bad):
                 "the point count of [%s] is not polynomial over q = %d "
                 "mod %d" % (pretty_print(phi), residue, modulus))
     return fit, primes
-
-
-def _case_witnesses(residue, modulus, avoid, need):
-    out = []
-    n = FIRST_WITNESS
-    while len(out) < need:
-        if is_prime(n) and n % modulus == residue and n not in avoid:
-            out.append(n)
-        n += 1
-    return out
-
-
-def _binomial_atoms(phi, rf_env):
-    """phi's conjuncts as {x: [(n, level, equal)]}, each the atom
-    x^n == level (or != level when equal is False), n >= 1, for every
-    free variable x that rf_env does not bind; a variable without an atom
-    maps to []. False when a closed conjunct is false at every q, and None
-    when some conjunct lies outside the binomial fragment.
-
-    A level is 0 or 1: a constant, or a residue parameter whose witness is
-    one of them, the same residue at every q.  The fragment is the
-    one-variable atoms x^n ==/!= level, in either orientation, and the
-    closed atoms that no q decides differently: level ==/!= level, and
-    `exists w. w^n == level` (true, with w = level) and its negation.
-    This reads syntax only."""
-    atoms = {n: [] for n, _ in phi.free if n not in rf_env}
-    for c in conjuncts(phi.expr):
-        negated = isinstance(c, Not)
-        if negated:
-            c = c.operand
-        if isinstance(c, Exists):
-            atom = None if c.var in rf_env else _binomial_atom(c.body,
-                                                               rf_env)
-            if atom is None or atom[0] != c.var or not atom[3]:
-                return None
-            if negated:
-                return False
-            continue
-        if negated or not isinstance(c, (RfEq, RfNe)):
-            return None
-        left, right = _level(c.left, rf_env), _level(c.right, rf_env)
-        if left is not None and right is not None:
-            if (left == right) != isinstance(c, RfEq):
-                return False
-            continue
-        atom = _binomial_atom(c, rf_env)
-        if atom is None:
-            return None
-        atoms[atom[0]].append(atom[1:])
-    return atoms
-
-
-def _binomial_atom(node, rf_env):
-    """(x, n, level, equal) when node is x^n == level or x^n != level, in
-    either orientation, for a variable x that rf_env does not bind."""
-    if not isinstance(node, (RfEq, RfNe)):
-        return None
-    for power, other in ((node.left, node.right), (node.right, node.left)):
-        n = 1
-        if isinstance(power, RfPow):
-            power, n = power.base, power.exponent
-        level = _level(other, rf_env)
-        if isinstance(power, RfVar) and power.name not in rf_env \
-                and n >= 1 and level is not None:
-            return power.name, n, level, isinstance(node, RfEq)
-    return None
-
-
-def _level(node, rf_env):
-    """0 or 1 when node is that constant or a parameter witnessed by it."""
-    if isinstance(node, RfConst):
-        value = node.value
-    elif isinstance(node, RfVar) and node.name in rf_env:
-        value = rf_env[node.name]
-    else:
-        return None
-    return value if value in (0, 1) else None
-
-
-def _binomial_count(atoms, residue, modulus, bad):
-    """The point count of a class that `_binomial_atoms` read, as a
-    polynomial in q on the primes q = residue (mod modulus), or None where
-    some gcd(k, q - 1) it needs is not one number there.
-
-    The count is a product over the variables.  For one variable x, the
-    point 0 meets x^n == 0 and x^n != 1 only.  The units meet no atom
-    x^n == 0, and the others cut a group out of F_q^*, which is cyclic of
-    order q - 1: its elements with x^a == 1 for each root atom form the
-    group of order d = gcd(a, q - 1), a the gcd of those n (d = q - 1
-    when there is none).  From it each atom x^n != 1 takes away the
-    group of order gcd(n, d), and their union has totient(e) elements of
-    each order e that divides one of those orders."""
-    if atoms is False:
-        return []
-    out = [1]
-    for found in atoms.values():
-        zero = int(all((level == 0) == equal for _, level, equal in found))
-        roots = [n for n, level, equal in found if level and equal]
-        avoid = [n for n, level, equal in found if level and not equal]
-        if any(not level and equal for _, level, equal in found):
-            units = [0]
-        elif roots:
-            d = _gcd_on_class(gcd(*roots), residue, modulus, bad)
-            if d is None:
-                return None
-            units = [d - _union_order([gcd(n, d) for n in avoid])]
-        else:
-            orders = [_gcd_on_class(n, residue, modulus, bad) for n in avoid]
-            if None in orders:
-                return None
-            units = [-1 - _union_order(orders), 1]
-        out = poly_mul(out, poly_add(units, [zero]))
-    return out
-
-
-def _union_order(orders):
-    """The size of the union of the subgroups of those orders in a cyclic
-    group: totient(e) for each e that divides one of them."""
-    return sum(map(totient, set().union(*map(divisors, orders))))
-
-
-def _gcd_on_class(k, residue, modulus, bad):
-    """gcd(k, q - 1) when it is one number at every prime q = residue
-    (mod modulus) that bad does not exclude, else None.
-
-    It depends on q mod k alone.  By Dirichlet's theorem the primes of the
-    class meet every unit mod lcm(k, modulus) that is residue mod modulus,
-    and the only other primes of the class divide k.  Those units are
-    k / gcd(k, modulus) classes, charged to the one budget."""
-    step = k // gcd(k, modulus)
-    check_budget(step, 1, None, "the %d classes of q mod %d"
-                 % (step, step * modulus))
-    seen = {gcd(k, u - 1)
-            for u in range(residue, residue + step * modulus, modulus)
-            if gcd(u, k) == 1}
-    seen.update(gcd(k, p - 1) for p in divisors(k)
-                if p % modulus == residue and p not in bad and is_prime(p))
-    return seen.pop() if len(seen) == 1 else None
 
 
 # ---------------------------------------------------------------------------

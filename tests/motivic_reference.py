@@ -4,21 +4,59 @@ This is the earlier `integrate_cells`, kept verbatim: it checks the family
 and re-splits and re-sizes every residue class on each call, with
 `_class_size` factoring the excluded residues as it finds them.  The
 library's plan must give the same value, excluded primes and derivation.
+`_linear_residue_parts`, the earlier reader of a residue term as a linear
+form, is kept here verbatim too, so that the reference reads no class
+with the code it checks.
 """
 
 from fractions import Fraction
 
 from dpcalc.errors import UnsupportedZeroCell
-from dpcalc.formula import Formula, RfNe, Sort, pretty_print
+from dpcalc.formula import (Formula, RfAdd, RfConst, RfMul, RfNe, RfNeg,
+                            RfSub, RfVar, Sort, pretty_print)
 from dpcalc.formula.nodes import conjuncts
 from dpcalc.motivic import (ZERO_CELL, ConstructibleFn, IntegrationResult,
                             _center_notes, _check_disjoint, _check_room,
-                            _fold_and, _freeze_bad, _linear_residue_parts,
-                            _note, _split_components, _vf_degree, bad_primes)
+                            _fold_and, _freeze_bad, _note, _split_components,
+                            _vf_degree, bad_primes)
 from dpcalc.poly import factor
 from dpcalc.presburger import PresTerm, SymSum
 from dpcalc.presburger import sum as pres_sum
 from dpcalc.symring import ONE, ZERO, L, SymA
+
+
+def _linear_residue_parts(node):
+    """node as ({var: int coeff}, int const), or None if not linear."""
+    if isinstance(node, RfConst):
+        return {}, node.value
+    if isinstance(node, RfVar):
+        return {node.name: 1}, 0
+    if isinstance(node, RfNeg):
+        r = _linear_residue_parts(node.operand)
+        if r is None:
+            return None
+        return {v: -c for v, c in r[0].items()}, -r[1]
+    if isinstance(node, (RfAdd, RfSub)):
+        a = _linear_residue_parts(node.left)
+        b = _linear_residue_parts(node.right)
+        if a is None or b is None:
+            return None
+        sign = 1 if isinstance(node, RfAdd) else -1
+        coeffs = dict(a[0])
+        for v, c in b[0].items():
+            coeffs[v] = coeffs.get(v, 0) + sign * c
+        return coeffs, a[1] + sign * b[1]
+    if isinstance(node, RfMul):
+        for const, other in ((node.left, node.right),
+                             (node.right, node.left)):
+            if isinstance(const, RfConst):
+                r = _linear_residue_parts(other)
+                if r is None:
+                    return None
+                return ({v: c * const.value for v, c in r[0].items()},
+                        r[1] * const.value)
+        return None
+    return None
 
 
 def _class_size(phi, reserved, budget):

@@ -200,6 +200,25 @@ def test_integrate_gives_a_prime_off_the_fit_its_own_case(run_cli,
         "witness_primes": [5, 11, 17, 23]}]
 
 
+def test_integrate_counts_a_level_beside_a_cube_root_exactly(run_cli,
+                                                            tmp_path):
+    # eta != 3 beside eta^3 == acx: 3 is a cube root of 1 mod 13 and 3 = 1
+    # mod 2, so those primes of their classes get their own cases, and
+    # no class is fitted
+    path = _one_level_cell_file(tmp_path,
+                                "eta != 0 && eta != 3 && eta^3 == acx")
+    rc, out, err = run_cli("integrate", path,
+                           "--param", "acx:cube", "--param", "k=1")
+    assert (rc, err) == (0, "")
+    payload = out_json(out)
+    assert payload["cases"] == [
+        {"when": "q = 1 (mod 3), q != 13", "value": "3*L^-5"},
+        {"when": "q = 13", "value": "2*L^-5"},
+        {"when": "q = 2 (mod 3), q != 2", "value": "L^-5"},
+        {"when": "q = 2", "value": "0"}]
+    assert "fitted_classes" not in payload
+
+
 @pytest.mark.parametrize("lines", [
     ("#! expect: %s", "vf x; ord(x) >= 0"),
     ("#! expect: 1", "vf x; ord(x - %s) >= 0"),

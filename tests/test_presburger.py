@@ -130,6 +130,14 @@ def test_empty_range():
     assert P.sum(dom, TERM).is_zero()
 
 
+@pytest.mark.parametrize("modulus, residue", [(3, 3), (3, -1), (0, 0)])
+def test_a_congruence_outside_its_modulus_is_refused(modulus, residue):
+    # a residue equal to its modulus is no residue class mod it
+    with pytest.raises(ValueError):
+        VarRange("g", modulus=modulus, residue=residue)
+    VarRange("g", modulus=3, residue=2)
+
+
 # --- several variables ---
 
 def test_triangular_domain():
